@@ -1,0 +1,57 @@
+"""Timing golden: recorded timeline digests, cycle counts and counters.
+
+Every gadget in every mode at secret 0, plus the first 50 fuzz programs
+of seed 0 in ghostminion mode, must reproduce the values stored in
+``golden_digests.json`` exactly.  A change that is meant to leave
+simulated behaviour alone (a refactor, a speed-up) keeps this test
+passing unchanged; a change that is meant to move timing re-records the
+file with ``python tests/test_golden.py --record`` and says why.
+"""
+
+import json
+import random
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+from ghostsim import RunConfig, harness
+from ghostsim.gadgets import GADGETS
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+MODES = ("ghostminion", "unsafe", "flush_only")
+FUZZ_SEED = 0
+FUZZ_COUNT = 50
+
+
+def observe():
+    gadgets = {}
+    for name, g in GADGETS.items():
+        for mode in MODES:
+            cfg = replace(RunConfig(mode=mode), **g.cfg_overrides)
+            _, rep = harness.run(g.programs(0), cfg)
+            gadgets[f"{name}/{mode}"] = {"digest": rep.digest,
+                                         "cycles": rep.cycles,
+                                         "counters": rep.counters}
+    rng = random.Random(FUZZ_SEED)
+    cfg = RunConfig(mode="ghostminion")
+    fuzz = [harness.run([harness._gen_program(rng)], cfg)[1].digest
+            for _ in range(FUZZ_COUNT)]
+    return {"gadgets": gadgets, "fuzz_seed0_ghostminion": fuzz}
+
+
+def test_timelines_match_golden():
+    want = json.loads(GOLDEN.read_text())
+    got = observe()
+    for key, rec in want["gadgets"].items():
+        assert got["gadgets"][key] == rec, key
+    assert got["gadgets"].keys() == want["gadgets"].keys()
+    for i, (a, b) in enumerate(zip(got["fuzz_seed0_ghostminion"],
+                                   want["fuzz_seed0_ghostminion"])):
+        assert a == b, f"fuzz seed {FUZZ_SEED} program {i}"
+    assert len(got["fuzz_seed0_ghostminion"]) == FUZZ_COUNT
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    GOLDEN.write_text(json.dumps(observe(), indent=1, sort_keys=True) + "\n")
