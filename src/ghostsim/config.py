@@ -49,9 +49,6 @@ class RunConfig:
     rpt_confidence: int = 2
     # protection
     mode: str = "ghostminion"
-    async_reload: bool = False
-    coherence_mode: bool = False
-    icache_minion: bool = True
     # debug / harness
     warm_icache: bool = False
     debug_unbounded_ts: bool = False

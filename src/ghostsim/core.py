@@ -26,6 +26,9 @@ from .isa import ALU, MUL, DIV, LOAD, STORE, BRANCH, JMP, RDCYCLE, FENCE, HALT, 
 from .order import TimestampAllocator
 
 MASK64 = (1 << 64) - 1
+# commit_mem of a store or replay whose commit-time access waits for a
+# callback: no cycle is ever late enough to retire it
+WAITING = float("inf")
 
 
 def s64(v):
@@ -39,7 +42,7 @@ class DynInstr:
         "ts", "uts", "state", "stage", "dep1", "dep2", "v1", "v2",
         "result", "addr", "line", "pred_taken", "taken", "done_at",
         "origin", "noncoherent", "rename_idx", "akey", "ablated",
-        "div_unit", "mem_state", "commit_mem",
+        "div_unit", "commit_mem",
     )
 
     def __init__(self, seq, si, ts, uts):
@@ -72,12 +75,7 @@ class DynInstr:
         self.akey = None
         self.ablated = False
         self.div_unit = None
-        self.mem_state = None     # None | "wait" | "retrywait"
-        self.commit_mem = None    # store/replay commit progress
-
-    @property
-    def committed(self):
-        return self.state == "COMMITTED"
+        self.commit_mem = None    # store/replay: None | ready cycle | WAITING
 
     def writes_reg(self):
         return self.cls in (ALU, MUL, DIV, LOAD, RDCYCLE) and self.dst != 0
@@ -107,9 +105,8 @@ class Core:
         self.fetch_stall_until = 0
         self.fetch_done = False
         self.line_buf = None
-        self.line_req = None
-        self.line_ready_at = None
-        self.fetch_retry_wait = False
+        self.line_req = None      # line requested, not yet in line_buf
+        self.line_ready_at = None # its ready cycle; None while it is missing
 
         self.bp_counters = {}
         self.btb = {}
@@ -162,18 +159,11 @@ class Core:
                     self.line_req = None
                     self.line_ready_at = None
                     continue
-                if self.line_req is None and not self.fetch_retry_wait:
-                    res = self.mem.ifetch_access(self.core_id, line,
-                                                 self.alloc.peek(),
-                                                 self.alloc.next_unbounded, cycle)
-                    if res[0] == "hit":
-                        self.line_req = line
-                        self.line_ready_at = res[1]
-                    elif res[0] == "pending":
-                        self.line_req = line
-                        self.line_ready_at = None
-                    else:
-                        self.fetch_retry_wait = True
+                if self.line_req is None:
+                    self.line_req = line
+                    self.line_ready_at = self.mem.ifetch_access(
+                        self.core_id, line, self.alloc.peek(),
+                        self.alloc.next_unbounded, cycle)
                 break
             si = self.program.get(self.pc)
             ts, uts = self.alloc.allocate()
@@ -206,7 +196,7 @@ class Core:
             self.line_ready_at = None
 
     def fetch_retry_wake(self):
-        self.fetch_retry_wait = False
+        self.line_req = None
 
     # ---------------------------------------------------------------- rename
 
@@ -338,8 +328,6 @@ class Core:
                     pending_store = True
                 continue
             if di.cls == LOAD:
-                if di.mem_state == "retrywait":
-                    continue
                 if not mem_slots or not self._ready(di.dep1):
                     continue
                 if pending_store:
@@ -358,18 +346,11 @@ class Core:
                     di.done_at = cycle + 1
                     continue
                 spec = di is not head
-                res = self.mem.data_access(self.core_id, di, di.line,
+                hit = self.mem.data_access(self.core_id, di, di.line,
                                            di.ts, di.uts, spec, cycle)
-                if res[0] == "hit":
-                    di.state = "EXEC"
-                    di.done_at = res[1]
-                    di.origin = res[2]
-                    di.noncoherent = res[3]
-                elif res[0] == "pending":
-                    di.state = "EXEC"
-                    di.mem_state = "wait"
-                else:
-                    di.mem_state = "retrywait"
+                di.state = "EXEC"   # a miss keeps done_at None until its callback
+                if hit is not None:
+                    di.done_at, di.origin, di.noncoherent = hit
                 continue
             # register-to-register classes
             if not (self._ready(di.dep1) and self._ready(di.dep2)):
@@ -446,8 +427,6 @@ class Core:
         for di in list(self.rob):
             if di.state != "EXEC" or di.done_at is None or di.done_at > cycle:
                 continue
-            if di.mem_state == "wait":
-                continue
             di.state = "DONE"
             di.stage["complete"] = cycle
             if di.ablated:
@@ -465,25 +444,21 @@ class Core:
     def load_complete(self, di, cycle, origin):
         if di.state != "EXEC":
             return   # squashed while the miss was in flight
-        di.mem_state = None
         di.result = self.machine.read_word(di.addr)
         di.origin = origin
         di.state = "DONE"
         di.stage["complete"] = cycle
 
     def load_retry_wake(self, di):
-        if di.commit_mem == "retrywait":   # committing store or replay
+        """The access found no free miss register, or its miss was
+        cancelled: make it again."""
+        if di.commit_mem == WAITING:   # committing store or replay
             di.commit_mem = None
-        elif di.state in ("ROB", "EXEC") and di.cls == LOAD:
+        elif di.state == "EXEC":
             di.state = "ROB"
-            di.mem_state = None
             di.done_at = None
 
-    def store_write_complete(self, di, cycle):
-        if di.state == "DONE":
-            di.commit_mem = cycle
-
-    def replay_complete(self, di, cycle):
+    def commit_access_complete(self, di, cycle):
         if di.state == "DONE":
             di.commit_mem = cycle
 
@@ -524,7 +499,7 @@ class Core:
         self.squash_log[di.akey] = (cycle, redirect_pc)
         self.fetchq.clear()
         self.alloc.rewind(di.ts, di.uts, len(self.rob))
-        self.mem.squash_flush(self.core_id, di.ts, di.uts, cycle)
+        self.mem.squash_flush(self.core_id, di.ts, di.uts)
         self.rat = {}
         for other in self.rob:
             if other.writes_reg():
@@ -535,7 +510,6 @@ class Core:
         self.line_buf = None
         self.line_req = None
         self.line_ready_at = None
-        self.fetch_retry_wait = False
 
     # ---------------------------------------------------------------- commit
 
@@ -546,27 +520,20 @@ class Core:
             di = self.rob[0]
             if di.state != "DONE":
                 break
-            if di.cls == STORE and not di.ablated:
+            # a store writes, and a load that consumed a non-coherent
+            # copy is replayed, before either may retire
+            if (di.cls == STORE or di.noncoherent) and not di.ablated:
                 if di.commit_mem is None:
-                    self.machine.write_word(di.addr, di.result)
-                    res = self.mem.store_access(self.core_id, di, di.line, cycle)
-                    if res[0] == "hit":
-                        di.commit_mem = res[1]
+                    if di.cls == STORE:
+                        self.machine.write_word(di.addr, di.result)
+                        ready = self.mem.store_access(self.core_id, di, di.line, cycle)
                     else:
-                        di.commit_mem = ("wait" if res[0] == "pending"
-                                         else "retrywait")
-                if not isinstance(di.commit_mem, int) or cycle < di.commit_mem:
-                    break
-            if di.cls == LOAD and di.noncoherent and not di.ablated:
-                if di.commit_mem is None:
-                    res = self.mem.replay_access(self.core_id, di, di.line, cycle)
-                    di.commit_mem = (res[1] if res[0] == "hit"
-                                     else "wait" if res[0] == "pending"
-                                     else "retrywait")
-                if not isinstance(di.commit_mem, int) or cycle < di.commit_mem:
+                        ready = self.mem.replay_access(self.core_id, di, di.line, cycle)
+                    di.commit_mem = WAITING if ready is None else ready
+                if cycle < di.commit_mem:
                     break
                 fresh = self.machine.read_word(di.addr)
-                if fresh != di.result:
+                if di.cls == LOAD and fresh != di.result:
                     # the forwarded value went stale: re-execute with the
                     # fresh value and restart everything younger
                     di.result = fresh
@@ -580,11 +547,11 @@ class Core:
         self.fates[di.akey] = "committed"
         if not di.ablated:
             self.mem.commit_extract(self.core_id, "i", self._iline(di.pc),
-                                    di.ts, di.uts, cycle)
+                                    di.ts, di.uts)
             if di.cls == LOAD:
                 if not di.noncoherent:
                     self.mem.commit_extract(self.core_id, "d", di.line,
-                                            di.ts, di.uts, cycle)
+                                            di.ts, di.uts)
                 if di.origin not in (None, "fwd"):
                     self.mem.prefetch_notify(di.pc, di.line, di.origin, cycle)
             elif di.cls == BRANCH:

@@ -386,6 +386,5 @@ GADGETS = {
                             cfg_overrides={"warm_icache": False}),
     "spectre_prime": Gadget("spectre_prime", _asm_spectre_prime, _decode_argmax,
                             two_core=True,
-                            cfg_overrides={"coherence_mode": True,
-                                           "warm_icache": True}),
+                            cfg_overrides={"warm_icache": True}),
 }

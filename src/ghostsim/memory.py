@@ -90,10 +90,11 @@ class Cache:
 
 
 class MshrEntry:
-    __slots__ = ("addr", "ts", "uts", "core", "spec", "is_write", "targets",
-                 "parents", "child", "deliver_at", "origin", "orphan")
+    __slots__ = ("file", "addr", "ts", "uts", "core", "spec", "is_write",
+                 "targets", "parents", "child", "deliver_at", "origin", "orphan")
 
-    def __init__(self, addr, ts, uts, core, spec, is_write=False):
+    def __init__(self, file, addr, ts, uts, core, spec, is_write=False):
+        self.file = file      # the MshrFile holding this entry
         self.addr = addr
         self.ts = ts
         self.uts = uts
@@ -109,8 +110,7 @@ class MshrEntry:
 
 
 class MshrFile:
-    def __init__(self, name, cap):
-        self.name = name
+    def __init__(self, cap):
         self.cap = cap
         self.entries = []
         self.waiters = []     # (kind, instr, core) to wake when a slot frees
@@ -145,12 +145,11 @@ class MemorySystem:
                                 not_after=not_after, counters=self.counters,
                                 line_shift=shift)
         self.dghost = [mk() if has_ghost else None for _ in range(ncores)]
-        self.ighost = [mk() if (has_ghost and cfg.icache_minion) else None
-                       for _ in range(ncores)]
+        self.ighost = [mk() if has_ghost else None for _ in range(ncores)]
 
-        self.l1d_file = [MshrFile(f"l1d{c}", cfg.l1_mshrs) for c in range(ncores)]
-        self.l1i_file = [MshrFile(f"l1i{c}", cfg.l1_mshrs) for c in range(ncores)]
-        self.l2_file = MshrFile("l2", cfg.l2_mshrs)
+        self.l1d_file = [MshrFile(cfg.l1_mshrs) for _ in range(ncores)]
+        self.l1i_file = [MshrFile(cfg.l1_mshrs) for _ in range(ncores)]
+        self.l2_file = MshrFile(cfg.l2_mshrs)
 
         # two-core directory: line -> {core: "M"|"E"|"S"} over L1D contents
         self.directory = {}
@@ -175,9 +174,6 @@ class MemorySystem:
 
     def _l1_for(self, core, kind):
         return self.l1i[core] if kind == "i" else self.l1d[core]
-
-    def _file_for(self, core, kind):
-        return self.l1i_file[core] if kind == "i" else self.l1d_file[core]
 
     def at(self, cycle, fn):
         self._events.append((cycle, fn))
@@ -291,35 +287,28 @@ class MemorySystem:
         if not child.parents and not child.targets:
             child.orphan = True
 
-    def _cancel_entry(self, file, entry, blocking_file):
-        """Leapfrog/squash cancellation: targets must reattempt once the
-        blocking level frees; in-flight lower activity is abandoned."""
-        for t in entry.targets:
-            blocking_file.waiters.append(t)
+    def _cancel_entry(self, entry, blocking_file=None):
+        """Leapfrog/squash cancellation of an entry and of the upper-level
+        entries waiting on it; in-flight lower activity is abandoned.  The
+        targets reattempt once ``blocking_file`` frees a slot, or are
+        dropped (they were squashed) when it is None."""
+        if blocking_file is not None:
+            blocking_file.waiters.extend(entry.targets)
         entry.targets = []
-        for parent in list(entry.parents):
-            pf = self._owner_file(parent)
+        for parent in entry.parents:
             parent.child = None
-            self._cancel_entry(pf, parent, blocking_file)
-            self._free_entry(pf, parent)
+            self._cancel_entry(parent, blocking_file)
         entry.parents = []
         self._orphan_child(entry)
-        self._free_entry(file, entry)
-
-    def _owner_file(self, entry):
-        for files in (self.l1d_file, self.l1i_file):
-            f = files[entry.core]
-            if entry in f.entries:
-                return f
-        return self.l2_file
+        self._free_entry(entry.file, entry)
 
     def _mshr_request(self, file, line, ts, uts, core, spec, cycle, *,
                       target=None, parent=None, is_write=False, is_l2=False):
         """Returns ("pending", entry) or ("retry", file)."""
         guarded = self.mode == "ghostminion"
         merge_core = core if (guarded and is_l2 and self.ncores > 1) else None
-        existing = file.find(line, merge_core) if merge_core is not None else file.find(line)
-        if existing is not None and (merge_core is None or existing.core == core):
+        existing = file.find(line, merge_core)
+        if existing is not None:
             existing.orphan = False   # re-adopted by a live requester
             if guarded and existing.ts != ts and self.not_after(ts, uts, existing.ts, existing.uts):
                 # timeleap: the older request restarts the miss so its
@@ -329,8 +318,7 @@ class MemorySystem:
                 existing.spec = spec
                 existing.core = core
                 self._orphan_child(existing)
-                self._dispatch_lower(file, existing, cycle, is_l2=is_l2)
-                if existing.deliver_at == "failed":
+                if not self._dispatch_lower(existing, cycle, is_l2=is_l2):
                     # restart could not get a lower-level register: the
                     # whole access waits on the blocking level
                     if target is not None:
@@ -353,7 +341,7 @@ class MemorySystem:
                 if victim is not None and self.not_after(ts, uts, victim.ts, victim.uts) \
                         and (victim.ts != ts or victim.uts != uts):
                     self._bump("mshr_leapfrogs")
-                    self._cancel_entry(file, victim, file)
+                    self._cancel_entry(victim, file)
                 else:
                     victim = None
             if victim is None:
@@ -361,158 +349,140 @@ class MemorySystem:
                 if target is not None:
                     file.waiters.append(target)
                 return ("retry", file)
-        entry = MshrEntry(line, ts, uts, core, spec, is_write)
+        entry = MshrEntry(file, line, ts, uts, core, spec, is_write)
         if target is not None:
             entry.targets.append(target)
         if parent is not None:
             entry.parents.append(parent)
             parent.child = entry
         file.entries.append(entry)
-        self._dispatch_lower(file, entry, cycle, is_l2=is_l2)
-        if entry.deliver_at == "failed":
+        if not self._dispatch_lower(entry, cycle, is_l2=is_l2):
             return ("retry", self.l2_file)
         return ("pending", entry)
 
-    def _dispatch_lower(self, file, entry, cycle, *, is_l2):
+    def _dispatch_lower(self, entry, cycle, *, is_l2):
+        """Start the miss below ``entry``.  Returns False if the L2 had no
+        register for it: the entry is then released and its targets wait
+        on the L2."""
         cfg = self.cfg
         if is_l2:
             entry.origin = "mem"
             entry.deliver_at = cycle + cfg.l2_lat + cfg.mem_lat
-            return
+            return True
         if self.l2.lookup(entry.addr):
             if self._lru_visible(entry.spec):
                 self.l2.touch(entry.addr)
             entry.origin = "l2"
             entry.deliver_at = cycle + cfg.l1_lat + cfg.l2_lat
-            return
+            return True
         entry.deliver_at = None
         res = self._mshr_request(self.l2_file, entry.addr, entry.ts, entry.uts,
                                  entry.core, entry.spec, cycle, parent=entry, is_l2=True)
-        if res[0] == "retry":
-            # the whole access fails at the L2: release our slot and make
-            # the targets wait on the blocking level
-            for t in entry.targets:
-                self.l2_file.waiters.append(t)
-            entry.targets = []
-            self._free_entry(file, entry)
-            entry.deliver_at = "failed"
+        if res[0] == "pending":
+            return True
+        self.l2_file.waiters.extend(entry.targets)
+        entry.targets = []
+        self._free_entry(entry.file, entry)
+        return False
 
     # ------------------------------------------------------------- accesses
+    #
+    # Each access returns its ready cycle on a hit (a load also gets the
+    # origin level and the noncoherent flag) or None on a miss.  A missing
+    # target waits for a callback: its completion (fetch_line_ready,
+    # load_complete, commit_access_complete) or, when a miss-register file
+    # had no room or the miss was cancelled, fetch_retry_wake /
+    # load_retry_wake, after which the access is made again.
+
+    def _l1_hit(self, l1, line, spec):
+        if not l1.lookup(line):
+            return False
+        if self._lru_visible(spec):
+            l1.touch(line)
+        return True
 
     def data_access(self, core, instr, line, ts, uts, spec, cycle):
-        """A load reaching the memory system.  Returns
-        ("hit", ready_cycle, origin, noncoherent) | ("pending",) |
-        ("retry", level_name)."""
+        """A load reaching the memory system: (ready, origin, noncoherent)
+        on a hit, None on a miss."""
         cfg = self.cfg
         g = self.dghost[core]
         if g is not None:
             hit = g.lookup(line, ts, uts)
             if hit is not None:
-                return ("hit", cycle + cfg.l1_lat, hit.origin_level or "ghost",
-                        hit.noncoherent)
-        if self.l1d[core].lookup(line):
-            if self._lru_visible(spec):
-                self.l1d[core].touch(line)
-            return ("hit", cycle + cfg.l1_lat, "l1", False)
-
-        coh_extra = 0
+                return (cycle + cfg.l1_lat, hit.origin_level, hit.noncoherent)
+        if self._l1_hit(self.l1d[core], line, spec):
+            return (cycle + cfg.l1_lat, "l1", False)
         if self.ncores > 1 and self._remote_owner(line, core) is not None:
             if spec and self.mode == "ghostminion":
                 # forward a non-coherent copy without touching remote state;
                 # the consumer must be revalidated at commit
                 ready = cycle + cfg.l1_lat + cfg.coh_lat
-                def fill(g=g, line=line, ts=ts, uts=uts):
-                    g.fill(line, ts, uts, origin_level="l2", noncoherent=True)
-                self.at(ready, fill)
-                return ("hit", ready, "l2", True)
+                self.at(ready, lambda: g.fill(line, ts, uts, origin_level="l2",
+                                              noncoherent=True))
+                return (ready, "l2", True)
             self._downgrade(line, core)
-            coh_extra = cfg.coh_lat
-
-        res = self._mshr_request(self.l1d_file[core], line, ts, uts, core, spec,
-                                 cycle + coh_extra, target=("load", instr, core))
-        if res[0] == "retry":
-            return ("retry", res[1].name)
-        return ("pending",)
+            cycle += cfg.coh_lat
+        self._mshr_request(self.l1d_file[core], line, ts, uts, core, spec,
+                           cycle, target=("load", instr, core))
+        return None
 
     def ifetch_access(self, core, line, ts, uts, cycle):
-        cfg = self.cfg
         g = self.ighost[core]
-        if g is not None:
-            hit = g.lookup(line, ts, uts)
-            if hit is not None:
-                return ("hit", cycle + cfg.l1_lat, hit.origin_level or "ghost", False)
-        if self.l1i[core].lookup(line):
-            if self._lru_visible(True):
-                self.l1i[core].touch(line)
-            return ("hit", cycle + cfg.l1_lat, "l1", False)
-        res = self._mshr_request(self.l1i_file[core], line, ts, uts, core, True,
-                                 cycle, target=("ifetch", None, core))
-        if res[0] == "retry":
-            return ("retry", res[1].name)
-        return ("pending",)
+        if (g is not None and g.lookup(line, ts, uts) is not None) \
+                or self._l1_hit(self.l1i[core], line, True):
+            return cycle + self.cfg.l1_lat
+        self._mshr_request(self.l1i_file[core], line, ts, uts, core, True,
+                           cycle, target=("ifetch", None, core))
+        return None
 
     def store_access(self, core, instr, line, cycle):
         """Committing store: non-speculative write-allocate write."""
-        cfg = self.cfg
-        cost = self.upgrade_for_store(line, core)
+        cycle += self.upgrade_for_store(line, core)
         g = self.dghost[core]
         if g is not None:
             g.invalidate(line)   # speculative copies of the line are now stale
-        if self.l1d[core].lookup(line):
-            self.l1d[core].touch(line)
-            self.l1d[core].mark_dirty(line)
-            if self.ncores > 1:
-                self.directory.setdefault(line, {})[core] = "M"
-            return ("hit", cycle + cfg.l1_lat + cost)
-        res = self._mshr_request(self.l1d_file[core], line, instr.ts, instr.uts,
-                                 core, False, cycle + cost,
-                                 target=("store", instr, core), is_write=True)
-        if res[0] == "retry":
-            return ("retry", res[1].name)
-        return ("pending",)
+        return self._commit_access(core, instr, line, cycle, is_write=True)
 
     def replay_access(self, core, instr, line, cycle):
         """Commit-time revalidation of a load that consumed a non-coherent
         forwarded copy: reissue non-speculatively."""
-        cfg = self.cfg
         self._bump("replays")
         g = self.dghost[core]
         if g is not None:
             g.invalidate(line)
-        coh = cfg.coh_lat if (self.ncores > 1 and self._downgrade(line, core)) else 0
-        if self.l1d[core].lookup(line):
-            self.l1d[core].touch(line)
-            return ("hit", cycle + cfg.l1_lat + coh)
-        res = self._mshr_request(self.l1d_file[core], line, instr.ts, instr.uts,
-                                 core, False, cycle + coh,
-                                 target=("replay", instr, core))
-        if res[0] == "retry":
-            return ("retry", res[1].name)
-        return ("pending",)
+        if self.ncores > 1 and self._downgrade(line, core):
+            cycle += self.cfg.coh_lat
+        return self._commit_access(core, instr, line, cycle, is_write=False)
+
+    def _commit_access(self, core, instr, line, cycle, is_write):
+        l1 = self.l1d[core]
+        if self._l1_hit(l1, line, False):
+            if is_write:
+                l1.mark_dirty(line)
+                if self.ncores > 1:
+                    self.directory.setdefault(line, {})[core] = "M"
+            return cycle + self.cfg.l1_lat
+        self._mshr_request(self.l1d_file[core], line, instr.ts, instr.uts,
+                           core, False, cycle, target=("commit", instr, core),
+                           is_write=is_write)
+        return None
 
     # ------------------------------------------------------- commit services
 
-    def commit_extract(self, core, kind, line, ts, uts, cycle):
+    def commit_extract(self, core, kind, line, ts, uts):
         """Free-slotting: on commit, move the committing instruction's line
-        from the side buffer into the L1.  Returns the level the line was
-        originally brought in from, or None if nothing was extracted."""
+        from the side buffer into the L1."""
         g = self._ghost_for(core, kind)
-        l1 = self._l1_for(core, kind)
         if g is not None:
             ln = g.extract(line, ts, uts)
             if ln is not None:
-                if ln.noncoherent:
-                    return None   # handled by the replay path instead
-                self._install_l1(core, kind, line)
-                return ln.origin_level
+                # a non-coherent copy is handled by the replay path instead
+                if not ln.noncoherent:
+                    self._install_l1(core, kind, line)
+                return
+        l1 = self._l1_for(core, kind)
         if l1.lookup(line):
             l1.touch(line)
-            return "l1"
-        if self.cfg.async_reload and g is not None:
-            def reload(core=core, kind=kind, line=line):
-                self._install_l1(core, kind, line)
-            self.at(cycle + self.cfg.mem_lat, reload)
-        return None
 
     def prefetch_notify(self, pc, line, origin, cycle):
         """Train the L2 stride prefetcher from the committed access stream.
@@ -540,7 +510,7 @@ class MemorySystem:
 
     # -------------------------------------------------------------- squash
 
-    def squash_flush(self, core, ts, uts, cycle):
+    def squash_flush(self, core, ts, uts):
         """Misspeculation wipe: single-cycle invalidate of every side-buffer
         line younger than the squash point, and (under full protection)
         cancellation of every younger in-flight miss of this core."""
@@ -551,18 +521,8 @@ class MemorySystem:
             return
         for file in (self.l1d_file[core], self.l1i_file[core], self.l2_file):
             for e in list(file.entries):
-                if e.core != core:
-                    continue
-                if not self.not_after(e.ts, e.uts, ts, uts):
-                    e.targets = []   # targets are squashed; drop, don't retry
-                    for parent in list(e.parents):
-                        pf = self._owner_file(parent)
-                        parent.child = None
-                        parent.targets = []
-                        self._free_entry(pf, parent)
-                    e.parents = []
-                    self._orphan_child(e)
-                    self._free_entry(file, e)
+                if e.core == core and not self.not_after(e.ts, e.uts, ts, uts):
+                    self._cancel_entry(e)
 
     # ---------------------------------------------------------------- tick
 
@@ -602,16 +562,13 @@ class MemorySystem:
             g.fill(entry.addr, entry.ts, entry.uts, origin_level=entry.origin)
         else:
             self._install_l1(core, kind, entry.addr, dirty=entry.is_write)
-        for t in entry.targets:
-            tkind, obj, tcore = t
+        for tkind, obj, tcore in entry.targets:
             if tkind == "ifetch":
                 self.cores[tcore].fetch_line_ready(entry.addr, cycle)
             elif tkind == "load":
                 self.cores[tcore].load_complete(obj, cycle, entry.origin)
-            elif tkind == "store":
-                self.cores[tcore].store_write_complete(obj, cycle)
-            elif tkind == "replay":
-                self.cores[tcore].replay_complete(obj, cycle)
+            else:
+                self.cores[tcore].commit_access_complete(obj, cycle)
         entry.targets = []
 
     # ------------------------------------------------------------ snapshots

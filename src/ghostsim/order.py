@@ -1,4 +1,4 @@
-"""Windowed speculative-program-order timestamps and ordering predicates.
+"""Windowed speculative-program-order timestamps and their ordering test.
 
 Every micro-op in flight carries a timestamp drawn from a window of size
 2N, where N is the reorder-buffer capacity.  Because at most N micro-ops
@@ -14,10 +14,6 @@ from dataclasses import dataclass
 
 class WindowOverflowError(Exception):
     """More timestamps live than the reorder buffer can hold."""
-
-
-class UnknownFateError(Exception):
-    """An instruction's commit/squash verdict was requested but never recorded."""
 
 
 def ts_not_after(a: int, b: int, window: int) -> bool:
@@ -68,25 +64,3 @@ class TimestampAllocator:
         self.next = (ts + 1) % self.window
         self.next_unbounded = uts + 1
         self.live = live
-
-
-def temporally_succeeds(x, y, window: int) -> bool:
-    """True iff ``x`` may influence the timing of ``y``.
-
-    Holds when ``x`` has committed, or ``x`` precedes-or-equals ``y`` in
-    speculative program order (same hardware thread).
-    """
-    if x.committed:
-        return True
-    return ts_not_after(x.ts, y.ts, window)
-
-def strictly_observes(x, y, outcome: dict) -> bool:
-    """Post-hoc check that ``y``'s commit verdict implies ``x``'s.
-
-    ``outcome`` maps instruction ids to True (committed) / False
-    (squashed); used by the trace checker, never by the running pipeline.
-    """
-    for i in (x, y):
-        if i.id not in outcome:
-            raise UnknownFateError(f"no verdict for instruction {i.id}")
-    return (not outcome[y.id]) or outcome[x.id]

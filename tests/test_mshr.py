@@ -2,6 +2,9 @@
 and retry behavior, driven directly against the memory system.
 """
 
+import random
+
+from ghostsim import harness
 from ghostsim.config import RunConfig
 from ghostsim.memory import MemorySystem
 from ghostsim.order import ts_not_after
@@ -141,3 +144,16 @@ class TestUnsafeMode:
         mem._mshr_request(mem.l1d_file[0], 7 << 6, 30, 30, 0, True,
                           cycle=5, target=("load", "old", 0))
         assert mem.counters["timeleaps"] == 0
+
+
+class TestCancelledFetch:
+    def test_fetch_reissues_after_its_miss_is_cancelled(self):
+        # with a single L2 register, an older miss leapfrogs the
+        # instruction fetch's L2 miss; the fetch must make its access
+        # again instead of waiting for a line that never arrives
+        text = harness._gen_program(random.Random(0))
+        cfg = RunConfig(l1_mshrs=3, l2_mshrs=1, max_cycles=20_000)
+        m, _ = harness.run([text], cfg)
+        assert m.mem.counters["mshr_leapfrogs"] > 0
+        res = harness.run_ablation([text], cfg)
+        assert res.verdict == "PASS" and res.pure

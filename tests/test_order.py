@@ -11,10 +11,7 @@ from hypothesis import given, strategies as st
 
 from ghostsim.order import (
     TimestampAllocator,
-    UnknownFateError,
     WindowOverflowError,
-    strictly_observes,
-    temporally_succeeds,
     ts_not_after,
 )
 
@@ -119,34 +116,3 @@ class TestAllocator:
                 ts, uts = issued[-1]
                 al.rewind(ts, uts, keep)
             assert 0 <= al.live <= 8
-
-
-class _Stub:
-    def __init__(self, id, ts, committed=False):
-        self.id = id
-        self.ts = ts
-        self.committed = committed
-
-
-class TestPredicates:
-    def test_committed_succeeds_everything(self):
-        x = _Stub(1, 100, committed=True)
-        y = _Stub(2, 1)
-        assert temporally_succeeds(x, y, WINDOW)
-
-    def test_uncommitted_uses_program_order(self):
-        older, younger = _Stub(1, 5), _Stub(2, 6)
-        assert temporally_succeeds(older, younger, WINDOW)
-        assert not temporally_succeeds(younger, older, WINDOW)
-
-    def test_strictly_observes(self):
-        x, y = _Stub(1, 5), _Stub(2, 6)
-        assert strictly_observes(x, y, {1: True, 2: True})
-        assert strictly_observes(x, y, {1: True, 2: False})
-        assert strictly_observes(x, y, {1: False, 2: False})
-        assert not strictly_observes(x, y, {1: False, 2: True})
-
-    def test_unknown_fate_raises(self):
-        x, y = _Stub(1, 5), _Stub(2, 6)
-        with pytest.raises(UnknownFateError):
-            strictly_observes(x, y, {1: True})
