@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = SAFE/PASS, 1 = LEAKS/FAIL, 2 = usage/parse/config error,
-3 = cycle-budget timeout.
+3 = cycle-budget timeout, 4 = internal error (a bug in ghostsim, never a
+verdict).
 """
 
 import argparse
@@ -19,6 +20,7 @@ EXIT_OK = 0
 EXIT_LEAK = 1
 EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
+EXIT_INTERNAL = 4
 
 
 def _add_common(p, seed=False):
@@ -174,6 +176,9 @@ def main(argv=None):
     except (ParseError, ConfigError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,6 +7,14 @@ fully deterministic: there is no seed here, only in the fuzz generator.
 from dataclasses import dataclass, fields
 
 MODES = ("unsafe", "flush_only", "ghostminion")
+# sizes, ways, widths, units, queues and register counts: at least 1
+_COUNTS = ("width", "lq", "sq", "fetchq", "alu_units", "mul_units",
+           "div_units", "mem_ports", "l1_sets", "l1_ways", "l1_mshrs",
+           "l2_sets", "l2_ways", "l2_mshrs", "ghost_sets", "ghost_ways",
+           "rpt_entries")
+# latencies in cycles: at least 0
+_LATENCIES = ("alu_lat", "mul_lat", "div_lat", "squash_penalty", "l1_lat",
+              "l2_lat", "mem_lat", "coh_lat")
 
 
 class ConfigError(Exception):
@@ -60,6 +68,19 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.rob < 2:
             raise ConfigError("rob must be at least 2")
+        for name in _COUNTS:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        for name in _LATENCIES:
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must not be negative")
+        # a miss is delivered by a later cycle's tick, never by the one
+        # that already ran in the cycle it was requested
+        if self.l1_lat + self.l2_lat < 1 or self.l2_lat + self.mem_lat < 1:
+            raise ConfigError("l1_lat + l2_lat and l2_lat + mem_lat must "
+                              "each be at least 1")
+        if self.line_bytes < 8 or self.line_bytes & (self.line_bytes - 1):
+            raise ConfigError("line_bytes must be a power of two, at least 8")
 
     @property
     def window(self) -> int:

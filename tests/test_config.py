@@ -70,3 +70,51 @@ def test_from_file(tmp_path):
     cfg = RunConfig.from_file(p)
     assert cfg.mode == "unsafe"
     assert cfg.mem_lat == 64
+
+
+COUNTS = ("width", "lq", "sq", "fetchq", "alu_units", "mul_units",
+          "div_units", "mem_ports", "l1_sets", "l1_ways", "l1_mshrs",
+          "l2_sets", "l2_ways", "l2_mshrs", "ghost_sets", "ghost_ways",
+          "rpt_entries")
+LATENCIES = ("alu_lat", "mul_lat", "div_lat", "squash_penalty", "l1_lat",
+             "l2_lat", "mem_lat", "coh_lat")
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_zero_count_rejected(name):
+    with pytest.raises(ConfigError, match=name):
+        RunConfig(**{name: 0})
+
+
+@pytest.mark.parametrize("name", LATENCIES)
+def test_negative_latency_rejected(name):
+    with pytest.raises(ConfigError, match=name):
+        RunConfig(**{name: -5})
+
+
+@pytest.mark.parametrize("line_bytes", [0, 4, 48, 96])
+def test_bad_line_size_rejected(line_bytes):
+    with pytest.raises(ConfigError, match="line_bytes"):
+        RunConfig(line_bytes=line_bytes)
+
+
+@pytest.mark.parametrize("lats", [(0, 0, 100), (2, 0, 0)])
+def test_zero_cycle_miss_rejected(lats):
+    # a miss that completes in the cycle it was requested is never seen
+    l1, l2, mem = lats
+    with pytest.raises(ConfigError):
+        RunConfig(l1_lat=l1, l2_lat=l2, mem_lat=mem)
+
+
+def test_smallest_legal_values_accepted():
+    smallest = {**{n: 1 for n in COUNTS}, **{n: 0 for n in LATENCIES}}
+    cfg = RunConfig(rob=2, line_bytes=8, **{**smallest, "l2_lat": 1})
+    assert RunConfig.from_text(cfg.to_text()) == cfg
+
+
+def test_bad_config_file_exits_2(tmp_path, capsys):
+    from ghostsim.cli import main
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("ghost_sets = 0\n")
+    assert main(["diff", "spectre_v1", "--config", str(cfgf)]) == 2
+    assert "ghost_sets" in capsys.readouterr().err

@@ -159,3 +159,13 @@ class TestCli:
         v = tmp_path / "spectre_prime.core1.gasm"
         assert a.exists() and v.exists()
         assert main(["run", str(a), str(v)]) == 0
+
+
+class TestInternalError:
+    def test_internal_error_is_not_a_verdict(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("integer division or modulo by zero")
+        monkeypatch.setattr(harness, "run_differential", broken)
+        assert main(["diff", "spectre_v1"]) == 4
+        err = capsys.readouterr().err
+        assert "internal error" in err and "ZeroDivisionError" in err
