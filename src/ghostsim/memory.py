@@ -310,6 +310,7 @@ class MemorySystem:
         existing = file.find(line, merge_core)
         if existing is not None:
             existing.orphan = False   # re-adopted by a live requester
+            existing.is_write = existing.is_write or is_write
             if guarded and existing.ts != ts and self.not_after(ts, uts, existing.ts, existing.uts):
                 # timeleap: the older request restarts the miss so its
                 # timing is unaffected by the younger in-flight one

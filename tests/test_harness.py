@@ -83,6 +83,17 @@ class TestAblation:
         b = harness.fuzz_programs(5, RunConfig(), seed=42)
         assert a == b
 
+    def test_store_merged_into_squashed_load_miss_stays_dirty(self):
+        # seed 12, program 533: a committing store merges into the miss of
+        # a load that is later squashed; the line must be dirty in both
+        # the normal and the ablated run
+        import random
+        rng = random.Random(12)
+        for _ in range(534):
+            text = harness._gen_program(rng)
+        res = harness.run_ablation([text], RunConfig(mode="ghostminion"))
+        assert res.verdict == "PASS" and res.pure
+
     def test_generator_output_is_seed_dependent(self):
         import random
         texts = {harness._gen_program(random.Random(s)) for s in range(8)}

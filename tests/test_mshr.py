@@ -118,6 +118,18 @@ class TestMergeAndTimeleap:
         # lower request timeleaps the in-flight L2 entry too
         assert mem.counters["timeleaps"] == 2
 
+    def test_store_merging_into_load_miss_marks_it_written(self):
+        # a committing store that finds a load's miss in flight for its
+        # line rides on that entry, so the line must arrive dirty
+        mem, core = make()
+        entry = req(mem, 7, 40)[1]
+        assert not entry.is_write
+        res = mem._mshr_request(mem.l1d_file[0], 7 << 6, 30, 30, 0, False,
+                                cycle=5, target=("commit", "st", 0),
+                                is_write=True)
+        assert res == ("pending", entry)
+        assert entry.is_write
+
     def test_younger_merge_does_not_restart(self):
         mem, core = make()
         entry = req(mem, 7, 40)[1]
