@@ -7,6 +7,7 @@ verdict).
 
 import argparse
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -177,6 +178,7 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:
+        traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -74,8 +74,9 @@ class RunConfig:
         for name in _LATENCIES:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative")
-        # a miss is delivered by a later cycle's tick, never by the one
-        # that already ran in the cycle it was requested
+        # MemorySystem.tick delivers a miss only in its exact delivery
+        # cycle, and the tick of the cycle a miss is requested in has
+        # already run: a zero-cycle miss would never arrive
         if self.l1_lat + self.l2_lat < 1 or self.l2_lat + self.mem_lat < 1:
             raise ConfigError("l1_lat + l2_lat and l2_lat + mem_lat must "
                               "each be at least 1")
