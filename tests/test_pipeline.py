@@ -3,9 +3,13 @@ semantics, store forwarding, and equivalence against the sequential
 reference interpreter.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from ghostsim import Machine, RunConfig, load_program
+from ghostsim import harness
+from ghostsim.gadgets import GADGETS
 from ghostsim.harness import _gen_program
 from ghostsim.order import WindowOverflowError
 
@@ -137,6 +141,33 @@ class TestSquash:
         except WindowOverflowError as e:   # pragma: no cover
             pytest.fail(f"window overflow: {e}")
         assert len(m.cores[0].timeline) == 2 + 200 * 4
+
+
+class TestUnboundedTimestamps:
+    """Oracle: with ``debug_unbounded_ts`` every timestamp is an
+    unbounded counter, so a run must commit the same timeline whether its
+    stamps wrap around the window or not.  Memory-heavy programs exercise
+    the side buffers and miss registers, which order by timestamp too."""
+
+    @staticmethod
+    def _digests(programs, cfg):
+        return [harness.run(programs, replace(cfg, debug_unbounded_ts=dbg))[1].digest
+                for dbg in (False, True)]
+
+    @pytest.mark.parametrize("mode", ["ghostminion", "unsafe", "flush_only"])
+    def test_gadgets(self, mode):
+        for name, g in GADGETS.items():
+            cfg = replace(RunConfig(mode=mode), **g.cfg_overrides)
+            a, b = self._digests(g.programs(0), cfg)
+            assert a == b, name
+
+    @pytest.mark.parametrize("rob", [64, 4])
+    def test_fuzz_programs(self, rob):
+        # rob=4 gives a window of 8 that wraps many times per program
+        rng = random.Random(0)
+        for i in range(50):
+            a, b = self._digests([_gen_program(rng)], RunConfig(rob=rob))
+            assert a == b, f"fuzz seed 0 program {i}"
 
 
 class TestStoreForward:
