@@ -39,13 +39,13 @@ def s64(v):
 class DynInstr:
     __slots__ = (
         "seq", "pc", "op", "cls", "dst", "s1", "s2", "imm", "target",
-        "ts", "uts", "state", "stage", "dep1", "dep2", "v1", "v2",
+        "ts", "state", "stage", "dep1", "dep2", "v1", "v2",
         "result", "addr", "line", "pred_taken", "taken", "done_at",
         "origin", "noncoherent", "rename_idx", "akey", "ablated",
         "div_unit", "commit_mem",
     )
 
-    def __init__(self, seq, si, ts, uts):
+    def __init__(self, seq, si, ts):
         self.seq = seq
         self.pc = si.pc
         self.op = si.op
@@ -56,7 +56,6 @@ class DynInstr:
         self.imm = si.imm
         self.target = si.target
         self.ts = ts
-        self.uts = uts
         self.state = "FETQ"       # FETQ ROB EXEC DONE COMMITTED SQUASHED
         self.stage = {}
         self.dep1 = None
@@ -93,7 +92,7 @@ class Core:
         self.machine = machine
         self.ablation = ablation
 
-        self.alloc = TimestampAllocator(window=cfg.window)
+        self.alloc = TimestampAllocator(cfg.window, cfg.debug_unbounded_ts)
         self.regs = [0] * isa.NUM_REGS
         self.rat = {}
         self.rob = deque()
@@ -128,7 +127,6 @@ class Core:
         self.timeline = []
         self.halted = False
 
-        self.not_after = machine.not_after
         self.line_mask = ~(cfg.line_bytes - 1)
         # instruction lines live in a per-core region of the physical
         # address space, so two cores' images never alias in the shared L2
@@ -162,12 +160,10 @@ class Core:
                 if self.line_req is None:
                     self.line_req = line
                     self.line_ready_at = self.mem.ifetch_access(
-                        self.core_id, line, self.alloc.peek(),
-                        self.alloc.next_unbounded, cycle)
+                        self.core_id, line, self.alloc.next, cycle)
                 break
             si = self.program.get(self.pc)
-            ts, uts = self.alloc.allocate()
-            di = DynInstr(self.fetch_seq, si, ts, uts)
+            di = DynInstr(self.fetch_seq, si, self.alloc.allocate())
             self.fetch_seq += 1
             di.stage["fetch"] = cycle
             self.fetchq.append(di)
@@ -347,7 +343,7 @@ class Core:
                     continue
                 spec = di is not head
                 hit = self.mem.data_access(self.core_id, di, di.line,
-                                           di.ts, di.uts, spec, cycle)
+                                           di.ts, spec, cycle)
                 di.state = "EXEC"   # a miss keeps done_at None until its callback
                 if hit is not None:
                     di.done_at, di.origin, di.noncoherent = hit
@@ -477,12 +473,10 @@ class Core:
 
     def _squash_after(self, di, cycle, redirect_pc):
         """Wipe everything younger than ``di`` and restart fetch at
-        ``redirect_pc`` after the fixed penalty."""
-        keep = deque()
-        for other in self.rob:
-            if other.uts <= di.uts:
-                keep.append(other)
-                continue
+        ``redirect_pc`` after the fixed penalty.  The ROB is in program
+        order, so the younger instructions are its tail."""
+        while self.rob[-1] is not di:
+            other = self.rob.pop()
             other.state = "SQUASHED"
             if other.akey is not None:
                 self.fates.setdefault(other.akey, "squashed")
@@ -493,13 +487,12 @@ class Core:
             if other.div_unit is not None and self.cfg.mode == "ghostminion" \
                     and self.div_busy[other.div_unit] > cycle:
                 self.div_busy[other.div_unit] = cycle
-        self.rob = keep
         self.epoch += 1
         self.epoch_pos = 0
         self.squash_log[di.akey] = (cycle, redirect_pc)
         self.fetchq.clear()
-        self.alloc.rewind(di.ts, di.uts, len(self.rob))
-        self.mem.squash_flush(self.core_id, di.ts, di.uts)
+        self.alloc.rewind(di.ts, len(self.rob))
+        self.mem.squash_flush(self.core_id, di.ts)
         self.rat = {}
         for other in self.rob:
             if other.writes_reg():
@@ -546,12 +539,10 @@ class Core:
         di.stage["commit"] = cycle
         self.fates[di.akey] = "committed"
         if not di.ablated:
-            self.mem.commit_extract(self.core_id, "i", self._iline(di.pc),
-                                    di.ts, di.uts)
+            self.mem.commit_extract(self.core_id, "i", self._iline(di.pc), di.ts)
             if di.cls == LOAD:
                 if not di.noncoherent:
-                    self.mem.commit_extract(self.core_id, "d", di.line,
-                                            di.ts, di.uts)
+                    self.mem.commit_extract(self.core_id, "d", di.line, di.ts)
                 if di.origin not in (None, "fwd"):
                     self.mem.prefetch_notify(di.pc, di.line, di.origin, cycle)
             elif di.cls == BRANCH:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 class GhostLine:
     tag: int = -1            # line address
     ts: int = 0
-    uts: int = 0
     valid: bool = False
     origin_level: str = ""   # cache level the data came from: "l1"/"l2"/"mem"
     noncoherent: bool = False
@@ -38,7 +37,7 @@ class GhostCache:
         self.ways = ways
         self.line_shift = line_shift
         self.timeguard = timeguard
-        # not_after(line_ts, line_uts, ts, uts) -> bool
+        # not_after(a, b): stamp a precedes or equals b in program order
         self.not_after = not_after
         self.counters = counters if counters is not None else {}
         self.lines = [[GhostLine() for _ in range(ways)] for _ in range(sets)]
@@ -50,19 +49,19 @@ class GhostCache:
     def _bump(self, key, n=1):
         self.counters[key] = self.counters.get(key, 0) + n
 
-    def lookup(self, line_addr, ts, uts):
+    def lookup(self, line_addr, ts):
         """TimeGuarded read: a hit requires a valid tag match whose
         timestamp is not after the reader's.  A guarded line is
         indistinguishable from an absent one."""
         for way in self._set(line_addr):
             if way.valid and way.tag == line_addr:
-                if not self.timeguard or self.not_after(way.ts, way.uts, ts, uts):
+                if not self.timeguard or self.not_after(way.ts, ts):
                     return way
                 self._bump("timeguard_blocks")
                 return None
         return None
 
-    def fill(self, line_addr, ts, uts, origin_level="mem", noncoherent=False):
+    def fill(self, line_addr, ts, origin_level="mem", noncoherent=False):
         """Store a line; returns True if stored, False if rejected.
 
         Rejection (no free slot and no eligible victim) is a defined
@@ -77,7 +76,7 @@ class GhostCache:
                     # duplicate tags are never allowed in a set: reuse the
                     # matching way if eligible, else the line is already
                     # visible to this filler and the fill is redundant
-                    if self.not_after(ts, uts, way.ts, way.uts):
+                    if self.not_after(ts, way.ts):
                         victim = way
                         break
                     return True
@@ -88,9 +87,8 @@ class GhostCache:
                     victim = free
                 else:
                     for way in st:
-                        if self.not_after(ts, uts, way.ts, way.uts):
-                            if victim is None or self.not_after(victim.ts, victim.uts,
-                                                               way.ts, way.uts):
+                        if self.not_after(ts, way.ts):
+                            if victim is None or self.not_after(victim.ts, way.ts):
                                 victim = way
         else:
             for way in st:
@@ -112,19 +110,18 @@ class GhostCache:
             return False
         victim.tag = line_addr
         victim.ts = ts
-        victim.uts = uts
         victim.valid = True
         victim.origin_level = origin_level
         victim.noncoherent = noncoherent
         return True
 
-    def extract(self, line_addr, ts, uts):
+    def extract(self, line_addr, ts):
         """On commit of a load: remove and return the matching line the
         committing instruction is allowed to read, if any."""
         for way in self._set(line_addr):
             if way.valid and way.tag == line_addr:
-                if not self.timeguard or self.not_after(way.ts, way.uts, ts, uts):
-                    out = GhostLine(way.tag, way.ts, way.uts, True,
+                if not self.timeguard or self.not_after(way.ts, ts):
+                    out = GhostLine(way.tag, way.ts, True,
                                     way.origin_level, way.noncoherent)
                     way.valid = False
                     self._bump("lines_extracted")
@@ -132,7 +129,7 @@ class GhostCache:
                 return None
         return None
 
-    def flush(self, ts, uts):
+    def flush(self, ts):
         """Squash wipe: invalidate every line younger than ``ts``.
 
         Constant-time regardless of how many lines are wiped.  Without
@@ -142,7 +139,7 @@ class GhostCache:
         for st in self.lines:
             for way in st:
                 if way.valid and (not self.timeguard
-                                  or not self.not_after(way.ts, way.uts, ts, uts)):
+                                  or not self.not_after(way.ts, ts)):
                     way.valid = False
                     n += 1
         self._bump("flush_count")

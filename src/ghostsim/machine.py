@@ -33,9 +33,9 @@ class Machine:
         if cfg.warm_icache:
             self._warm_icache()
 
-    def not_after(self, ts, uts, ts2, uts2):
+    def not_after(self, ts, ts2):
         if self.cfg.debug_unbounded_ts:
-            return uts <= uts2
+            return ts <= ts2
         return ts_not_after(ts, ts2, self.cfg.window)
 
     def read_word(self, addr):

@@ -90,14 +90,13 @@ class Cache:
 
 
 class MshrEntry:
-    __slots__ = ("file", "addr", "ts", "uts", "core", "spec", "is_write",
+    __slots__ = ("file", "addr", "ts", "core", "spec", "is_write",
                  "targets", "parents", "child", "deliver_at", "origin", "orphan")
 
-    def __init__(self, file, addr, ts, uts, core, spec, is_write=False):
+    def __init__(self, file, addr, ts, core, spec, is_write=False):
         self.file = file      # the MshrFile holding this entry
         self.addr = addr
         self.ts = ts
-        self.uts = uts
         self.core = core
         self.spec = spec
         self.is_write = is_write
@@ -129,7 +128,7 @@ class MemorySystem:
     def __init__(self, cfg, ncores, not_after):
         self.cfg = cfg
         self.ncores = ncores
-        self.not_after = not_after     # not_after(ts, uts, ts2, uts2)
+        self.not_after = not_after     # not_after(ts, ts2)
         self.mode = cfg.mode
         self.counters = {k: 0 for k in COUNTER_KEYS}
         self.cores = []                # wired by the machine
@@ -302,7 +301,7 @@ class MemorySystem:
         self._orphan_child(entry)
         self._free_entry(entry.file, entry)
 
-    def _mshr_request(self, file, line, ts, uts, core, spec, cycle, *,
+    def _mshr_request(self, file, line, ts, core, spec, cycle, *,
                       target=None, parent=None, is_write=False, is_l2=False):
         """Returns ("pending", entry) or ("retry", file)."""
         guarded = self.mode == "ghostminion"
@@ -311,11 +310,11 @@ class MemorySystem:
         if existing is not None:
             existing.orphan = False   # re-adopted by a live requester
             existing.is_write = existing.is_write or is_write
-            if guarded and existing.ts != ts and self.not_after(ts, uts, existing.ts, existing.uts):
+            if guarded and existing.ts != ts and self.not_after(ts, existing.ts):
                 # timeleap: the older request restarts the miss so its
                 # timing is unaffected by the younger in-flight one
                 self._bump("timeleaps")
-                existing.ts, existing.uts = ts, uts
+                existing.ts = ts
                 existing.spec = spec
                 existing.core = core
                 self._orphan_child(existing)
@@ -337,10 +336,10 @@ class MemorySystem:
                 for e in file.entries:
                     if merge_core is not None and e.core != core:
                         continue
-                    if victim is None or self.not_after(victim.ts, victim.uts, e.ts, e.uts):
+                    if victim is None or self.not_after(victim.ts, e.ts):
                         victim = e
-                if victim is not None and self.not_after(ts, uts, victim.ts, victim.uts) \
-                        and (victim.ts != ts or victim.uts != uts):
+                if victim is not None and self.not_after(ts, victim.ts) \
+                        and victim.ts != ts:
                     self._bump("mshr_leapfrogs")
                     self._cancel_entry(victim, file)
                 else:
@@ -350,7 +349,7 @@ class MemorySystem:
                 if target is not None:
                     file.waiters.append(target)
                 return ("retry", file)
-        entry = MshrEntry(file, line, ts, uts, core, spec, is_write)
+        entry = MshrEntry(file, line, ts, core, spec, is_write)
         if target is not None:
             entry.targets.append(target)
         if parent is not None:
@@ -377,8 +376,8 @@ class MemorySystem:
             entry.deliver_at = cycle + cfg.l1_lat + cfg.l2_lat
             return True
         entry.deliver_at = None
-        res = self._mshr_request(self.l2_file, entry.addr, entry.ts, entry.uts,
-                                 entry.core, entry.spec, cycle, parent=entry, is_l2=True)
+        res = self._mshr_request(self.l2_file, entry.addr, entry.ts, entry.core,
+                                 entry.spec, cycle, parent=entry, is_l2=True)
         if res[0] == "pending":
             return True
         self.l2_file.waiters.extend(entry.targets)
@@ -402,13 +401,13 @@ class MemorySystem:
             l1.touch(line)
         return True
 
-    def data_access(self, core, instr, line, ts, uts, spec, cycle):
+    def data_access(self, core, instr, line, ts, spec, cycle):
         """A load reaching the memory system: (ready, origin, noncoherent)
         on a hit, None on a miss."""
         cfg = self.cfg
         g = self.dghost[core]
         if g is not None:
-            hit = g.lookup(line, ts, uts)
+            hit = g.lookup(line, ts)
             if hit is not None:
                 return (cycle + cfg.l1_lat, hit.origin_level, hit.noncoherent)
         if self._l1_hit(self.l1d[core], line, spec):
@@ -418,22 +417,22 @@ class MemorySystem:
                 # forward a non-coherent copy without touching remote state;
                 # the consumer must be revalidated at commit
                 ready = cycle + cfg.l1_lat + cfg.coh_lat
-                self.at(ready, lambda: g.fill(line, ts, uts, origin_level="l2",
+                self.at(ready, lambda: g.fill(line, ts, origin_level="l2",
                                               noncoherent=True))
                 return (ready, "l2", True)
             self._downgrade(line, core)
             cycle += cfg.coh_lat
-        self._mshr_request(self.l1d_file[core], line, ts, uts, core, spec,
-                           cycle, target=("load", instr, core))
+        self._mshr_request(self.l1d_file[core], line, ts, core, spec, cycle,
+                           target=("load", instr, core))
         return None
 
-    def ifetch_access(self, core, line, ts, uts, cycle):
+    def ifetch_access(self, core, line, ts, cycle):
         g = self.ighost[core]
-        if (g is not None and g.lookup(line, ts, uts) is not None) \
+        if (g is not None and g.lookup(line, ts) is not None) \
                 or self._l1_hit(self.l1i[core], line, True):
             return cycle + self.cfg.l1_lat
-        self._mshr_request(self.l1i_file[core], line, ts, uts, core, True,
-                           cycle, target=("ifetch", None, core))
+        self._mshr_request(self.l1i_file[core], line, ts, core, True, cycle,
+                           target=("ifetch", None, core))
         return None
 
     def store_access(self, core, instr, line, cycle):
@@ -463,19 +462,19 @@ class MemorySystem:
                 if self.ncores > 1:
                     self.directory.setdefault(line, {})[core] = "M"
             return cycle + self.cfg.l1_lat
-        self._mshr_request(self.l1d_file[core], line, instr.ts, instr.uts,
-                           core, False, cycle, target=("commit", instr, core),
+        self._mshr_request(self.l1d_file[core], line, instr.ts, core, False,
+                           cycle, target=("commit", instr, core),
                            is_write=is_write)
         return None
 
     # ------------------------------------------------------- commit services
 
-    def commit_extract(self, core, kind, line, ts, uts):
+    def commit_extract(self, core, kind, line, ts):
         """Free-slotting: on commit, move the committing instruction's line
         from the side buffer into the L1."""
         g = self._ghost_for(core, kind)
         if g is not None:
-            ln = g.extract(line, ts, uts)
+            ln = g.extract(line, ts)
             if ln is not None:
                 # a non-coherent copy is handled by the replay path instead
                 if not ln.noncoherent:
@@ -511,18 +510,18 @@ class MemorySystem:
 
     # -------------------------------------------------------------- squash
 
-    def squash_flush(self, core, ts, uts):
+    def squash_flush(self, core, ts):
         """Misspeculation wipe: single-cycle invalidate of every side-buffer
         line younger than the squash point, and (under full protection)
         cancellation of every younger in-flight miss of this core."""
         for g in (self.dghost[core], self.ighost[core]):
             if g is not None:
-                g.flush(ts, uts)
+                g.flush(ts)
         if self.mode != "ghostminion":
             return
         for file in (self.l1d_file[core], self.l1i_file[core], self.l2_file):
             for e in list(file.entries):
-                if e.core == core and not self.not_after(e.ts, e.uts, ts, uts):
+                if e.core == core and not self.not_after(e.ts, ts):
                     self._cancel_entry(e)
 
     # ---------------------------------------------------------------- tick
@@ -560,7 +559,7 @@ class MemorySystem:
     def _deliver_l1(self, core, kind, entry, cycle):
         g = self._ghost_for(core, kind)
         if entry.spec and g is not None:
-            g.fill(entry.addr, entry.ts, entry.uts, origin_level=entry.origin)
+            g.fill(entry.addr, entry.ts, origin_level=entry.origin)
         else:
             self._install_l1(core, kind, entry.addr, dirty=entry.is_write)
         for tkind, obj, tcore in entry.targets:

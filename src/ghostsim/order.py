@@ -1,12 +1,11 @@
 """Windowed speculative-program-order timestamps and their ordering test.
 
-Every micro-op in flight carries a timestamp drawn from a window of size
-2N, where N is the reorder-buffer capacity.  Because at most N micro-ops
-are live at once, the windowed distance test is unambiguous for any pair
-of live timestamps, and agrees with comparison of the unbounded counters
-that produced them.  A shadow unbounded counter is carried alongside each
-timestamp for debug runs and property tests; release-mode comparisons use
-only the windowed value.
+Every micro-op in flight carries one timestamp drawn from a window of
+size 2N, where N is the reorder-buffer capacity.  Because at most N
+micro-ops are live at once, the windowed distance test is unambiguous for
+any pair of live timestamps, and agrees with comparison of the unbounded
+counters that produced them.  A debug allocator hands out the unbounded
+counter itself instead, so a run can check that the two orders agree.
 """
 
 from dataclasses import dataclass
@@ -27,7 +26,8 @@ def ts_not_after(a: int, b: int, window: int) -> bool:
 
 @dataclass
 class TimestampAllocator:
-    """Sequential allocator over the window [0, 2N).
+    """Sequential allocator over the window [0, 2N), or over all
+    non-negative integers when ``unbounded``.
 
     ``live`` counts timestamps handed out but not yet committed or
     squashed; allocation faults if it would exceed N, since that signals
@@ -35,32 +35,29 @@ class TimestampAllocator:
     """
 
     window: int
+    unbounded: bool = False
     next: int = 0
-    next_unbounded: int = 0
     live: int = 0
 
-    def allocate(self) -> tuple[int, int]:
-        """Return (windowed ts, unbounded shadow ts) and advance."""
+    def allocate(self) -> int:
+        """Return the next timestamp and advance."""
         if self.live >= self.window // 2:
             raise WindowOverflowError(
                 f"{self.live} timestamps live with window {self.window}"
             )
         ts = self.next
-        uts = self.next_unbounded
-        self.next = (self.next + 1) % self.window
-        self.next_unbounded += 1
+        self._advance_past(ts)
         self.live += 1
-        return ts, uts
+        return ts
 
-    def peek(self) -> int:
-        return self.next
+    def _advance_past(self, ts: int) -> None:
+        self.next = ts + 1 if self.unbounded else (ts + 1) % self.window
 
     def retire(self, count: int = 1) -> None:
         self.live -= count
         assert self.live >= 0
 
-    def rewind(self, ts: int, uts: int, live: int) -> None:
+    def rewind(self, ts: int, live: int) -> None:
         """Reset allocation to just after ``ts`` (used on pipeline squash)."""
-        self.next = (ts + 1) % self.window
-        self.next_unbounded = uts + 1
+        self._advance_past(ts)
         self.live = live

@@ -18,7 +18,7 @@ from ghostsim.order import ts_not_after
 WINDOW = 128
 
 
-def _na(ts, uts, ts2, uts2):
+def _na(ts, ts2):
     return ts_not_after(ts, ts2, WINDOW)
 
 
@@ -42,31 +42,31 @@ def _run_gadget(gadget, secret, mode, **extra):
 def test_c01_timeguarded_lookup():
     with criterion(1, "timestamp-guarded side-buffer lookup"):
         g = GhostCache(1, 2, timeguard=True, not_after=_na)
-        g.fill(0x40, 22, 22)
-        assert g.lookup(0x40, 21, 21) is None          # line 22, reader 21
+        g.fill(0x40, 22)
+        assert g.lookup(0x40, 21) is None              # line 22, reader 21
         g = GhostCache(1, 2, timeguard=True, not_after=_na)
-        g.fill(0x40, 27, 27)
-        assert g.lookup(0x40, 28, 28) is not None      # line 27, reader 28
+        g.fill(0x40, 27)
+        assert g.lookup(0x40, 28) is not None          # line 27, reader 28
         g = GhostCache(1, 2, timeguard=True, not_after=_na)
-        g.fill(0x40, 25, 25)
-        assert g.lookup(0x40, 25, 25) is not None      # equality hits
+        g.fill(0x40, 25)
+        assert g.lookup(0x40, 25) is not None          # equality hits
 
 
 def test_c02_timeguarded_fill():
     with criterion(2, "timestamp-guarded side-buffer fill/eviction"):
         g = GhostCache(1, 2, timeguard=True, not_after=_na)
-        g.fill(0x40, 26, 26)
-        g.fill(0x80, 28, 28)
-        assert g.fill(0xC0, 25, 25)                    # evicts the 28 line
+        g.fill(0x40, 26)
+        g.fill(0x80, 28)
+        assert g.fill(0xC0, 25)                        # evicts the 28 line
         assert {w.ts for w in g.valid_lines()} == {25, 26}
         g = GhostCache(1, 2, timeguard=True, not_after=_na)
-        g.fill(0x40, 3, 3)
-        g.fill(0x80, 4, 4)
-        assert not g.fill(0xC0, 9, 9)                  # rejected outright
+        g.fill(0x40, 3)
+        g.fill(0x80, 4)
+        assert not g.fill(0xC0, 9)                     # rejected outright
         assert {w.ts for w in g.valid_lines()} == {3, 4}
         g = GhostCache(1, 2, timeguard=True, not_after=_na)
-        g.fill(0x40, 26, 26)
-        assert g.fill(0x80, 25, 25)                    # free slot preferred
+        g.fill(0x40, 26)
+        assert g.fill(0x80, 25)                        # free slot preferred
         assert {w.ts for w in g.valid_lines()} == {25, 26}
 
 
@@ -89,9 +89,9 @@ def test_c03_mshr_ordering():
 
         mem, C = fresh()
         for ts in (22, 23, 28):
-            mem._mshr_request(mem.l1d_file[0], ts << 6, ts, ts, 0, True, 0,
+            mem._mshr_request(mem.l1d_file[0], ts << 6, ts, 0, True, 0,
                               target=("load", ts, 0))
-        res = mem._mshr_request(mem.l1d_file[0], 25 << 6, 25, 25, 0, True, 0,
+        res = mem._mshr_request(mem.l1d_file[0], 25 << 6, 25, 0, True, 0,
                                 target=("load", 25, 0))
         assert res[0] == "pending"                     # 28 leapfrogged
         assert sorted(e.ts for e in mem.l1d_file[0].entries) == [22, 23, 25]
@@ -100,9 +100,9 @@ def test_c03_mshr_ordering():
 
         mem, C = fresh()
         for ts in (22, 23, 25):
-            mem._mshr_request(mem.l1d_file[0], ts << 6, ts, ts, 0, True, 0,
+            mem._mshr_request(mem.l1d_file[0], ts << 6, ts, 0, True, 0,
                               target=("load", ts, 0))
-        res = mem._mshr_request(mem.l1d_file[0], 29 << 6, 29, 29, 0, True, 0,
+        res = mem._mshr_request(mem.l1d_file[0], 29 << 6, 29, 0, True, 0,
                                 target=("load", 29, 0))
         assert res[0] == "retry"                       # youngest waits
         assert sorted(e.ts for e in mem.l1d_file[0].entries) == [22, 23, 25]

@@ -10,7 +10,7 @@ from ghostsim.order import ts_not_after
 WINDOW = 128
 
 
-def _na(ts, uts, ts2, uts2):
+def _na(ts, ts2):
     return ts_not_after(ts, ts2, WINDOW)
 
 
@@ -25,29 +25,29 @@ def line(n):
 class TestLookup:
     def test_younger_line_misses(self):
         g = make()
-        g.fill(line(1), 22, 22)
-        assert g.lookup(line(1), 21, 21) is None
+        g.fill(line(1), 22)
+        assert g.lookup(line(1), 21) is None
         assert g.counters["timeguard_blocks"] == 1
 
     def test_older_line_hits(self):
         g = make()
-        g.fill(line(1), 27, 27)
-        hit = g.lookup(line(1), 28, 28)
+        g.fill(line(1), 27)
+        hit = g.lookup(line(1), 28)
         assert hit is not None and hit.ts == 27
 
     def test_equal_timestamp_hits(self):
         g = make()
-        g.fill(line(1), 25, 25)
-        assert g.lookup(line(1), 25, 25) is not None
+        g.fill(line(1), 25)
+        assert g.lookup(line(1), 25) is not None
 
     def test_absent_line_misses(self):
         g = make()
-        assert g.lookup(line(9), 50, 50) is None
+        assert g.lookup(line(9), 50) is None
 
     def test_unguarded_mode_always_hits(self):
         g = make(timeguard=False)
-        g.fill(line(1), 22, 22)
-        assert g.lookup(line(1), 21, 21) is not None
+        g.fill(line(1), 22)
+        assert g.lookup(line(1), 21) is not None
 
 
 class TestFill:
@@ -55,9 +55,9 @@ class TestFill:
         # set holds lines stamped {26, 28}; a fill stamped 25 may evict
         # either and must choose the youngest (28)
         g = make()
-        g.fill(line(1), 26, 26)
-        g.fill(line(2), 28, 28)
-        assert g.fill(line(3), 25, 25)
+        g.fill(line(1), 26)
+        g.fill(line(2), 28)
+        assert g.fill(line(3), 25)
         tags = {w.tag: w.ts for w in g.valid_lines()}
         assert tags == {line(1): 26, line(3): 25}
 
@@ -65,22 +65,22 @@ class TestFill:
         # {3, 4} are both older than a fill stamped 9: evicting either
         # would let the young filler signal backwards in time
         g = make()
-        g.fill(line(1), 3, 3)
-        g.fill(line(2), 4, 4)
-        assert not g.fill(line(3), 9, 9)
+        g.fill(line(1), 3)
+        g.fill(line(2), 4)
+        assert not g.fill(line(3), 9)
         assert g.counters["fills_rejected"] == 1
         assert {w.ts for w in g.valid_lines()} == {3, 4}
 
     def test_free_slot_preferred_over_eviction(self):
         g = make()
-        g.fill(line(1), 26, 26)
-        assert g.fill(line(2), 25, 25)   # 26 is evictable but a way is free
+        g.fill(line(1), 26)
+        assert g.fill(line(2), 25)   # 26 is evictable but a way is free
         assert {w.ts for w in g.valid_lines()} == {25, 26}
 
     def test_duplicate_tag_reuses_way(self):
         g = make()
-        g.fill(line(1), 30, 30)
-        g.fill(line(1), 20, 20)
+        g.fill(line(1), 30)
+        g.fill(line(1), 20)
         lines = list(g.valid_lines())
         assert len(lines) == 1 and lines[0].ts == 20
 
@@ -88,16 +88,16 @@ class TestFill:
         # the line is already visible to the younger filler; keeping the
         # older stamp only widens visibility
         g = make()
-        g.fill(line(1), 20, 20)
-        assert g.fill(line(1), 30, 30)
+        g.fill(line(1), 20)
+        assert g.fill(line(1), 30)
         lines = list(g.valid_lines())
         assert len(lines) == 1 and lines[0].ts == 20
 
     def test_unguarded_fifo_eviction(self):
         g = make(timeguard=False)
-        g.fill(line(1), 5, 5)
-        g.fill(line(2), 6, 6)
-        g.fill(line(3), 1, 1)    # would be rejected under timeguarding
+        g.fill(line(1), 5)
+        g.fill(line(2), 6)
+        g.fill(line(3), 1)    # would be rejected under timeguarding
         assert not g.has(line(1))
         assert g.has(line(3))
 
@@ -105,32 +105,32 @@ class TestFill:
 class TestExtractFlush:
     def test_extract_removes_visible_line(self):
         g = make()
-        g.fill(line(1), 10, 10)
-        out = g.extract(line(1), 12, 12)
+        g.fill(line(1), 10)
+        out = g.extract(line(1), 12)
         assert out is not None and out.ts == 10
         assert not g.has(line(1))
 
     def test_extract_guarded_line_refused(self):
         g = make()
-        g.fill(line(1), 15, 15)
-        assert g.extract(line(1), 12, 12) is None
+        g.fill(line(1), 15)
+        assert g.extract(line(1), 12) is None
         assert g.has(line(1))
 
     def test_flush_wipes_only_younger(self):
         g = make(sets=4)
-        g.fill(line(0), 10, 10)
-        g.fill(line(1), 20, 20)
-        g.fill(line(2), 30, 30)
-        wiped = g.flush(15, 15)
+        g.fill(line(0), 10)
+        g.fill(line(1), 20)
+        g.fill(line(2), 30)
+        wiped = g.flush(15)
         assert wiped == 2
         assert g.has(line(0))
         assert not g.has(line(1)) and not g.has(line(2))
 
     def test_unguarded_flush_wipes_everything(self):
         g = make(sets=4, timeguard=False)
-        g.fill(line(0), 10, 10)
-        g.fill(line(1), 20, 20)
-        assert g.flush(25, 25) == 2
+        g.fill(line(0), 10)
+        g.fill(line(1), 20)
+        assert g.flush(25) == 2
         assert not list(g.valid_lines())
 
 
@@ -143,9 +143,9 @@ def test_guard_properties(ops):
     g = make(sets=2, ways=2)
     for ln, ts, is_fill in ops:
         if is_fill:
-            g.fill(line(ln), ts, ts)
+            g.fill(line(ln), ts)
         else:
-            hit = g.lookup(line(ln), ts, ts)
+            hit = g.lookup(line(ln), ts)
             if hit is not None:
                 assert hit.ts <= ts
         for s in g.lines:

@@ -83,7 +83,7 @@ class TestPrefetcher:
         from ghostsim.memory import MemorySystem
         from ghostsim.order import ts_not_after
         cfg = RunConfig()
-        mem = MemorySystem(cfg, 1, lambda a, b, c, d: ts_not_after(a, c, 128))
+        mem = MemorySystem(cfg, 1, lambda a, b: ts_not_after(a, b, 128))
         pc = 0x40
         for i, cyc in enumerate((0, 10, 20)):
             mem.prefetch_notify(pc, 0x2000 + 64 * i, "mem", cyc)
@@ -116,7 +116,7 @@ class TestPrefetcher:
         from ghostsim.memory import MemorySystem
         from ghostsim.order import ts_not_after
         mem = MemorySystem(RunConfig(), 1,
-                           lambda a, b, c, d: ts_not_after(a, c, 128))
+                           lambda a, b: ts_not_after(a, b, 128))
         for i, cyc in enumerate((0, 10, 20, 30)):
             mem.prefetch_notify(0x40, 0x2000 + 64 * i, "l1", cyc)
         assert mem.counters["prefetches_issued"] == 0

@@ -12,7 +12,7 @@ from ghostsim.order import ts_not_after
 WINDOW = 128
 
 
-def _na(ts, uts, ts2, uts2):
+def _na(ts, ts2):
     return ts_not_after(ts, ts2, WINDOW)
 
 
@@ -38,7 +38,7 @@ def make(mode="ghostminion", mshrs=3):
 
 def req(mem, line, ts, tag=None):
     file = mem.l1d_file[0]
-    return mem._mshr_request(file, line << 6, ts, ts, 0, True, cycle=0,
+    return mem._mshr_request(file, line << 6, ts, 0, True, cycle=0,
                              target=("load", tag if tag is not None else ts, 0))
 
 
@@ -99,7 +99,7 @@ class TestMergeAndTimeleap:
     def test_same_line_merges(self):
         mem, core = make()
         res1 = req(mem, 7, 40, tag="a")
-        res2 = mem._mshr_request(mem.l1d_file[0], 7 << 6, 41, 41, 0, True,
+        res2 = mem._mshr_request(mem.l1d_file[0], 7 << 6, 41, 0, True,
                                  cycle=0, target=("load", "b", 0))
         assert res2[1] is res1[1]
         assert len(mem.l1d_file[0].entries) == 1
@@ -110,10 +110,10 @@ class TestMergeAndTimeleap:
         # restarts it so the observable latency is the older one's own
         mem, core = make()
         entry = req(mem, 7, 40)[1]
-        res = mem._mshr_request(mem.l1d_file[0], 7 << 6, 30, 30, 0, True,
+        res = mem._mshr_request(mem.l1d_file[0], 7 << 6, 30, 0, True,
                                 cycle=5, target=("load", "old", 0))
         assert res[1] is entry
-        assert (entry.ts, entry.uts) == (30, 30)
+        assert entry.ts == 30
         # the restart cascades: the L1 entry timeleaps, and its re-issued
         # lower request timeleaps the in-flight L2 entry too
         assert mem.counters["timeleaps"] == 2
@@ -124,7 +124,7 @@ class TestMergeAndTimeleap:
         mem, core = make()
         entry = req(mem, 7, 40)[1]
         assert not entry.is_write
-        res = mem._mshr_request(mem.l1d_file[0], 7 << 6, 30, 30, 0, False,
+        res = mem._mshr_request(mem.l1d_file[0], 7 << 6, 30, 0, False,
                                 cycle=5, target=("commit", "st", 0),
                                 is_write=True)
         assert res == ("pending", entry)
@@ -134,7 +134,7 @@ class TestMergeAndTimeleap:
         mem, core = make()
         entry = req(mem, 7, 40)[1]
         deliver = entry.child.deliver_at
-        mem._mshr_request(mem.l1d_file[0], 7 << 6, 50, 50, 0, True,
+        mem._mshr_request(mem.l1d_file[0], 7 << 6, 50, 0, True,
                           cycle=5, target=("load", "young", 0))
         assert (entry.ts, entry.child.deliver_at) == (40, deliver)
         assert mem.counters["timeleaps"] == 0
@@ -153,7 +153,7 @@ class TestUnsafeMode:
     def test_no_timeleap_without_ordering(self):
         mem, core = make(mode="unsafe")
         req(mem, 7, 40)
-        mem._mshr_request(mem.l1d_file[0], 7 << 6, 30, 30, 0, True,
+        mem._mshr_request(mem.l1d_file[0], 7 << 6, 30, 0, True,
                           cycle=5, target=("load", "old", 0))
         assert mem.counters["timeleaps"] == 0
 

@@ -55,27 +55,28 @@ class TestNotAfter:
 class TestAllocator:
     def test_sequential(self):
         al = TimestampAllocator(window=8)
-        assert [al.allocate()[0] for _ in range(4)] == [0, 1, 2, 3]
+        assert [al.allocate() for _ in range(4)] == [0, 1, 2, 3]
 
     def test_wraps_modulo_window(self):
         al = TimestampAllocator(window=8)
         for _ in range(6):
             al.allocate()
             al.retire()
-        ts, uts = al.allocate()
-        assert (ts, uts) == (6, 6)
+        ts = al.allocate()
+        assert ts == 6
         al.retire()
         for want in (7, 0, 1):
-            ts, _ = al.allocate()
+            ts = al.allocate()
             assert ts == want
             al.retire()
 
     def test_unbounded_shadow_never_wraps(self):
         al = TimestampAllocator(window=8)
+        unb = TimestampAllocator(window=8, unbounded=True)
         for i in range(20):
-            ts, uts = al.allocate()
-            assert uts == i
-            assert ts == i % 8
+            assert unb.allocate() == i
+            assert al.allocate() == i % 8
+            unb.retire()
             al.retire()
 
     def test_overflow_at_rob_capacity(self):
@@ -89,11 +90,11 @@ class TestAllocator:
         al = TimestampAllocator(window=16)
         stamps = [al.allocate() for _ in range(6)]
         # squash everything after the third: live count drops to 3
-        ts, uts = stamps[2]
-        al.rewind(ts, uts, live=3)
-        assert al.peek() == (ts + 1) % 16
-        nts, nuts = al.allocate()
-        assert (nts, nuts) == (stamps[3][0], stamps[3][1])
+        ts = stamps[2]
+        al.rewind(ts, live=3)
+        assert al.next == (ts + 1) % 16
+        nts = al.allocate()
+        assert nts == stamps[3]
 
     @given(st.lists(st.sampled_from(["alloc", "retire", "rewind"]),
                     max_size=60))
@@ -113,6 +114,5 @@ class TestAllocator:
             elif op == "rewind" and issued:
                 keep = len(issued) // 2 + 1
                 issued = issued[:keep]
-                ts, uts = issued[-1]
-                al.rewind(ts, uts, keep)
+                al.rewind(issued[-1], keep)
             assert 0 <= al.live <= 8
