@@ -38,15 +38,14 @@ def s64(v):
 
 class DynInstr:
     __slots__ = (
-        "seq", "pc", "op", "cls", "dst", "s1", "s2", "imm", "target",
+        "pc", "op", "cls", "dst", "s1", "s2", "imm", "target",
         "ts", "state", "stage", "dep1", "dep2", "v1", "v2",
         "result", "addr", "line", "pred_taken", "taken", "done_at",
-        "origin", "noncoherent", "rename_idx", "akey", "ablated",
+        "origin", "noncoherent", "akey", "ablated",
         "div_unit", "commit_mem",
     )
 
-    def __init__(self, seq, si, ts):
-        self.seq = seq
+    def __init__(self, si, ts):
         self.pc = si.pc
         self.op = si.op
         self.cls = si.cls
@@ -70,7 +69,6 @@ class DynInstr:
         self.done_at = None
         self.origin = None
         self.noncoherent = False
-        self.rename_idx = None
         self.akey = None
         self.ablated = False
         self.div_unit = None
@@ -122,7 +120,7 @@ class Core:
         # and the ablated run even when wrong-path *lengths* differ.
         self.epoch = 0
         self.epoch_pos = 0
-        self.fates = {}        # akey -> "committed" | "squashed"
+        self.committed_keys = set()   # akeys of committed instructions
         self.squash_log = {}   # akey of squashing instr -> (cycle, redirect)
         self.timeline = []
         self.halted = False
@@ -163,7 +161,7 @@ class Core:
                         self.core_id, line, self.alloc.next, cycle)
                 break
             si = self.program.get(self.pc)
-            di = DynInstr(self.fetch_seq, si, self.alloc.allocate())
+            di = DynInstr(si, self.alloc.allocate())
             self.fetch_seq += 1
             di.stage["fetch"] = cycle
             self.fetchq.append(di)
@@ -210,14 +208,13 @@ class Core:
             if di.cls == STORE and self.sq_used >= cfg.sq:
                 break
             self.fetchq.popleft()
-            di.rename_idx = self.rename_count
             self.rename_count += 1
             di.akey = (self.core_id, self.epoch, self.epoch_pos)
             self.epoch_pos += 1
             di.stage["rename"] = cycle
             di.state = "ROB"
             if self.ablation is not None \
-                    and self.ablation["fates"].get(di.akey, "squashed") == "squashed":
+                    and di.akey not in self.ablation["committed"]:
                 # transient-ablation: a would-be-squashed op becomes a
                 # zero-latency no-op.  It keeps its class so front-end
                 # resource accounting (LQ/SQ slots, fence drains) matches
@@ -478,8 +475,6 @@ class Core:
         while self.rob[-1] is not di:
             other = self.rob.pop()
             other.state = "SQUASHED"
-            if other.akey is not None:
-                self.fates.setdefault(other.akey, "squashed")
             if other.cls == LOAD:
                 self.lq_used -= 1
             elif other.cls == STORE:
@@ -537,7 +532,7 @@ class Core:
     def _commit_one(self, di, cycle):
         di.state = "COMMITTED"
         di.stage["commit"] = cycle
-        self.fates[di.akey] = "committed"
+        self.committed_keys.add(di.akey)
         if not di.ablated:
             self.mem.commit_extract(self.core_id, "i", self._iline(di.pc), di.ts)
             if di.cls == LOAD:
@@ -558,8 +553,8 @@ class Core:
             self.lq_used -= 1
         elif di.cls == STORE:
             self.sq_used -= 1
-        stages = (di.stage.get("fetch", -1), di.stage.get("rename", -1),
-                  di.stage.get("issue", -1), di.stage.get("complete", -1), cycle)
+        stages = (di.stage["fetch"], di.stage["rename"], di.stage["issue"],
+                  di.stage["complete"], cycle)
         result = di.result if (di.writes_reg() or di.cls == STORE) else None
         self.timeline.append((self.commit_count, di.pc, di.op, stages, result))
         self.commit_count += 1

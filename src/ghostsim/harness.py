@@ -159,12 +159,12 @@ def run_ablation(programs, cfg: RunConfig, max_cycles=None):
     """
     m1 = _make_machine(programs, cfg)
     m1.run(max_cycles)
-    fates, events = {}, {}
+    committed, events = set(), {}
     for c in m1.cores:
-        fates.update(c.fates)
+        committed |= c.committed_keys
         events.update(c.squash_log)
     m2 = _make_machine(programs, cfg,
-                       ablation={"fates": fates, "events": events})
+                       ablation={"committed": committed, "events": events})
     m2.run(max_cycles)
     pure = (m1.mem.nonspec_state() == m2.mem.nonspec_state()
             and m1.mem.rpt_state() == m2.mem.rpt_state())
