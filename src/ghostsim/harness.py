@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from .config import RunConfig
 from .isa import load_program
-from .machine import Machine
+from .machine import Machine, SimTimeout
 from .memory import COUNTER_KEYS
 
 SCHEMA = 1
@@ -156,6 +156,11 @@ def run_ablation(programs, cfg: RunConfig, max_cycles=None):
     replaced at rename by a zero-latency no-op (fates taken from the
     first run).  PASS iff the committed timelines are identical — i.e.
     squashed work contributed nothing to committed timing.
+
+    Identical timelines commit HALT in the same cycle, so the ablated run
+    gets only as many cycles as the normal one took: one still going then
+    has diverged already (and might, its fates no longer lining up with
+    what it renames, never halt).
     """
     m1 = _make_machine(programs, cfg)
     m1.run(max_cycles)
@@ -165,12 +170,18 @@ def run_ablation(programs, cfg: RunConfig, max_cycles=None):
         events.update(c.squash_log)
     m2 = _make_machine(programs, cfg,
                        ablation={"committed": committed, "events": events})
-    m2.run(max_cycles)
-    pure = (m1.mem.nonspec_state() == m2.mem.nonspec_state()
-            and m1.mem.rpt_state() == m2.mem.rpt_state())
+    try:
+        m2.run(m1.cycle)
+    except SimTimeout:
+        pure = False   # it never reached HALT; its divergence is located below
+    else:
+        pure = (m1.mem.nonspec_state() == m2.mem.nonspec_state()
+                and m1.mem.rpt_state() == m2.mem.rpt_state())
     div = _first_divergence(m1.cores, m2.cores)
     if div is not None:
         cid, idx, ea, eb = div
+        if eb is None:
+            eb = f"nothing committed by cycle {m1.cycle}"
         return AblationResult(
             "FAIL", div, pure=pure,
             detail=f"core {cid} commit #{idx} differs between normal and "

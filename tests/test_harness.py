@@ -94,6 +94,17 @@ class TestAblation:
         res = harness.run_ablation([text], RunConfig(mode="ghostminion"))
         assert res.verdict == "PASS" and res.pure
 
+    def test_diverged_ablated_run_fails_instead_of_timing_out(self):
+        # seed 0, program 887 halts in 408 cycles in unsafe mode, but its
+        # ablated run diverges and then loops on ablated no-ops
+        import random
+        rng = random.Random(0)
+        for _ in range(888):
+            text = harness._gen_program(rng)
+        res = harness.run_ablation([text], RunConfig(mode="unsafe",
+                                                     max_cycles=20_000))
+        assert res.verdict == "FAIL"
+
     def test_generator_output_is_seed_dependent(self):
         import random
         texts = {harness._gen_program(random.Random(s)) for s in range(8)}
