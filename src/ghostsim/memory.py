@@ -417,8 +417,13 @@ class MemorySystem:
                 # forward a non-coherent copy without touching remote state;
                 # the consumer must be revalidated at commit
                 ready = cycle + cfg.l1_lat + cfg.coh_lat
-                self.at(ready, lambda: g.fill(line, ts, origin_level="l2",
-                                              noncoherent=True))
+                l1 = self.l1d[core]
+
+                def fill():
+                    # the core's own L1D may have got the line meanwhile
+                    if not l1.lookup(line):
+                        g.fill(line, ts, origin_level="l2", noncoherent=True)
+                self.at(ready, fill)
                 return (ready, "l2", True)
             self._downgrade(line, core)
             cycle += cfg.coh_lat

@@ -105,6 +105,18 @@ class TestAblation:
                                                      max_cycles=20_000))
         assert res.verdict == "FAIL"
 
+    def test_two_core_forwarded_fill_keeps_l1_exclusive(self):
+        # seed 7, pair 13: a non-coherent copy forwarded to core 0 used to
+        # land in its side buffer after a committing store had put the
+        # line in its L1D, breaking exclusivity and the ablation check
+        import random
+        rng = random.Random(7)
+        for _ in range(14):
+            pair = [harness._gen_program(rng), harness._gen_program(rng)]
+        harness.run(pair, RunConfig(check_invariants=True))
+        res = harness.run_ablation(pair, RunConfig())
+        assert res.verdict == "PASS" and res.pure
+
     def test_generator_output_is_seed_dependent(self):
         import random
         texts = {harness._gen_program(random.Random(s)) for s in range(8)}
