@@ -158,9 +158,9 @@ def run_ablation(programs, cfg: RunConfig, max_cycles=None):
     squashed work contributed nothing to committed timing.
 
     Identical timelines commit HALT in the same cycle, so the ablated run
-    gets only as many cycles as the normal one took: one still going then
-    has diverged already (and might, its fates no longer lining up with
-    what it renames, never halt).
+    gets only the cycles the normal run took.  If it is still going then,
+    it has diverged, and with its fates no longer lining up with what it
+    renames it might never halt.
     """
     m1 = _make_machine(programs, cfg)
     m1.run(max_cycles)
