@@ -22,10 +22,9 @@ observable over which noninterference is checked.
 from collections import deque
 
 from . import isa
-from .isa import ALU, MUL, DIV, LOAD, STORE, BRANCH, JMP, RDCYCLE, FENCE, HALT, NOP
+from .isa import MASK64, MUL, DIV, LOAD, STORE, BRANCH, JMP, RDCYCLE, FENCE, HALT, NOP
 from .order import TimestampAllocator
 
-MASK64 = (1 << 64) - 1
 # commit_mem of a store or replay whose commit-time access waits for a
 # callback: no cycle is ever late enough to retire it
 WAITING = float("inf")
@@ -73,9 +72,6 @@ class DynInstr:
         self.ablated = False
         self.div_unit = None
         self.commit_mem = None    # store/replay: None | ready cycle | WAITING
-
-    def writes_reg(self):
-        return self.cls in (ALU, MUL, DIV, LOAD, RDCYCLE) and self.dst != 0
 
 
 _DONE_AT_RENAME = (NOP, JMP, FENCE, HALT)
@@ -241,19 +237,16 @@ class Core:
                 continue
             if di.cls == LOAD:
                 self.lq_used += 1
-                di.dep1 = self.rat.get(di.s1)
             elif di.cls == STORE:
                 self.sq_used += 1
-                di.dep1 = self.rat.get(di.s1)
-                di.dep2 = self.rat.get(di.s2)
-            elif di.cls in (ALU, MUL, DIV, BRANCH):
-                di.dep1 = self.rat.get(di.s1)
-                di.dep2 = self.rat.get(di.s2)
+            # unused source fields are r0, which is never renamed
+            di.dep1 = self.rat.get(di.s1)
+            di.dep2 = self.rat.get(di.s2)
             if di.cls in _DONE_AT_RENAME:
                 di.state = "DONE"
                 di.stage["issue"] = cycle
                 di.stage["complete"] = cycle
-            if di.writes_reg():
+            if di.dst:
                 self.rat[di.dst] = di
             self.rob.append(di)
             budget -= 1
@@ -267,27 +260,6 @@ class Core:
         if dep is not None:
             return dep.result
         return self.regs[reg]
-
-    def _alu_result(self, di):
-        a, b = di.v1, di.v2
-        op = di.op
-        if op in ("add", "addi"):
-            return s64(a + b)
-        if op == "sub":
-            return s64(a - b)
-        if op in ("and", "andi"):
-            return s64(a & b)
-        if op in ("or", "ori"):
-            return s64(a | b)
-        if op in ("xor", "xori"):
-            return s64(a ^ b)
-        if op in ("sll", "slli"):
-            return s64(a << (b % 64))
-        if op in ("srl", "srli"):
-            return s64((a & MASK64) >> (b % 64))
-        if op in ("slt", "slti"):
-            return 1 if a < b else 0
-        raise AssertionError(op)
 
     def do_issue(self, cycle):
         cfg = self.cfg
@@ -358,48 +330,28 @@ class Core:
                 if unit is None:
                     div_blocked = True
                     continue
-                di.v1 = self._val(di.dep1, di.s1)
-                di.v2 = self._val(di.dep2, di.s2)
-                if di.v2 == 0:
-                    di.result = 0
-                else:
-                    q = abs(di.v1) // abs(di.v2)
-                    di.result = s64(-q if (di.v1 < 0) != (di.v2 < 0) else q)
-                di.state = "EXEC"
-                di.stage["issue"] = cycle
-                di.done_at = cycle + cfg.div_lat
+                lat = cfg.div_lat
                 di.div_unit = unit
-                self.div_busy[unit] = cycle + cfg.div_lat
-                budget -= 1
-                continue
-            if di.cls == MUL:
+                self.div_busy[unit] = cycle + lat
+            elif di.cls == MUL:
                 if not mul_slots:
                     continue
-                di.v1 = self._val(di.dep1, di.s1)
-                di.v2 = self._val(di.dep2, di.s2)
-                di.result = s64(di.v1 * di.v2)
-                di.state = "EXEC"
-                di.stage["issue"] = cycle
-                di.done_at = cycle + cfg.mul_lat
+                lat = cfg.mul_lat
                 mul_slots -= 1
-                budget -= 1
-                continue
-            # ALU, BRANCH, RDCYCLE
-            if not alu_slots:
-                continue
+            else:   # ALU, BRANCH, RDCYCLE
+                if not alu_slots:
+                    continue
+                lat = cfg.alu_lat
+                alu_slots -= 1
             di.v1 = self._val(di.dep1, di.s1)
-            if di.op in isa._ALU_RRI:
-                di.v2 = di.imm
-            else:
-                di.v2 = self._val(di.dep2, di.s2)
-            if di.cls == ALU:
-                di.result = self._alu_result(di)
-            elif di.cls == RDCYCLE:
+            di.v2 = self._val(di.dep2, di.s2) + di.imm
+            if di.cls == RDCYCLE:
                 di.result = cycle
+            elif di.cls != BRANCH:   # a branch resolves when it completes
+                di.result = s64(isa.OPS[di.op](di.v1, di.v2))
             di.state = "EXEC"
             di.stage["issue"] = cycle
-            di.done_at = cycle + cfg.alu_lat
-            alu_slots -= 1
+            di.done_at = cycle + lat
             budget -= 1
 
     def _forward_store(self, di):
@@ -457,13 +409,8 @@ class Core:
 
     # ---------------------------------------------------------------- branch
 
-    def _branch_taken(self, di):
-        a, b = di.v1, di.v2
-        return {"beq": a == b, "bne": a != b,
-                "blt": a < b, "bge": a >= b}[di.op]
-
     def _resolve_branch(self, di, cycle):
-        di.taken = self._branch_taken(di)
+        di.taken = isa.BRANCH_CONDS[di.op](di.v1, di.v2)
         if di.taken != di.pred_taken:
             self._squash_after(di, cycle,
                                di.target if di.taken else di.pc + isa.INSTR_BYTES)
@@ -490,7 +437,7 @@ class Core:
         self.mem.squash_flush(self.core_id, di.ts)
         self.rat = {}
         for other in self.rob:
-            if other.writes_reg():
+            if other.dst:
                 self.rat[other.dst] = other
         self.pc = redirect_pc
         self.fetch_stall_until = cycle + self.cfg.squash_penalty
@@ -545,7 +492,7 @@ class Core:
                 self.bp_counters[di.pc] = min(ctr + 1, 3) if di.taken else max(ctr - 1, 0)
                 if di.taken:
                     self.btb[di.pc] = di.target
-        if di.writes_reg():
+        if di.dst:
             self.regs[di.dst] = di.result
             if self.rat.get(di.dst) is di:
                 del self.rat[di.dst]
@@ -555,7 +502,7 @@ class Core:
             self.sq_used -= 1
         stages = (di.stage["fetch"], di.stage["rename"], di.stage["issue"],
                   di.stage["complete"], cycle)
-        result = di.result if (di.writes_reg() or di.cls == STORE) else None
+        result = di.result if (di.dst or di.cls == STORE) else None
         self.timeline.append((self.commit_count, di.pc, di.op, stages, result))
         self.commit_count += 1
         self.alloc.retire(1)

@@ -70,10 +70,10 @@ def _make_machine(programs, cfg, ablation=None):
     return Machine(progs, cfg, ablation)
 
 
-def run(programs, cfg: RunConfig, max_cycles=None):
+def run(programs, cfg: RunConfig):
     """Simulate to HALT and return (machine, Report)."""
     m = _make_machine(programs, cfg)
-    cycles = m.run(max_cycles)
+    cycles = m.run()
     commits = sum(c.commit_count for c in m.cores)
     rep = Report(SCHEMA, cfg.mode, cycles, commits,
                  commits / cycles if cycles else 0.0,
@@ -104,7 +104,7 @@ class DiffResult:
     detail: str = ""
 
 
-def run_differential(gadget, cfg: RunConfig, max_cycles=None):
+def run_differential(gadget, cfg: RunConfig):
     """Run a gadget once per secret value and compare committed timelines.
 
     LEAKS if any two timelines differ in any stage cycle or value; SAFE
@@ -119,7 +119,7 @@ def run_differential(gadget, cfg: RunConfig, max_cycles=None):
     base_secret = None
     for s in secrets:
         m = _make_machine(gadget.programs(s), cfg)
-        m.run(max_cycles)
+        m.run()
         if baseline is None:
             baseline, base_secret = m, s
             continue
@@ -151,7 +151,7 @@ class AblationResult:
     pure: bool = True            # cache + prefetcher state identical at HALT
 
 
-def run_ablation(programs, cfg: RunConfig, max_cycles=None):
+def run_ablation(programs, cfg: RunConfig):
     """Run normally, then re-run with every would-be-squashed instruction
     replaced at rename by a zero-latency no-op (fates taken from the
     first run).  PASS iff the committed timelines are identical — i.e.
@@ -163,7 +163,7 @@ def run_ablation(programs, cfg: RunConfig, max_cycles=None):
     renames it might never halt.
     """
     m1 = _make_machine(programs, cfg)
-    m1.run(max_cycles)
+    m1.run()
     committed, events = set(), {}
     for c in m1.cores:
         committed |= c.committed_keys
@@ -253,7 +253,7 @@ def _gen_program(rng):
     return "\n".join(lines) + "\n"
 
 
-def fuzz_programs(count, cfg: RunConfig, seed=0, max_cycles=None):
+def fuzz_programs(count, cfg: RunConfig, seed=0):
     """Generate ``count`` seeded random programs and run the ablation
     check on each.  Returns (passes, fails, first_failure) where
     first_failure is (index, program_text, AblationResult) or None."""
@@ -262,7 +262,7 @@ def fuzz_programs(count, cfg: RunConfig, seed=0, max_cycles=None):
     first_failure = None
     for i in range(count):
         text = _gen_program(rng)
-        res = run_ablation([text], cfg, max_cycles)
+        res = run_ablation([text], cfg)
         if res.verdict == "PASS":
             passes += 1
         else:

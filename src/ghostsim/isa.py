@@ -13,6 +13,7 @@ Text format, one instruction per line::
     .align n                   # pad code with nops to an n-byte boundary
 """
 
+import operator
 from dataclasses import dataclass, field
 
 NUM_REGS = 16
@@ -75,7 +76,60 @@ class Program:
 
 _ALU_RRR = {"add", "sub", "and", "or", "xor", "sll", "srl", "slt"}
 _ALU_RRI = {"addi", "andi", "ori", "xori", "slli", "srli", "slti"}
-_BRANCHES = {"beq", "bne", "blt", "bge"}
+
+# op -> (class, operand form).  A form has one letter per operand, in
+# source order: d = destination register, a/b = source registers s1/s2,
+# i = immediate, t = branch/jump target.  An unused register field is r0
+# (so dst == 0 for every class that writes no register), and an unused
+# immediate is 0: the second operand of a computation is always
+# ``regs[s2] + imm``.
+DECODE = {
+    **{op: (ALU, "dab") for op in _ALU_RRR},
+    **{op: (ALU, "dai") for op in _ALU_RRI},
+    "mul": (MUL, "dab"),
+    "div": (DIV, "dab"),
+    "ld": (LOAD, "dai"),
+    "st": (STORE, "bai"),       # st rs2, rs1, imm : mem[rs1+imm] <- rs2
+    **{op: (BRANCH, "abt") for op in ("beq", "bne", "blt", "bge")},
+    "jmp": (JMP, "t"),
+    "rdcycle": (RDCYCLE, "d"),
+    "fence": (FENCE, ""),
+    "halt": (HALT, ""),
+    "nop": (NOP, ""),
+}
+# pseudo-op -> (op, operand form)
+PSEUDO = {"li": ("addi", "di"), "mv": ("add", "da")}
+_REG_FIELDS = {"d": "dst", "a": "s1", "b": "s2"}
+
+MASK64 = (1 << 64) - 1
+
+
+def _div(a, b):
+    """Truncating division; dividing by zero gives 0."""
+    if b == 0:
+        return 0
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
+# op -> result of a computation on its two operands, before wrapping to
+# 64 bits
+OPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
+    "sll": lambda a, b: a << (b % 64),
+    "srl": lambda a, b: (a & MASK64) >> (b % 64),
+    "slt": lambda a, b: int(a < b),
+    "mul": operator.mul,
+    "div": _div,
+}
+OPS.update({op: OPS[op[:-1]] for op in _ALU_RRI})
+
+BRANCH_CONDS = {"beq": operator.eq, "bne": operator.ne,
+                "blt": operator.lt, "bge": operator.ge}
 
 
 def _reg(tok: str, lineno: int) -> int:
@@ -148,71 +202,31 @@ def load_program(text: str) -> Program:
     # pass 2: encode
     def target(tok, lineno):
         tok = tok.strip()
-        if tok in labels:
-            return labels[tok]
-        return _imm(tok, lineno)
+        addr = labels[tok] if tok in labels else _imm(tok, lineno)
+        if addr % INSTR_BYTES:
+            raise ParseError(f"line {lineno}: misaligned branch target {addr:#x}")
+        return addr
 
     instrs = []
-    pc = 0
-    for lineno, op, args in stmts:
-        def need(n):
-            if len(args) != n:
-                raise ParseError(f"line {lineno}: {op} expects {n} operands")
-        if op in _ALU_RRR:
-            need(3)
-            si = StaticInstr(pc, op, ALU, _reg(args[0], lineno), _reg(args[1], lineno),
-                             _reg(args[2], lineno))
-        elif op in _ALU_RRI:
-            need(3)
-            si = StaticInstr(pc, op, ALU, _reg(args[0], lineno), _reg(args[1], lineno),
-                             imm=_imm(args[2], lineno))
-        elif op == "li":
-            need(2)
-            si = StaticInstr(pc, "addi", ALU, _reg(args[0], lineno), 0,
-                             imm=_imm(args[1], lineno))
-        elif op == "mv":
-            need(2)
-            si = StaticInstr(pc, "add", ALU, _reg(args[0], lineno), _reg(args[1], lineno), 0)
-        elif op == "mul":
-            need(3)
-            si = StaticInstr(pc, op, MUL, _reg(args[0], lineno), _reg(args[1], lineno),
-                             _reg(args[2], lineno))
-        elif op == "div":
-            need(3)
-            si = StaticInstr(pc, op, DIV, _reg(args[0], lineno), _reg(args[1], lineno),
-                             _reg(args[2], lineno))
-        elif op == "ld":
-            need(3)
-            si = StaticInstr(pc, op, LOAD, _reg(args[0], lineno), _reg(args[1], lineno),
-                             imm=_imm(args[2], lineno))
-        elif op == "st":
-            need(3)
-            # st rs2, rs1, imm : mem[rs1+imm] <- rs2
-            si = StaticInstr(pc, op, STORE, 0, _reg(args[1], lineno), _reg(args[0], lineno),
-                             imm=_imm(args[2], lineno))
-        elif op in _BRANCHES:
-            need(3)
-            si = StaticInstr(pc, op, BRANCH, 0, _reg(args[0], lineno), _reg(args[1], lineno),
-                             target=target(args[2], lineno))
-        elif op == "jmp":
-            need(1)
-            si = StaticInstr(pc, op, JMP, target=target(args[0], lineno))
-        elif op == "rdcycle":
-            need(1)
-            si = StaticInstr(pc, op, RDCYCLE, _reg(args[0], lineno))
-        elif op == "fence":
-            si = StaticInstr(pc, op, FENCE)
-        elif op == "halt":
-            si = StaticInstr(pc, op, HALT)
-        elif op == "nop":
-            si = StaticInstr(pc, op, NOP)
+    for lineno, name, args in stmts:
+        if name in PSEUDO:
+            op, form = PSEUDO[name]
+            cls = DECODE[op][0]
+        elif name in DECODE:
+            op = name
+            cls, form = DECODE[name]
         else:
-            raise ParseError(f"line {lineno}: unknown opcode {op!r}")
-        si = StaticInstr(si.pc, si.op, si.cls, si.dst, si.s1, si.s2, si.imm, si.target, lineno)
-        instrs.append(si)
-        pc += INSTR_BYTES
-
-    for si in instrs:
-        if si.cls in (BRANCH, JMP) and si.target % INSTR_BYTES:
-            raise ParseError(f"line {si.line}: misaligned branch target {si.target:#x}")
+            raise ParseError(f"line {lineno}: unknown opcode {name!r}")
+        if len(args) != len(form):
+            raise ParseError(f"line {lineno}: {name} expects {len(form)} operands")
+        fields = {}
+        for kind, tok in zip(form, args):
+            if kind == "i":
+                fields["imm"] = _imm(tok, lineno)
+            elif kind == "t":
+                fields["target"] = target(tok, lineno)
+            else:
+                fields[_REG_FIELDS[kind]] = _reg(tok, lineno)
+        instrs.append(StaticInstr(len(instrs) * INSTR_BYTES, op, cls,
+                                  line=lineno, **fields))
     return Program(instrs=instrs, data=data, labels=labels)

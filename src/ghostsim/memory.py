@@ -91,7 +91,7 @@ class Cache:
 
 class MshrEntry:
     __slots__ = ("file", "addr", "ts", "core", "spec", "is_write",
-                 "targets", "parents", "child", "deliver_at", "origin", "orphan")
+                 "targets", "parents", "child", "deliver_at", "origin")
 
     def __init__(self, file, addr, ts, core, spec, is_write=False):
         self.file = file      # the MshrFile holding this entry
@@ -105,7 +105,6 @@ class MshrEntry:
         self.child = None
         self.deliver_at = None
         self.origin = "mem"
-        self.orphan = False
 
 
 class MshrFile:
@@ -277,14 +276,14 @@ class MemorySystem:
             self._wake(file)
 
     def _orphan_child(self, entry):
+        """Detach ``entry`` from its lower-level miss.  An L2 entry left
+        with no parents is orphaned: it completes but delivers nothing."""
         child = entry.child
         entry.child = None
         if child is None:
             return
         if entry in child.parents:
             child.parents.remove(entry)
-        if not child.parents and not child.targets:
-            child.orphan = True
 
     def _cancel_entry(self, entry, blocking_file=None):
         """Leapfrog/squash cancellation of an entry and of the upper-level
@@ -308,7 +307,6 @@ class MemorySystem:
         merge_core = core if (guarded and is_l2 and self.ncores > 1) else None
         existing = file.find(line, merge_core)
         if existing is not None:
-            existing.orphan = False   # re-adopted by a live requester
             existing.is_write = existing.is_write or is_write
             if guarded and existing.ts != ts and self.not_after(ts, existing.ts):
                 # timeleap: the older request restarts the miss so its
@@ -535,7 +533,7 @@ class MemorySystem:
         # L2-level completions feed parent L1 MSHRs after the L1 transit
         for e in list(self.l2_file.entries):
             if e.deliver_at == cycle:
-                if not e.orphan:
+                if e.parents:   # else orphaned: every requester was cancelled
                     if (not e.spec) or self.mode == "unsafe":
                         self.l2.install(e.addr)
                     for parent in e.parents:
@@ -549,10 +547,9 @@ class MemorySystem:
             for kind, file in (("d", self.l1d_file[core]), ("i", self.l1i_file[core])):
                 for e in list(file.entries):
                     if e.deliver_at == cycle:
-                        if not e.orphan:
-                            self._deliver_l1(core, kind, e, cycle)
-                            if e.is_write and kind == "d" and self.ncores > 1:
-                                self.directory.setdefault(e.addr, {})[core] = "M"
+                        self._deliver_l1(core, kind, e, cycle)
+                        if e.is_write and kind == "d" and self.ncores > 1:
+                            self.directory.setdefault(e.addr, {})[core] = "M"
                         self._free_entry(file, e)
         if self._events:
             due = [ev for ev in self._events if ev[0] <= cycle]

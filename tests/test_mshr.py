@@ -82,7 +82,7 @@ class TestLeapfrog:
         req(mem, 25, 25)
         # the cancelled miss's L2 entry is orphaned, not serviced for it
         assert len(mem.l2_file.entries) == l2_before + 1
-        orphans = [e for e in mem.l2_file.entries if e.orphan]
+        orphans = [e for e in mem.l2_file.entries if not e.parents]
         assert len(orphans) == 1 and orphans[0].ts == 28
 
     def test_waiters_woken_when_slot_frees(self):
