@@ -386,11 +386,12 @@ class Core:
                 if di.state == "SQUASHED":   # a just-resolved older branch wiped us
                     continue
 
-    def load_complete(self, di, cycle, origin):
+    def load_complete(self, di, cycle, origin, noncoherent):
         if di.state != "EXEC":
             return   # squashed while the miss was in flight
         di.result = self.machine.read_word(di.addr)
         di.origin = origin
+        di.noncoherent = noncoherent
         di.state = "DONE"
         di.stage["complete"] = cycle
 

@@ -251,6 +251,12 @@ class MemorySystem:
             g.invalidate(line)  # a line never lives in both structures
         if kind == "d" and self.ncores > 1:
             self._dir_install(line, core)
+            if self.mode == "ghostminion" and self.directory[line][core] == "E":
+                # the directory does not track side-buffer copies: drop the
+                # other cores' speculative copies of a line now held Exclusive
+                for c in range(self.ncores):
+                    if c != core:
+                        self.dghost[c].invalidate(line)
         if evicted:
             etag, edirty = evicted
             if kind == "d" and self.ncores > 1:
@@ -560,15 +566,23 @@ class MemorySystem:
 
     def _deliver_l1(self, core, kind, entry, cycle):
         g = self._ghost_for(core, kind)
+        # a speculative copy of a line another core has taken Exclusive
+        # meanwhile is non-coherent: its loads are replayed at commit
+        noncoherent = False
         if entry.spec and g is not None:
-            g.fill(entry.addr, entry.ts, origin_level=entry.origin)
+            noncoherent = (kind == "d" and self.ncores > 1
+                           and self.mode == "ghostminion"
+                           and self._remote_owner(entry.addr, core) is not None)
+            g.fill(entry.addr, entry.ts, origin_level=entry.origin,
+                   noncoherent=noncoherent)
         else:
             self._install_l1(core, kind, entry.addr, dirty=entry.is_write)
         for tkind, obj, tcore in entry.targets:
             if tkind == "ifetch":
                 self.cores[tcore].fetch_line_ready(entry.addr, cycle)
             elif tkind == "load":
-                self.cores[tcore].load_complete(obj, cycle, entry.origin)
+                self.cores[tcore].load_complete(obj, cycle, entry.origin,
+                                                noncoherent)
             else:
                 self.cores[tcore].commit_access_complete(obj, cycle)
         entry.targets = []
