@@ -30,7 +30,6 @@ def _add_common(p, seed=False):
     p.add_argument("--mode", choices=MODES, help="protection mode override")
     p.add_argument("--max-cycles", type=int, metavar="N",
                    help="abort if the run exceeds N cycles")
-    p.add_argument("--csv", metavar="FILE", help="write counters as CSV")
     if seed:
         p.add_argument("--seed", type=int, default=0,
                        help="program-generator seed")
@@ -132,6 +131,7 @@ def build_parser():
     p = sub.add_parser("run", help="simulate one or two programs to HALT")
     p.add_argument("program", nargs="+", help=".gasm file(s), one per core")
     _add_common(p)
+    p.add_argument("--csv", metavar="FILE", help="write counters as CSV")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("diff", help="differential leak check over a "

@@ -117,6 +117,20 @@ class TestAblation:
         res = harness.run_ablation(pair, RunConfig())
         assert res.verdict == "PASS" and res.pure
 
+    @pytest.mark.parametrize("index", [26, 38, 94, 118])
+    def test_two_core_side_buffer_copies_stay_coherent(self, index):
+        # seed 7: in pairs 26 and 94 a speculative miss was filled into the
+        # side buffer as a coherent copy after the other core had taken
+        # the line Exclusive; in pairs 38 and 118 a core took the line
+        # Exclusive while the other held a coherent speculative copy
+        import random
+        rng = random.Random(7)
+        for _ in range(index + 1):
+            pair = [harness._gen_program(rng), harness._gen_program(rng)]
+        harness.run(pair, RunConfig(check_invariants=True))
+        res = harness.run_ablation(pair, RunConfig())
+        assert res.verdict == "PASS" and res.pure
+
     def test_generator_output_is_seed_dependent(self):
         import random
         texts = {harness._gen_program(random.Random(s)) for s in range(8)}
@@ -141,6 +155,11 @@ class TestCli:
         out = tmp_path / "c.csv"
         assert main(["run", str(p), "--csv", str(out)]) == 0
         assert out.exists()
+
+    def test_csv_is_a_run_option_only(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert main(["diff", "spectre_v1", "--csv", str(out)]) == 2
+        assert not out.exists()
 
     def test_diff_exit_codes(self):
         assert main(["diff", "spectre_v1", "--mode", "ghostminion"]) == 0
