@@ -81,7 +81,6 @@ def test_misc_classes():
     "add r1, r2\n",                   # wrong arity
     "halt r1, r2\n",                  # operands on an operand-less op
     "fence 7\n",
-    "li r1\n",
     "add r1, r2, r99\n",              # register out of range
     "add r1, r2, x3\n",               # not a register
     "ld r1, r2, zzz\n",               # bad immediate
