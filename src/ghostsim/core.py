@@ -209,6 +209,12 @@ class Core:
             self.epoch_pos += 1
             di.stage["rename"] = cycle
             di.state = "ROB"
+            if di.cls == LOAD:
+                self.lq_used += 1
+            elif di.cls == STORE:
+                self.sq_used += 1
+            self.rob.append(di)
+            budget -= 1
             if self.ablation is not None \
                     and di.akey not in self.ablation["committed"]:
                 # transient-ablation: a would-be-squashed op becomes a
@@ -219,10 +225,6 @@ class Core:
                 # (same cycle, same redirect) to reproduce the wrong-path
                 # fetch stream.
                 di.ablated = True
-                if di.cls == LOAD:
-                    self.lq_used += 1
-                elif di.cls == STORE:
-                    self.sq_used += 1
                 event = self.ablation["events"].get(di.akey)
                 if di.cls == BRANCH and event is not None:
                     di.state = "EXEC"
@@ -232,13 +234,7 @@ class Core:
                     di.state = "DONE"
                     di.stage["issue"] = cycle
                     di.stage["complete"] = cycle
-                self.rob.append(di)
-                budget -= 1
                 continue
-            if di.cls == LOAD:
-                self.lq_used += 1
-            elif di.cls == STORE:
-                self.sq_used += 1
             # unused source fields are r0, which is never renamed
             di.dep1 = self.rat.get(di.s1)
             di.dep2 = self.rat.get(di.s2)
@@ -248,8 +244,6 @@ class Core:
                 di.stage["complete"] = cycle
             if di.dst:
                 self.rat[di.dst] = di
-            self.rob.append(di)
-            budget -= 1
 
     # ----------------------------------------------------------------- issue
 
