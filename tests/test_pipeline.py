@@ -11,6 +11,7 @@ from ghostsim import Machine, RunConfig, load_program
 from ghostsim import harness
 from ghostsim.gadgets import GADGETS
 from ghostsim.harness import _gen_program
+from ghostsim.machine import SimTimeout
 from ghostsim.order import WindowOverflowError
 
 from ref_model import ref_execute
@@ -167,6 +168,46 @@ class TestUnboundedTimestamps:
         rng = random.Random(0)
         for i in range(50):
             a, b = self._digests([_gen_program(rng)], RunConfig(rob=rob))
+            assert a == b, f"fuzz seed 0 program {i}"
+
+
+class TestSteppedEquivalence:
+    """Oracle: ``run(max_cycles=cycle + 1)`` advances exactly one cycle,
+    so stepping a machine one cycle at a time must end in the same state
+    as one ``run()`` call: timeline, cycle count, counters, cache and
+    prefetcher state."""
+
+    @staticmethod
+    def _observe(m):
+        return (harness.timeline_digest(m), m.cycle, m.mem.counters,
+                m.mem.nonspec_state(), m.mem.rpt_state())
+
+    def _both(self, programs, cfg):
+        whole = Machine([load_program(p) for p in programs], cfg)
+        whole.run()
+        stepped = Machine([load_program(p) for p in programs], cfg)
+        while not all(c.halted for c in stepped.cores):
+            assert stepped.cycle < cfg.max_cycles
+            try:
+                stepped.run(max_cycles=stepped.cycle + 1)
+            except SimTimeout:
+                pass
+        return self._observe(whole), self._observe(stepped)
+
+    @pytest.mark.parametrize("mode", ["ghostminion", "unsafe", "flush_only"])
+    def test_gadgets(self, mode):
+        for name, g in GADGETS.items():
+            cfg = replace(RunConfig(mode=mode, check_invariants=True),
+                          **g.cfg_overrides)
+            a, b = self._both(g.programs(0), cfg)
+            assert a == b, name
+
+    @pytest.mark.parametrize("rob", [64, 4])
+    def test_fuzz_programs(self, rob):
+        rng = random.Random(0)
+        cfg = RunConfig(rob=rob, check_invariants=True)
+        for i in range(50):
+            a, b = self._both([_gen_program(rng)], cfg)
             assert a == b, f"fuzz seed 0 program {i}"
 
 
