@@ -79,10 +79,10 @@ _ALU_RRI = {"addi", "andi", "ori", "xori", "slli", "srli", "slti"}
 
 # op -> (class, operand form).  A form has one letter per operand, in
 # source order: d = destination register, a/b = source registers s1/s2,
-# i = immediate, t = branch/jump target.  An unused register field is r0
-# (so dst == 0 for every class that writes no register), and an unused
-# immediate is 0: the second operand of a computation is always
-# ``regs[s2] + imm``.
+# i = immediate, t = branch/jump target.  r0 always reads as zero and a
+# write to it is discarded.  An unused register field is r0 (so dst == 0
+# for every class that writes no register), and an unused immediate is 0:
+# the second operand of a computation is always ``regs[s2] + imm``.
 DECODE = {
     **{op: (ALU, "dab") for op in _ALU_RRR},
     **{op: (ALU, "dai") for op in _ALU_RRI},

@@ -76,5 +76,6 @@ def ref_execute(program, max_steps=100_000):
             pass
         else:
             raise AssertionError(f"ref model cannot execute {si.op}")
+        regs[0] = 0   # r0 reads as zero: a write to it is discarded
         pc = nxt
     raise AssertionError("reference execution did not halt")

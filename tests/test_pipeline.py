@@ -255,3 +255,24 @@ class TestReferenceEquivalence:
             assert list(m.cores[0].regs) == ref_regs
             for addr, val in ref_words.items():
                 assert m.read_word(addr) == val
+
+    @pytest.mark.parametrize("mode", ["unsafe", "flush_only", "ghostminion"])
+    def test_writes_to_r0_are_discarded(self, mode):
+        # an ALU op, a load and a mul each target r0; every later read of
+        # r0 (as an operand and as a load base) must still see zero
+        text = (".word 256 7\n"
+                "li r1, 3\n"
+                "add r0, r1, r1\n"
+                "add r2, r0, r1\n"
+                "ld r0, r0, 256\n"
+                "ld r3, r0, 256\n"
+                "mul r0, r3, r3\n"
+                "add r4, r0, r3\n"
+                "halt\n")
+        prog = load_program(text)
+        ref_stream, ref_regs, _ = ref_execute(prog)
+        m = Machine([prog], RunConfig(mode=mode))
+        m.run()
+        assert commits(m) == ref_stream
+        assert list(m.cores[0].regs) == ref_regs
+        assert ref_regs[:5] == [0, 3, 3, 7, 7]
