@@ -137,9 +137,10 @@ class Core:
 
     def do_fetch(self, cycle):
         if self.fetch_done or self.halted or cycle < self.fetch_stall_until:
-            return
+            return False
         cfg = self.cfg
         fetched = 0
+        progress = False
         while (fetched < cfg.width and len(self.fetchq) < cfg.fetchq
                and self.alloc.live < cfg.rob):
             raw_line = self.pc & self.line_mask
@@ -150,11 +151,13 @@ class Core:
                     self.line_buf = line
                     self.line_req = None
                     self.line_ready_at = None
+                    progress = True
                     continue
                 if self.line_req is None:
                     self.line_req = line
                     self.line_ready_at = self.mem.ifetch_access(
                         self.core_id, line, self.alloc.next, cycle)
+                    progress = True
                 break
             si = self.program.get(self.pc)
             di = DynInstr(si, self.alloc.allocate())
@@ -178,6 +181,7 @@ class Core:
                 self.pc += isa.INSTR_BYTES
             if self.pc & self.line_mask != raw_line:
                 break
+        return progress or fetched > 0
 
     def fetch_line_ready(self, line, cycle):
         if self.line_req == line:
@@ -191,6 +195,7 @@ class Core:
     # ---------------------------------------------------------------- rename
 
     def do_rename(self, cycle):
+        """Returns whether anything was renamed."""
         cfg = self.cfg
         budget = cfg.width
         while budget and self.fetchq:
@@ -244,6 +249,7 @@ class Core:
                 di.stage["complete"] = cycle
             if di.dst:
                 self.rat[di.dst] = di
+        return budget < cfg.width
 
     # ----------------------------------------------------------------- issue
 
@@ -256,6 +262,8 @@ class Core:
         return self.regs[reg]
 
     def do_issue(self, cycle):
+        """Returns whether anything was issued.  Issue adds or removes no
+        ROB entry, so it walks the ROB in place."""
         cfg = self.cfg
         budget = cfg.width
         alu_slots = cfg.alu_units
@@ -266,7 +274,7 @@ class Core:
         pending_store = False   # an older store without known address/data
         head = self.rob[0] if self.rob else None
 
-        for di in list(self.rob):
+        for di in self.rob:
             if budget == 0:
                 break
             if di.state != "ROB":
@@ -347,6 +355,7 @@ class Core:
             di.stage["issue"] = cycle
             di.done_at = cycle + lat
             budget -= 1
+        return budget < cfg.width
 
     def _forward_store(self, di):
         """Youngest older store to the same word.  Only called once every
@@ -363,9 +372,13 @@ class Core:
     # -------------------------------------------------------------- complete
 
     def do_complete(self, cycle):
+        """Returns whether anything completed.  A squash pops the ROB
+        tail, so it walks a copy."""
+        progress = False
         for di in list(self.rob):
             if di.state != "EXEC" or di.done_at is None or di.done_at > cycle:
                 continue
+            progress = True
             di.state = "DONE"
             di.stage["complete"] = cycle
             if di.ablated:
@@ -379,6 +392,7 @@ class Core:
                 self._resolve_branch(di, cycle)
                 if di.state == "SQUASHED":   # a just-resolved older branch wiped us
                     continue
+        return progress
 
     def load_complete(self, di, cycle, origin, noncoherent):
         if di.state != "EXEC":
@@ -444,8 +458,11 @@ class Core:
     # ---------------------------------------------------------------- commit
 
     def do_commit(self, cycle):
+        """Returns whether anything committed or started its commit-time
+        access."""
         cfg = self.cfg
         commits = 0
+        progress = False
         while commits < cfg.width and self.rob and not self.halted:
             di = self.rob[0]
             if di.state != "DONE":
@@ -460,6 +477,7 @@ class Core:
                     else:
                         ready = self.mem.replay_access(self.core_id, di, di.line, cycle)
                     di.commit_mem = WAITING if ready is None else ready
+                    progress = True
                 if cycle < di.commit_mem:
                     break
                 fresh = self.machine.read_word(di.addr)
@@ -470,6 +488,24 @@ class Core:
                     self._squash_after(di, cycle, di.pc + isa.INSTR_BYTES)
             self._commit_one(di, cycle)
             commits += 1
+        return progress or commits > 0
+
+    def next_event(self, cycle):
+        """Earliest cycle after ``cycle`` at which a stage may move without
+        a memory callback: the end of a fetch stall, an instruction line
+        or a divider becoming ready, an instruction finishing, or the ROB
+        head's commit-time access completing.  inf if there is none."""
+        if self.halted:
+            return WAITING
+        times = [self.fetch_stall_until, *self.div_busy]
+        if self.line_ready_at is not None:
+            times.append(self.line_ready_at)
+        for di in self.rob:
+            if di.state == "EXEC" and di.done_at is not None:
+                times.append(di.done_at)
+        if self.rob and self.rob[0].commit_mem is not None:
+            times.append(self.rob[0].commit_mem)
+        return min((t for t in times if t > cycle), default=WAITING)
 
     def _commit_one(self, di, cycle):
         di.state = "COMMITTED"

@@ -54,21 +54,36 @@ class Machine:
 
     def run(self, max_cycles=None):
         """Advance until every core has halted.  Raises SimTimeout if the
-        cycle budget runs out first."""
+        cycle budget runs out first.
+
+        A cycle in which neither the memory system nor any stage changes
+        state is followed by a jump to the next cycle at which something
+        can happen (the earliest ``next_event`` of the memory system and
+        the cores), capped at the budget.  The cycles skipped would change
+        nothing, so ``check_invariants`` still sees every cycle that does;
+        ``run(max_cycles=cycle + 1)`` steps exactly one cycle, and a run
+        with nothing left to wait for times out at once."""
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
+        mem = self.mem
+        cores = self.cores
         while True:
-            if all(c.halted for c in self.cores):
+            if all(core.halted for core in cores):
                 return self.cycle
             if self.cycle >= limit:
                 raise SimTimeout(limit)
             c = self.cycle
-            self.mem.tick(c)
-            for core in self.cores:
-                core.do_complete(c)
-                core.do_commit(c)
-                core.do_issue(c)
-                core.do_rename(c)
-                core.do_fetch(c)
+            progress = mem.tick(c)
+            for core in cores:
+                progress |= core.do_complete(c)
+                progress |= core.do_commit(c)
+                progress |= core.do_issue(c)
+                progress |= core.do_rename(c)
+                progress |= core.do_fetch(c)
             if self.cfg.check_invariants:
-                self.mem.check_invariants()
-            self.cycle += 1
+                mem.check_invariants()
+            if progress:
+                self.cycle = c + 1
+            else:
+                wake = min(mem.next_event(c),
+                           *(core.next_event(c) for core in cores))
+                self.cycle = max(c + 1, min(wake, limit))

@@ -26,6 +26,8 @@ COUNTER_KEYS = (
     "mshr_leapfrogs", "timeleaps", "retries", "prefetches_issued", "replays",
 )
 
+from heapq import heappop, heappush
+
 from .ghost_cache import GhostCache
 
 
@@ -155,7 +157,10 @@ class MemorySystem:
         # stride prefetcher at the L2 (reference prediction table)
         self.rpt = [None] * cfg.rpt_entries   # [pc, last_line, stride, conf]
 
-        self._events = []                     # (cycle, fn) background actions
+        # background actions as a heap of (cycle, seq, fn); seq keeps the
+        # actions due in one tick in the order they were scheduled
+        self._events = []
+        self._event_seq = 0
 
     # ------------------------------------------------------------------ util
 
@@ -174,7 +179,8 @@ class MemorySystem:
         return self.l1i[core] if kind == "i" else self.l1d[core]
 
     def at(self, cycle, fn):
-        self._events.append((cycle, fn))
+        heappush(self._events, (cycle, self._event_seq, fn))
+        self._event_seq += 1
 
     # ------------------------------------------------------------- directory
 
@@ -536,9 +542,13 @@ class MemorySystem:
     # ---------------------------------------------------------------- tick
 
     def tick(self, cycle):
+        """Deliver the misses and run the background actions due this
+        cycle.  Returns whether anything happened."""
+        progress = False
         # L2-level completions feed parent L1 MSHRs after the L1 transit
         for e in list(self.l2_file.entries):
             if e.deliver_at == cycle:
+                progress = True
                 if e.parents:   # else orphaned: every requester was cancelled
                     if (not e.spec) or self.mode == "unsafe":
                         self.l2.install(e.addr)
@@ -553,16 +563,32 @@ class MemorySystem:
             for kind, file in (("d", self.l1d_file[core]), ("i", self.l1i_file[core])):
                 for e in list(file.entries):
                     if e.deliver_at == cycle:
+                        progress = True
                         self._deliver_l1(core, kind, e, cycle)
                         if e.is_write and kind == "d" and self.ncores > 1:
                             self.directory.setdefault(e.addr, {})[core] = "M"
                         self._free_entry(file, e)
-        if self._events:
-            due = [ev for ev in self._events if ev[0] <= cycle]
-            if due:
-                self._events = [ev for ev in self._events if ev[0] > cycle]
-                for _, fn in due:
-                    fn()
+        events = self._events
+        if events and events[0][0] <= cycle:
+            due = []
+            while events and events[0][0] <= cycle:
+                due.append(heappop(events))
+            due.sort(key=lambda ev: ev[1])
+            for _, _, fn in due:
+                fn()
+            progress = True
+        return progress
+
+    def next_event(self, cycle):
+        """Earliest cycle after ``cycle`` at which a miss is delivered, or
+        the cycle of the first pending background action; inf if none."""
+        t = self._events[0][0] if self._events else float("inf")
+        for file in (*self.l1d_file, *self.l1i_file, self.l2_file):
+            for e in file.entries:
+                d = e.deliver_at
+                if d is not None and cycle < d < t:
+                    t = d
+        return t
 
     def _deliver_l1(self, core, kind, entry, cycle):
         g = self._ghost_for(core, kind)

@@ -12,6 +12,7 @@ from ghostsim import harness
 from ghostsim.gadgets import GADGETS
 from ghostsim.harness import _gen_program
 from ghostsim.machine import SimTimeout
+from ghostsim.memory import MemorySystem
 from ghostsim.order import WindowOverflowError
 
 from ref_model import ref_execute
@@ -209,6 +210,21 @@ class TestSteppedEquivalence:
         for i in range(50):
             a, b = self._both([_gen_program(rng)], cfg)
             assert a == b, f"fuzz seed 0 program {i}"
+
+    def test_idle_cycles_are_skipped(self, monkeypatch):
+        # most of a gadget's cycles wait on a miss; run() jumps over them
+        ticks = []
+        tick = MemorySystem.tick
+
+        def counted(mem, cycle):
+            ticks.append(cycle)
+            return tick(mem, cycle)
+
+        monkeypatch.setattr(MemorySystem, "tick", counted)
+        g = GADGETS["spectre_v1"]
+        cfg = replace(RunConfig(mode="ghostminion"), **g.cfg_overrides)
+        _, rep = harness.run(g.programs(0), cfg)
+        assert len(ticks) < rep.cycles / 4
 
 
 class TestStoreForward:
