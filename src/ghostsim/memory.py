@@ -569,15 +569,12 @@ class MemorySystem:
                             self.directory.setdefault(e.addr, {})[core] = "M"
                         self._free_entry(file, e)
         events = self._events
-        if events and events[0][0] <= cycle:
-            due = []
-            while events and events[0][0] <= cycle:
-                due.append(heappop(events))
-            due.sort(key=lambda ev: ev[1])
-            for _, _, fn in due:
-                fn()
-            progress = True
-        return progress
+        due = []
+        while events and events[0][0] <= cycle:
+            due.append(heappop(events))
+        for _, _, fn in sorted(due, key=lambda ev: ev[1]):
+            fn()
+        return progress or bool(due)
 
     def next_event(self, cycle):
         """Earliest cycle after ``cycle`` at which a miss is delivered, or
