@@ -85,6 +85,10 @@ def cmd_ablate(args):
 
 
 def cmd_fuzz(args):
+    if args.count < 0:
+        print(f"error: count must not be negative, got {args.count}",
+              file=sys.stderr)
+        return EXIT_USAGE
     cfg = _build_config(args)
     passes, fails, first = harness.fuzz_programs(args.count, cfg,
                                                  seed=args.seed)

@@ -6,12 +6,39 @@ fully deterministic: there is no seed here, only in the fuzz generator.
 
 from dataclasses import dataclass, fields
 
-MODES = ("unsafe", "flush_only", "ghostminion")
-# sizes, ways, widths, units, queues and register counts: at least 1
+
+@dataclass(frozen=True)
+class Protection:
+    """The GhostMinion mechanisms a protection mode switches on, one
+    switch each.  A misspelt switch is an AttributeError, not False."""
+
+    side_buffer: bool = False            # speculative fills go to a side buffer
+    timeguard: bool = False              # side-buffer reads/fills/wipes by timestamp
+    hide_spec_lru: bool = False          # speculative hits leave L1/L2 LRU alone
+    hide_spec_l2_fill: bool = False      # speculative misses do not fill the L2
+    timeleap: bool = False               # an older request restarts a younger miss
+    leapfrog: bool = False               # an older miss evicts a younger MSHR entry
+    merge_core: bool = False             # two-core L2 MSHRs merge per core only
+    squash_cancels_misses: bool = False  # a squash cancels younger in-flight misses
+    noncoherent_forward: bool = False    # two-core: forward a flagged copy, replay it
+    inorder_divider: bool = False        # speculative divs start in timestamp order
+    squash_frees_divider: bool = False   # a squash frees a squashed op's divider
+
+
+# the one place a protection mode is interpreted
+PROTECTION = {
+    "unsafe": Protection(),
+    "flush_only": Protection(side_buffer=True, hide_spec_lru=True,
+                             hide_spec_l2_fill=True),
+    "ghostminion": Protection(**{f.name: True for f in fields(Protection)}),
+}
+MODES = tuple(PROTECTION)
+# sizes, ways, widths, units, queues, register counts and the cycle
+# budget: at least 1
 _COUNTS = ("width", "lq", "sq", "fetchq", "alu_units", "mul_units",
            "div_units", "mem_ports", "l1_sets", "l1_ways", "l1_mshrs",
            "l2_sets", "l2_ways", "l2_mshrs", "ghost_sets", "ghost_ways",
-           "rpt_entries")
+           "rpt_entries", "max_cycles")
 # latencies in cycles: at least 0
 _LATENCIES = ("alu_lat", "mul_lat", "div_lat", "squash_penalty", "l1_lat",
               "l2_lat", "mem_lat", "coh_lat")
@@ -82,6 +109,11 @@ class RunConfig:
                               "each be at least 1")
         if self.line_bytes < 8 or self.line_bytes & (self.line_bytes - 1):
             raise ConfigError("line_bytes must be a power of two, at least 8")
+
+    @property
+    def protection(self) -> Protection:
+        """The mechanisms ``mode`` switches on."""
+        return PROTECTION[self.mode]
 
     @property
     def window(self) -> int:

@@ -2,17 +2,20 @@
 in-order commit, with branch squash and a load/store queue.
 
 Scheduling rules that keep committed timing independent of transient
-execution (active in "ghostminion" mode):
+execution:
 
 * issue is strictly oldest-ready-first by timestamp, so younger ops can
   never displace older ones from issue slots or pipelined units;
 * non-pipelined units (the divider) issue speculative ops in timestamp
   order: a speculative op may start only once every older live op of the
-  same class has started;
-* a squash frees non-pipelined units held by squashed ops and cancels
-  their in-flight misses, so rollback cost is a constant independent of
-  how much transient work was discarded;
+  same class has started (``Protection.inorder_divider``);
+* a squash frees non-pipelined units held by squashed ops
+  (``squash_frees_divider``) and cancels their in-flight misses
+  (``squash_cancels_misses``), so rollback cost is a constant independent
+  of how much transient work was discarded;
 * the branch predictor and BTB are trained at commit only.
+
+``config.PROTECTION`` says which switches each protection mode turns on.
 
 The committed timeline - (sequence, pc, opcode, per-stage cycles,
 architectural result) for every committed instruction - is the
@@ -85,6 +88,7 @@ class Core:
         self.mem = mem
         self.machine = machine
         self.ablation = ablation
+        self.prot = cfg.protection
 
         self.alloc = TimestampAllocator(cfg.window, cfg.debug_unbounded_ts)
         self.regs = [0] * isa.NUM_REGS
@@ -269,7 +273,6 @@ class Core:
         alu_slots = cfg.alu_units
         mul_slots = cfg.mul_units
         mem_slots = cfg.mem_ports
-        inorder_divs = cfg.mode == "ghostminion"
         div_blocked = False
         pending_store = False   # an older store without known address/data
         head = self.rob[0] if self.rob else None
@@ -325,7 +328,7 @@ class Core:
                     div_blocked = True
                 continue
             if di.cls == DIV:
-                if inorder_divs and div_blocked and di is not head:
+                if div_blocked and di is not head and self.prot.inorder_divider:
                     continue
                 unit = next((u for u in range(cfg.div_units)
                              if self.div_busy[u] <= cycle), None)
@@ -435,7 +438,7 @@ class Core:
                 self.lq_used -= 1
             elif other.cls == STORE:
                 self.sq_used -= 1
-            if other.div_unit is not None and self.cfg.mode == "ghostminion" \
+            if other.div_unit is not None and self.prot.squash_frees_divider \
                     and self.div_busy[other.div_unit] > cycle:
                 self.div_busy[other.div_unit] = cycle
         self.epoch += 1
@@ -469,7 +472,7 @@ class Core:
                 break
             # a store writes, and a load that consumed a non-coherent
             # copy is replayed, before either may retire
-            if (di.cls == STORE or di.noncoherent) and not di.ablated:
+            if (di.cls == STORE or self._replays(di)) and not di.ablated:
                 if di.commit_mem is None:
                     if di.cls == STORE:
                         self.machine.write_word(di.addr, di.result)
@@ -489,6 +492,12 @@ class Core:
             self._commit_one(di, cycle)
             commits += 1
         return progress or commits > 0
+
+    def _replays(self, di):
+        """Commit-time replay: a load that consumed a non-coherent copy
+        reissues its access non-speculatively at commit, and re-executes
+        everything younger if the value it read went stale."""
+        return di.noncoherent
 
     def next_event(self, cycle):
         """Earliest cycle after ``cycle`` at which a stage may move without

@@ -14,8 +14,8 @@ younger (more speculative) instruction to an older one:
 
 Lines are never dirty here, and a line valid in this buffer is never
 simultaneously valid in the attached L1.  With ``timeguard=False`` the
-buffer degrades to a flush-on-squash-only victim structure (the
-flush-only protection mode), which keeps no ordering guarantees.
+buffer degrades to a flush-on-squash-only victim structure, which keeps
+no ordering guarantees.
 """
 
 from dataclasses import dataclass

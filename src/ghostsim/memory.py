@@ -7,18 +7,20 @@ older ones:
 
 * miss timestamps propagate into every MSHR level;
 * when a level's MSHRs are full, an older request cancels the
-  youngest-timestamped entry and takes its slot (leapfrog); the victim's
-  load is retried once a register frees;
+  youngest-timestamped entry and takes its slot (``leapfrog``); the
+  victim's load is retried once a register frees;
 * when an older request hits an in-flight MSHR for the same line, the
-  miss restarts its latency with the older timestamp (timeleap), which
-  may cascade into further leapfrogs below;
-* speculative fills go to the side buffer only; the non-speculative
-  L1/L2 change only through non-speculative accesses, commit-time
-  extraction, or prefetches.
+  miss restarts its latency with the older timestamp (``timeleap``),
+  which may cascade into further leapfrogs below;
+* speculative fills go to the side buffer only (``side_buffer``,
+  ``hide_spec_l2_fill``), and speculative hits leave replacement state
+  alone (``hide_spec_lru``): the non-speculative L1/L2 change only
+  through non-speculative accesses, commit-time extraction, or
+  prefetches.
 
-With ``mode="unsafe"`` none of this applies (speculative fills pollute
-the L1/L2 directly); ``mode="flush_only"`` keeps the side buffer and its
-squash wipe but drops every ordering rule.
+Each rule is a switch of ``config.Protection``, and ``config.PROTECTION``
+says which a protection mode turns on.  With no side buffer, speculative
+fills pollute the L1/L2 directly.
 """
 
 COUNTER_KEYS = (
@@ -130,7 +132,7 @@ class MemorySystem:
         self.cfg = cfg
         self.ncores = ncores
         self.not_after = not_after     # not_after(ts, ts2)
-        self.mode = cfg.mode
+        self.prot = prot = cfg.protection
         self.counters = {k: 0 for k in COUNTER_KEYS}
         self.cores = []                # wired by the machine
 
@@ -139,13 +141,11 @@ class MemorySystem:
         self.l1i = [Cache(cfg.l1_sets, cfg.l1_ways, shift) for _ in range(ncores)]
         self.l2 = Cache(cfg.l2_sets, cfg.l2_ways, shift)
 
-        has_ghost = self.mode in ("flush_only", "ghostminion")
-        tg = self.mode == "ghostminion"
-        mk = lambda: GhostCache(cfg.ghost_sets, cfg.ghost_ways, timeguard=tg,
-                                not_after=not_after, counters=self.counters,
-                                line_shift=shift)
-        self.dghost = [mk() if has_ghost else None for _ in range(ncores)]
-        self.ighost = [mk() if has_ghost else None for _ in range(ncores)]
+        mk = lambda: GhostCache(cfg.ghost_sets, cfg.ghost_ways,
+                                timeguard=prot.timeguard, not_after=not_after,
+                                counters=self.counters, line_shift=shift)
+        self.dghost = [mk() if prot.side_buffer else None for _ in range(ncores)]
+        self.ighost = [mk() if prot.side_buffer else None for _ in range(ncores)]
 
         self.l1d_file = [MshrFile(cfg.l1_mshrs) for _ in range(ncores)]
         self.l1i_file = [MshrFile(cfg.l1_mshrs) for _ in range(ncores)]
@@ -170,7 +170,7 @@ class MemorySystem:
     def _lru_visible(self, spec):
         """Replacement state is soft state: under protection it may only be
         updated by non-speculative activity."""
-        return (not spec) or self.mode == "unsafe"
+        return (not spec) or not self.prot.hide_spec_lru
 
     def _ghost_for(self, core, kind):
         return self.ighost[core] if kind == "i" else self.dghost[core]
@@ -257,12 +257,13 @@ class MemorySystem:
             g.invalidate(line)  # a line never lives in both structures
         if kind == "d" and self.ncores > 1:
             self._dir_install(line, core)
-            if self.mode == "ghostminion" and self.directory[line][core] == "E":
+            if self.prot.noncoherent_forward \
+                    and self.directory[line][core] == "E":
                 # the directory does not track side-buffer copies: drop the
                 # other cores' speculative copies of a line now held Exclusive
-                for c in range(self.ncores):
-                    if c != core:
-                        self.dghost[c].invalidate(line)
+                for c, other in enumerate(self.dghost):
+                    if c != core and other is not None:
+                        other.invalidate(line)
         if evicted:
             etag, edirty = evicted
             if kind == "d" and self.ncores > 1:
@@ -315,12 +316,14 @@ class MemorySystem:
     def _mshr_request(self, file, line, ts, core, spec, cycle, *,
                       target=None, parent=None, is_write=False, is_l2=False):
         """Returns ("pending", entry) or ("retry", file)."""
-        guarded = self.mode == "ghostminion"
-        merge_core = core if (guarded and is_l2 and self.ncores > 1) else None
+        prot = self.prot
+        merge_core = core if (prot.merge_core and is_l2 and self.ncores > 1) \
+            else None
         existing = file.find(line, merge_core)
         if existing is not None:
             existing.is_write = existing.is_write or is_write
-            if guarded and existing.ts != ts and self.not_after(ts, existing.ts):
+            if prot.timeleap and existing.ts != ts \
+                    and self.not_after(ts, existing.ts):
                 # timeleap: the older request restarts the miss so its
                 # timing is unaffected by the younger in-flight one
                 self._bump("timeleaps")
@@ -342,7 +345,7 @@ class MemorySystem:
             return ("pending", existing)
         if file.full():
             victim = None
-            if guarded:
+            if prot.leapfrog:
                 for e in file.entries:
                     if merge_core is not None and e.core != core:
                         continue
@@ -423,7 +426,7 @@ class MemorySystem:
         if self._l1_hit(self.l1d[core], line, spec):
             return (cycle + cfg.l1_lat, "l1", False)
         if self.ncores > 1 and self._remote_owner(line, core) is not None:
-            if spec and self.mode == "ghostminion":
+            if spec and self.prot.noncoherent_forward:
                 # forward a non-coherent copy without touching remote state;
                 # the consumer must be revalidated at commit
                 ready = cycle + cfg.l1_lat + cfg.coh_lat
@@ -431,7 +434,7 @@ class MemorySystem:
 
                 def fill():
                     # the core's own L1D may have got the line meanwhile
-                    if not l1.lookup(line):
+                    if g is not None and not l1.lookup(line):
                         g.fill(line, ts, origin_level="l2", noncoherent=True)
                 self.at(ready, fill)
                 return (ready, "l2", True)
@@ -532,7 +535,7 @@ class MemorySystem:
         for g in (self.dghost[core], self.ighost[core]):
             if g is not None:
                 g.flush(ts)
-        if self.mode != "ghostminion":
+        if not self.prot.squash_cancels_misses:
             return
         for file in (self.l1d_file[core], self.l1i_file[core], self.l2_file):
             for e in list(file.entries):
@@ -550,7 +553,7 @@ class MemorySystem:
             if e.deliver_at == cycle:
                 progress = True
                 if e.parents:   # else orphaned: every requester was cancelled
-                    if (not e.spec) or self.mode == "unsafe":
+                    if (not e.spec) or not self.prot.hide_spec_l2_fill:
                         self.l2.install(e.addr)
                     for parent in e.parents:
                         parent.deliver_at = cycle + self.cfg.l1_lat
@@ -594,7 +597,7 @@ class MemorySystem:
         noncoherent = False
         if entry.spec and g is not None:
             noncoherent = (kind == "d" and self.ncores > 1
-                           and self.mode == "ghostminion"
+                           and self.prot.noncoherent_forward
                            and self._remote_owner(entry.addr, core) is not None)
             g.fill(entry.addr, entry.ts, origin_level=entry.origin,
                    noncoherent=noncoherent)
@@ -633,7 +636,8 @@ class MemorySystem:
                     assert not l1.lookup(way.tag), \
                         f"line {way.tag:#x} in both L1{kind} and its side buffer"
             g = self.dghost[core]
-            if g is not None and self.ncores > 1 and self.mode == "ghostminion":
+            if g is not None and self.ncores > 1 \
+                    and self.prot.noncoherent_forward:
                 for way in g.valid_lines():
                     if not way.noncoherent:
                         assert self._remote_owner(way.tag, core) is None, \

@@ -1,8 +1,10 @@
 """Config parsing, validation, and round-tripping."""
 
+from dataclasses import fields
+
 import pytest
 
-from ghostsim.config import MODES, ConfigError, RunConfig
+from ghostsim.config import MODES, PROTECTION, ConfigError, Protection, RunConfig
 
 
 def test_defaults():
@@ -32,6 +34,19 @@ def test_modes_enumerated():
     assert MODES == ("unsafe", "flush_only", "ghostminion")
     for m in MODES:
         assert RunConfig(mode=m).mode == m
+
+
+def test_protection_rows():
+    on = {m: {f.name for f in fields(Protection) if getattr(PROTECTION[m], f.name)}
+          for m in MODES}
+    assert on["unsafe"] == set()
+    assert on["flush_only"] == {"side_buffer", "hide_spec_lru",
+                                "hide_spec_l2_fill"}
+    assert on["ghostminion"] == {f.name for f in fields(Protection)}
+    assert RunConfig(mode="flush_only").protection is PROTECTION["flush_only"]
+    assert "protection" not in {f.name for f in fields(RunConfig)}
+    with pytest.raises(AttributeError):
+        PROTECTION["ghostminion"].timegaurd
 
 
 def test_unknown_mode_rejected():
@@ -75,7 +90,7 @@ def test_from_file(tmp_path):
 COUNTS = ("width", "lq", "sq", "fetchq", "alu_units", "mul_units",
           "div_units", "mem_ports", "l1_sets", "l1_ways", "l1_mshrs",
           "l2_sets", "l2_ways", "l2_mshrs", "ghost_sets", "ghost_ways",
-          "rpt_entries")
+          "rpt_entries", "max_cycles")
 LATENCIES = ("alu_lat", "mul_lat", "div_lat", "squash_penalty", "l1_lat",
              "l2_lat", "mem_lat", "coh_lat")
 

@@ -1,15 +1,52 @@
 """Harness drivers and CLI: reports, verdicts, fuzzing, exit codes."""
 
 import csv
+from dataclasses import replace
 
 import pytest
 
 from ghostsim import RunConfig, SimTimeout
 from ghostsim.cli import main
+from ghostsim.config import PROTECTION
 from ghostsim.gadgets import GADGETS, Gadget
 from ghostsim import harness
 
 SIMPLE = "li r1, 5\nadd r2, r1, r1\nst r2, r0, 0x100\nhalt\n"
+
+OLDER_READER = """\
+.word 0x2000 0x3000
+.word 0x3000 5
+.word 0x4000 7
+li r1, 0x2000
+ld r2, r1, 0
+ld r3, r2, 0
+mul r4, r2, r0
+mul r4, r4, r0
+mul r4, r4, r0
+ld r5, r4, 0x4000
+bne r3, r0, skip
+li r6, 0x4000
+ld r7, r6, 0
+skip:
+add r8, r5, r5
+halt
+"""
+
+DIVIDER_ORDER = """\
+.word 0x2000 0x3000
+.word 0x3000 5
+li r1, 0x2000
+li r9, 3
+ld r2, r1, 0
+ld r3, r2, 0
+add r4, r2, r9
+div r5, r4, r9
+bne r3, r0, skip
+div r6, r2, r9
+skip:
+add r8, r5, r5
+halt
+"""
 
 
 class TestRun:
@@ -131,6 +168,33 @@ class TestAblation:
         res = harness.run_ablation(pair, RunConfig())
         assert res.verdict == "PASS" and res.pure
 
+    def test_older_reader_cannot_see_younger_side_buffer_fill(self,
+                                                              monkeypatch):
+        # an older load issues after a younger wrong-path load has filled
+        # the same line into the side buffer: only the timeguard hides it
+        _, rep = harness.run([OLDER_READER], RunConfig())
+        assert rep.counters["timeguard_blocks"] == 1
+        res = harness.run_ablation([OLDER_READER], RunConfig())
+        assert res.verdict == "PASS" and res.pure
+        for mode in ("unsafe", "flush_only"):
+            res = harness.run_ablation([OLDER_READER], RunConfig(mode=mode))
+            assert res.verdict == "FAIL" and res.divergence[1] == 6
+        monkeypatch.setitem(PROTECTION, "ghostminion",
+                            replace(PROTECTION["ghostminion"], timeguard=False))
+        assert harness.run_ablation([OLDER_READER], RunConfig()).verdict == "FAIL"
+
+    def test_younger_div_cannot_delay_older_div(self, monkeypatch):
+        # a younger wrong-path div takes the divider before an older one
+        res = harness.run_ablation([DIVIDER_ORDER], RunConfig())
+        assert res.verdict == "PASS"
+        for mode in ("unsafe", "flush_only"):
+            res = harness.run_ablation([DIVIDER_ORDER], RunConfig(mode=mode))
+            assert res.verdict == "FAIL" and res.divergence[1] == 5
+        monkeypatch.setitem(PROTECTION, "ghostminion",
+                            replace(PROTECTION["ghostminion"],
+                                    inorder_divider=False))
+        assert harness.run_ablation([DIVIDER_ORDER], RunConfig()).verdict == "FAIL"
+
     def test_generator_output_is_seed_dependent(self):
         import random
         texts = {harness._gen_program(random.Random(s)) for s in range(8)}
@@ -186,6 +250,15 @@ class TestCli:
         p = tmp_path / "p.gasm"
         p.write_text(SIMPLE)
         assert main(["run", str(p), "--config", str(badcfg)]) == 2
+
+    def test_negative_fuzz_count_rejected(self, capsys):
+        assert main(["fuzz", "-5"]) == 2
+        assert "count" in capsys.readouterr().err
+
+    def test_cycle_budget_below_one_rejected(self, tmp_path):
+        p = tmp_path / "p.gasm"
+        p.write_text(SIMPLE)
+        assert main(["run", str(p), "--max-cycles", "0"]) == 2
 
     def test_timeout_exit_code(self, tmp_path):
         p = tmp_path / "p.gasm"
