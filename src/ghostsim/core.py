@@ -187,15 +187,6 @@ class Core:
                 break
         return progress or fetched > 0
 
-    def fetch_line_ready(self, line, cycle):
-        if self.line_req == line:
-            self.line_buf = line
-            self.line_req = None
-            self.line_ready_at = None
-
-    def fetch_retry_wake(self):
-        self.line_req = None
-
     # ---------------------------------------------------------------- rename
 
     def do_rename(self, cycle):
@@ -397,27 +388,33 @@ class Core:
                     continue
         return progress
 
-    def load_complete(self, di, cycle, origin, noncoherent):
-        if di.state != "EXEC":
-            return   # squashed while the miss was in flight
-        di.result = self.machine.read_word(di.addr)
-        di.origin = origin
-        di.noncoherent = noncoherent
-        di.state = "DONE"
-        di.stage["complete"] = cycle
+    def mem_ready(self, di, line, cycle, origin, noncoherent):
+        """A miss was delivered to ``di``, or to the instruction fetch of
+        ``line`` when ``di`` is None."""
+        if di is None:
+            if self.line_req == line:
+                self.line_buf = line
+                self.line_req = None
+                self.line_ready_at = None
+        elif di.commit_mem == WAITING:   # committing store or replay
+            di.commit_mem = cycle
+        elif di.state == "EXEC":         # else squashed while in flight
+            di.result = self.machine.read_word(di.addr)
+            di.origin = origin
+            di.noncoherent = noncoherent
+            di.state = "DONE"
+            di.stage["complete"] = cycle
 
-    def load_retry_wake(self, di):
+    def mem_retry(self, di):
         """The access found no free miss register, or its miss was
         cancelled: make it again."""
-        if di.commit_mem == WAITING:   # committing store or replay
+        if di is None:
+            self.line_req = None
+        elif di.commit_mem == WAITING:
             di.commit_mem = None
         elif di.state == "EXEC":
             di.state = "ROB"
             di.done_at = None
-
-    def commit_access_complete(self, di, cycle):
-        if di.state == "DONE":
-            di.commit_mem = cycle
 
     # ---------------------------------------------------------------- branch
 
@@ -518,7 +515,6 @@ class Core:
 
     def _commit_one(self, di, cycle):
         di.state = "COMMITTED"
-        di.stage["commit"] = cycle
         self.committed_keys.add(di.akey)
         if not di.ablated:
             self.mem.commit_extract(self.core_id, "i", self._iline(di.pc), di.ts)

@@ -40,57 +40,45 @@ class Cache:
         self.sets = sets
         self.ways = ways
         self.line_shift = line_shift
-        # per set: list of [tag, dirty, lru]; most recent has highest lru
-        self.lines = [[] for _ in range(sets)]
-        self._tick = 0
+        # per set: tag -> dirty, least recently used first
+        self.lines = [{} for _ in range(sets)]
 
     def _set(self, line_addr):
         return self.lines[(line_addr >> self.line_shift) % self.sets]
 
     def lookup(self, line_addr):
-        return any(e[0] == line_addr for e in self._set(line_addr))
+        return line_addr in self._set(line_addr)
 
     def touch(self, line_addr):
-        for e in self._set(line_addr):
-            if e[0] == line_addr:
-                self._tick += 1
-                e[2] = self._tick
-                return
+        st = self._set(line_addr)
+        if line_addr in st:
+            st[line_addr] = st.pop(line_addr)
 
-    def mark_dirty(self, line_addr):
-        for e in self._set(line_addr):
-            if e[0] == line_addr:
-                e[1] = True
-                return
+    def mark_dirty(self, line_addr, dirty=True):
+        st = self._set(line_addr)
+        if line_addr in st:
+            st[line_addr] = dirty
 
     def install(self, line_addr, dirty=False):
         """Install a line; returns (evicted_tag, evicted_dirty) or None."""
         st = self._set(line_addr)
-        self._tick += 1
-        for e in st:
-            if e[0] == line_addr:
-                e[1] = e[1] or dirty
-                e[2] = self._tick
-                return None
+        if line_addr in st:
+            st[line_addr] = st.pop(line_addr) or dirty
+            return None
         evicted = None
         if len(st) >= self.ways:
-            victim = min(st, key=lambda e: e[2])
-            st.remove(victim)
-            evicted = (victim[0], victim[1])
-        st.append([line_addr, dirty, self._tick])
+            victim = next(iter(st))
+            evicted = (victim, st.pop(victim))
+        st[line_addr] = dirty
         return evicted
 
     def invalidate(self, line_addr):
-        st = self._set(line_addr)
-        for e in st:
-            if e[0] == line_addr:
-                st.remove(e)
-                return True
-        return False
+        return self._set(line_addr).pop(line_addr, None) is not None
 
     def contents(self):
         """Replacement-order-insensitive snapshot (for purity checks)."""
-        return frozenset((i, e[0], e[1]) for i, st in enumerate(self.lines) for e in st)
+        return frozenset((i, tag, dirty) for i, st in enumerate(self.lines)
+                         for tag, dirty in st.items())
 
 
 class MshrEntry:
@@ -104,7 +92,7 @@ class MshrEntry:
         self.core = core
         self.spec = spec
         self.is_write = is_write
-        self.targets = []     # completion callbacks: (kind, instr, core)
+        self.targets = []     # waiters for delivery: (core, instr or None)
         self.parents = []     # upper-level MshrEntry objects waiting on us
         self.child = None
         self.deliver_at = None
@@ -115,7 +103,7 @@ class MshrFile:
     def __init__(self, cap):
         self.cap = cap
         self.entries = []
-        self.waiters = []     # (kind, instr, core) to wake when a slot frees
+        self.waiters = []     # targets to wake when a slot frees
 
     def find(self, addr, core=None):
         for e in self.entries:
@@ -216,9 +204,7 @@ class MemorySystem:
             # dirty data is written back to the shared L2; the owner keeps
             # a clean Shared copy
             self.l2.install(line, dirty=True)
-            for e in self.l1d[owner]._set(line):
-                if e[0] == line:
-                    e[1] = False
+            self.l1d[owner].mark_dirty(line, False)
         holders[owner] = "S"
         return True
 
@@ -277,11 +263,8 @@ class MemorySystem:
         if not file.waiters:
             return
         waiters, file.waiters = file.waiters, []
-        for kind, obj, core in waiters:
-            if kind == "ifetch":
-                self.cores[core].fetch_retry_wake()
-            else:
-                self.cores[core].load_retry_wake(obj)
+        for core, instr in waiters:
+            self.cores[core].mem_retry(instr)
 
     def _free_entry(self, file, entry):
         if entry in file.entries:
@@ -315,7 +298,8 @@ class MemorySystem:
 
     def _mshr_request(self, file, line, ts, core, spec, cycle, *,
                       target=None, parent=None, is_write=False, is_l2=False):
-        """Returns ("pending", entry) or ("retry", file)."""
+        """Returns the entry the request waits on, or None if it must wait
+        for a free register and retry."""
         prot = self.prot
         merge_core = core if (prot.merge_core and is_l2 and self.ncores > 1) \
             else None
@@ -336,13 +320,13 @@ class MemorySystem:
                     # whole access waits on the blocking level
                     if target is not None:
                         self.l2_file.waiters.append(target)
-                    return ("retry", self.l2_file)
+                    return None
             if target is not None:
                 existing.targets.append(target)
             if parent is not None and parent not in existing.parents:
                 existing.parents.append(parent)
                 parent.child = existing
-            return ("pending", existing)
+            return existing
         if file.full():
             victim = None
             if prot.leapfrog:
@@ -361,7 +345,7 @@ class MemorySystem:
                 self._bump("retries")
                 if target is not None:
                     file.waiters.append(target)
-                return ("retry", file)
+                return None
         entry = MshrEntry(file, line, ts, core, spec, is_write)
         if target is not None:
             entry.targets.append(target)
@@ -370,8 +354,8 @@ class MemorySystem:
             parent.child = entry
         file.entries.append(entry)
         if not self._dispatch_lower(entry, cycle, is_l2=is_l2):
-            return ("retry", self.l2_file)
-        return ("pending", entry)
+            return None
+        return entry
 
     def _dispatch_lower(self, entry, cycle, *, is_l2):
         """Start the miss below ``entry``.  Returns False if the L2 had no
@@ -389,9 +373,8 @@ class MemorySystem:
             entry.deliver_at = cycle + cfg.l1_lat + cfg.l2_lat
             return True
         entry.deliver_at = None
-        res = self._mshr_request(self.l2_file, entry.addr, entry.ts, entry.core,
-                                 entry.spec, cycle, parent=entry, is_l2=True)
-        if res[0] == "pending":
+        if self._mshr_request(self.l2_file, entry.addr, entry.ts, entry.core,
+                              entry.spec, cycle, parent=entry, is_l2=True):
             return True
         self.l2_file.waiters.extend(entry.targets)
         entry.targets = []
@@ -401,11 +384,12 @@ class MemorySystem:
     # ------------------------------------------------------------- accesses
     #
     # Each access returns its ready cycle on a hit (a load also gets the
-    # origin level and the noncoherent flag) or None on a miss.  A missing
-    # target waits for a callback: its completion (fetch_line_ready,
-    # load_complete, commit_access_complete) or, when a miss-register file
-    # had no room or the miss was cancelled, fetch_retry_wake /
-    # load_retry_wake, after which the access is made again.
+    # origin level and the noncoherent flag) or None on a miss.  A miss
+    # leaves the target (core, instr) waiting, instr None for an
+    # instruction fetch.  The memory system then calls the core's
+    # mem_ready(instr, line, cycle, origin, noncoherent) when the line is
+    # delivered, or mem_retry(instr) when a miss-register file had no room
+    # or the miss was cancelled, after which the access is made again.
 
     def _l1_hit(self, l1, line, spec):
         if not l1.lookup(line):
@@ -441,7 +425,7 @@ class MemorySystem:
             self._downgrade(line, core)
             cycle += cfg.coh_lat
         self._mshr_request(self.l1d_file[core], line, ts, core, spec, cycle,
-                           target=("load", instr, core))
+                           target=(core, instr))
         return None
 
     def ifetch_access(self, core, line, ts, cycle):
@@ -450,7 +434,7 @@ class MemorySystem:
                 or self._l1_hit(self.l1i[core], line, True):
             return cycle + self.cfg.l1_lat
         self._mshr_request(self.l1i_file[core], line, ts, core, True, cycle,
-                           target=("ifetch", None, core))
+                           target=(core, None))
         return None
 
     def store_access(self, core, instr, line, cycle):
@@ -481,8 +465,7 @@ class MemorySystem:
                     self.directory.setdefault(line, {})[core] = "M"
             return cycle + self.cfg.l1_lat
         self._mshr_request(self.l1d_file[core], line, instr.ts, core, False,
-                           cycle, target=("commit", instr, core),
-                           is_write=is_write)
+                           cycle, target=(core, instr), is_write=is_write)
         return None
 
     # ------------------------------------------------------- commit services
@@ -603,14 +586,9 @@ class MemorySystem:
                    noncoherent=noncoherent)
         else:
             self._install_l1(core, kind, entry.addr, dirty=entry.is_write)
-        for tkind, obj, tcore in entry.targets:
-            if tkind == "ifetch":
-                self.cores[tcore].fetch_line_ready(entry.addr, cycle)
-            elif tkind == "load":
-                self.cores[tcore].load_complete(obj, cycle, entry.origin,
-                                                noncoherent)
-            else:
-                self.cores[tcore].commit_access_complete(obj, cycle)
+        for tcore, instr in entry.targets:
+            self.cores[tcore].mem_ready(instr, entry.addr, cycle, entry.origin,
+                                        noncoherent)
         entry.targets = []
 
     # ------------------------------------------------------------ snapshots

@@ -78,11 +78,8 @@ def test_c03_mshr_ordering():
             class _C:
                 wakes = []
 
-                def load_retry_wake(self, o):
+                def mem_retry(self, o):
                     _C.wakes.append(o)
-
-                def fetch_retry_wake(self):
-                    pass
             _C.wakes = []
             mem.cores = [_C()]
             return mem, _C
@@ -90,10 +87,10 @@ def test_c03_mshr_ordering():
         mem, C = fresh()
         for ts in (22, 23, 28):
             mem._mshr_request(mem.l1d_file[0], ts << 6, ts, 0, True, 0,
-                              target=("load", ts, 0))
+                              target=(0, ts))
         res = mem._mshr_request(mem.l1d_file[0], 25 << 6, 25, 0, True, 0,
-                                target=("load", 25, 0))
-        assert res[0] == "pending"                     # 28 leapfrogged
+                                target=(0, 25))
+        assert res is not None                        # 28 leapfrogged
         assert sorted(e.ts for e in mem.l1d_file[0].entries) == [22, 23, 25]
         assert mem.counters["mshr_leapfrogs"] == 1
         assert C.wakes == [28]                         # its user retries
@@ -101,10 +98,10 @@ def test_c03_mshr_ordering():
         mem, C = fresh()
         for ts in (22, 23, 25):
             mem._mshr_request(mem.l1d_file[0], ts << 6, ts, 0, True, 0,
-                              target=("load", ts, 0))
+                              target=(0, ts))
         res = mem._mshr_request(mem.l1d_file[0], 29 << 6, 29, 0, True, 0,
-                                target=("load", 29, 0))
-        assert res[0] == "retry"                       # youngest waits
+                                target=(0, 29))
+        assert res is None                            # youngest waits
         assert sorted(e.ts for e in mem.l1d_file[0].entries) == [22, 23, 25]
 
 

@@ -18,14 +18,10 @@ def _na(ts, ts2):
 
 class _StubCore:
     def __init__(self):
-        self.load_wakes = []
-        self.fetch_wakes = 0
+        self.wakes = []
 
-    def load_retry_wake(self, obj):
-        self.load_wakes.append(obj)
-
-    def fetch_retry_wake(self):
-        self.fetch_wakes += 1
+    def mem_retry(self, instr):
+        self.wakes.append(instr)
 
 
 def make(mode="ghostminion", mshrs=3):
@@ -39,7 +35,7 @@ def make(mode="ghostminion", mshrs=3):
 def req(mem, line, ts, tag=None):
     file = mem.l1d_file[0]
     return mem._mshr_request(file, line << 6, ts, 0, True, cycle=0,
-                             target=("load", tag if tag is not None else ts, 0))
+                             target=(0, tag if tag is not None else ts))
 
 
 def entry_stamps(mem):
@@ -53,14 +49,14 @@ class TestLeapfrog:
         # (its users retry later) and 25 takes the slot
         mem, core = make()
         for ts in (22, 23, 28):
-            assert req(mem, ts, ts)[0] == "pending"
+            assert req(mem, ts, ts) is not None
         res = req(mem, 25, 25)
-        assert res[0] == "pending"
+        assert res is not None
         assert entry_stamps(mem) == [22, 23, 25]
         assert mem.counters["mshr_leapfrogs"] == 1
         # the victim's user was told to reattempt (woken at once, since
         # cancelling freed a slot)
-        assert core.load_wakes == [28]
+        assert core.wakes == [28]
 
     def test_young_request_must_retry(self):
         # {22, 23, 25} all older than 29: the youngest instruction is the
@@ -69,10 +65,10 @@ class TestLeapfrog:
         for ts in (22, 23, 25):
             req(mem, ts, ts)
         res = req(mem, 29, 29)
-        assert res[0] == "retry"
+        assert res is None
         assert entry_stamps(mem) == [22, 23, 25]
         assert mem.counters["retries"] == 1
-        assert ("load", 29, 0) in mem.l1d_file[0].waiters
+        assert (0, 29) in mem.l1d_file[0].waiters
 
     def test_victim_cancellation_frees_lower_level(self):
         mem, core = make()
@@ -89,10 +85,10 @@ class TestLeapfrog:
         mem, core = make()
         entries = []
         for ts in (22, 23, 25):
-            entries.append(req(mem, ts, ts)[1])
+            entries.append(req(mem, ts, ts))
         req(mem, 29, 29)
         mem._free_entry(mem.l1d_file[0], entries[0])
-        assert core.load_wakes == [29]
+        assert core.wakes == [29]
 
 
 class TestMergeAndTimeleap:
@@ -100,19 +96,19 @@ class TestMergeAndTimeleap:
         mem, core = make()
         res1 = req(mem, 7, 40, tag="a")
         res2 = mem._mshr_request(mem.l1d_file[0], 7 << 6, 41, 0, True,
-                                 cycle=0, target=("load", "b", 0))
-        assert res2[1] is res1[1]
+                                 cycle=0, target=(0, "b"))
+        assert res2 is res1
         assert len(mem.l1d_file[0].entries) == 1
-        assert [t[1] for t in res1[1].targets] == ["a", "b"]
+        assert [t[1] for t in res1.targets] == ["a", "b"]
 
     def test_older_request_timeleaps_inflight_miss(self):
         # a younger miss is in flight for the line; an older request
         # restarts it so the observable latency is the older one's own
         mem, core = make()
-        entry = req(mem, 7, 40)[1]
+        entry = req(mem, 7, 40)
         res = mem._mshr_request(mem.l1d_file[0], 7 << 6, 30, 0, True,
-                                cycle=5, target=("load", "old", 0))
-        assert res[1] is entry
+                                cycle=5, target=(0, "old"))
+        assert res is entry
         assert entry.ts == 30
         # the restart cascades: the L1 entry timeleaps, and its re-issued
         # lower request timeleaps the in-flight L2 entry too
@@ -122,20 +118,20 @@ class TestMergeAndTimeleap:
         # a committing store that finds a load's miss in flight for its
         # line rides on that entry, so the line must arrive dirty
         mem, core = make()
-        entry = req(mem, 7, 40)[1]
+        entry = req(mem, 7, 40)
         assert not entry.is_write
         res = mem._mshr_request(mem.l1d_file[0], 7 << 6, 30, 0, False,
-                                cycle=5, target=("commit", "st", 0),
+                                cycle=5, target=(0, "st"),
                                 is_write=True)
-        assert res == ("pending", entry)
+        assert res is entry
         assert entry.is_write
 
     def test_younger_merge_does_not_restart(self):
         mem, core = make()
-        entry = req(mem, 7, 40)[1]
+        entry = req(mem, 7, 40)
         deliver = entry.child.deliver_at
         mem._mshr_request(mem.l1d_file[0], 7 << 6, 50, 0, True,
-                          cycle=5, target=("load", "young", 0))
+                          cycle=5, target=(0, "young"))
         assert (entry.ts, entry.child.deliver_at) == (40, deliver)
         assert mem.counters["timeleaps"] == 0
 
@@ -146,7 +142,7 @@ class TestUnsafeMode:
         for ts in (22, 23, 28):
             req(mem, ts, ts)
         res = req(mem, 25, 25)
-        assert res[0] == "retry"
+        assert res is None
         assert entry_stamps(mem) == [22, 23, 28]
         assert mem.counters["mshr_leapfrogs"] == 0
 
@@ -154,7 +150,7 @@ class TestUnsafeMode:
         mem, core = make(mode="unsafe")
         req(mem, 7, 40)
         mem._mshr_request(mem.l1d_file[0], 7 << 6, 30, 0, True,
-                          cycle=5, target=("load", "old", 0))
+                          cycle=5, target=(0, "old"))
         assert mem.counters["timeleaps"] == 0
 
 
