@@ -305,7 +305,11 @@ class MemorySystem:
             else None
         existing = file.find(line, merge_core)
         if existing is not None:
-            existing.is_write = existing.is_write or is_write
+            if is_write:
+                # a committing store makes the miss non-speculative: the
+                # line must reach the L1 dirty, not the side buffer
+                existing.is_write = True
+                existing.spec = False
             if prot.timeleap and existing.ts != ts \
                     and self.not_after(ts, existing.ts):
                 # timeleap: the older request restarts the miss so its

@@ -2,7 +2,10 @@
 LRU eviction, the stride prefetcher, and speculative-fill containment.
 """
 
+import pytest
+
 from ghostsim import Machine, RunConfig, load_program
+from ghostsim.config import MODES
 
 RESULT = 0xC080
 
@@ -164,3 +167,16 @@ class TestSpeculativeContainment:
         assert m.mem.l1d[0].lookup(line)
         assert not m.mem.dghost[0].has(line)
         assert m.mem.counters["lines_extracted"] > 0
+
+
+class TestStoreMergesIntoLoadMiss:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_line_ends_dirty(self, mode):
+        # the younger load misses first and the committing store merges
+        # into its in-flight miss; the store's write must not be lost
+        # when the line arrives, whether or not the load was speculative
+        m = run(["li r1, 7", "st r1, r0, 0x1000", "ld r2, r0, 0x1008"],
+                mode=mode)
+        l1 = m.mem.l1d[0]
+        assert ((0x1000 >> 6) % l1.sets, 0x1000, True) in l1.contents()
+        assert m.read_word(0x1000) == 7
