@@ -112,6 +112,12 @@ def cmd_gadgets(args):
             print(f"{g.name:26s} {cores}  secrets 0..{len(g.secrets) - 1}")
         return EXIT_OK
     names = list(GADGETS) if args.name == "all" else [args.name]
+    for name in names:
+        secrets = GADGETS[name].secrets
+        if args.secret not in secrets:
+            print(f"error: {name} takes a secret in {min(secrets)}.."
+                  f"{max(secrets)}, got {args.secret}", file=sys.stderr)
+            return EXIT_USAGE
     outdir = Path(args.dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name in names:

@@ -144,11 +144,11 @@ class RunConfig:
             if key not in kinds:
                 raise ConfigError(f"config line {lineno}: unknown key {key!r}")
             kind = kinds[key]
-            if kind in ("bool", bool):
+            if kind is bool:
                 if val.lower() not in ("true", "false", "0", "1"):
                     raise ConfigError(f"config line {lineno}: bad boolean {val!r}")
                 kwargs[key] = val.lower() in ("true", "1")
-            elif kind in ("int", int):
+            elif kind is int:
                 try:
                     kwargs[key] = int(val, 0)
                 except ValueError:

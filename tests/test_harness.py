@@ -260,6 +260,13 @@ class TestCli:
         p.write_text(SIMPLE)
         assert main(["run", str(p), "--max-cycles", "0"]) == 2
 
+    @pytest.mark.parametrize("secret", ["99", "-1", "16"])
+    def test_out_of_range_secret_rejected(self, tmp_path, capsys, secret):
+        assert main(["gadgets", "emit", "spectre_v1", "--dir", str(tmp_path),
+                     "--secret", secret]) == 2
+        assert "secret" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_timeout_exit_code(self, tmp_path):
         p = tmp_path / "p.gasm"
         p.write_text("loop:\njmp loop\n")

@@ -6,6 +6,7 @@ import pytest
 
 from ghostsim import Machine, RunConfig, load_program
 from ghostsim.config import MODES
+from ghostsim.memory import Cache
 
 RESULT = 0xC080
 
@@ -27,6 +28,62 @@ def run(lines, **cfg_kw):
 
 def deltas(m, n):
     return [m.read_word(RESULT + 8 * i) for i in range(n)]
+
+
+class TestCache:
+    """LRU replacement and dirty bits of one tag store, driven directly.
+    Lines 0x000, 0x080 and 0x100 share set 0 of a two-set cache."""
+
+    def test_eviction_takes_least_recently_used(self):
+        c = Cache(2, 2)
+        assert c.install(0x000) is None and c.install(0x080) is None
+        assert c.install(0x040) is None            # set 1 is separate
+        assert c.install(0x100) == (0x000, False)
+        assert not c.lookup(0x000) and c.lookup(0x080) and c.lookup(0x100)
+
+    def test_touch_refreshes_recency(self):
+        c = Cache(2, 2)
+        c.install(0x000)
+        c.install(0x080)
+        c.touch(0x000)
+        c.touch(0x0C0)                             # absent: no effect
+        assert c.install(0x100) == (0x080, False)
+        assert c.lookup(0x000)
+
+    def test_reinstall_ors_dirty_bit_and_refreshes(self):
+        c = Cache(2, 2)
+        c.install(0x000, dirty=True)
+        c.install(0x080)
+        assert c.install(0x000) is None            # stays dirty
+        c.install(0x080, dirty=True)
+        assert c.contents() == {(0, 0x000, True), (0, 0x080, True)}
+        assert c.install(0x100) == (0x000, True)   # 0x080 was refreshed
+
+    def test_mark_dirty(self):
+        c = Cache(2, 2)
+        c.install(0x000)
+        c.install(0x080)
+        c.mark_dirty(0x000)
+        c.mark_dirty(0x0C0)                        # absent: no effect
+        assert c.contents() == {(0, 0x000, True), (0, 0x080, False)}
+        assert c.install(0x100) == (0x000, True)   # marking leaves recency
+
+    def test_invalidate_says_whether_present(self):
+        c = Cache(2, 2)
+        c.install(0x000)
+        assert c.invalidate(0x000) is True
+        assert c.invalidate(0x000) is False
+        assert not c.lookup(0x000) and c.contents() == frozenset()
+
+    def test_contents_ignore_replacement_order(self):
+        a, b = Cache(2, 2), Cache(2, 2)
+        for line in (0x000, 0x040, 0x080):
+            a.install(line, dirty=line == 0x040)
+        for line in (0x080, 0x000, 0x040):
+            b.install(line, dirty=line == 0x040)
+        b.touch(0x080)
+        assert a.contents() == b.contents() == {
+            (0, 0x000, False), (0, 0x080, False), (1, 0x040, True)}
 
 
 class TestLatencies:

@@ -9,6 +9,7 @@ import pytest
 
 from ghostsim import Machine, RunConfig, load_program
 from ghostsim import harness
+from ghostsim.core import WAITING
 from ghostsim.gadgets import GADGETS
 from ghostsim.harness import _gen_program
 from ghostsim.machine import SimTimeout
@@ -292,3 +293,83 @@ class TestReferenceEquivalence:
         assert commits(m) == ref_stream
         assert list(m.cores[0].regs) == ref_regs
         assert ref_regs[:5] == [0, 3, 3, 7, 7]
+
+
+class TestMemoryCallbacks:
+    """The memory system answers a core's miss with ``mem_ready`` when the
+    line arrives or ``mem_retry`` when the access must be made again; the
+    core tells a fetch, a load and a commit-time access apart itself."""
+
+    @staticmethod
+    def _step_until(m, cond):
+        while not cond():
+            with pytest.raises(SimTimeout):
+                m.run(max_cycles=m.cycle + 1)
+
+    def _machine(self, lines, **cfg_kw):
+        return Machine([load_program("\n".join(lines) + "\nhalt\n")],
+                       RunConfig(**cfg_kw))
+
+    def test_fetch_line(self):
+        m = self._machine(["nop"])
+        core = m.cores[0]
+        self._step_until(m, lambda: core.line_req is not None)
+        line = core.line_req
+        assert core.line_ready_at is None and core.line_buf is None
+        core.mem_ready(None, line + 64, m.cycle, "mem", False)
+        assert core.line_req == line       # another line: ignored
+        core.mem_retry(None)
+        assert core.line_req is None       # fetch will ask again
+        self._step_until(m, lambda: core.line_req is not None)
+        core.mem_ready(None, line, m.cycle, "mem", False)
+        assert (core.line_buf, core.line_req) == (line, None)
+
+    def _inflight_load(self, m, addr):
+        core = m.cores[0]
+
+        def find():
+            return next((di for di in core.rob if di.addr == addr
+                         and di.state == "EXEC" and di.done_at is None), None)
+        self._step_until(m, lambda: find() is not None)
+        return core, find()
+
+    def test_inflight_load(self):
+        m = self._machine([".word 0x2000 42", "ld r1, r0, 0x2000"],
+                          warm_icache=True)
+        core, di = self._inflight_load(m, 0x2000)
+        core.mem_retry(di)
+        assert (di.state, di.done_at) == ("ROB", None)
+        core, di = self._inflight_load(m, 0x2000)
+        core.mem_ready(di, di.line, m.cycle, "l2", True)
+        assert (di.state, di.result, di.origin, di.noncoherent) \
+            == ("DONE", 42, "l2", True)
+        assert di.stage["complete"] == m.cycle
+
+    def test_store_waiting_on_commit_access(self):
+        m = self._machine(["li r1, 7", "st r1, r0, 0x2000"], warm_icache=True)
+        core = m.cores[0]
+        self._step_until(m, lambda: core.rob
+                         and core.rob[0].commit_mem == WAITING)
+        st = core.rob[0]
+        core.mem_retry(st)
+        assert st.commit_mem is None and st.state == "DONE"
+        self._step_until(m, lambda: st.commit_mem == WAITING)
+        core.mem_ready(st, st.line, m.cycle, "mem", False)
+        assert st.commit_mem == m.cycle and st.state == "DONE"
+
+    def test_squashed_load_is_ignored(self):
+        # the fall-through load runs on the wrong path of a mispredicted
+        # branch whose input misses; two divides delay the load's address,
+        # so its own miss is still in flight when the branch squashes it
+        m = self._machine([".word 0x2000 0", ".word 0x7000 9", "li r9, 3",
+                           "ld r1, r0, 0x2000", "bge r1, r0, out",
+                           "div r3, r9, r9", "div r3, r3, r9",
+                           "ld r2, r3, 0x7000", "out:"],
+                          warm_icache=True)
+        core, di = self._inflight_load(m, 0x7000)
+        self._step_until(m, lambda: di.state == "SQUASHED")
+        assert di.result is None and "complete" not in di.stage
+        core.mem_ready(di, di.line, m.cycle, "mem", False)
+        core.mem_retry(di)
+        assert (di.state, di.result, di.done_at) == ("SQUASHED", None, None)
+        assert "complete" not in di.stage
