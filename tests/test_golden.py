@@ -2,7 +2,10 @@
 
 Every gadget in every mode at secret 0, plus the first 50 fuzz programs
 of seed 0 in ghostminion mode, must reproduce the values stored in
-``golden_digests.json`` exactly.  A change that is meant to leave
+``golden_digests.json`` exactly.  The fuzz programs run twice: at the
+default geometry, and with one miss register per level
+(``MSHR_ONE``), where leapfrogs cancel misses and retry their loads
+while the core is still issuing.  A change that is meant to leave
 simulated behaviour alone (a refactor, a speed-up) keeps this test
 passing unchanged; a change that is meant to move timing re-records the
 file with ``python tests/test_golden.py --record`` and says why.
@@ -21,6 +24,7 @@ GOLDEN = Path(__file__).with_name("golden_digests.json")
 MODES = ("ghostminion", "unsafe", "flush_only")
 FUZZ_SEED = 0
 FUZZ_COUNT = 50
+MSHR_ONE = {"l1_mshrs": 1, "l2_mshrs": 1}
 
 
 def observe():
@@ -33,10 +37,13 @@ def observe():
                                          "cycles": rep.cycles,
                                          "counters": rep.counters}
     rng = random.Random(FUZZ_SEED)
+    texts = [harness._gen_program(rng) for _ in range(FUZZ_COUNT)]
     cfg = RunConfig(mode="ghostminion")
-    fuzz = [harness.run([harness._gen_program(rng)], cfg)[1].digest
-            for _ in range(FUZZ_COUNT)]
-    return {"gadgets": gadgets, "fuzz_seed0_ghostminion": fuzz}
+    fuzz = [harness.run([t], cfg)[1].digest for t in texts]
+    cfg = RunConfig(mode="ghostminion", **MSHR_ONE)
+    fuzz_mshr1 = [harness.run([t], cfg)[1].digest for t in texts]
+    return {"gadgets": gadgets, "fuzz_seed0_ghostminion": fuzz,
+            "fuzz_seed0_ghostminion_mshr1": fuzz_mshr1}
 
 
 def test_timelines_match_golden():
@@ -45,10 +52,10 @@ def test_timelines_match_golden():
     for key, rec in want["gadgets"].items():
         assert got["gadgets"][key] == rec, key
     assert got["gadgets"].keys() == want["gadgets"].keys()
-    for i, (a, b) in enumerate(zip(got["fuzz_seed0_ghostminion"],
-                                   want["fuzz_seed0_ghostminion"])):
-        assert a == b, f"fuzz seed {FUZZ_SEED} program {i}"
-    assert len(got["fuzz_seed0_ghostminion"]) == FUZZ_COUNT
+    for key in ("fuzz_seed0_ghostminion", "fuzz_seed0_ghostminion_mshr1"):
+        for i, (a, b) in enumerate(zip(got[key], want[key])):
+            assert a == b, f"{key}: fuzz seed {FUZZ_SEED} program {i}"
+        assert len(want[key]) == FUZZ_COUNT
 
 
 if __name__ == "__main__":
