@@ -17,12 +17,27 @@ execution:
 
 ``config.PROTECTION`` says which switches each protection mode turns on.
 
+Issue is wake-up driven, after the gem5 O3 instruction queue: each
+renamed instruction counts its sources that are not yet DONE, and its
+producers list it as a consumer.  When an instruction completes, the
+consumers it was the last wait of join the ready list, which is kept in
+program (rename) order; a load whose miss is retried rejoins it in order.
+Issue walks only the ready list, oldest first.  The two rules that look
+at older instructions that are *not* ready - a load waits behind an
+older store that has not issued, and a speculative divide behind an
+older divide - scan the store and divide queues, which hold the live
+stores and divides in program order.  Complete and ``next_event`` read
+the in-flight list (issued, finish cycle known) instead of the ROB.  A
+squash pops the squashed tail of every list, as it does the ROB's.
+
 The committed timeline - (sequence, pc, opcode, per-stage cycles,
 architectural result) for every committed instruction - is the
 observable over which noninterference is checked.
 """
 
+from bisect import insort
 from collections import deque
+from operator import attrgetter
 
 from . import isa
 from .isa import MASK64, MUL, DIV, LOAD, STORE, BRANCH, JMP, RDCYCLE, FENCE, HALT, NOP
@@ -31,6 +46,8 @@ from .order import TimestampAllocator
 # commit_mem of a store or replay whose commit-time access waits for a
 # callback: no cycle is ever late enough to retire it
 WAITING = float("inf")
+
+_SEQ = attrgetter("seq")
 
 
 def s64(v):
@@ -44,7 +61,7 @@ class DynInstr:
         "ts", "state", "stage", "dep1", "dep2", "v1", "v2",
         "result", "addr", "line", "pred_taken", "taken", "done_at",
         "origin", "noncoherent", "akey", "ablated",
-        "div_unit", "commit_mem",
+        "div_unit", "commit_mem", "seq", "waits", "consumers",
     )
 
     def __init__(self, si, ts):
@@ -75,6 +92,9 @@ class DynInstr:
         self.ablated = False
         self.div_unit = None
         self.commit_mem = None    # store/replay: None | ready cycle | WAITING
+        self.seq = None           # rename order
+        self.waits = 0            # sources not yet DONE
+        self.consumers = []       # renamed instructions reading our result
 
 
 _DONE_AT_RENAME = (NOP, JMP, FENCE, HALT)
@@ -95,6 +115,11 @@ class Core:
         self.rat = {}
         self.rob = deque()
         self.fetchq = deque()
+        # wake-up bookkeeping, each list in program (rename) order:
+        self.ready = []           # ROB state with every source DONE
+        self.inflight = []        # EXEC with a known done_at
+        self.stq = deque()        # live stores
+        self.divq = deque()       # live divides
         self.lq_used = 0
         self.sq_used = 0
 
@@ -205,6 +230,7 @@ class Core:
                 break
             self.fetchq.popleft()
             self.rename_count += 1
+            di.seq = self.rename_count
             di.akey = (self.core_id, self.epoch, self.epoch_pos)
             self.epoch_pos += 1
             di.stage["rename"] = cycle
@@ -213,6 +239,9 @@ class Core:
                 self.lq_used += 1
             elif di.cls == STORE:
                 self.sq_used += 1
+                self.stq.append(di)
+            elif di.cls == DIV:
+                self.divq.append(di)
             self.rob.append(di)
             budget -= 1
             if self.ablation is not None \
@@ -230,6 +259,7 @@ class Core:
                     di.state = "EXEC"
                     di.stage["issue"] = cycle
                     di.done_at = event[0]
+                    self.inflight.append(di)
                 else:
                     di.state = "DONE"
                     di.stage["issue"] = cycle
@@ -242,56 +272,66 @@ class Core:
                 di.state = "DONE"
                 di.stage["issue"] = cycle
                 di.stage["complete"] = cycle
+            else:
+                for dep in (di.dep1, di.dep2):
+                    if dep is not None and dep.state not in ("DONE", "COMMITTED"):
+                        di.waits += 1
+                        dep.consumers.append(di)
+                if not di.waits:
+                    self.ready.append(di)   # the youngest: order is kept
             if di.dst:
                 self.rat[di.dst] = di
         return budget < cfg.width
 
     # ----------------------------------------------------------------- issue
 
-    def _ready(self, dep):
-        return dep is None or dep.state in ("DONE", "COMMITTED")
-
     def _val(self, dep, reg):
         if dep is not None:
             return dep.result
         return self.regs[reg]
 
+    @staticmethod
+    def _older_waiting(queue, di):
+        """Whether an instruction of ``queue`` (in program order) older than
+        ``di`` is still waiting to issue."""
+        for other in queue:
+            if other.seq >= di.seq:
+                return False
+            if other.state == "ROB":
+                return True
+        return False
+
     def do_issue(self, cycle):
-        """Returns whether anything was issued.  Issue adds or removes no
-        ROB entry, so it walks the ROB in place."""
+        """Returns whether anything was issued.  Walks the ready list in
+        program order and takes what issues out of it."""
         cfg = self.cfg
         budget = cfg.width
         alu_slots = cfg.alu_units
         mul_slots = cfg.mul_units
         mem_slots = cfg.mem_ports
-        div_blocked = False
-        pending_store = False   # an older store without known address/data
         head = self.rob[0] if self.rob else None
-
-        for di in self.rob:
-            if budget == 0:
-                break
-            if di.state != "ROB":
-                continue
-            if di.cls == STORE:
-                if alu_slots and self._ready(di.dep1) and self._ready(di.dep2):
-                    di.v1 = self._val(di.dep1, di.s1)
-                    di.v2 = self._val(di.dep2, di.s2)
-                    di.addr = s64(di.v1 + di.imm) & ~(isa.WORD_BYTES - 1)
-                    di.line = di.addr & self.line_mask
-                    di.result = di.v2          # value to be written at commit
-                    di.state = "EXEC"
-                    di.stage["issue"] = cycle
-                    di.done_at = cycle + 1
-                    alu_slots -= 1
-                    budget -= 1
-                else:
-                    pending_store = True
-                continue
-            if di.cls == LOAD:
-                if not mem_slots or not self._ready(di.dep1):
+        ready = self.ready
+        i = 0
+        while budget and i < len(ready):
+            di = ready[i]
+            cls = di.cls
+            if cls == STORE:
+                if not alu_slots:
+                    i += 1
                     continue
-                if pending_store:
+                di.v1 = self._val(di.dep1, di.s1)
+                di.v2 = self._val(di.dep2, di.s2)
+                di.addr = s64(di.v1 + di.imm) & ~(isa.WORD_BYTES - 1)
+                di.line = di.addr & self.line_mask
+                di.result = di.v2          # value to be written at commit
+                di.state = "EXEC"
+                di.stage["issue"] = cycle
+                di.done_at = cycle + 1
+                self.inflight.append(di)
+                alu_slots -= 1
+            elif cls == LOAD:
+                if not mem_slots or self._older_waiting(self.stq, di):
+                    i += 1
                     continue   # conservative: wait for older store addresses
                 fwd = self._forward_store(di)
                 di.v1 = self._val(di.dep1, di.s1)
@@ -299,55 +339,62 @@ class Core:
                 di.line = di.addr & self.line_mask
                 di.stage["issue"] = cycle
                 mem_slots -= 1
-                budget -= 1
                 if fwd is not None:
                     di.result = fwd.result
                     di.origin = "fwd"
                     di.state = "EXEC"
                     di.done_at = cycle + 1
-                    continue
-                spec = di is not head
-                hit = self.mem.data_access(self.core_id, di, di.line,
-                                           di.ts, spec, cycle)
-                di.state = "EXEC"   # a miss keeps done_at None until its callback
-                if hit is not None:
-                    di.done_at, di.origin, di.noncoherent = hit
-                continue
-            # register-to-register classes
-            if not (self._ready(di.dep1) and self._ready(di.dep2)):
-                if di.cls == DIV:
-                    div_blocked = True
-                continue
-            if di.cls == DIV:
-                if div_blocked and di is not head and self.prot.inorder_divider:
-                    continue
-                unit = next((u for u in range(cfg.div_units)
-                             if self.div_busy[u] <= cycle), None)
-                if unit is None:
-                    div_blocked = True
-                    continue
-                lat = cfg.div_lat
-                di.div_unit = unit
-                self.div_busy[unit] = cycle + lat
-            elif di.cls == MUL:
-                if not mul_slots:
-                    continue
-                lat = cfg.mul_lat
-                mul_slots -= 1
-            else:   # ALU, BRANCH, RDCYCLE
-                if not alu_slots:
-                    continue
-                lat = cfg.alu_lat
-                alu_slots -= 1
-            di.v1 = self._val(di.dep1, di.s1)
-            di.v2 = self._val(di.dep2, di.s2) + di.imm
-            if di.cls == RDCYCLE:
-                di.result = cycle
-            elif di.cls != BRANCH:   # a branch resolves when it completes
-                di.result = s64(isa.OPS[di.op](di.v1, di.v2))
-            di.state = "EXEC"
-            di.stage["issue"] = cycle
-            di.done_at = cycle + lat
+                    self.inflight.append(di)
+                else:
+                    spec = di is not head
+                    hit = self.mem.data_access(self.core_id, di, di.line,
+                                               di.ts, spec, cycle)
+                    di.state = "EXEC"   # a miss keeps done_at None until its callback
+                    if hit is not None:
+                        di.done_at, di.origin, di.noncoherent = hit
+                        self.inflight.append(di)
+                    # a leapfrog retries the loads of the misses it cancels:
+                    # an older one re-enters the list before di and waits
+                    # for the next cycle, a younger one is still visited
+                    if ready[i] is not di:
+                        i = ready.index(di, i)
+            else:
+                if cls == DIV:
+                    if self.prot.inorder_divider \
+                            and self._older_waiting(self.divq, di):
+                        i += 1
+                        continue
+                    unit = next((u for u in range(cfg.div_units)
+                                 if self.div_busy[u] <= cycle), None)
+                    if unit is None:
+                        i += 1
+                        continue
+                    lat = cfg.div_lat
+                    di.div_unit = unit
+                    self.div_busy[unit] = cycle + lat
+                elif cls == MUL:
+                    if not mul_slots:
+                        i += 1
+                        continue
+                    lat = cfg.mul_lat
+                    mul_slots -= 1
+                else:   # ALU, BRANCH, RDCYCLE
+                    if not alu_slots:
+                        i += 1
+                        continue
+                    lat = cfg.alu_lat
+                    alu_slots -= 1
+                di.v1 = self._val(di.dep1, di.s1)
+                di.v2 = self._val(di.dep2, di.s2) + di.imm
+                if cls == RDCYCLE:
+                    di.result = cycle
+                elif cls != BRANCH:   # a branch resolves when it completes
+                    di.result = s64(isa.OPS[di.op](di.v1, di.v2))
+                di.state = "EXEC"
+                di.stage["issue"] = cycle
+                di.done_at = cycle + lat
+                self.inflight.append(di)
+            del ready[i]
             budget -= 1
         return budget < cfg.width
 
@@ -355,26 +402,36 @@ class Core:
         """Youngest older store to the same word.  Only called once every
         older store has executed, so all addresses and data are known."""
         addr = s64(self._val(di.dep1, di.s1) + di.imm) & ~(isa.WORD_BYTES - 1)
-        best = None
-        for other in self.rob:
-            if other is di:
-                break
-            if other.cls == STORE and other.state != "SQUASHED" and other.addr == addr:
-                best = other
-        return best
+        for other in reversed(self.stq):
+            if other.seq < di.seq and other.addr == addr:
+                return other
+        return None
 
     # -------------------------------------------------------------- complete
 
+    def _done(self, di, cycle):
+        """``di`` has its result: wake the consumers it was holding back."""
+        di.state = "DONE"
+        di.stage["complete"] = cycle
+        for other in di.consumers:
+            other.waits -= 1
+            if not other.waits and other.state == "ROB":
+                insort(self.ready, other, key=_SEQ)
+        di.consumers = None   # a consumer's dep link back would be a cycle
+
     def do_complete(self, cycle):
-        """Returns whether anything completed.  A squash pops the ROB
-        tail, so it walks a copy."""
-        progress = False
-        for di in list(self.rob):
-            if di.state != "EXEC" or di.done_at is None or di.done_at > cycle:
+        """Returns whether anything completed.  Finishes the in-flight
+        instructions due by ``cycle`` in program order, so a branch
+        squashes the younger ones before they complete."""
+        due = [di for di in self.inflight if di.done_at <= cycle]
+        if not due:
+            return False
+        self.inflight = [di for di in self.inflight if di.done_at > cycle]
+        due.sort(key=_SEQ)
+        for di in due:
+            if di.state != "EXEC":   # a just-resolved older branch wiped us
                 continue
-            progress = True
-            di.state = "DONE"
-            di.stage["complete"] = cycle
+            self._done(di, cycle)
             if di.ablated:
                 # replayed squash from the recorded run (ablated branch)
                 cyc, redirect = self.ablation["events"][di.akey]
@@ -384,9 +441,7 @@ class Core:
                 di.result = self.machine.read_word(di.addr)
             if di.cls == BRANCH:
                 self._resolve_branch(di, cycle)
-                if di.state == "SQUASHED":   # a just-resolved older branch wiped us
-                    continue
-        return progress
+        return True
 
     def mem_ready(self, di, line, cycle, origin, noncoherent):
         """A miss was delivered to ``di``, or to the instruction fetch of
@@ -402,8 +457,7 @@ class Core:
             di.result = self.machine.read_word(di.addr)
             di.origin = origin
             di.noncoherent = noncoherent
-            di.state = "DONE"
-            di.stage["complete"] = cycle
+            self._done(di, cycle)
 
     def mem_retry(self, di):
         """The access found no free miss register, or its miss was
@@ -415,6 +469,7 @@ class Core:
         elif di.state == "EXEC":
             di.state = "ROB"
             di.done_at = None
+            insort(self.ready, di, key=_SEQ)
 
     # ---------------------------------------------------------------- branch
 
@@ -431,6 +486,7 @@ class Core:
         while self.rob[-1] is not di:
             other = self.rob.pop()
             other.state = "SQUASHED"
+            other.consumers = None
             if other.cls == LOAD:
                 self.lq_used -= 1
             elif other.cls == STORE:
@@ -438,6 +494,10 @@ class Core:
             if other.div_unit is not None and self.prot.squash_frees_divider \
                     and self.div_busy[other.div_unit] > cycle:
                 self.div_busy[other.div_unit] = cycle
+        for queue in (self.ready, self.stq, self.divq):
+            while queue and queue[-1].state == "SQUASHED":
+                queue.pop()
+        self.inflight = [d for d in self.inflight if d.state != "SQUASHED"]
         self.epoch += 1
         self.epoch_pos = 0
         self.squash_log[di.akey] = (cycle, redirect_pc)
@@ -506,9 +566,7 @@ class Core:
         times = [self.fetch_stall_until, *self.div_busy]
         if self.line_ready_at is not None:
             times.append(self.line_ready_at)
-        for di in self.rob:
-            if di.state == "EXEC" and di.done_at is not None:
-                times.append(di.done_at)
+        times += [di.done_at for di in self.inflight]
         if self.rob and self.rob[0].commit_mem is not None:
             times.append(self.rob[0].commit_mem)
         return min((t for t in times if t > cycle), default=WAITING)
@@ -536,6 +594,9 @@ class Core:
             self.lq_used -= 1
         elif di.cls == STORE:
             self.sq_used -= 1
+            self.stq.popleft()
+        elif di.cls == DIV:
+            self.divq.popleft()
         stages = (di.stage["fetch"], di.stage["rename"], di.stage["issue"],
                   di.stage["complete"], cycle)
         result = di.result if (di.dst or di.cls == STORE) else None

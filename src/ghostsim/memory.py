@@ -149,6 +149,9 @@ class MemorySystem:
         # actions due in one tick in the order they were scheduled
         self._events = []
         self._event_seq = 0
+        # no miss is delivered before this cycle: tick scans the miss
+        # registers only once it is reached
+        self.deliver_bound = float("inf")
 
     # ------------------------------------------------------------------ util
 
@@ -165,6 +168,11 @@ class MemorySystem:
 
     def _l1_for(self, core, kind):
         return self.l1i[core] if kind == "i" else self.l1d[core]
+
+    def _deliver_at(self, entry, cycle):
+        entry.deliver_at = cycle
+        if cycle < self.deliver_bound:
+            self.deliver_bound = cycle
 
     def at(self, cycle, fn):
         heappush(self._events, (cycle, self._event_seq, fn))
@@ -368,13 +376,13 @@ class MemorySystem:
         cfg = self.cfg
         if is_l2:
             entry.origin = "mem"
-            entry.deliver_at = cycle + cfg.l2_lat + cfg.mem_lat
+            self._deliver_at(entry, cycle + cfg.l2_lat + cfg.mem_lat)
             return True
         if self.l2.lookup(entry.addr):
             if self._lru_visible(entry.spec):
                 self.l2.touch(entry.addr)
             entry.origin = "l2"
-            entry.deliver_at = cycle + cfg.l1_lat + cfg.l2_lat
+            self._deliver_at(entry, cycle + cfg.l1_lat + cfg.l2_lat)
             return True
         entry.deliver_at = None
         if self._mshr_request(self.l2_file, entry.addr, entry.ts, entry.core,
@@ -535,6 +543,20 @@ class MemorySystem:
         """Deliver the misses and run the background actions due this
         cycle.  Returns whether anything happened."""
         progress = False
+        if cycle >= self.deliver_bound:
+            progress = self._deliver(cycle)
+        events = self._events
+        due = []
+        while events and events[0][0] <= cycle:
+            due.append(heappop(events))
+        for _, _, fn in sorted(due, key=lambda ev: ev[1]):
+            fn()
+        return progress or bool(due)
+
+    def _deliver(self, cycle):
+        """Deliver the misses due this cycle, and raise ``deliver_bound``
+        to the next pending delivery.  Returns whether any was due."""
+        progress = False
         # L2-level completions feed parent L1 MSHRs after the L1 transit
         for e in list(self.l2_file.entries):
             if e.deliver_at == cycle:
@@ -543,7 +565,7 @@ class MemorySystem:
                     if (not e.spec) or not self.prot.hide_spec_l2_fill:
                         self.l2.install(e.addr)
                     for parent in e.parents:
-                        parent.deliver_at = cycle + self.cfg.l1_lat
+                        self._deliver_at(parent, cycle + self.cfg.l1_lat)
                         parent.origin = e.origin
                         parent.child = None
                 e.parents = []
@@ -558,19 +580,20 @@ class MemorySystem:
                         if e.is_write and kind == "d" and self.ncores > 1:
                             self.directory.setdefault(e.addr, {})[core] = "M"
                         self._free_entry(file, e)
-        events = self._events
-        due = []
-        while events and events[0][0] <= cycle:
-            due.append(heappop(events))
-        for _, _, fn in sorted(due, key=lambda ev: ev[1]):
-            fn()
-        return progress or bool(due)
+        self.deliver_bound = min(
+            (e.deliver_at for file in self._files() for e in file.entries
+             if e.deliver_at is not None and e.deliver_at > cycle),
+            default=float("inf"))
+        return progress
+
+    def _files(self):
+        return (*self.l1d_file, *self.l1i_file, self.l2_file)
 
     def next_event(self, cycle):
         """Earliest cycle after ``cycle`` at which a miss is delivered, or
         the cycle of the first pending background action; inf if none."""
         t = self._events[0][0] if self._events else float("inf")
-        for file in (*self.l1d_file, *self.l1i_file, self.l2_file):
+        for file in self._files():
             for e in file.entries:
                 d = e.deliver_at
                 if d is not None and cycle < d < t:
