@@ -315,9 +315,13 @@ class MemorySystem:
         if existing is not None:
             if is_write:
                 # a committing store makes the miss non-speculative: the
-                # line must reach the L1 dirty, not the side buffer
+                # line must reach the L1 dirty, not the side buffer, and
+                # the L2 must keep it as for any store miss
                 existing.is_write = True
-                existing.spec = False
+                e = existing
+                while e is not None:
+                    e.spec = False
+                    e = e.child
             if prot.timeleap and existing.ts != ts \
                     and self.not_after(ts, existing.ts):
                 # timeleap: the older request restarts the miss so its

@@ -237,3 +237,11 @@ class TestStoreMergesIntoLoadMiss:
         l1 = m.mem.l1d[0]
         assert ((0x1000 >> 6) % l1.sets, 0x1000, True) in l1.contents()
         assert m.read_word(0x1000) == 7
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_line_reaches_l2(self, mode):
+        # the merge makes the L2 miss below non-speculative too, so the
+        # L2 keeps the line as it does for a store miss with no load
+        m = run(["li r1, 7", "st r1, r0, 0x1000", "ld r2, r0, 0x1008"],
+                mode=mode)
+        assert m.mem.l2.lookup(0x1000)
