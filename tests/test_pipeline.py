@@ -266,6 +266,22 @@ class TestWakeupBookkeeping:
             self._step(g.programs(0),
                        replace(RunConfig(mode=mode), **g.cfg_overrides))
 
+    def test_leapfrog_retry_is_visited_in_the_same_walk(self):
+        # the younger load V holds the only L1 miss register when L and
+        # W become ready; L leapfrogs V, whose load re-enters the ready
+        # list between L and W and takes the second memory port in the
+        # same walk, so W (a merge into L's miss) issues a cycle later
+        m = Machine([load_program("\n".join([
+            "li r9, 3", "div r1, r9, r9", "sub r2, r1, r1",
+            "ld r3, r2, 0x4000",      # L
+            "ld r4, r0, 0x8000",      # V
+            "ld r5, r2, 0x4008",      # W
+            "halt"]))], RunConfig(warm_icache=True, l1_mshrs=1))
+        m.run()
+        issue = {e[0]: e[3][2] for e in m.cores[0].timeline}
+        assert m.mem.counters["mshr_leapfrogs"] == 1
+        assert issue[5] == issue[3] + 1
+
     @pytest.mark.parametrize("overrides", [{}, {"l1_mshrs": 1}],
                              ids=["default", "l1_mshrs1"])
     def test_fuzz_programs(self, overrides):
