@@ -584,25 +584,25 @@ class MemorySystem:
                         if e.is_write and kind == "d" and self.ncores > 1:
                             self.directory.setdefault(e.addr, {})[core] = "M"
                         self._free_entry(file, e)
-        self.deliver_bound = min(
-            (e.deliver_at for file in self._files() for e in file.entries
-             if e.deliver_at is not None and e.deliver_at > cycle),
-            default=float("inf"))
+        self.deliver_bound = self._next_delivery(cycle)
         return progress
 
-    def _files(self):
-        return (*self.l1d_file, *self.l1i_file, self.l2_file)
-
-    def next_event(self, cycle):
-        """Earliest cycle after ``cycle`` at which a miss is delivered, or
-        the cycle of the first pending background action; inf if none."""
-        t = self._events[0][0] if self._events else float("inf")
-        for file in self._files():
+    def _next_delivery(self, cycle):
+        """Earliest cycle after ``cycle`` at which a miss is delivered;
+        inf if none."""
+        t = float("inf")
+        for file in (*self.l1d_file, *self.l1i_file, self.l2_file):
             for e in file.entries:
                 d = e.deliver_at
                 if d is not None and cycle < d < t:
                     t = d
         return t
+
+    def next_event(self, cycle):
+        """Earliest cycle after ``cycle`` at which a miss is delivered, or
+        the cycle of the first pending background action; inf if none."""
+        t = self._events[0][0] if self._events else float("inf")
+        return min(t, self._next_delivery(cycle))
 
     def _deliver_l1(self, core, kind, entry, cycle):
         g = self._ghost_for(core, kind)

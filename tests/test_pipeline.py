@@ -246,9 +246,12 @@ class TestWakeupBookkeeping:
                 di for di in rob if di.state == "EXEC" and di.done_at is not None]
             assert list(core.stq) == [di for di in rob if di.cls == STORE]
             assert list(core.divq) == [di for di in rob if di.cls == DIV]
-        pending = [e.deliver_at for f in m.mem._files() for e in f.entries
+        mem = m.mem
+        pending = [e.deliver_at
+                   for f in (*mem.l1d_file, *mem.l1i_file, mem.l2_file)
+                   for e in f.entries
                    if e.deliver_at is not None and e.deliver_at >= m.cycle]
-        assert m.mem.deliver_bound <= min(pending, default=float("inf"))
+        assert mem.deliver_bound <= min(pending, default=float("inf"))
 
     def _step(self, programs, cfg):
         m = Machine([load_program(p) for p in programs], cfg)
