@@ -1,30 +1,31 @@
-"""Benchmark a base commit against this checkout in alternating pairs, and
-write the result as a ``BENCH_<n>.json`` file.
+"""Benchmark a base checkout against this checkout in alternating pairs,
+and write the result as a ``BENCH_<n>.json`` file.
 
-    python tests/bench_pairs.py --base-rev REV --out BENCH_8.json
-    python tests/bench_pairs.py --base-dir DIR --pairs 1 --seconds 1 --out OUT.json
+    git worktree add --detach ../base REV
+    python tests/bench_pairs.py --base-dir ../base --out BENCH_8.json
+    git worktree remove ../base
 
-The base is either a revision, checked out for the run with ``git
-worktree`` and removed afterwards, or a directory that already holds a
-checkout of it.  Pair ``k`` runs ``perfbench/run.py --trace 0 --seed
-SEED+k`` once in the base and once in this checkout, for every workload,
-the base first in even pairs and this checkout first in odd ones.  Both
-sides run their own ``perfbench``, which must be the same code.
+Pair ``k`` runs ``perfbench/run.py --trace 0 --seed SEED+k`` once in the
+base and once in this checkout, for every workload, the base first in
+even pairs and this checkout first in odd ones.  Both sides run their
+own ``perfbench``, which must be the same code.
 
 The file holds, per workload and end-to-end metric of ``BENCHMARK.json``,
 every run's value, the median and quartiles of each side, the ratio of
 the medians (change / parent), and the pairs the change won (ties count
 for neither side); whether every run was ``correct`` with no failed
-operation; the seeds; and the last line of ``tests/fingerprint.py
---compare`` between the base's sources and this checkout's.  The file
-is also printed.  The script is not collected by pytest; at the default
-10 pairs of 8 s it takes about twenty minutes.
+operation; the seeds; and the output of ``tests/fingerprint.py
+--compare`` between the base's sources and this checkout's: the records
+that differ, then the summary line.  The file is also printed.  The
+script is not collected by pytest; at the default 10 pairs of 8 s it
+takes about twenty minutes.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -49,8 +50,8 @@ def _perfbench(checkout, workload, seed, seconds):
     return json.loads(out.splitlines()[-1])
 
 
-def _fingerprint_line(base):
-    """The summary line of ``fingerprint.py --compare`` base vs head."""
+def _fingerprint(base):
+    """The output lines of ``fingerprint.py --compare`` base vs head."""
     script = str(ROOT / "tests" / "fingerprint.py")
     with tempfile.TemporaryDirectory() as tmp:
         files = []
@@ -63,7 +64,11 @@ def _fingerprint_line(base):
         out = subprocess.run([sys.executable, script, "--compare", *files],
                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                              capture_output=True, text=True).stdout
-    return out.splitlines()[-1]
+    lines = out.splitlines()
+    # differing records exit 1 and are reported; anything else is a crash
+    if not lines or not re.fullmatch(r"\d+ of \d+ records differ", lines[-1]):
+        raise RuntimeError(f"fingerprint --compare failed:\n{out}")
+    return lines
 
 
 def _summary(values):
@@ -72,12 +77,12 @@ def _summary(values):
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
-def bench(base, pairs, seconds, seed, workloads):
+def bench(base, pairs, seconds, seed):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     seeds = [seed + k for k in range(pairs)]
-    runs = {w: {"parent": [], "change": []} for w in workloads}
+    runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
     for k, s in enumerate(seeds):
-        for w in workloads:
+        for w in WORKLOADS:
             order = (("parent", base), ("change", ROOT))
             for side, checkout in (order if k % 2 == 0 else order[::-1]):
                 runs[w][side].append(_perfbench(checkout, w, s, seconds))
@@ -85,7 +90,7 @@ def bench(base, pairs, seconds, seed, workloads):
                       f"{runs[w][side][-1]['metrics']['wall_s']['value']:.4g} s",
                       file=sys.stderr, flush=True)
     report = {}
-    for w in workloads:
+    for w in WORKLOADS:
         parent, change = runs[w]["parent"], runs[w]["change"]
         metrics = {}
         for m in declared:
@@ -109,36 +114,23 @@ def bench(base, pairs, seconds, seed, workloads):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    where = ap.add_mutually_exclusive_group(required=True)
-    where.add_argument("--base-rev", help="revision to check out as the base")
-    where.add_argument("--base-dir", help="existing checkout of the base")
+    ap.add_argument("--base-dir", required=True,
+                    help="checkout of the base revision")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=8)
     ap.add_argument("--seed", type=int, default=1, help="seed of pair 0")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="workload to run (repeatable; default all)")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
-    workloads = tuple(args.workload or WORKLOADS)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        if args.base_rev:
-            base = os.path.join(tmp, "base")
-            _git("worktree", "add", "--detach", base, args.base_rev)
-        else:
-            base = os.path.abspath(args.base_dir)
-        try:
-            base_rev = _git("rev-parse", "HEAD", cwd=base)
-            seeds, report = bench(base, args.pairs, args.seconds, args.seed,
-                                  workloads)
-            fingerprint = _fingerprint_line(base)
-        finally:
-            if args.base_rev:
-                _git("worktree", "remove", "--force", base)
+    base = os.path.abspath(args.base_dir)
+    base_rev = _git("rev-parse", "HEAD", cwd=base)
     dirty = _git("status", "--porcelain", "--untracked-files=no")
+    head_rev = _git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
+    fingerprint = _fingerprint(base)
+    seeds, report = bench(base, args.pairs, args.seconds, args.seed)
     out = {
         "base": base_rev,
-        "head": _git("rev-parse", "HEAD") + ("+dirty" if dirty else ""),
+        "head": head_rev,
         "pairs": args.pairs, "seconds": args.seconds, "seeds": seeds,
         "command": "perfbench/run.py --trace 0",
         "host": {"python": platform.python_version(), "nproc": os.cpu_count(),
