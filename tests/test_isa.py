@@ -76,24 +76,43 @@ def test_misc_classes():
     assert (p.instrs[1].cls, p.instrs[1].dst) == (RDCYCLE, 5)
 
 
-@pytest.mark.parametrize("bad", [
-    "frob r1, r2, r3\n",              # unknown opcode
-    "add r1, r2\n",                   # wrong arity
-    "halt r1, r2\n",                  # operands on an operand-less op
-    "fence 7\n",
-    "add r1, r2, r99\n",              # register out of range
-    "add r1, r2, x3\n",               # not a register
-    "ld r1, r2, zzz\n",               # bad immediate
-    ".word 0x101 5\n",                # misaligned data word
-    ".word 0x100\n",                  # missing value
-    ".align 3\n",                     # bad alignment
-    "beq r1, r2, nowhere\n",          # undefined label -> bad immediate
-    "jmp 0x41\n",                     # misaligned branch target
-    "1bad: nop\n",                    # malformed label
-])
+# source -> the exact ParseError message, line number included
+PARSE_ERRORS = {
+    "frob r1, r2, r3\n": "line 1: unknown opcode 'frob'",
+    "add r1, r2\n": "line 1: add expects 3 operands",
+    "halt r1, r2\n": "line 1: halt expects 0 operands",
+    "fence 7\n": "line 1: fence expects 0 operands",
+    "add r1, r2, r99\n": "line 1: register 'r99' out of range",
+    "add r1, r2, x3\n": "line 1: expected register, got 'x3'",
+    "add r1, r2, rx\n": "line 1: bad register 'rx'",
+    "ld r1, r2, zzz\n": "line 1: bad immediate 'zzz'",
+    ".word 0x101 5\n": "line 1: .word address must be 8-byte aligned",
+    ".word 0x100\n": "line 1: .word needs address and value",
+    ".align 3\n": "line 1: bad alignment '3'",
+    "beq r1, r2, nowhere\n": "line 1: bad immediate 'nowhere'",
+    "jmp 0x41\n": "line 1: misaligned branch target 0x41",
+    "1bad: nop\n": "line 1: bad label '1bad'",
+    # an error on line 4, after labels and data, in each pass
+    "top:\n.word 0x100 1\n.word 0x108 2\n.word 0x110 zz\nhalt\n":
+        "line 4: bad immediate 'zz'",
+    "top:\n.word 0x100 1\nnop\nadd r1, r2, rx\nhalt\n":
+        "line 4: bad register 'rx'",
+    # .align: a bad width on a later line; padding keeps line numbers
+    "nop\n.align 6\n": "line 2: bad alignment '6'",
+    "nop\n.align 16\nfrob\n": "line 3: unknown opcode 'frob'",
+    # check order: every pass-1 error before any pass-2 error, operand
+    # count before operands, operands left to right
+    "frob\n.word 0x101 5\n": "line 2: .word address must be 8-byte aligned",
+    "add r99, r2\n": "line 1: add expects 3 operands",
+    "add r99, x3, r1\n": "line 1: register 'r99' out of range",
+}
+
+
+@pytest.mark.parametrize("bad", PARSE_ERRORS)
 def test_parse_errors(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         load_program(bad)
+    assert str(err.value) == PARSE_ERRORS[bad]
 
 
 def test_parse_error_carries_line_number():
