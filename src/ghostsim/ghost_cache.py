@@ -16,18 +16,24 @@ Lines are never dirty here, and a line valid in this buffer is never
 simultaneously valid in the attached L1.  With ``timeguard=False`` the
 buffer degrades to a flush-on-squash-only victim structure, which keeps
 no ordering guarantees.
+
+A set's ways are allocated on first fill: a set starts empty and a way
+missing from it counts as free, so a fill appends a line only when no
+existing way matches or is free.  The first free way is then the same
+position as in a fully allocated set.
 """
 
-from dataclasses import dataclass
 
-
-@dataclass
 class GhostLine:
-    tag: int = -1            # line address
-    ts: int = 0
-    valid: bool = False
-    origin_level: str = ""   # cache level the data came from: "l1"/"l2"/"mem"
-    noncoherent: bool = False
+    __slots__ = ("tag", "ts", "valid", "origin_level", "noncoherent")
+
+    def __init__(self, tag=-1, ts=0, valid=False, origin_level="",
+                 noncoherent=False):
+        self.tag = tag                    # line address
+        self.ts = ts
+        self.valid = valid
+        self.origin_level = origin_level  # where the data came from: "l1"/"l2"/"mem"
+        self.noncoherent = noncoherent
 
 
 class GhostCache:
@@ -40,7 +46,7 @@ class GhostCache:
         # not_after(a, b): stamp a precedes or equals b in program order
         self.not_after = not_after
         self.counters = counters if counters is not None else {}
-        self.lines = [[GhostLine() for _ in range(ways)] for _ in range(sets)]
+        self.lines = [[] for _ in range(sets)]   # up to ``ways`` lines each
         self._fifo = [0] * sets  # replacement pointer for non-timeguarded mode
 
     def _set(self, line_addr):
@@ -85,6 +91,9 @@ class GhostCache:
             else:
                 if free is not None:
                     victim = free
+                elif len(st) < self.ways:
+                    victim = GhostLine()
+                    st.append(victim)
                 else:
                     for way in st:
                         if self.not_after(ts, way.ts):
@@ -101,10 +110,14 @@ class GhostCache:
                         victim = way
                         break
                 else:
-                    si = (line_addr >> self.line_shift) % self.sets
-                    idx = self._fifo[si]
-                    self._fifo[si] = (idx + 1) % self.ways
-                    victim = st[idx]
+                    if len(st) < self.ways:
+                        victim = GhostLine()
+                        st.append(victim)
+                    else:
+                        si = (line_addr >> self.line_shift) % self.sets
+                        idx = self._fifo[si]
+                        self._fifo[si] = (idx + 1) % self.ways
+                        victim = st[idx]
         if victim is None:
             self._bump("fills_rejected")
             return False

@@ -65,14 +65,14 @@ def timeline_digest(machine):
     return h.hexdigest()
 
 
-def _make_machine(programs, cfg, ablation=None):
-    progs = [load_program(p) if isinstance(p, str) else p for p in programs]
-    return Machine(progs, cfg, ablation)
+def _assemble(programs):
+    """Each program text assembled; a ``Program`` is passed through."""
+    return [load_program(p) if isinstance(p, str) else p for p in programs]
 
 
 def run(programs, cfg: RunConfig):
     """Simulate to HALT and return (machine, Report)."""
-    m = _make_machine(programs, cfg)
+    m = Machine(_assemble(programs), cfg)
     cycles = m.run()
     commits = sum(c.commit_count for c in m.cores)
     rep = Report(SCHEMA, cfg.mode, cycles, commits,
@@ -118,7 +118,7 @@ def run_differential(gadget, cfg: RunConfig):
     baseline = None
     base_secret = None
     for s in secrets:
-        m = _make_machine(gadget.programs(s), cfg)
+        m = Machine(_assemble(gadget.programs(s)), cfg)
         m.run()
         if baseline is None:
             baseline, base_secret = m, s
@@ -161,15 +161,18 @@ def run_ablation(programs, cfg: RunConfig):
     gets only the cycles the normal run took.  If it is still going then,
     it has diverged, and with its fates no longer lining up with what it
     renames it might never halt.
+
+    Each text is assembled once, and both runs share the ``Program``.
     """
-    m1 = _make_machine(programs, cfg)
+    programs = _assemble(programs)
+    m1 = Machine(programs, cfg)
     m1.run()
     committed, events = set(), {}
     for c in m1.cores:
         committed |= c.committed_keys
         events.update(c.squash_log)
-    m2 = _make_machine(programs, cfg,
-                       ablation={"committed": committed, "events": events})
+    m2 = Machine(programs, cfg,
+                 ablation={"committed": committed, "events": events})
     try:
         m2.run(m1.cycle)
     except SimTimeout:

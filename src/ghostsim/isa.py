@@ -11,6 +11,11 @@ Text format, one instruction per line::
     name:                      # label
     .word addr value           # data directive
     .align n                   # pad code with nops to an n-byte boundary
+
+A ``Program`` is assembled once and shared read-only by every machine
+that runs it: a ``Machine`` copies ``data`` into its own memory, and the
+only state a run adds is the memo of off-image no-ops, which is the same
+whoever fills it.
 """
 
 import operator
@@ -38,17 +43,24 @@ class ParseError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class StaticInstr:
-    pc: int
-    op: str
-    cls: str
-    dst: int = 0
-    s1: int = 0
-    s2: int = 0
-    imm: int = 0
-    target: int = 0  # branch/jump target address
-    line: int = 0    # source line, for diagnostics
+    """One assembled instruction, decoded once and read by every dynamic
+    instance fetched from its pc; nothing writes it after assembly."""
+
+    __slots__ = ("pc", "op", "cls", "dst", "s1", "s2", "imm", "target",
+                 "line")
+
+    def __init__(self, pc, op, cls, dst=0, s1=0, s2=0, imm=0, target=0,
+                 line=0):
+        self.pc = pc
+        self.op = op
+        self.cls = cls
+        self.dst = dst
+        self.s1 = s1
+        self.s2 = s2
+        self.imm = imm
+        self.target = target  # branch/jump target address
+        self.line = line      # source line, for diagnostics
 
 
 @dataclass
@@ -99,7 +111,8 @@ DECODE = {
 }
 # pseudo-op -> (op, operand form)
 PSEUDO = {"li": ("addi", "di"), "mv": ("add", "da")}
-_REG_FIELDS = {"d": "dst", "a": "s1", "b": "s2"}
+# operand letter -> index into StaticInstr's (dst, s1, s2, imm, target)
+_FIELD = {"d": 0, "a": 1, "b": 2, "i": 3, "t": 4}
 
 MASK64 = (1 << 64) - 1
 
@@ -219,14 +232,15 @@ def load_program(text: str) -> Program:
             raise ParseError(f"line {lineno}: unknown opcode {name!r}")
         if len(args) != len(form):
             raise ParseError(f"line {lineno}: {name} expects {len(form)} operands")
-        fields = {}
+        fields = [0, 0, 0, 0, 0]
         for kind, tok in zip(form, args):
             if kind == "i":
-                fields["imm"] = _imm(tok, lineno)
+                val = _imm(tok, lineno)
             elif kind == "t":
-                fields["target"] = target(tok, lineno)
+                val = target(tok, lineno)
             else:
-                fields[_REG_FIELDS[kind]] = _reg(tok, lineno)
+                val = _reg(tok, lineno)
+            fields[_FIELD[kind]] = val
         instrs.append(StaticInstr(len(instrs) * INSTR_BYTES, op, cls,
-                                  line=lineno, **fields))
+                                  *fields, lineno))
     return Program(instrs=instrs, data=data, labels=labels)
