@@ -2,6 +2,7 @@
 squash flush.
 """
 
+import pytest
 from hypothesis import given, strategies as st
 
 from ghostsim.ghost_cache import GhostCache
@@ -100,6 +101,54 @@ class TestFill:
         g.fill(line(3), 1)    # would be rejected under timeguarding
         assert not g.has(line(1))
         assert g.has(line(3))
+
+
+def positions(g, s=0):
+    """way index -> tag of each valid line in set ``s``."""
+    return {i: w.tag for i, w in enumerate(g.lines[s]) if w.valid}
+
+
+class TestWayPositions:
+    """Ways are allocated on first fill, so pin where each fill lands."""
+
+    @pytest.mark.parametrize("timeguard", [True, False])
+    def test_fills_from_empty_take_ways_in_order(self, timeguard):
+        g = make(timeguard=timeguard)
+        g.fill(line(1), 10)
+        assert positions(g) == {0: line(1)}
+        g.fill(line(2), 11)
+        assert positions(g) == {0: line(1), 1: line(2)}
+
+    @pytest.mark.parametrize("timeguard", [True, False])
+    def test_invalid_way_reused_before_a_new_one(self, timeguard):
+        g = make(timeguard=timeguard)
+        g.fill(line(1), 30)
+        g.invalidate(line(1))
+        g.fill(line(2), 25)
+        assert positions(g) == {0: line(2)}
+
+    def test_flushed_way_0_of_a_full_set_reused(self):
+        g = make()
+        g.fill(line(1), 30)
+        g.fill(line(2), 10)
+        g.flush(20)
+        assert positions(g) == {1: line(2)}
+        g.fill(line(3), 15)
+        assert positions(g) == {0: line(3), 1: line(2)}
+
+    def test_unguarded_full_set_evicts_fifo_from_way_0(self):
+        g = make(timeguard=False)
+        for n in range(1, 6):
+            g.fill(line(n), 50 - n)
+        # lines 3, 4 and 5 replaced ways 0, 1 and 0
+        assert positions(g) == {0: line(5), 1: line(4)}
+
+    def test_equal_stamps_evict_the_last_way(self):
+        g = make()
+        g.fill(line(1), 20)
+        g.fill(line(2), 20)
+        assert g.fill(line(3), 20)
+        assert positions(g) == {0: line(1), 1: line(3)}
 
 
 class TestExtractFlush:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from ghostsim import RunConfig, SimTimeout
+from ghostsim import Machine, RunConfig, SimTimeout, load_program
 from ghostsim.cli import main
 from ghostsim.config import PROTECTION
 from ghostsim.gadgets import GADGETS, Gadget
@@ -199,6 +199,54 @@ class TestAblation:
         import random
         texts = {harness._gen_program(random.Random(s)) for s in range(8)}
         assert len(texts) == 8
+
+
+def _pair_13():
+    """Two-core pair 13 of seed 7 (both programs store)."""
+    import random
+    rng = random.Random(7)
+    for _ in range(14):
+        pair = [harness._gen_program(rng), harness._gen_program(rng)]
+    return pair
+
+
+# a program with a wrong path that passes, the same program failing
+# under unsafe, and two two-core runs with stores that pass
+SHARED_CASES = [
+    pytest.param([OLDER_READER], "ghostminion", "PASS", id="older_reader"),
+    pytest.param([OLDER_READER], "unsafe", "FAIL", id="older_reader-unsafe"),
+    pytest.param([SIMPLE, DIVIDER_ORDER], "ghostminion", "PASS", id="stores"),
+    pytest.param(_pair_13(), "ghostminion", "PASS", id="pair13"),
+]
+
+
+INSTR_FIELDS = ("pc", "op", "cls", "dst", "s1", "s2", "imm", "target", "line")
+
+
+def _image(prog):
+    return ([tuple(getattr(si, f) for f in INSTR_FIELDS) for si in prog.instrs],
+            prog.data, prog.labels)
+
+
+class TestSharedProgram:
+    """A ``Program`` is read-only during a run, so one assembly can serve
+    every machine."""
+
+    @pytest.mark.parametrize("texts, mode, verdict", SHARED_CASES)
+    def test_ablation_same_on_program_and_text(self, texts, mode, verdict):
+        cfg = RunConfig(mode=mode)
+        a = harness.run_ablation(texts, cfg)
+        b = harness.run_ablation([load_program(t) for t in texts], cfg)
+        assert a.verdict == verdict
+        assert (b.verdict, b.pure, b.detail) == (a.verdict, a.pure, a.detail)
+
+    @pytest.mark.parametrize("texts, mode, verdict", SHARED_CASES)
+    def test_runs_leave_program_unchanged(self, texts, mode, verdict):
+        progs = [load_program(t) for t in texts]
+        for _ in range(2):
+            Machine(progs, RunConfig(mode=mode)).run()
+        for prog, text in zip(progs, texts):
+            assert _image(prog) == _image(load_program(text))
 
 
 class TestCli:
