@@ -215,7 +215,12 @@ def load_program(text: str) -> Program:
     # pass 2: encode
     def target(tok, lineno):
         tok = tok.strip()
-        addr = labels[tok] if tok in labels else _imm(tok, lineno)
+        if tok in labels:
+            addr = labels[tok]
+        elif tok.isidentifier():
+            raise ParseError(f"line {lineno}: undefined label {tok!r}")
+        else:
+            addr = _imm(tok, lineno)
         if addr % INSTR_BYTES:
             raise ParseError(f"line {lineno}: misaligned branch target {addr:#x}")
         return addr

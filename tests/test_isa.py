@@ -89,7 +89,7 @@ PARSE_ERRORS = {
     ".word 0x101 5\n": "line 1: .word address must be 8-byte aligned",
     ".word 0x100\n": "line 1: .word needs address and value",
     ".align 3\n": "line 1: bad alignment '3'",
-    "beq r1, r2, nowhere\n": "line 1: bad immediate 'nowhere'",
+    "beq r1, r2, nowhere\n": "line 1: undefined label 'nowhere'",
     "jmp 0x41\n": "line 1: misaligned branch target 0x41",
     "1bad: nop\n": "line 1: bad label '1bad'",
     # an error on line 4, after labels and data, in each pass
