@@ -107,6 +107,15 @@ class TestDifferential:
         assert ea[:3] == eb[:3]      # same instruction, different timing
 
 
+def _pair_13():
+    """Two-core pair 13 of seed 7 (both programs store)."""
+    import random
+    rng = random.Random(7)
+    for _ in range(14):
+        pair = [harness._gen_program(rng), harness._gen_program(rng)]
+    return pair
+
+
 class TestAblation:
     def test_no_misprediction_program_passes_trivially(self):
         res = harness.run_ablation([SIMPLE], RunConfig())
@@ -146,10 +155,7 @@ class TestAblation:
         # seed 7, pair 13: a non-coherent copy forwarded to core 0 used to
         # land in its side buffer after a committing store had put the
         # line in its L1D, breaking exclusivity and the ablation check
-        import random
-        rng = random.Random(7)
-        for _ in range(14):
-            pair = [harness._gen_program(rng), harness._gen_program(rng)]
+        pair = _pair_13()
         harness.run(pair, RunConfig(check_invariants=True))
         res = harness.run_ablation(pair, RunConfig())
         assert res.verdict == "PASS" and res.pure
@@ -199,15 +205,6 @@ class TestAblation:
         import random
         texts = {harness._gen_program(random.Random(s)) for s in range(8)}
         assert len(texts) == 8
-
-
-def _pair_13():
-    """Two-core pair 13 of seed 7 (both programs store)."""
-    import random
-    rng = random.Random(7)
-    for _ in range(14):
-        pair = [harness._gen_program(rng), harness._gen_program(rng)]
-    return pair
 
 
 # a program with a wrong path that passes, the same program failing
