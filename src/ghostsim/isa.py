@@ -146,13 +146,14 @@ BRANCH_CONDS = {"beq": operator.eq, "bne": operator.ne,
 
 
 def _reg(tok: str, lineno: int) -> int:
+    """A register name: ``r`` followed by ASCII decimal digits."""
     tok = tok.strip()
     if not tok.startswith("r"):
         raise ParseError(f"line {lineno}: expected register, got {tok!r}")
-    try:
-        n = int(tok[1:])
-    except ValueError:
+    digits = tok[1:]
+    if not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"line {lineno}: bad register {tok!r}")
+    n = int(digits)
     if not 0 <= n < NUM_REGS:
         raise ParseError(f"line {lineno}: register {tok!r} out of range")
     return n
@@ -169,11 +170,12 @@ def load_program(text: str) -> Program:
     """Assemble ``text`` into a program image.
 
     Raises ParseError (with source line numbers) for malformed lines,
-    unknown opcodes/registers, and undefined labels.
+    unknown opcodes/registers, and undefined or duplicate labels.
     """
     # pass 1: strip comments, collect labels and raw statements
     stmts = []       # (lineno, op, [operand tokens])
     labels = {}
+    label_line = {}  # label -> source line of its definition
     data = {}
     pc = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -185,7 +187,11 @@ def load_program(text: str) -> Program:
             label = label.strip()
             if not label.isidentifier():
                 raise ParseError(f"line {lineno}: bad label {label!r}")
+            if label in labels:
+                raise ParseError(f"line {lineno}: duplicate label {label!r}, "
+                                 f"first defined on line {label_line[label]}")
             labels[label] = pc
+            label_line[label] = lineno
             line = line.strip()
         if not line:
             continue

@@ -5,7 +5,9 @@ of seed 0 in ghostminion mode, must reproduce the values stored in
 ``golden_digests.json`` exactly.  The fuzz programs run twice: at the
 default geometry, and with one miss register per level
 (``MSHR_ONE``), where leapfrogs cancel misses and retry their loads
-while the core is still issuing.  A change that is meant to leave
+while the core is still issuing.  The first 20 ``random.Random(7)``
+two-core pairs (as in ``fingerprint.py``) run in ghostminion and unsafe
+mode, so the two-core commit path is pinned too.  A change that is meant to leave
 simulated behaviour alone (a refactor, a speed-up) keeps this test
 passing unchanged; a change that is meant to move timing re-records the
 file with ``python tests/test_golden.py --record`` and says why.
@@ -25,6 +27,10 @@ MODES = ("ghostminion", "unsafe", "flush_only")
 FUZZ_SEED = 0
 FUZZ_COUNT = 50
 MSHR_ONE = {"l1_mshrs": 1, "l2_mshrs": 1}
+PAIR_SEED = 7
+PAIR_COUNT = 20
+PAIR_MODES = ("ghostminion", "unsafe")
+PAIR_KEY = "pairs_seed7"
 
 
 def observe():
@@ -42,8 +48,14 @@ def observe():
     fuzz = [harness.run([t], cfg)[1].digest for t in texts]
     cfg = RunConfig(mode="ghostminion", **MSHR_ONE)
     fuzz_mshr1 = [harness.run([t], cfg)[1].digest for t in texts]
+    rng = random.Random(PAIR_SEED)
+    pairs = [[harness._gen_program(rng), harness._gen_program(rng)]
+             for _ in range(PAIR_COUNT)]
+    two_core = {mode: [harness.run(pair, RunConfig(mode=mode))[1].digest
+                       for pair in pairs]
+                for mode in PAIR_MODES}
     return {"gadgets": gadgets, "fuzz_seed0_ghostminion": fuzz,
-            "fuzz_seed0_ghostminion_mshr1": fuzz_mshr1}
+            "fuzz_seed0_ghostminion_mshr1": fuzz_mshr1, PAIR_KEY: two_core}
 
 
 def test_timelines_match_golden():
@@ -56,6 +68,11 @@ def test_timelines_match_golden():
         for i, (a, b) in enumerate(zip(got[key], want[key])):
             assert a == b, f"{key}: fuzz seed {FUZZ_SEED} program {i}"
         assert len(want[key]) == FUZZ_COUNT
+    assert want[PAIR_KEY].keys() == set(PAIR_MODES)
+    for mode, digests in want[PAIR_KEY].items():
+        for i, (a, b) in enumerate(zip(got[PAIR_KEY][mode], digests)):
+            assert a == b, f"{mode}: pair seed {PAIR_SEED} pair {i}"
+        assert len(digests) == PAIR_COUNT
 
 
 if __name__ == "__main__":

@@ -70,6 +70,11 @@ def test_off_image_fetch_decodes_as_nop():
     assert p.get(400).pc == 400
 
 
+def test_register_digits():
+    p = load_program("add r01, r15, r0\n")
+    assert (p.instrs[0].dst, p.instrs[0].s1, p.instrs[0].s2) == (1, 15, 0)
+
+
 def test_misc_classes():
     p = load_program("div r1, r2, r3\nrdcycle r5\nfence\n")
     assert p.instrs[0].cls == DIV
@@ -92,6 +97,18 @@ PARSE_ERRORS = {
     "beq r1, r2, nowhere\n": "line 1: undefined label 'nowhere'",
     "jmp 0x41\n": "line 1: misaligned branch target 0x41",
     "1bad: nop\n": "line 1: bad label '1bad'",
+    # a label defined twice, on its own line or before an instruction
+    "a:\nnop\na:\nhalt\njmp a\n":
+        "line 3: duplicate label 'a', first defined on line 1",
+    "nop\nb: nop\nb: c: halt\n":
+        "line 3: duplicate label 'b', first defined on line 2",
+    # a register is r and ASCII decimal digits, nothing else
+    "add r1, r+2, r3\n": "line 1: bad register 'r+2'",
+    "add r1, r2, r1_5\n": "line 1: bad register 'r1_5'",
+    "add r 1, r2, r3\n": "line 1: bad register 'r 1'",
+    "add r1, r-0, r3\n": "line 1: bad register 'r-0'",
+    "add r1, r\u0661, r3\n": "line 1: bad register 'r\u0661'",
+    "add r1, r, r3\n": "line 1: bad register 'r'",
     # an error on line 4, after labels and data, in each pass
     "top:\n.word 0x100 1\n.word 0x108 2\n.word 0x110 zz\nhalt\n":
         "line 4: bad immediate 'zz'",

@@ -245,3 +245,90 @@ class TestStoreMergesIntoLoadMiss:
         m = run(["li r1, 7", "st r1, r0, 0x1000", "ld r2, r0, 0x1008"],
                 mode=mode)
         assert m.mem.l2.lookup(0x1000)
+
+
+class TestCommitExtract:
+    """Free-slotting at commit, driven directly: ``commit_extract`` moves
+    the committing instruction's line from the side buffer into the L1,
+    or refreshes its L1 recency when the buffer holds no copy it may
+    read.  Lines ``A``, ``B`` and ``C`` share L1 set 0; ``OTHER`` shares
+    side-buffer set 0 with ``A`` but not its L1 set."""
+
+    CFG = RunConfig()
+    L1_STRIDE = CFG.l1_sets * CFG.line_bytes
+    A, B, C = 0x2000, 0x2000 + L1_STRIDE, 0x2000 + 2 * L1_STRIDE
+    OTHER = A + CFG.ghost_sets * CFG.line_bytes
+
+    def _mem(self, mode="ghostminion"):
+        from ghostsim.memory import MemorySystem
+        from ghostsim.order import ts_not_after
+        return MemorySystem(RunConfig(mode=mode), 1,
+                            lambda a, b: ts_not_after(a, b, 128))
+
+    @staticmethod
+    def _sides(mem, kind):
+        if kind == "i":
+            return mem.ighost[0], mem.l1i[0]
+        return mem.dghost[0], mem.l1d[0]
+
+    @pytest.mark.parametrize("kind", ["d", "i"])
+    def test_visible_line_moves_to_l1(self, kind):
+        mem = self._mem()
+        g, l1 = self._sides(mem, kind)
+        g.fill(self.A, 5, origin_level="mem")
+        mem.commit_extract(0, kind, self.A, 5)
+        assert l1.lookup(self.A) and not g.has(self.A)
+        assert mem.counters["lines_extracted"] == 1
+        other = mem.l1d[0] if kind == "i" else mem.l1i[0]
+        assert other.contents() == frozenset()
+
+    def test_noncoherent_copy_is_dropped_not_installed(self):
+        mem = self._mem()
+        g, l1 = self._sides(mem, "d")
+        g.fill(self.A, 5, origin_level="l2", noncoherent=True)
+        mem.commit_extract(0, "d", self.A, 5)
+        assert not g.has(self.A) and not l1.lookup(self.A)
+        assert mem.counters["lines_extracted"] == 1
+
+    def test_younger_copy_stays_and_l1_is_untouched(self):
+        mem = self._mem()
+        g, l1 = self._sides(mem, "d")
+        l1.install(self.B)
+        l1.install(self.C)
+        g.fill(self.A, 9, origin_level="mem")
+        mem.commit_extract(0, "d", self.A, 5)
+        assert g.has(self.A) and not l1.lookup(self.A)
+        assert mem.counters["lines_extracted"] == 0
+        assert l1.install(self.A) == (self.B, False)   # recency unchanged
+
+    @pytest.mark.parametrize("buffered", [None, "OTHER", "evicted"])
+    def test_committed_l1_line_becomes_mru(self, buffered):
+        # buffered: the side-buffer set is empty, holds another line, or
+        # holds only an invalid way
+        mem = self._mem()
+        g, l1 = self._sides(mem, "d")
+        if buffered == "OTHER":
+            g.fill(self.OTHER, 3, origin_level="mem")
+        elif buffered == "evicted":
+            g.fill(self.A, 3, origin_level="mem")
+            g.invalidate(self.A)
+        l1.install(self.A)
+        l1.install(self.B)
+        mem.commit_extract(0, "d", self.A, 5)
+        assert l1.install(self.C) == (self.B, False)
+        assert l1.lookup(self.A)
+        assert mem.counters["lines_extracted"] == 0
+        assert g.has(self.OTHER) == (buffered == "OTHER")
+
+    @pytest.mark.parametrize("kind", ["d", "i"])
+    def test_unsafe_has_no_side_buffer(self, kind):
+        mem = self._mem("unsafe")
+        assert self._sides(mem, kind)[0] is None
+        l1 = self._sides(mem, kind)[1]
+        l1.install(self.A)
+        l1.install(self.B)
+        mem.commit_extract(0, kind, self.A, 5)
+        mem.commit_extract(0, kind, self.C, 5)         # absent: no effect
+        assert l1.install(self.C) == (self.B, False)
+        assert l1.lookup(self.A)
+        assert mem.counters["lines_extracted"] == 0
