@@ -58,13 +58,14 @@ def s64(v):
 class DynInstr:
     __slots__ = (
         "pc", "op", "cls", "dst", "s1", "s2", "imm", "target",
-        "ts", "state", "stage", "dep1", "dep2", "v1", "v2",
+        "ts", "state", "iline", "fetched", "renamed", "issued", "completed",
+        "dep1", "dep2", "v1", "v2",
         "result", "addr", "line", "pred_taken", "taken", "done_at",
         "origin", "noncoherent", "akey", "ablated",
         "div_unit", "commit_mem", "seq", "waits", "consumers",
     )
 
-    def __init__(self, si, ts):
+    def __init__(self, si, ts, iline, cycle):
         self.pc = si.pc
         self.op = si.op
         self.cls = si.cls
@@ -75,7 +76,12 @@ class DynInstr:
         self.target = si.target
         self.ts = ts
         self.state = "FETQ"       # FETQ ROB EXEC DONE COMMITTED SQUASHED
-        self.stage = {}
+        self.iline = iline        # instruction line, as fetch requested it
+        # the cycle of each pipeline stage, None until the stage is reached
+        self.fetched = cycle
+        self.renamed = None
+        self.issued = None
+        self.completed = None
         self.dep1 = None
         self.dep2 = None
         self.v1 = 0
@@ -173,7 +179,7 @@ class Core:
         while (fetched < cfg.width and len(self.fetchq) < cfg.fetchq
                and self.alloc.live < cfg.rob):
             raw_line = self.pc & self.line_mask
-            line = self._iline(self.pc)
+            line = raw_line + self.code_base
             if self.line_buf != line:
                 if self.line_req == line and self.line_ready_at is not None \
                         and cycle >= self.line_ready_at:
@@ -189,9 +195,8 @@ class Core:
                     progress = True
                 break
             si = self.program.get(self.pc)
-            di = DynInstr(si, self.alloc.allocate())
+            di = DynInstr(si, self.alloc.allocate(), line, cycle)
             self.fetch_seq += 1
-            di.stage["fetch"] = cycle
             self.fetchq.append(di)
             fetched += 1
             if si.cls == BRANCH:
@@ -233,7 +238,7 @@ class Core:
             di.seq = self.rename_count
             di.akey = (self.core_id, self.epoch, self.epoch_pos)
             self.epoch_pos += 1
-            di.stage["rename"] = cycle
+            di.renamed = cycle
             di.state = "ROB"
             if di.cls == LOAD:
                 self.lq_used += 1
@@ -257,21 +262,19 @@ class Core:
                 event = self.ablation["events"].get(di.akey)
                 if di.cls == BRANCH and event is not None:
                     di.state = "EXEC"
-                    di.stage["issue"] = cycle
+                    di.issued = cycle
                     di.done_at = event[0]
                     self.inflight.append(di)
                 else:
                     di.state = "DONE"
-                    di.stage["issue"] = cycle
-                    di.stage["complete"] = cycle
+                    di.issued = di.completed = cycle
                 continue
             # unused source fields are r0, which is never renamed
             di.dep1 = self.rat.get(di.s1)
             di.dep2 = self.rat.get(di.s2)
             if di.cls in _DONE_AT_RENAME:
                 di.state = "DONE"
-                di.stage["issue"] = cycle
-                di.stage["complete"] = cycle
+                di.issued = di.completed = cycle
             else:
                 for dep in (di.dep1, di.dep2):
                     if dep is not None and dep.state not in ("DONE", "COMMITTED"):
@@ -325,7 +328,7 @@ class Core:
                 di.line = di.addr & self.line_mask
                 di.result = di.v2          # value to be written at commit
                 di.state = "EXEC"
-                di.stage["issue"] = cycle
+                di.issued = cycle
                 di.done_at = cycle + 1
                 self.inflight.append(di)
                 alu_slots -= 1
@@ -337,7 +340,7 @@ class Core:
                 di.v1 = self._val(di.dep1, di.s1)
                 di.addr = s64(di.v1 + di.imm) & ~(isa.WORD_BYTES - 1)
                 di.line = di.addr & self.line_mask
-                di.stage["issue"] = cycle
+                di.issued = cycle
                 mem_slots -= 1
                 if fwd is not None:
                     di.result = fwd.result
@@ -391,7 +394,7 @@ class Core:
                 elif cls != BRANCH:   # a branch resolves when it completes
                     di.result = s64(isa.OPS[di.op](di.v1, di.v2))
                 di.state = "EXEC"
-                di.stage["issue"] = cycle
+                di.issued = cycle
                 di.done_at = cycle + lat
                 self.inflight.append(di)
             del ready[i]
@@ -412,7 +415,7 @@ class Core:
     def _done(self, di, cycle):
         """``di`` has its result: wake the consumers it was holding back."""
         di.state = "DONE"
-        di.stage["complete"] = cycle
+        di.completed = cycle
         for other in di.consumers:
             other.waits -= 1
             if not other.waits and other.state == "ROB":
@@ -574,35 +577,37 @@ class Core:
     def _commit_one(self, di, cycle):
         di.state = "COMMITTED"
         self.committed_keys.add(di.akey)
+        cls = di.cls
+        dst = di.dst
         if not di.ablated:
-            self.mem.commit_extract(self.core_id, "i", self._iline(di.pc), di.ts)
-            if di.cls == LOAD:
+            mem = self.mem
+            mem.commit_extract(self.core_id, "i", di.iline, di.ts)
+            if cls == LOAD:
                 if not di.noncoherent:
-                    self.mem.commit_extract(self.core_id, "d", di.line, di.ts)
+                    mem.commit_extract(self.core_id, "d", di.line, di.ts)
                 if di.origin not in (None, "fwd"):
-                    self.mem.prefetch_notify(di.pc, di.line, di.origin, cycle)
-            elif di.cls == BRANCH:
+                    mem.prefetch_notify(di.pc, di.line, di.origin, cycle)
+            elif cls == BRANCH:
                 ctr = self.bp_counters.get(di.pc, 1)
                 self.bp_counters[di.pc] = min(ctr + 1, 3) if di.taken else max(ctr - 1, 0)
                 if di.taken:
                     self.btb[di.pc] = di.target
-        if di.dst:
-            self.regs[di.dst] = di.result
-            if self.rat.get(di.dst) is di:
-                del self.rat[di.dst]
-        if di.cls == LOAD:
+        if dst:
+            self.regs[dst] = di.result
+            if self.rat.get(dst) is di:
+                del self.rat[dst]
+        if cls == LOAD:
             self.lq_used -= 1
-        elif di.cls == STORE:
+        elif cls == STORE:
             self.sq_used -= 1
             self.stq.popleft()
-        elif di.cls == DIV:
+        elif cls == DIV:
             self.divq.popleft()
-        stages = (di.stage["fetch"], di.stage["rename"], di.stage["issue"],
-                  di.stage["complete"], cycle)
-        result = di.result if (di.dst or di.cls == STORE) else None
+        stages = (di.fetched, di.renamed, di.issued, di.completed, cycle)
+        result = di.result if (dst or cls == STORE) else None
         self.timeline.append((self.commit_count, di.pc, di.op, stages, result))
         self.commit_count += 1
         self.alloc.retire(1)
         self.rob.popleft()
-        if di.cls == HALT:
+        if cls == HALT:
             self.halted = True

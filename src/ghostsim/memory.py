@@ -488,18 +488,24 @@ class MemorySystem:
 
     def commit_extract(self, core, kind, line, ts):
         """Free-slotting: on commit, move the committing instruction's line
-        from the side buffer into the L1."""
-        g = self._ghost_for(core, kind)
-        if g is not None:
+        from the side buffer into the L1; with no copy there it may read,
+        a line already in the L1 becomes most recently used.  Runs at
+        every commit, so it reads both sets directly: an empty side-buffer
+        set holds no line and is not searched."""
+        if kind == "i":
+            g, l1 = self.ighost[core], self.l1i[core]
+        else:
+            g, l1 = self.dghost[core], self.l1d[core]
+        if g is not None and g.lines[(line >> g.line_shift) % g.sets]:
             ln = g.extract(line, ts)
             if ln is not None:
                 # a non-coherent copy is handled by the replay path instead
                 if not ln.noncoherent:
                     self._install_l1(core, kind, line)
                 return
-        l1 = self._l1_for(core, kind)
-        if l1.lookup(line):
-            l1.touch(line)
+        st = l1.lines[(line >> l1.line_shift) % l1.sets]
+        if line in st:
+            st[line] = st.pop(line)   # Cache.touch
 
     def prefetch_notify(self, pc, line, origin, cycle):
         """Train the L2 stride prefetcher from the committed access stream.

@@ -410,7 +410,7 @@ class TestMemoryCallbacks:
         core.mem_ready(di, di.line, m.cycle, "l2", True)
         assert (di.state, di.result, di.origin, di.noncoherent) \
             == ("DONE", 42, "l2", True)
-        assert di.stage["complete"] == m.cycle
+        assert di.completed == m.cycle
 
     def test_store_waiting_on_commit_access(self):
         m = self._machine(["li r1, 7", "st r1, r0, 0x2000"], warm_icache=True)
@@ -435,8 +435,8 @@ class TestMemoryCallbacks:
                           warm_icache=True)
         core, di = self._inflight_load(m, 0x7000)
         self._step_until(m, lambda: di.state == "SQUASHED")
-        assert di.result is None and "complete" not in di.stage
+        assert di.result is None and di.completed is None
         core.mem_ready(di, di.line, m.cycle, "mem", False)
         core.mem_retry(di)
         assert (di.state, di.result, di.done_at) == ("SQUASHED", None, None)
-        assert "complete" not in di.stage
+        assert di.completed is None
