@@ -175,7 +175,6 @@ def load_program(text: str) -> Program:
     # pass 1: strip comments, collect labels and raw statements
     stmts = []       # (lineno, op, [operand tokens])
     labels = {}
-    label_line = {}  # label -> source line of its definition
     data = {}
     pc = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -188,10 +187,8 @@ def load_program(text: str) -> Program:
             if not label.isidentifier():
                 raise ParseError(f"line {lineno}: bad label {label!r}")
             if label in labels:
-                raise ParseError(f"line {lineno}: duplicate label {label!r}, "
-                                 f"first defined on line {label_line[label]}")
+                raise ParseError(f"line {lineno}: duplicate label {label!r}")
             labels[label] = pc
-            label_line[label] = lineno
             line = line.strip()
         if not line:
             continue

@@ -99,9 +99,9 @@ PARSE_ERRORS = {
     "1bad: nop\n": "line 1: bad label '1bad'",
     # a label defined twice, on its own line or before an instruction
     "a:\nnop\na:\nhalt\njmp a\n":
-        "line 3: duplicate label 'a', first defined on line 1",
+        "line 3: duplicate label 'a'",
     "nop\nb: nop\nb: c: halt\n":
-        "line 3: duplicate label 'b', first defined on line 2",
+        "line 3: duplicate label 'b'",
     # a register is r and ASCII decimal digits, nothing else
     "add r1, r+2, r3\n": "line 1: bad register 'r+2'",
     "add r1, r2, r1_5\n": "line 1: bad register 'r1_5'",
