@@ -583,8 +583,7 @@ class Core:
             mem = self.mem
             mem.commit_extract(self.core_id, "i", di.iline, di.ts)
             if cls == LOAD:
-                if not di.noncoherent:
-                    mem.commit_extract(self.core_id, "d", di.line, di.ts)
+                mem.commit_extract(self.core_id, "d", di.line, di.ts)
                 if di.origin not in (None, "fwd"):
                     mem.prefetch_notify(di.pc, di.line, di.origin, cycle)
             elif cls == BRANCH:

@@ -25,6 +25,7 @@ The five families:
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 # data layout (all well above any code line)
 CHASE = 0x2000      # pointer-chase pairs, 128 bytes apart
@@ -71,17 +72,11 @@ def _cold_zero(idx):
     return a, [f".word {a} 0"]
 
 
-def _timed_load(tag, addr, slot):
-    """fence/rdcycle bracketed load of ``addr``; delta stored to RESULT[slot]."""
-    return [
-        "fence",
-        "rdcycle r12",
-        f"ld r13, r0, {addr}",
-        "fence",
-        "rdcycle r13",
-        "sub r14, r13, r12",
-        f"st r14, r0, {RESULT + 8 * slot}",
-    ]
+def _timed(slot, body, start="r11", end="r12"):
+    """fence/rdcycle bracket around ``body``; the delta is stored to
+    RESULT[slot]."""
+    return ["fence", f"rdcycle {start}", *body, "fence", f"rdcycle {end}",
+            f"sub r14, {end}, {start}", f"st r14, r0, {RESULT + 8 * slot}"]
 
 
 def _read_results(machine, n):
@@ -125,187 +120,127 @@ def _asm_spectre_v1(secret):
         "blt r9, r8, trial",
     ]
     for i in range(16):
-        body += _timed_load(f"sweep{i}", PROBE + 64 * i, i)
+        body += _timed(i, [f"ld r13, r0, {PROBE + 64 * i}"], "r12", "r13")
     body.append("halt")
     return "\n".join(lines + body) + "\n"
 
 
-def _decode_argmin(machine):
+def _decode_extreme(pick, machine):
+    """The slot with the ``pick`` (min or max) delta."""
     deltas = _read_results(machine, 16)
-    return min(range(16), key=lambda i: deltas[i])
-
-
-def _decode_argmax(machine):
-    deltas = _read_results(machine, 16)
-    return max(range(16), key=lambda i: deltas[i])
+    return pick(range(16), key=lambda i: deltas[i])
 
 
 # ------------------------------------------------- bitwise covert channels
 
-def _bit_sections(make_section):
-    """Six sections: one per secret bit, plus known-0/known-1 calibration.
-    ``make_section(t, select_asm)`` builds a section whose transient path
-    runs ``select_asm`` to set r4 (the activity flag)."""
-    lines = [f".word {SECRET + 8} 0"]
+# Six sections: one per secret bit, plus known-0/known-1 calibration.
+# Each section's transient path runs its select to set r4 (the activity
+# flag).  The calibration flags are still computed *from the loaded word*
+# so the calibration sections are shaped exactly like the bit sections
+# (the inner branch resolves at the same point in the transient window).
+_SELECTS = [[f"ld r7, r0, {SECRET}", flag] for flag in (
+    *(f"andi r4, r7, {1 << b}" for b in range(BITS)),
+    "andi r4, r7, 0",           # calibration: known 0
+    "ori r4, r7, 1")]           # calibration: known 1
+
+
+def _bit_gadget(secret, delay, first, section, tail=()):
+    """The bit-channel program: the secret and warm words, a value-blind
+    warm-up of the secret's line, then one section per select and
+    ``halt``.  Section ``t`` gets the cold delay line ``delay(first + t)``
+    and is ``section(t, addr, select)``; ``tail`` follows ``halt``."""
+    words = [f".word {SECRET} {secret}", f".word {SECRET + 8} 0"]
     body = [
         "li r1, 1",
         f"ld r15, r0, {SECRET + 8}",  # warm the secret's line, value-blind
         "fence",
     ]
-    sections = []
-    for b in range(BITS):
-        sections.append((b, [f"ld r7, r0, {SECRET}", f"andi r4, r7, {1 << b}"]))
-    # calibration flags are still computed *from the loaded word* so the
-    # calibration sections are shaped exactly like the bit sections (the
-    # inner branch resolves at the same point in the transient window)
-    sections.append((BITS, [f"ld r7, r0, {SECRET}", "andi r4, r7, 0"]))  # cal0
-    sections.append((BITS + 1, [f"ld r7, r0, {SECRET}", "ori r4, r7, 1"]))  # cal1
-    for t, select in sections:
-        body += make_section(t, select)
-    body.append("halt")
-    return lines, body
+    for t, select in enumerate(_SELECTS):
+        a, delay_words = delay(first + t)
+        words += delay_words
+        body += section(t, a, select)
+    return "\n".join(words + body + ["halt", *tail]) + "\n"
 
 
-def _decode_bits(machine):
+def _decode_bits(sign, machine):
+    """A bit is set when its section is slower (``sign`` 1) or faster
+    (``sign`` -1, the cache-fill channels) than the calibration midpoint."""
     deltas = _read_results(machine, BITS + 2)
-    lo, hi = deltas[BITS], deltas[BITS + 1]
-    thr = (lo + hi) / 2
-    secret = 0
-    for b in range(BITS):
-        if deltas[b] > thr:
-            secret |= 1 << b
-    return secret
+    thr = (deltas[BITS] + deltas[BITS + 1]) / 2
+    return sum(1 << b for b in range(BITS) if sign * (deltas[b] - thr) > 0)
 
 
-def _decode_bits_fast(machine):
-    """Active sections are the *fast* ones (cache-fill channels)."""
-    deltas = _read_results(machine, BITS + 2)
-    lo, hi = deltas[BITS], deltas[BITS + 1]
-    thr = (lo + hi) / 2
-    secret = 0
-    for b in range(BITS):
-        if deltas[b] < thr:
-            secret |= 1 << b
-    return secret
+def _rewind_section(t, a, select):
+    divs = ["div r6, r1, r1"] + ["div r6, r6, r1"] * 11
+    return _timed(t, [
+        f"ld r2, r0, {a}",           # cold: delays the committed DIV
+        "addi r3, r2, 1",
+        "div r5, r3, r1",            # the timed committed DIV
+        f"beq r2, r0, out{t}",       # taken; predicted not-taken
+        # ---- transient path ----
+        *select,
+        f"bne r4, r0, act{t}",
+        f"jmp end{t}",
+        f"act{t}:",
+        *divs,                       # transient divider pressure
+        f"end{t}:",
+        "nop",
+        f"out{t}:",
+    ])
+
+
+def _interference_section(t, a, select):
+    lx = 0x18000 + t * 128           # unique cold line per section
+    return _timed(t, [
+        f"ld r2, r0, {a}",           # cold: delays X's address
+        "add r3, r2, r0",
+        f"ld r5, r3, {lx}",          # committed load X
+        "add r8, r2, r0",            # two fillers: X issues just before
+        "add r8, r8, r0",            # the branch resolves and squashes
+        f"beq r8, r0, out{t}",       # taken; predicted not-taken
+        # ---- transient path ----
+        *select,
+        f"bne r4, r0, act{t}",
+        f"jmp end{t}",
+        f"act{t}:",
+        f"ld r6, r0, {lx}",          # younger transient load, same line
+        f"end{t}:",
+        "nop",
+        f"out{t}:",
+    ])
+
+
+def _icache_section(t, a, select):
+    return [
+        f"ld r2, r0, {a}",
+        "ld r2, r2, 0",              # ~2 memory trips: a long window
+        f"beq r2, r0, meas{t}",      # taken; predicted not-taken
+        # ---- transient path ----
+        *select,
+        f"bne r4, r0, go{t}",
+        f"jmp idle{t}",
+        f"go{t}:",
+        f"jmp far{t}",               # transient fetch of the far line
+        f"idle{t}:",
+        f"jmp idle{t}",              # park wrong-path fetch until squash
+        f"meas{t}:",
+        # timed committed fetch of the far line
+        *_timed(t, [f"jmp far{t}", f"back{t}:"]),
+    ]
 
 
 def _asm_spectre_rewind(secret):
-    extra_words = []
-    chase_idx = [20]
-
-    def section(t, select):
-        a, words = _cold_zero(chase_idx[0])
-        chase_idx[0] += 1
-        extra_words.extend(words)
-        divs = []
-        prev = "r1"
-        for i in range(12):
-            divs.append(f"div r6, {prev}, r1")
-            prev = "r6"
-        return [
-            "fence",
-            "rdcycle r11",
-            f"ld r2, r0, {a}",           # cold: delays the committed DIV
-            "addi r3, r2, 1",
-            "div r5, r3, r1",            # the timed committed DIV
-            f"beq r2, r0, out{t}",       # taken; predicted not-taken
-            # ---- transient path ----
-            *select,
-            f"bne r4, r0, act{t}",
-            f"jmp end{t}",
-            f"act{t}:",
-            *divs,                        # transient divider pressure
-            f"end{t}:",
-            "nop",
-            f"out{t}:",
-            "fence",
-            "rdcycle r12",
-            "sub r14, r12, r11",
-            f"st r14, r0, {RESULT + 8 * t}",
-        ]
-
-    words, body = _bit_sections(section)
-    lines = [f".word {SECRET} {secret}"] + words + extra_words
-    return "\n".join(lines + body) + "\n"
+    return _bit_gadget(secret, _cold_zero, 20, _rewind_section)
 
 
 def _asm_interference(secret):
-    extra_words = []
-    chase_idx = [40]
-    lx_base = 0x18000
-
-    def section(t, select):
-        a, words = _cold_zero(chase_idx[0])
-        chase_idx[0] += 1
-        extra_words.extend(words)
-        lx = lx_base + t * 128       # unique cold line per section
-        return [
-            "fence",
-            "rdcycle r11",
-            f"ld r2, r0, {a}",           # cold: delays X's address
-            "add r3, r2, r0",
-            f"ld r5, r3, {lx}",          # committed load X
-            "add r8, r2, r0",            # two fillers: X issues just before
-            "add r8, r8, r0",            # the branch resolves and squashes
-            f"beq r8, r0, out{t}",       # taken; predicted not-taken
-            # ---- transient path ----
-            *select,
-            f"bne r4, r0, act{t}",
-            f"jmp end{t}",
-            f"act{t}:",
-            f"ld r6, r0, {lx}",          # younger transient load, same line
-            f"end{t}:",
-            "nop",
-            f"out{t}:",
-            "fence",
-            "rdcycle r12",
-            "sub r14, r12, r11",
-            f"st r14, r0, {RESULT + 8 * t}",
-        ]
-
-    words, body = _bit_sections(section)
-    lines = [f".word {SECRET} {secret}"] + words + extra_words
-    return "\n".join(lines + body) + "\n"
+    return _bit_gadget(secret, _cold_zero, 40, _interference_section)
 
 
 def _asm_icache(secret):
-    extra_words = []
-    chase_idx = [60]
-    fars = []
-
-    def section(t, select):
-        a, words = _chase_pair(chase_idx[0])
-        chase_idx[0] += 1
-        extra_words.extend(words)
-        fars.append(t)
-        return [
-            f"ld r2, r0, {a}",
-            "ld r2, r2, 0",              # ~2 memory trips: a long window
-            f"beq r2, r0, meas{t}",      # taken; predicted not-taken
-            # ---- transient path ----
-            *select,
-            f"bne r4, r0, go{t}",
-            f"jmp idle{t}",
-            f"go{t}:",
-            f"jmp far{t}",               # transient fetch of the far line
-            f"idle{t}:",
-            f"jmp idle{t}",              # park wrong-path fetch until squash
-            f"meas{t}:",
-            "fence",
-            "rdcycle r11",
-            f"jmp far{t}",               # timed committed fetch of the far line
-            f"back{t}:",
-            "fence",
-            "rdcycle r12",
-            "sub r14, r12, r11",
-            f"st r14, r0, {RESULT + 8 * t}",
-        ]
-
-    words, body = _bit_sections(section)
-    for t in fars:
-        body += [".align 64", f"far{t}:", f"jmp back{t}"]
-    lines = [f".word {SECRET} {secret}"] + words + extra_words
-    return "\n".join(lines + body) + "\n"
+    far_lines = [line for t in range(len(_SELECTS))
+                 for line in (".align 64", f"far{t}:", f"jmp back{t}")]
+    return _bit_gadget(secret, _chase_pair, 60, _icache_section, far_lines)
 
 
 # ------------------------------------------------------------ spectre_prime
@@ -327,15 +262,8 @@ def _asm_prime_attacker(_secret):
         "go:",
     ]
     for i in range(16):
-        body += [
-            "fence",
-            "rdcycle r11",
-            f"st r1, r0, {PRIME + 64 * i}",   # fast iff still Modified
-            "fence",
-            "rdcycle r12",
-            "sub r14, r12, r11",
-            f"st r14, r0, {RESULT + 8 * i}",
-        ]
+        # fast iff still Modified
+        body += _timed(i, [f"st r1, r0, {PRIME + 64 * i}"])
     body.append("halt")
     return "\n".join(body) + "\n"
 
@@ -375,16 +303,20 @@ def _asm_spectre_prime(secret):
 # domain, and cold instruction-line misses whose position depends on
 # section alignment would only add measurement noise
 GADGETS = {
-    "spectre_v1": Gadget("spectre_v1", _asm_spectre_v1, _decode_argmin,
+    "spectre_v1": Gadget("spectre_v1", _asm_spectre_v1,
+                         partial(_decode_extreme, min),
                          cfg_overrides={"warm_icache": True}),
-    "spectre_rewind": Gadget("spectre_rewind", _asm_spectre_rewind, _decode_bits,
+    "spectre_rewind": Gadget("spectre_rewind", _asm_spectre_rewind,
+                             partial(_decode_bits, 1),
                              cfg_overrides={"warm_icache": True}),
     "speculative_interference": Gadget("speculative_interference",
-                                       _asm_interference, _decode_bits_fast,
+                                       _asm_interference,
+                                       partial(_decode_bits, -1),
                                        cfg_overrides={"warm_icache": True}),
-    "gadget_icache": Gadget("gadget_icache", _asm_icache, _decode_bits_fast,
+    "gadget_icache": Gadget("gadget_icache", _asm_icache,
+                            partial(_decode_bits, -1),
                             cfg_overrides={"warm_icache": False}),
-    "spectre_prime": Gadget("spectre_prime", _asm_spectre_prime, _decode_argmax,
-                            two_core=True,
+    "spectre_prime": Gadget("spectre_prime", _asm_spectre_prime,
+                            partial(_decode_extreme, max), two_core=True,
                             cfg_overrides={"warm_icache": True}),
 }

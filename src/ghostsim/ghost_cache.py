@@ -74,50 +74,36 @@ class GhostCache:
         outcome: the data still goes to the core, it just is not cached.
         """
         st = self._set(line_addr)
-        victim = None
-        if self.timeguard:
-            free = None
-            for way in st:
-                if way.valid and way.tag == line_addr:
+        victim = free = None
+        for way in st:
+            if way.valid:
+                if way.tag == line_addr:
                     # duplicate tags are never allowed in a set: reuse the
-                    # matching way if eligible, else the line is already
-                    # visible to this filler and the fill is redundant
-                    if self.not_after(ts, way.ts):
-                        victim = way
-                        break
-                    return True
-                if not way.valid and free is None:
-                    free = way
-            else:
-                if free is not None:
-                    victim = free
-                elif len(st) < self.ways:
-                    victim = GhostLine()
-                    st.append(victim)
-                else:
-                    for way in st:
-                        if self.not_after(ts, way.ts):
-                            if victim is None or self.not_after(victim.ts, way.ts):
-                                victim = way
-        else:
-            for way in st:
-                if way.valid and way.tag == line_addr:
+                    # matching way if eligible (always, unguarded), else the
+                    # line is already visible to this filler and the fill
+                    # is redundant
+                    if self.timeguard and not self.not_after(ts, way.ts):
+                        return True
                     victim = way
                     break
-            else:
+            elif free is None:
+                free = way
+        else:
+            if free is not None:
+                victim = free
+            elif len(st) < self.ways:
+                victim = GhostLine()
+                st.append(victim)
+            elif self.timeguard:
                 for way in st:
-                    if not way.valid:
-                        victim = way
-                        break
-                else:
-                    if len(st) < self.ways:
-                        victim = GhostLine()
-                        st.append(victim)
-                    else:
-                        si = (line_addr >> self.line_shift) % self.sets
-                        idx = self._fifo[si]
-                        self._fifo[si] = (idx + 1) % self.ways
-                        victim = st[idx]
+                    if self.not_after(ts, way.ts):
+                        if victim is None or self.not_after(victim.ts, way.ts):
+                            victim = way
+            else:
+                si = (line_addr >> self.line_shift) % self.sets
+                idx = self._fifo[si]
+                self._fifo[si] = (idx + 1) % self.ways
+                victim = st[idx]
         if victim is None:
             self._bump("fills_rejected")
             return False

@@ -5,9 +5,10 @@ behaviour.
     PYTHONPATH=src python tests/fingerprint.py --compare A.json B.json
 
 The first form simulates the corpus below and writes one record per run:
-timeline digest, cycles, counters, hashes of ``nonspec_state()`` and
-``rpt_state()``, final registers and memory words and, where the corpus
-ablates, the ablation verdict, purity and detail.  The second lists the
+a hash of the program texts, timeline digest, cycles, counters, hashes
+of ``nonspec_state()`` and ``rpt_state()``, final registers and memory
+words and, where the corpus ablates, the ablation verdict, purity and
+detail.  The second lists the
 records that differ between two such files and exits 1 if there are any.
 
 Corpus:
@@ -61,11 +62,13 @@ def _canonical(state):
 
 
 def record(programs, cfg, ablate):
+    text = _hash(programs)
     try:
         m, rep = harness.run(programs, cfg)
     except SimTimeout as e:
-        return {"timeout": e.cycles}
+        return {"text": text, "timeout": e.cycles}
     rec = {
+        "text": text,
         "digest": rep.digest,
         "cycles": rep.cycles,
         "counters": rep.counters,

@@ -143,6 +143,20 @@ class TestWayPositions:
         # lines 3, 4 and 5 replaced ways 0, 1 and 0
         assert positions(g) == {0: line(5), 1: line(4)}
 
+    def test_unguarded_refill_of_a_present_line_keeps_its_way(self):
+        # a refill matches the present line whatever the stamps, so the
+        # FIFO pointer does not move and still points at way 0
+        g = make(timeguard=False)
+        g.fill(line(1), 5)
+        g.fill(line(2), 6)
+        assert g.fill(line(1), 9, origin_level="l2")
+        way = g.lines[0][0]
+        assert (way.tag, way.ts, way.origin_level) == (line(1), 9, "l2")
+        assert positions(g) == {0: line(1), 1: line(2)}
+        assert g._fifo == [0]
+        g.fill(line(3), 10)
+        assert positions(g) == {0: line(3), 1: line(2)}
+
     def test_equal_stamps_evict_the_last_way(self):
         g = make()
         g.fill(line(1), 20)

@@ -8,6 +8,7 @@ import pytest
 from ghostsim import Machine, RunConfig, SimTimeout, load_program
 from ghostsim.cli import main
 from ghostsim.config import PROTECTION
+from ghostsim.core import Core
 from ghostsim.gadgets import GADGETS, Gadget
 from ghostsim import harness
 
@@ -45,6 +46,73 @@ bne r3, r0, skip
 div r6, r2, r9
 skip:
 add r8, r5, r5
+halt
+"""
+
+# A and B fill both ways of one L1D set and commit; a wrong-path load
+# then hits A, and C is loaded into the same set
+LRU_STATE = """\
+.word 0x1000 1
+.word 0x1800 2
+.word 0x2000 3
+.word 0x3040 1
+li r1, 0x1000
+ld r2, r1, 0
+ld r4, r1, 0x800
+fence
+ld r3, r0, 0x3040
+bne r3, r0, skip
+ld r5, r1, 0
+skip:
+fence
+ld r6, r1, 0x1000
+fence
+ld r7, r1, 0
+halt
+"""
+
+# four wrong-path misses take every L1D miss register before the older
+# ``ld r4`` can issue
+LEAPFROG = """\
+.word 0x3040 7
+li r1, 0
+li r9, 1
+li r2, 0x5000
+ld r3, r0, 0x3040
+mul r2, r2, r9
+mul r2, r2, r9
+ld r4, r2, 0
+bne r3, r0, skip
+ld r8, r1, 0x4000
+ld r9, r1, 0x4040
+ld r10, r1, 0x4080
+ld r11, r1, 0x40c0
+skip:
+add r5, r4, r4
+halt
+"""
+
+# message passing from core 1 to core 0 (DATA = 8192, FLAG = 12288):
+# core 0's data load consumes a non-coherent copy of DATA before core 1
+# stores to it, so only the commit-time replay reads the stored 1
+MP_CORE0 = """\
+li r8, 1
+li r9, 8192
+ld r1, r0, 12288
+ld r2, r9, 0
+halt
+"""
+
+MP_CORE1 = """\
+li r8, 1
+li r7, 1
+li r9, 8192
+ld r3, r0, 8192
+div r9, r9, r8
+div r9, r9, r8
+div r9, r9, r8
+st r7, r9, 0
+st r7, r0, 12288
 halt
 """
 
@@ -200,6 +268,49 @@ class TestAblation:
                             replace(PROTECTION["ghostminion"],
                                     inorder_divider=False))
         assert harness.run_ablation([DIVIDER_ORDER], RunConfig()).verdict == "FAIL"
+
+    def test_wrong_path_hit_cannot_change_lru_victim(self, monkeypatch):
+        # the wrong-path hit would make A most recent, so C would evict B
+        # instead of A and the last load of A would miss
+        for mode in ("ghostminion", "flush_only"):
+            res = harness.run_ablation([LRU_STATE], RunConfig(mode=mode))
+            assert res.verdict == "PASS" and res.pure
+        res = harness.run_ablation([LRU_STATE], RunConfig(mode="unsafe"))
+        assert res.verdict == "FAIL" and res.divergence[1] == 9
+        assert res.detail.endswith("nothing committed by cycle 506")
+        monkeypatch.setitem(PROTECTION, "ghostminion",
+                            replace(PROTECTION["ghostminion"],
+                                    hide_spec_lru=False))
+        res = harness.run_ablation([LRU_STATE], RunConfig())
+        assert res.verdict == "FAIL" and res.divergence[1] == 9
+
+    def test_wrong_path_misses_cannot_delay_older_load(self, monkeypatch):
+        # only leapfrogging frees a miss register for the older load
+        res = harness.run_ablation([LEAPFROG], RunConfig())
+        assert res.verdict == "PASS" and res.pure
+        for mode in ("unsafe", "flush_only"):
+            res = harness.run_ablation([LEAPFROG], RunConfig(mode=mode))
+            assert res.verdict == "FAIL" and res.divergence[1] == 6
+        monkeypatch.setitem(PROTECTION, "ghostminion",
+                            replace(PROTECTION["ghostminion"], leapfrog=False))
+        res = harness.run_ablation([LEAPFROG], RunConfig())
+        assert res.verdict == "FAIL" and res.divergence[1] == 6
+
+    def test_stale_forwarded_load_reexecutes_at_commit(self, monkeypatch):
+        m, rep = harness.run([MP_CORE0, MP_CORE1],
+                             RunConfig(check_invariants=True))
+        assert (m.cores[0].regs[1], m.cores[0].regs[2]) == (0, 1)
+        assert rep.counters["replays"] == 1
+        for mode in ("ghostminion", "unsafe", "flush_only"):
+            res = harness.run_ablation([MP_CORE0, MP_CORE1],
+                                       RunConfig(mode=mode))
+            assert res.verdict == "PASS" and res.pure
+        for mode in ("unsafe", "flush_only"):
+            m, _ = harness.run([MP_CORE0, MP_CORE1], RunConfig(mode=mode))
+            assert m.cores[0].regs[2] == 0
+        monkeypatch.setattr(Core, "_replays", lambda self, di: False)
+        m, _ = harness.run([MP_CORE0, MP_CORE1], RunConfig())
+        assert m.cores[0].regs[2] == 0
 
     def test_generator_output_is_seed_dependent(self):
         import random
