@@ -24,6 +24,10 @@ EXIT_TIMEOUT = 3
 EXIT_INTERNAL = 4
 
 
+class UsageError(Exception):
+    """Bad input that no other error type names."""
+
+
 def _add_common(p, seed=False):
     p.add_argument("--config", metavar="FILE",
                    help="config file (key = value lines)")
@@ -35,8 +39,20 @@ def _add_common(p, seed=False):
                        help="program-generator seed")
 
 
+def _read_text(path):
+    """A file named on the command line; one that cannot be read as text
+    is a usage error, not a simulator bug."""
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise UsageError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"cannot read {path}: {e}") from None
+
+
 def _build_config(args):
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    cfg = RunConfig.from_text(_read_text(args.config)) if args.config \
+        else RunConfig()
     if args.mode:
         cfg = replace(cfg, mode=args.mode)
     if args.max_cycles is not None:
@@ -45,7 +61,7 @@ def _build_config(args):
 
 
 def _read_programs(paths):
-    return [Path(p).read_text() for p in paths]
+    return [_read_text(p) for p in paths]
 
 
 def cmd_run(args):
@@ -184,7 +200,7 @@ def main(argv=None):
     except SimTimeout as e:
         print(f"timeout: {e}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except (ParseError, ConfigError, FileNotFoundError) as e:
+    except (ParseError, ConfigError, UsageError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:

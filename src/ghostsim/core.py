@@ -28,7 +28,9 @@ older store that has not issued, and a speculative divide behind an
 older divide - scan the store and divide queues, which hold the live
 stores and divides in program order.  Complete and ``next_event`` read
 the in-flight list (issued, finish cycle known) instead of the ROB.  A
-squash pops the squashed tail of every list, as it does the ROB's.
+squash pops the squashed tail of every list, as it does the ROB's.  An
+instruction-line hit is a fetch stall until the line is ready; only a
+missed line waits for ``mem_ready``.
 
 The committed timeline - (sequence, pc, opcode, per-stage cycles,
 architectural result) for every committed instruction - is the
@@ -59,7 +61,7 @@ class DynInstr:
     __slots__ = (
         "pc", "op", "cls", "dst", "s1", "s2", "imm", "target",
         "ts", "state", "iline", "fetched", "renamed", "issued", "completed",
-        "dep1", "dep2", "v1", "v2",
+        "dep1", "dep2",
         "result", "addr", "line", "pred_taken", "taken", "done_at",
         "origin", "noncoherent", "akey", "ablated",
         "div_unit", "commit_mem", "seq", "waits", "consumers",
@@ -84,8 +86,6 @@ class DynInstr:
         self.completed = None
         self.dep1 = None
         self.dep2 = None
-        self.v1 = 0
-        self.v2 = 0
         self.result = None
         self.addr = None
         self.line = None
@@ -127,14 +127,12 @@ class Core:
         self.stq = deque()        # live stores
         self.divq = deque()       # live divides
         self.lq_used = 0
-        self.sq_used = 0
 
         self.pc = 0
         self.fetch_stall_until = 0
         self.fetch_done = False
         self.line_buf = None
-        self.line_req = None      # line requested, not yet in line_buf
-        self.line_ready_at = None # its ready cycle; None while it is missing
+        self.line_req = None      # missed line, not yet in line_buf
 
         self.bp_counters = {}
         self.btb = {}
@@ -175,25 +173,22 @@ class Core:
             return False
         cfg = self.cfg
         fetched = 0
-        progress = False
         while (fetched < cfg.width and len(self.fetchq) < cfg.fetchq
                and self.alloc.live < cfg.rob):
             raw_line = self.pc & self.line_mask
             line = raw_line + self.code_base
             if self.line_buf != line:
-                if self.line_req == line and self.line_ready_at is not None \
-                        and cycle >= self.line_ready_at:
-                    self.line_buf = line
-                    self.line_req = None
-                    self.line_ready_at = None
-                    progress = True
-                    continue
-                if self.line_req is None:
+                if self.line_req is not None:
+                    break   # the missed line is not in yet
+                # a hit is a fetch stall until the line is ready
+                ready = self.mem.ifetch_access(self.core_id, line,
+                                               self.alloc.next, cycle)
+                if ready is None:
                     self.line_req = line
-                    self.line_ready_at = self.mem.ifetch_access(
-                        self.core_id, line, self.alloc.next, cycle)
-                    progress = True
-                break
+                else:
+                    self.line_buf = line
+                    self.fetch_stall_until = ready
+                return True
             si = self.program.get(self.pc)
             di = DynInstr(si, self.alloc.allocate(), line, cycle)
             self.fetch_seq += 1
@@ -215,7 +210,7 @@ class Core:
                 self.pc += isa.INSTR_BYTES
             if self.pc & self.line_mask != raw_line:
                 break
-        return progress or fetched > 0
+        return fetched > 0
 
     # ---------------------------------------------------------------- rename
 
@@ -231,7 +226,7 @@ class Core:
                 break
             if di.cls == LOAD and self.lq_used >= cfg.lq:
                 break
-            if di.cls == STORE and self.sq_used >= cfg.sq:
+            if di.cls == STORE and len(self.stq) >= cfg.sq:
                 break
             self.fetchq.popleft()
             self.rename_count += 1
@@ -243,7 +238,6 @@ class Core:
             if di.cls == LOAD:
                 self.lq_used += 1
             elif di.cls == STORE:
-                self.sq_used += 1
                 self.stq.append(di)
             elif di.cls == DIV:
                 self.divq.append(di)
@@ -322,11 +316,10 @@ class Core:
                 if not alu_slots:
                     i += 1
                     continue
-                di.v1 = self._val(di.dep1, di.s1)
-                di.v2 = self._val(di.dep2, di.s2)
-                di.addr = s64(di.v1 + di.imm) & ~(isa.WORD_BYTES - 1)
+                di.addr = s64(self._val(di.dep1, di.s1) + di.imm) \
+                    & ~(isa.WORD_BYTES - 1)
                 di.line = di.addr & self.line_mask
-                di.result = di.v2          # value to be written at commit
+                di.result = self._val(di.dep2, di.s2)   # written at commit
                 di.state = "EXEC"
                 di.issued = cycle
                 di.done_at = cycle + 1
@@ -336,10 +329,10 @@ class Core:
                 if not mem_slots or self._older_waiting(self.stq, di):
                     i += 1
                     continue   # conservative: wait for older store addresses
-                fwd = self._forward_store(di)
-                di.v1 = self._val(di.dep1, di.s1)
-                di.addr = s64(di.v1 + di.imm) & ~(isa.WORD_BYTES - 1)
+                di.addr = s64(self._val(di.dep1, di.s1) + di.imm) \
+                    & ~(isa.WORD_BYTES - 1)
                 di.line = di.addr & self.line_mask
+                fwd = self._forward_store(di)
                 di.issued = cycle
                 mem_slots -= 1
                 if fwd is not None:
@@ -356,9 +349,10 @@ class Core:
                     if hit is not None:
                         di.done_at, di.origin, di.noncoherent = hit
                         self.inflight.append(di)
-                    # a leapfrog retries the loads of the misses it cancels:
-                    # an older one re-enters the list before di and waits
-                    # for the next cycle, a younger one is still visited
+                    # a leapfrog retries the loads of the misses it cancels;
+                    # one older than di (a register stamped younger than one
+                    # of its loads, which timeleap prevents) re-enters the
+                    # list before di and waits a cycle
                     if ready[i] is not di:
                         i = ready.index(di, i)
             else:
@@ -387,12 +381,14 @@ class Core:
                         continue
                     lat = cfg.alu_lat
                     alu_slots -= 1
-                di.v1 = self._val(di.dep1, di.s1)
-                di.v2 = self._val(di.dep2, di.s2) + di.imm
+                v1 = self._val(di.dep1, di.s1)
+                v2 = self._val(di.dep2, di.s2) + di.imm
                 if cls == RDCYCLE:
                     di.result = cycle
-                elif cls != BRANCH:   # a branch resolves when it completes
-                    di.result = s64(isa.OPS[di.op](di.v1, di.v2))
+                elif cls == BRANCH:   # acted on when it completes
+                    di.taken = isa.BRANCH_CONDS[di.op](v1, v2)
+                else:
+                    di.result = s64(isa.OPS[di.op](v1, v2))
                 di.state = "EXEC"
                 di.issued = cycle
                 di.done_at = cycle + lat
@@ -404,9 +400,8 @@ class Core:
     def _forward_store(self, di):
         """Youngest older store to the same word.  Only called once every
         older store has executed, so all addresses and data are known."""
-        addr = s64(self._val(di.dep1, di.s1) + di.imm) & ~(isa.WORD_BYTES - 1)
         for other in reversed(self.stq):
-            if other.seq < di.seq and other.addr == addr:
+            if other.seq < di.seq and other.addr == di.addr:
                 return other
         return None
 
@@ -442,8 +437,9 @@ class Core:
                 continue
             if di.cls == LOAD and di.origin != "fwd":
                 di.result = self.machine.read_word(di.addr)
-            if di.cls == BRANCH:
-                self._resolve_branch(di, cycle)
+            if di.cls == BRANCH and di.taken != di.pred_taken:
+                self._squash_after(di, cycle, di.target if di.taken
+                                   else di.pc + isa.INSTR_BYTES)
         return True
 
     def mem_ready(self, di, line, cycle, origin, noncoherent):
@@ -453,7 +449,6 @@ class Core:
             if self.line_req == line:
                 self.line_buf = line
                 self.line_req = None
-                self.line_ready_at = None
         elif di.commit_mem == WAITING:   # committing store or replay
             di.commit_mem = cycle
         elif di.state == "EXEC":         # else squashed while in flight
@@ -474,13 +469,7 @@ class Core:
             di.done_at = None
             insort(self.ready, di, key=_SEQ)
 
-    # ---------------------------------------------------------------- branch
-
-    def _resolve_branch(self, di, cycle):
-        di.taken = isa.BRANCH_CONDS[di.op](di.v1, di.v2)
-        if di.taken != di.pred_taken:
-            self._squash_after(di, cycle,
-                               di.target if di.taken else di.pc + isa.INSTR_BYTES)
+    # ---------------------------------------------------------------- squash
 
     def _squash_after(self, di, cycle, redirect_pc):
         """Wipe everything younger than ``di`` and restart fetch at
@@ -492,8 +481,6 @@ class Core:
             other.consumers = None
             if other.cls == LOAD:
                 self.lq_used -= 1
-            elif other.cls == STORE:
-                self.sq_used -= 1
             if other.div_unit is not None and self.prot.squash_frees_divider \
                     and self.div_busy[other.div_unit] > cycle:
                 self.div_busy[other.div_unit] = cycle
@@ -516,7 +503,6 @@ class Core:
         self.fetch_done = False
         self.line_buf = None
         self.line_req = None
-        self.line_ready_at = None
 
     # ---------------------------------------------------------------- commit
 
@@ -561,15 +547,14 @@ class Core:
 
     def next_event(self, cycle):
         """Earliest cycle after ``cycle`` at which a stage may move without
-        a memory callback: the end of a fetch stall, an instruction line
-        or a divider becoming ready, an instruction finishing, or the ROB
-        head's commit-time access completing.  inf if there is none."""
+        a memory callback: the end of a fetch stall (an instruction-line
+        hit included), a divider becoming ready, an instruction finishing,
+        or the ROB head's commit-time access completing.  inf if there is
+        none."""
         if self.halted:
             return WAITING
-        times = [self.fetch_stall_until, *self.div_busy]
-        if self.line_ready_at is not None:
-            times.append(self.line_ready_at)
-        times += [di.done_at for di in self.inflight]
+        times = [self.fetch_stall_until, *self.div_busy,
+                 *(di.done_at for di in self.inflight)]
         if self.rob and self.rob[0].commit_mem is not None:
             times.append(self.rob[0].commit_mem)
         return min((t for t in times if t > cycle), default=WAITING)
@@ -584,8 +569,7 @@ class Core:
             mem.commit_extract(self.core_id, "i", di.iline, di.ts)
             if cls == LOAD:
                 mem.commit_extract(self.core_id, "d", di.line, di.ts)
-                if di.origin not in (None, "fwd"):
-                    mem.prefetch_notify(di.pc, di.line, di.origin, cycle)
+                mem.prefetch_notify(di.pc, di.line, di.origin, cycle)
             elif cls == BRANCH:
                 ctr = self.bp_counters.get(di.pc, 1)
                 self.bp_counters[di.pc] = min(ctr + 1, 3) if di.taken else max(ctr - 1, 0)
@@ -598,7 +582,6 @@ class Core:
         if cls == LOAD:
             self.lq_used -= 1
         elif cls == STORE:
-            self.sq_used -= 1
             self.stq.popleft()
         elif cls == DIV:
             self.divq.popleft()

@@ -27,13 +27,12 @@ position as in a fully allocated set.
 class GhostLine:
     __slots__ = ("tag", "ts", "valid", "origin_level", "noncoherent")
 
-    def __init__(self, tag=-1, ts=0, valid=False, origin_level="",
-                 noncoherent=False):
-        self.tag = tag                    # line address
-        self.ts = ts
-        self.valid = valid
-        self.origin_level = origin_level  # where the data came from: "l1"/"l2"/"mem"
-        self.noncoherent = noncoherent
+    def __init__(self):
+        self.tag = -1             # line address
+        self.ts = 0
+        self.valid = False
+        self.origin_level = ""    # where the data came from: "l1"/"l2"/"mem"
+        self.noncoherent = False
 
 
 class GhostCache:
@@ -115,16 +114,15 @@ class GhostCache:
         return True
 
     def extract(self, line_addr, ts):
-        """On commit of a load: remove and return the matching line the
-        committing instruction is allowed to read, if any."""
+        """On commit of a load: invalidate and return the matching way the
+        committing instruction is allowed to read, if any.  The way keeps
+        the line's fields until a later fill reuses it."""
         for way in self._set(line_addr):
             if way.valid and way.tag == line_addr:
                 if not self.timeguard or self.not_after(way.ts, ts):
-                    out = GhostLine(way.tag, way.ts, True,
-                                    way.origin_level, way.noncoherent)
                     way.valid = False
                     self._bump("lines_extracted")
-                    return out
+                    return way
                 return None
         return None
 

@@ -47,11 +47,9 @@ class StaticInstr:
     """One assembled instruction, decoded once and read by every dynamic
     instance fetched from its pc; nothing writes it after assembly."""
 
-    __slots__ = ("pc", "op", "cls", "dst", "s1", "s2", "imm", "target",
-                 "line")
+    __slots__ = ("pc", "op", "cls", "dst", "s1", "s2", "imm", "target")
 
-    def __init__(self, pc, op, cls, dst=0, s1=0, s2=0, imm=0, target=0,
-                 line=0):
+    def __init__(self, pc, op, cls, dst=0, s1=0, s2=0, imm=0, target=0):
         self.pc = pc
         self.op = op
         self.cls = cls
@@ -60,7 +58,6 @@ class StaticInstr:
         self.s2 = s2
         self.imm = imm
         self.target = target  # branch/jump target address
-        self.line = line      # source line, for diagnostics
 
 
 @dataclass
@@ -250,5 +247,5 @@ def load_program(text: str) -> Program:
                 val = _reg(tok, lineno)
             fields[_FIELD[kind]] = val
         instrs.append(StaticInstr(len(instrs) * INSTR_BYTES, op, cls,
-                                  *fields, lineno))
+                                  *fields))
     return Program(instrs=instrs, data=data, labels=labels)

@@ -305,12 +305,12 @@ class MemorySystem:
         self._free_entry(entry.file, entry)
 
     def _mshr_request(self, file, line, ts, core, spec, cycle, *,
-                      target=None, parent=None, is_write=False, is_l2=False):
+                      target=None, parent=None, is_write=False):
         """Returns the entry the request waits on, or None if it must wait
         for a free register and retry."""
         prot = self.prot
-        merge_core = core if (prot.merge_core and is_l2 and self.ncores > 1) \
-            else None
+        merge_core = core if (prot.merge_core and file is self.l2_file
+                              and self.ncores > 1) else None
         existing = file.find(line, merge_core)
         if existing is not None:
             if is_write:
@@ -331,7 +331,7 @@ class MemorySystem:
                 existing.spec = spec
                 existing.core = core
                 self._orphan_child(existing)
-                if not self._dispatch_lower(existing, cycle, is_l2=is_l2):
+                if not self._dispatch_lower(existing, cycle):
                     # restart could not get a lower-level register: the
                     # whole access waits on the blocking level
                     if target is not None:
@@ -369,16 +369,16 @@ class MemorySystem:
             entry.parents.append(parent)
             parent.child = entry
         file.entries.append(entry)
-        if not self._dispatch_lower(entry, cycle, is_l2=is_l2):
+        if not self._dispatch_lower(entry, cycle):
             return None
         return entry
 
-    def _dispatch_lower(self, entry, cycle, *, is_l2):
+    def _dispatch_lower(self, entry, cycle):
         """Start the miss below ``entry``.  Returns False if the L2 had no
         register for it: the entry is then released and its targets wait
         on the L2."""
         cfg = self.cfg
-        if is_l2:
+        if entry.file is self.l2_file:
             entry.origin = "mem"
             self._deliver_at(entry, cycle + cfg.l2_lat + cfg.mem_lat)
             return True
@@ -390,7 +390,7 @@ class MemorySystem:
             return True
         entry.deliver_at = None
         if self._mshr_request(self.l2_file, entry.addr, entry.ts, entry.core,
-                              entry.spec, cycle, parent=entry, is_l2=True):
+                              entry.spec, cycle, parent=entry):
             return True
         self.l2_file.waiters.extend(entry.targets)
         entry.targets = []
@@ -475,10 +475,8 @@ class MemorySystem:
     def _commit_access(self, core, instr, line, cycle, is_write):
         l1 = self.l1d[core]
         if self._l1_hit(l1, line, False):
-            if is_write:
+            if is_write:   # upgrade_for_store has made the line Modified
                 l1.mark_dirty(line)
-                if self.ncores > 1:
-                    self.directory.setdefault(line, {})[core] = "M"
             return cycle + self.cfg.l1_lat
         self._mshr_request(self.l1d_file[core], line, instr.ts, core, False,
                            cycle, target=(core, instr), is_write=is_write)
@@ -640,8 +638,14 @@ class MemorySystem:
         return tuple(tuple(e) if e else None for e in self.rpt)
 
     def check_invariants(self):
-        """Exclusivity, cleanliness, and (two-core) directory safety."""
+        """Exclusivity, cleanliness, and (two-core) directory safety: a
+        core holds a line in the directory exactly when its L1D has it."""
         for core in range(self.ncores):
+            if self.ncores > 1:
+                held = {ln for ln, h in self.directory.items() if core in h}
+                cached = {t for st in self.l1d[core].lines for t in st}
+                assert held == cached, \
+                    f"core {core}'s directory entries differ from its L1D"
             for kind in ("d", "i"):
                 g = self._ghost_for(core, kind)
                 if g is None:

@@ -19,12 +19,16 @@ The oracles, each run at the default config unless said otherwise:
 * 300 seed-0 fuzz programs, ablated, at each geometry of
   ``fingerprint.GEOMETRIES``;
 * the 150 ``random.Random(7)`` two-core pairs, ablated, with
-  ``check_invariants=True``.
+  ``check_invariants=True``;
+* the targeted programs of ``programs.py``, run as tier-1 runs them:
+  an ablation FAIL of ``OLDER_READER``, ``DIVIDER_ORDER``, ``LRU_STATE``
+  or ``LEAPFROG``, or a 0 in core 0's r2 after the message-passing pair.
 
-A gadget that LEAKS (or gives ERROR), an ablation FAIL, a ``SimTimeout``
-and an invariant ``AssertionError`` each kill the mutant.  One row is
-printed per run.  The exit status is 1 only if the unmutated run fails
-an oracle: a mutant that survives is reported, not failed.
+A gadget that LEAKS (or gives ERROR), an ablation FAIL, a ``SimTimeout``,
+an invariant ``AssertionError`` and a targeted program that notices each
+kill the mutant.  One row is printed per run.  The exit status is 1 only
+if the unmutated run fails an oracle: a mutant that survives is reported,
+not failed.
 
 The file is not collected by pytest; the whole matrix takes about two
 minutes.
@@ -37,6 +41,8 @@ from dataclasses import fields, replace
 from unittest import mock
 
 from fingerprint import FUZZ_SEED, GEOMETRIES, PAIR_SEED, PAIRS
+from programs import (DIVIDER_ORDER, LEAPFROG, LRU_STATE, MP_CORE0,
+                      MP_CORE1, OLDER_READER)
 
 from ghostsim import RunConfig, config, harness
 from ghostsim.config import Protection
@@ -46,6 +52,10 @@ from ghostsim.ghost_cache import GhostCache
 from ghostsim.machine import SimTimeout
 
 FUZZ_PROGRAMS = 300
+
+# single-core programs that tier-1 expects to PASS ablation
+TARGETED = {"older_reader": OLDER_READER, "divider_order": DIVIDER_ORDER,
+            "lru_state": LRU_STATE, "leapfrog": LEAPFROG}
 
 
 def _unguarded_lookup(self, line_addr, ts):
@@ -82,9 +92,27 @@ def _ablation_fails(programs, cfg):
         return True
 
 
+def _stale_message(cfg):
+    try:
+        m, _ = harness.run([MP_CORE0, MP_CORE1], cfg)
+    except (SimTimeout, AssertionError):
+        return True
+    return m.cores[0].regs[2] == 0
+
+
+def targeted():
+    """Names of the targeted programs that notice the running mutant."""
+    cfg = RunConfig()
+    out = [name for name, text in TARGETED.items()
+           if _ablation_fails([text], cfg)]
+    if _stale_message(cfg):
+        out.append("message_passing")
+    return out
+
+
 def oracles(texts, pairs):
     """Run every oracle: (gadgets that did not give SAFE, fuzz FAILs per
-    geometry, pair FAILs)."""
+    geometry, pair FAILs, targeted programs that notice)."""
     leaks = []
     for g in GADGETS.values():
         try:
@@ -101,7 +129,7 @@ def oracles(texts, pairs):
         fuzz[geo] = sum(_ablation_fails([t], cfg) for t in texts)
     cfg = RunConfig(check_invariants=True)
     pair_fails = sum(_ablation_fails(p, cfg) for p in pairs)
-    return leaks, fuzz, pair_fails
+    return leaks, fuzz, pair_fails, targeted()
 
 
 def main():
@@ -111,12 +139,14 @@ def main():
     pairs = [[harness._gen_program(rng), harness._gen_program(rng)]
              for _ in range(PAIRS)]
     print(f"{'mutant':28s} {'killed':6s} {'pairs FAIL':10s} "
-          f"{'fuzz FAIL (' + '+'.join(GEOMETRIES) + ')':36s} gadgets LEAKS")
+          f"{'fuzz FAIL (' + '+'.join(GEOMETRIES) + ')':36s} "
+          f"{'gadgets LEAKS':24s} targeted")
     status = 0
     for i, (name, patch) in enumerate(mutants()):
         with patch:
-            leaks, fuzz, pair_fails = oracles(texts, pairs)
-        failed = bool(leaks) or sum(fuzz.values()) > 0 or pair_fails > 0
+            leaks, fuzz, pair_fails, hits = oracles(texts, pairs)
+        failed = bool(leaks) or sum(fuzz.values()) > 0 or pair_fails > 0 \
+            or bool(hits)
         if i == 0:
             killed = "-"
             status = 1 if failed else 0
@@ -125,7 +155,8 @@ def main():
         per_geo = "+".join(str(n) for n in fuzz.values())
         fuzz_col = f"{sum(fuzz.values())} ({per_geo})"
         print(f"{name:28s} {killed:6s} {pair_fails:<10d} {fuzz_col:36s} "
-              f"{', '.join(leaks) or '-'}", flush=True)
+              f"{', '.join(leaks) or '-':24s} {', '.join(hits) or '-'}",
+              flush=True)
     if status:
         print("the unmutated ghostminion run fails an oracle", file=sys.stderr)
     return status

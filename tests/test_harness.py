@@ -12,109 +12,10 @@ from ghostsim.core import Core
 from ghostsim.gadgets import GADGETS, Gadget
 from ghostsim import harness
 
+from programs import (DIVIDER_ORDER, LEAPFROG, LRU_STATE, MP_CORE0,
+                      MP_CORE1, OLDER_READER)
+
 SIMPLE = "li r1, 5\nadd r2, r1, r1\nst r2, r0, 0x100\nhalt\n"
-
-OLDER_READER = """\
-.word 0x2000 0x3000
-.word 0x3000 5
-.word 0x4000 7
-li r1, 0x2000
-ld r2, r1, 0
-ld r3, r2, 0
-mul r4, r2, r0
-mul r4, r4, r0
-mul r4, r4, r0
-ld r5, r4, 0x4000
-bne r3, r0, skip
-li r6, 0x4000
-ld r7, r6, 0
-skip:
-add r8, r5, r5
-halt
-"""
-
-DIVIDER_ORDER = """\
-.word 0x2000 0x3000
-.word 0x3000 5
-li r1, 0x2000
-li r9, 3
-ld r2, r1, 0
-ld r3, r2, 0
-add r4, r2, r9
-div r5, r4, r9
-bne r3, r0, skip
-div r6, r2, r9
-skip:
-add r8, r5, r5
-halt
-"""
-
-# A and B fill both ways of one L1D set and commit; a wrong-path load
-# then hits A, and C is loaded into the same set
-LRU_STATE = """\
-.word 0x1000 1
-.word 0x1800 2
-.word 0x2000 3
-.word 0x3040 1
-li r1, 0x1000
-ld r2, r1, 0
-ld r4, r1, 0x800
-fence
-ld r3, r0, 0x3040
-bne r3, r0, skip
-ld r5, r1, 0
-skip:
-fence
-ld r6, r1, 0x1000
-fence
-ld r7, r1, 0
-halt
-"""
-
-# four wrong-path misses take every L1D miss register before the older
-# ``ld r4`` can issue
-LEAPFROG = """\
-.word 0x3040 7
-li r1, 0
-li r9, 1
-li r2, 0x5000
-ld r3, r0, 0x3040
-mul r2, r2, r9
-mul r2, r2, r9
-ld r4, r2, 0
-bne r3, r0, skip
-ld r8, r1, 0x4000
-ld r9, r1, 0x4040
-ld r10, r1, 0x4080
-ld r11, r1, 0x40c0
-skip:
-add r5, r4, r4
-halt
-"""
-
-# message passing from core 1 to core 0 (DATA = 8192, FLAG = 12288):
-# core 0's data load consumes a non-coherent copy of DATA before core 1
-# stores to it, so only the commit-time replay reads the stored 1
-MP_CORE0 = """\
-li r8, 1
-li r9, 8192
-ld r1, r0, 12288
-ld r2, r9, 0
-halt
-"""
-
-MP_CORE1 = """\
-li r8, 1
-li r7, 1
-li r9, 8192
-ld r3, r0, 8192
-div r9, r9, r8
-div r9, r9, r8
-div r9, r9, r8
-st r7, r9, 0
-st r7, r0, 12288
-halt
-"""
 
 
 class TestRun:
@@ -328,7 +229,7 @@ SHARED_CASES = [
 ]
 
 
-INSTR_FIELDS = ("pc", "op", "cls", "dst", "s1", "s2", "imm", "target", "line")
+INSTR_FIELDS = ("pc", "op", "cls", "dst", "s1", "s2", "imm", "target")
 
 
 def _image(prog):
@@ -406,6 +307,20 @@ class TestCli:
         p = tmp_path / "p.gasm"
         p.write_text(SIMPLE)
         assert main(["run", str(p), "--config", str(badcfg)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{dir}"],
+        ["ablate", "{binary}"],
+        ["diff", "spectre_v1", "--config", "{dir}"],
+    ], ids=["run-directory", "ablate-binary", "diff-config-directory"])
+    def test_unreadable_file_is_usage_error(self, tmp_path, capsys, argv):
+        binary = tmp_path / "binary.gasm"
+        binary.write_bytes(b"\xff\xfe\x00\x81")
+        argv = [a.format(dir=tmp_path, binary=binary) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ")
+        assert "internal error" not in err
 
     def test_negative_fuzz_count_rejected(self, capsys):
         assert main(["fuzz", "-5"]) == 2

@@ -9,6 +9,7 @@ import pytest
 
 from ghostsim import Machine, RunConfig, load_program
 from ghostsim import harness
+from ghostsim.config import PROTECTION
 from ghostsim.core import WAITING
 from ghostsim.isa import DIV, STORE
 from ghostsim.gadgets import GADGETS
@@ -17,6 +18,7 @@ from ghostsim.machine import SimTimeout
 from ghostsim.memory import MemorySystem
 from ghostsim.order import WindowOverflowError
 
+from programs import OLDER_RETRY
 from ref_model import ref_execute
 
 import random
@@ -262,6 +264,7 @@ class TestWakeupBookkeeping:
             except SimTimeout:
                 pass
             self._check(m)
+        return m
 
     @pytest.mark.parametrize("mode", ["ghostminion", "unsafe", "flush_only"])
     def test_gadgets(self, mode):
@@ -284,6 +287,22 @@ class TestWakeupBookkeeping:
         issue = {e[0]: e[3][2] for e in m.cores[0].timeline}
         assert m.mem.counters["mshr_leapfrogs"] == 1
         assert issue[5] == issue[3] + 1
+
+    def test_leapfrog_retry_of_an_older_load_is_found_again(self,
+                                                             monkeypatch):
+        # without timeleap, ``ld r8``'s leapfrog retries the older ``ld r7``
+        # at cycle 15; it re-enters the ready list before ``ld r8``, which
+        # the walk must find again to take it out of the list
+        cfg = RunConfig(warm_icache=True)
+        _, rep = harness.run([OLDER_RETRY], cfg)
+        assert rep.counters["mshr_leapfrogs"] == 0
+        monkeypatch.setitem(PROTECTION, "ghostminion",
+                            replace(PROTECTION["ghostminion"], timeleap=False))
+        m = self._step([OLDER_RETRY], cfg)
+        regs = m.cores[0].regs
+        assert m.mem.counters["mshr_leapfrogs"] == 2
+        assert (m.cycle, regs[7], regs[8], regs[10]) == (138, 7, 9, 7)
+        assert harness.run_ablation([OLDER_RETRY], cfg).verdict == "PASS"
 
     @pytest.mark.parametrize("overrides", [{}, {"l1_mshrs": 1}],
                              ids=["default", "l1_mshrs1"])
@@ -382,7 +401,7 @@ class TestMemoryCallbacks:
         core = m.cores[0]
         self._step_until(m, lambda: core.line_req is not None)
         line = core.line_req
-        assert core.line_ready_at is None and core.line_buf is None
+        assert core.line_buf is None
         core.mem_ready(None, line + 64, m.cycle, "mem", False)
         assert core.line_req == line       # another line: ignored
         core.mem_retry(None)
