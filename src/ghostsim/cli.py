@@ -8,6 +8,7 @@ verdict).
 import argparse
 import sys
 import traceback
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,6 +51,16 @@ def _read_text(path):
         raise UsageError(f"cannot read {path}: {e}") from None
 
 
+@contextmanager
+def _writing(path):
+    """Writes to a path named on the command line; one that cannot be
+    written is a usage error, not a simulator bug."""
+    try:
+        yield
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _build_config(args):
     cfg = RunConfig.from_text(_read_text(args.config)) if args.config \
         else RunConfig()
@@ -69,7 +80,8 @@ def cmd_run(args):
     m, rep = harness.run(_read_programs(args.program), cfg)
     print(rep.to_text())
     if args.csv:
-        rep.write_csv(args.csv)
+        with _writing(args.csv):
+            rep.write_csv(args.csv)
     return EXIT_OK
 
 
@@ -135,14 +147,16 @@ def cmd_gadgets(args):
                   f"{max(secrets)}, got {args.secret}", file=sys.stderr)
             return EXIT_USAGE
     outdir = Path(args.dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _writing(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
     for name in names:
         g = GADGETS[name]
         texts = g.programs(args.secret)
         for i, text in enumerate(texts):
             suffix = f".core{i}" if len(texts) > 1 else ""
             path = outdir / f"{name}{suffix}.gasm"
-            path.write_text(text)
+            with _writing(path):
+                path.write_text(text)
             print(path)
     return EXIT_OK
 
@@ -200,7 +214,7 @@ def main(argv=None):
     except SimTimeout as e:
         print(f"timeout: {e}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except (ParseError, ConfigError, UsageError, FileNotFoundError) as e:
+    except (ParseError, ConfigError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:

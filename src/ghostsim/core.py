@@ -107,13 +107,13 @@ _DONE_AT_RENAME = (NOP, JMP, FENCE, HALT)
 
 
 class Core:
-    def __init__(self, core_id, program, cfg, mem, machine, ablation=None):
+    def __init__(self, core_id, program, cfg, mem, machine, normal=None):
         self.core_id = core_id
         self.program = program
         self.cfg = cfg
         self.mem = mem
         self.machine = machine
-        self.ablation = ablation
+        self.normal = normal      # this core in the normal run, when ablated
         self.prot = cfg.protection
 
         self.alloc = TimestampAllocator(cfg.window, cfg.debug_unbounded_ts)
@@ -143,7 +143,7 @@ class Core:
         self.rename_count = 0
         self.commit_count = 0
         # ablation bookkeeping: dynamic instances are identified by
-        # (core, epoch, position-within-epoch), where an epoch is the span
+        # (epoch, position-within-epoch), where an epoch is the span
         # between two squashes.  Within an epoch the renamed instruction
         # sequence is deterministic, so the key lines up across the normal
         # and the ablated run even when wrong-path *lengths* differ.
@@ -231,7 +231,7 @@ class Core:
             self.fetchq.popleft()
             self.rename_count += 1
             di.seq = self.rename_count
-            di.akey = (self.core_id, self.epoch, self.epoch_pos)
+            di.akey = (self.epoch, self.epoch_pos)
             self.epoch_pos += 1
             di.renamed = cycle
             di.state = "ROB"
@@ -243,8 +243,8 @@ class Core:
                 self.divq.append(di)
             self.rob.append(di)
             budget -= 1
-            if self.ablation is not None \
-                    and di.akey not in self.ablation["committed"]:
+            if self.normal is not None \
+                    and di.akey not in self.normal.committed_keys:
                 # transient-ablation: a would-be-squashed op becomes a
                 # zero-latency no-op.  It keeps its class so front-end
                 # resource accounting (LQ/SQ slots, fence drains) matches
@@ -253,7 +253,7 @@ class Core:
                 # (same cycle, same redirect) to reproduce the wrong-path
                 # fetch stream.
                 di.ablated = True
-                event = self.ablation["events"].get(di.akey)
+                event = self.normal.squash_log.get(di.akey)
                 if di.cls == BRANCH and event is not None:
                     di.state = "EXEC"
                     di.issued = cycle
@@ -271,7 +271,7 @@ class Core:
                 di.issued = di.completed = cycle
             else:
                 for dep in (di.dep1, di.dep2):
-                    if dep is not None and dep.state not in ("DONE", "COMMITTED"):
+                    if dep is not None and dep.state != "DONE":
                         di.waits += 1
                         dep.consumers.append(di)
                 if not di.waits:
@@ -432,8 +432,8 @@ class Core:
             self._done(di, cycle)
             if di.ablated:
                 # replayed squash from the recorded run (ablated branch)
-                cyc, redirect = self.ablation["events"][di.akey]
-                self._squash_after(di, cycle, redirect)
+                self._squash_after(di, cycle,
+                                   self.normal.squash_log[di.akey][1])
                 continue
             if di.cls == LOAD and di.origin != "fwd":
                 di.result = self.machine.read_word(di.addr)

@@ -51,8 +51,8 @@ class GhostCache:
     def _set(self, line_addr):
         return self.lines[(line_addr >> self.line_shift) % self.sets]
 
-    def _bump(self, key, n=1):
-        self.counters[key] = self.counters.get(key, 0) + n
+    def _bump(self, key):
+        self.counters[key] = self.counters.get(key, 0) + 1
 
     def lookup(self, line_addr, ts):
         """TimeGuarded read: a hit requires a valid tag match whose

@@ -167,12 +167,7 @@ def run_ablation(programs, cfg: RunConfig):
     programs = _assemble(programs)
     m1 = Machine(programs, cfg)
     m1.run()
-    committed, events = set(), {}
-    for c in m1.cores:
-        committed |= c.committed_keys
-        events.update(c.squash_log)
-    m2 = Machine(programs, cfg,
-                 ablation={"committed": committed, "events": events})
+    m2 = Machine(programs, cfg, normal=m1)
     try:
         m2.run(m1.cycle)
     except SimTimeout:

@@ -17,9 +17,10 @@ class SimTimeout(Exception):
 
 
 class Machine:
-    def __init__(self, programs, cfg: RunConfig, ablation=None):
-        if not isinstance(programs, (list, tuple)):
-            programs = [programs]
+    def __init__(self, programs, cfg: RunConfig, normal=None):
+        """One core per ``Program``.  A machine given the finished
+        ``normal`` run of the same programs is its transient ablation:
+        each core takes its fates from the same core of ``normal``."""
         self.programs = list(programs)
         self.cfg = cfg
         self.cycle = 0
@@ -27,7 +28,8 @@ class Machine:
         for p in self.programs:
             self.words.update(p.data)
         self.mem = MemorySystem(cfg, len(self.programs), self.not_after)
-        self.cores = [Core(i, p, cfg, self.mem, self, ablation)
+        self.cores = [Core(i, p, cfg, self.mem, self,
+                           normal.cores[i] if normal is not None else None)
                       for i, p in enumerate(self.programs)]
         self.mem.cores = self.cores
         if cfg.warm_icache:

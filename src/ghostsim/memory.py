@@ -1,6 +1,7 @@
 """Cache hierarchy: per-core L1s with speculative side buffers, a shared
 L2, fixed-latency main memory, timestamped MSHRs, a commit-trained stride
-prefetcher, and a simplified two-core directory.
+prefetcher, and a simplified directory that keeps the L1Ds coherent for
+any number of cores.
 
 Timing rules that keep younger (more speculative) requests invisible to
 older ones:
@@ -139,7 +140,7 @@ class MemorySystem:
         self.l1i_file = [MshrFile(cfg.l1_mshrs) for _ in range(ncores)]
         self.l2_file = MshrFile(cfg.l2_mshrs)
 
-        # two-core directory: line -> {core: "M"|"E"|"S"} over L1D contents
+        # directory: line -> {core: "M"|"E"|"S"} over L1D contents
         self.directory = {}
 
         # stride prefetcher at the L2 (reference prediction table)
@@ -155,8 +156,8 @@ class MemorySystem:
 
     # ------------------------------------------------------------------ util
 
-    def _bump(self, key, n=1):
-        self.counters[key] += n
+    def _bump(self, key):
+        self.counters[key] += 1
 
     def _lru_visible(self, spec):
         """Replacement state is soft state: under protection it may only be
@@ -220,8 +221,6 @@ class MemorySystem:
         """Acquire Modified for a committing store.  Remote L1 and side
         buffer copies are invalidated in constant time.  Returns the extra
         latency paid (0 when the line was already exclusively held)."""
-        if self.ncores == 1:
-            return 0
         cost = 0
         for c in range(self.ncores):
             if c == core:
@@ -249,7 +248,7 @@ class MemorySystem:
         g = self._ghost_for(core, kind)
         if g is not None:
             g.invalidate(line)  # a line never lives in both structures
-        if kind == "d" and self.ncores > 1:
+        if kind == "d":
             self._dir_install(line, core)
             if self.prot.noncoherent_forward \
                     and self.directory[line][core] == "E":
@@ -260,7 +259,7 @@ class MemorySystem:
                         other.invalidate(line)
         if evicted:
             etag, edirty = evicted
-            if kind == "d" and self.ncores > 1:
+            if kind == "d":
                 self._dir_remove(etag, core)
             if edirty:
                 self.l2.install(etag, dirty=True)
@@ -274,7 +273,8 @@ class MemorySystem:
         for core, instr in waiters:
             self.cores[core].mem_retry(instr)
 
-    def _free_entry(self, file, entry):
+    def _free_entry(self, entry):
+        file = entry.file
         if entry in file.entries:
             file.entries.remove(entry)
             self._wake(file)
@@ -302,15 +302,15 @@ class MemorySystem:
             self._cancel_entry(parent, blocking_file)
         entry.parents = []
         self._orphan_child(entry)
-        self._free_entry(entry.file, entry)
+        self._free_entry(entry)
 
     def _mshr_request(self, file, line, ts, core, spec, cycle, *,
                       target=None, parent=None, is_write=False):
         """Returns the entry the request waits on, or None if it must wait
         for a free register and retry."""
         prot = self.prot
-        merge_core = core if (prot.merge_core and file is self.l2_file
-                              and self.ncores > 1) else None
+        merge_core = core if (prot.merge_core and file is self.l2_file) \
+            else None
         existing = file.find(line, merge_core)
         if existing is not None:
             if is_write:
@@ -378,8 +378,7 @@ class MemorySystem:
         register for it: the entry is then released and its targets wait
         on the L2."""
         cfg = self.cfg
-        if entry.file is self.l2_file:
-            entry.origin = "mem"
+        if entry.file is self.l2_file:   # its origin stays "mem"
             self._deliver_at(entry, cycle + cfg.l2_lat + cfg.mem_lat)
             return True
         if self.l2.lookup(entry.addr):
@@ -394,7 +393,7 @@ class MemorySystem:
             return True
         self.l2_file.waiters.extend(entry.targets)
         entry.targets = []
-        self._free_entry(entry.file, entry)
+        self._free_entry(entry)
         return False
 
     # ------------------------------------------------------------- accesses
@@ -425,7 +424,7 @@ class MemorySystem:
                 return (cycle + cfg.l1_lat, hit.origin_level, hit.noncoherent)
         if self._l1_hit(self.l1d[core], line, spec):
             return (cycle + cfg.l1_lat, "l1", False)
-        if self.ncores > 1 and self._remote_owner(line, core) is not None:
+        if self._remote_owner(line, core) is not None:
             if spec and self.prot.noncoherent_forward:
                 # forward a non-coherent copy without touching remote state;
                 # the consumer must be revalidated at commit
@@ -468,7 +467,7 @@ class MemorySystem:
         g = self.dghost[core]
         if g is not None:
             g.invalidate(line)
-        if self.ncores > 1 and self._downgrade(line, core):
+        if self._downgrade(line, core):
             cycle += self.cfg.coh_lat
         return self._commit_access(core, instr, line, cycle, is_write=False)
 
@@ -577,7 +576,7 @@ class MemorySystem:
                         parent.origin = e.origin
                         parent.child = None
                 e.parents = []
-                self._free_entry(self.l2_file, e)
+                self._free_entry(e)
         # L1-level completions deliver to the core and install the line
         for core in range(self.ncores):
             for kind, file in (("d", self.l1d_file[core]), ("i", self.l1i_file[core])):
@@ -585,9 +584,9 @@ class MemorySystem:
                     if e.deliver_at == cycle:
                         progress = True
                         self._deliver_l1(core, kind, e, cycle)
-                        if e.is_write and kind == "d" and self.ncores > 1:
+                        if e.is_write:   # only L1D entries are writes
                             self.directory.setdefault(e.addr, {})[core] = "M"
-                        self._free_entry(file, e)
+                        self._free_entry(e)
         self.deliver_bound = self._next_delivery(cycle)
         return progress
 
@@ -614,8 +613,7 @@ class MemorySystem:
         # meanwhile is non-coherent: its loads are replayed at commit
         noncoherent = False
         if entry.spec and g is not None:
-            noncoherent = (kind == "d" and self.ncores > 1
-                           and self.prot.noncoherent_forward
+            noncoherent = (kind == "d" and self.prot.noncoherent_forward
                            and self._remote_owner(entry.addr, core) is not None)
             g.fill(entry.addr, entry.ts, origin_level=entry.origin,
                    noncoherent=noncoherent)
@@ -638,14 +636,13 @@ class MemorySystem:
         return tuple(tuple(e) if e else None for e in self.rpt)
 
     def check_invariants(self):
-        """Exclusivity, cleanliness, and (two-core) directory safety: a
-        core holds a line in the directory exactly when its L1D has it."""
+        """Exclusivity, cleanliness, and directory safety: a core holds a
+        line in the directory exactly when its L1D has it."""
         for core in range(self.ncores):
-            if self.ncores > 1:
-                held = {ln for ln, h in self.directory.items() if core in h}
-                cached = {t for st in self.l1d[core].lines for t in st}
-                assert held == cached, \
-                    f"core {core}'s directory entries differ from its L1D"
+            held = {ln for ln, h in self.directory.items() if core in h}
+            cached = {t for st in self.l1d[core].lines for t in st}
+            assert held == cached, \
+                f"core {core}'s directory entries differ from its L1D"
             for kind in ("d", "i"):
                 g = self._ghost_for(core, kind)
                 if g is None:
@@ -655,8 +652,7 @@ class MemorySystem:
                     assert not l1.lookup(way.tag), \
                         f"line {way.tag:#x} in both L1{kind} and its side buffer"
             g = self.dghost[core]
-            if g is not None and self.ncores > 1 \
-                    and self.prot.noncoherent_forward:
+            if g is not None and self.prot.noncoherent_forward:
                 for way in g.valid_lines():
                     if not way.noncoherent:
                         assert self._remote_owner(way.tag, core) is None, \

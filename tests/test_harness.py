@@ -322,6 +322,22 @@ class TestCli:
         assert err.startswith("error: cannot read ")
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "{prog}", "--csv", "{dir}"],
+        ["run", "{prog}", "--csv", "{dir}/missing/c.csv"],
+        ["gadgets", "emit", "spectre_v1", "--dir", "{prog}"],
+        ["gadgets", "emit", "spectre_v1", "--dir", "{prog}/sub"],
+    ], ids=["csv-directory", "csv-missing-parent", "emit-dir-file",
+            "emit-dir-under-file"])
+    def test_unwritable_path_is_usage_error(self, tmp_path, capsys, argv):
+        prog = tmp_path / "p.gasm"
+        prog.write_text(SIMPLE)
+        argv = [a.format(dir=tmp_path, prog=prog) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+        assert "internal error" not in err
+
     def test_negative_fuzz_count_rejected(self, capsys):
         assert main(["fuzz", "-5"]) == 2
         assert "count" in capsys.readouterr().err

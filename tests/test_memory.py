@@ -332,3 +332,19 @@ class TestCommitExtract:
         assert l1.install(self.C) == (self.B, False)
         assert l1.lookup(self.A)
         assert mem.counters["lines_extracted"] == 0
+
+
+class TestSingleCoreDirectory:
+    """The directory is kept for any number of cores: after a one-core
+    run it lists exactly the lines of core 0's L1D, stored lines Modified
+    and loaded ones Exclusive."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_directory_holds_the_l1d_lines(self, mode):
+        m = run([".word 0x2000 5", "li r1, 7", "st r1, r0, 0x1000"]
+                + timed_load(0x2000, 0), mode=mode, check_invariants=True)
+        cached = {t for st in m.mem.l1d[0].lines for t in st}
+        assert cached and set(m.mem.directory) == cached
+        assert m.mem.directory[0x1000] == {0: "M"}
+        assert m.mem.directory[RESULT] == {0: "M"}
+        assert m.mem.directory[0x2000] == {0: "E"}

@@ -87,7 +87,7 @@ class TestLeapfrog:
         for ts in (22, 23, 25):
             entries.append(req(mem, ts, ts))
         req(mem, 29, 29)
-        mem._free_entry(mem.l1d_file[0], entries[0])
+        mem._free_entry(entries[0])
         assert core.wakes == [29]
 
 
