@@ -68,6 +68,10 @@ class DynInstr:
     )
 
     def __init__(self, si, ts, iline, cycle):
+        # only the slots read before a stage writes them are set here:
+        # rename sets seq, akey, renamed and dep1/dep2; issue sets issued,
+        # addr, line and taken; complete (or rename, for what is done at
+        # rename) sets completed, and a load's completion sets origin
         self.pc = si.pc
         self.op = si.op
         self.cls = si.cls
@@ -79,27 +83,15 @@ class DynInstr:
         self.ts = ts
         self.state = "FETQ"       # FETQ ROB EXEC DONE COMMITTED SQUASHED
         self.iline = iline        # instruction line, as fetch requested it
-        # the cycle of each pipeline stage, None until the stage is reached
-        self.fetched = cycle
-        self.renamed = None
-        self.issued = None
-        self.completed = None
-        self.dep1 = None
-        self.dep2 = None
+        self.fetched = cycle      # the cycle of each pipeline stage
         self.result = None
-        self.addr = None
-        self.line = None
         self.pred_taken = False
-        self.taken = False
-        self.done_at = None
-        self.origin = None
         self.noncoherent = False
-        self.akey = None
         self.ablated = False
         self.div_unit = None
         self.commit_mem = None    # store/replay: None | ready cycle | WAITING
-        self.seq = None           # rename order
         self.waits = 0            # sources not yet DONE
+        self.done_at = None
         self.consumers = []       # renamed instructions reading our result
 
 
@@ -421,10 +413,16 @@ class Core:
         """Returns whether anything completed.  Finishes the in-flight
         instructions due by ``cycle`` in program order, so a branch
         squashes the younger ones before they complete."""
-        due = [di for di in self.inflight if di.done_at <= cycle]
+        due = []
+        rest = []
+        for di in self.inflight:
+            if di.done_at <= cycle:
+                due.append(di)
+            else:
+                rest.append(di)
         if not due:
             return False
-        self.inflight = [di for di in self.inflight if di.done_at > cycle]
+        self.inflight = rest
         due.sort(key=_SEQ)
         for di in due:
             if di.state != "EXEC":   # a just-resolved older branch wiped us

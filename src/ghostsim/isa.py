@@ -108,8 +108,15 @@ DECODE = {
 }
 # pseudo-op -> (op, operand form)
 PSEUDO = {"li": ("addi", "di"), "mv": ("add", "da")}
-# operand letter -> index into StaticInstr's (dst, s1, s2, imm, target)
-_FIELD = {"d": 0, "a": 1, "b": 2, "i": 3, "t": 4}
+# operand letter -> (operand kind, index into StaticInstr's (dst, s1, s2,
+# imm, target)); kind r = register, i = immediate, t = branch target
+_OPERAND = {"d": ("r", 0), "a": ("r", 1), "b": ("r", 2),
+            "i": ("i", 3), "t": ("t", 4)}
+# mnemonic (op or pseudo-op) -> (op, class, operands); the assembler's
+# only encoding table
+_FORMS = {**{op: (op, form) for op, (_, form) in DECODE.items()}, **PSEUDO}
+ENCODE = {name: (op, DECODE[op][0], tuple(_OPERAND[k] for k in form))
+          for name, (op, form) in _FORMS.items()}
 
 MASK64 = (1 << 64) - 1
 
@@ -142,6 +149,9 @@ BRANCH_CONDS = {"beq": operator.eq, "bne": operator.ne,
                 "blt": operator.lt, "bge": operator.ge}
 
 
+_REGS = {f"r{n}": n for n in range(NUM_REGS)}
+
+
 def _reg(tok: str, lineno: int) -> int:
     """A register name: ``r`` followed by ASCII decimal digits."""
     tok = tok.strip()
@@ -170,7 +180,7 @@ def load_program(text: str) -> Program:
     unknown opcodes/registers, and undefined or duplicate labels.
     """
     # pass 1: strip comments, collect labels and raw statements
-    stmts = []       # (lineno, op, [operand tokens])
+    stmts = []       # (lineno, op, operand tokens, not yet stripped)
     labels = {}
     data = {}
     pc = 0
@@ -191,12 +201,14 @@ def load_program(text: str) -> Program:
             continue
         parts = line.split(None, 1)
         op = parts[0].lower()
-        args = [a.strip() for a in parts[1].split(",")] if len(parts) > 1 else []
         if op == ".word":
             toks = parts[1].split() if len(parts) > 1 else []
             if len(toks) != 2:
                 raise ParseError(f"line {lineno}: .word needs address and value")
-            addr, val = _imm(toks[0], lineno), _imm(toks[1], lineno)
+            try:
+                addr, val = int(toks[0], 0), int(toks[1], 0)
+            except ValueError:
+                addr, val = _imm(toks[0], lineno), _imm(toks[1], lineno)
             if addr < 0 or addr % WORD_BYTES:
                 raise ParseError(f"line {lineno}: .word address must be {WORD_BYTES}-byte aligned")
             data[addr] = val
@@ -206,15 +218,14 @@ def load_program(text: str) -> Program:
             if n <= 0 or n % INSTR_BYTES:
                 raise ParseError(f"line {lineno}: bad alignment {parts[1] if len(parts) > 1 else ''!r}")
             while pc % n:
-                stmts.append((lineno, "nop", []))
+                stmts.append((lineno, "nop", ()))
                 pc += INSTR_BYTES
             continue
-        stmts.append((lineno, op, args))
+        stmts.append((lineno, op, parts[1].split(",") if len(parts) > 1 else ()))
         pc += INSTR_BYTES
 
     # pass 2: encode
     def target(tok, lineno):
-        tok = tok.strip()
         if tok in labels:
             addr = labels[tok]
         elif tok.isidentifier():
@@ -227,25 +238,27 @@ def load_program(text: str) -> Program:
 
     instrs = []
     for lineno, name, args in stmts:
-        if name in PSEUDO:
-            op, form = PSEUDO[name]
-            cls = DECODE[op][0]
-        elif name in DECODE:
-            op = name
-            cls, form = DECODE[name]
-        else:
+        enc = ENCODE.get(name)
+        if enc is None:
             raise ParseError(f"line {lineno}: unknown opcode {name!r}")
-        if len(args) != len(form):
-            raise ParseError(f"line {lineno}: {name} expects {len(form)} operands")
+        op, cls, operands = enc
+        if len(args) != len(operands):
+            raise ParseError(f"line {lineno}: {name} expects {len(operands)} operands")
         fields = [0, 0, 0, 0, 0]
-        for kind, tok in zip(form, args):
-            if kind == "i":
-                val = _imm(tok, lineno)
-            elif kind == "t":
-                val = target(tok, lineno)
+        for (kind, idx), tok in zip(operands, args):
+            tok = tok.strip()
+            if kind == "r":
+                val = _REGS.get(tok)
+                if val is None:   # r01, or an error message
+                    val = _reg(tok, lineno)
+            elif kind == "i":
+                try:
+                    val = int(tok, 0)
+                except ValueError:
+                    val = _imm(tok, lineno)
             else:
-                val = _reg(tok, lineno)
-            fields[_FIELD[kind]] = val
+                val = target(tok, lineno)
+            fields[idx] = val
         instrs.append(StaticInstr(len(instrs) * INSTR_BYTES, op, cls,
                                   *fields))
     return Program(instrs=instrs, data=data, labels=labels)

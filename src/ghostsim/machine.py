@@ -5,7 +5,7 @@ bit-deterministic.
 
 from .config import RunConfig
 from .core import Core
-from .isa import WORD_BYTES
+from .isa import FENCE, WORD_BYTES
 from .memory import MemorySystem
 from .order import ts_not_after
 
@@ -58,6 +58,16 @@ class Machine:
         """Advance until every core has halted.  Raises SimTimeout if the
         cycle budget runs out first.
 
+        A stage is called only when its occupancy says it can act: complete
+        with something in flight, commit with a DONE instruction at the
+        ROB head, issue with a ready instruction, rename with a fetched
+        instruction, room in the ROB and no fence waiting for the ROB to
+        drain, and fetch once its stall is over, with no missed line
+        pending and room in the fetch queue.  Each test is one the stage
+        makes first itself, so a stage not called would have returned
+        False and changed nothing.  Only commit halts a core, so whether
+        every core has halted is asked again only then.
+
         A cycle in which neither the memory system nor any stage changes
         state is followed by a jump to the next cycle at which something
         can happen (the earliest ``next_event`` of the memory system and
@@ -66,22 +76,36 @@ class Machine:
         ``run(max_cycles=cycle + 1)`` steps exactly one cycle, and a run
         with nothing left to wait for times out at once."""
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
+        check = self.cfg.check_invariants
+        rob_size = self.cfg.rob
+        fetchq_size = self.cfg.fetchq
         mem = self.mem
         cores = self.cores
-        while True:
-            if all(core.halted for core in cores):
-                return self.cycle
+        halted = all(core.halted for core in cores)
+        while not halted:
             if self.cycle >= limit:
                 raise SimTimeout(limit)
             c = self.cycle
             progress = mem.tick(c)
             for core in cores:
-                progress |= core.do_complete(c)
-                progress |= core.do_commit(c)
-                progress |= core.do_issue(c)
-                progress |= core.do_rename(c)
-                progress |= core.do_fetch(c)
-            if self.cfg.check_invariants:
+                if core.inflight:
+                    progress |= core.do_complete(c)
+                rob = core.rob
+                if rob and rob[0].state == "DONE":
+                    progress |= core.do_commit(c)
+                    if core.halted:
+                        halted = all(other.halted for other in cores)
+                if core.ready:
+                    progress |= core.do_issue(c)
+                fetchq = core.fetchq
+                if fetchq and len(rob) < rob_size \
+                        and not (rob and fetchq[0].cls == FENCE):
+                    progress |= core.do_rename(c)
+                if (c >= core.fetch_stall_until and not core.fetch_done
+                        and core.line_req is None
+                        and len(fetchq) < fetchq_size):
+                    progress |= core.do_fetch(c)
+            if check:
                 mem.check_invariants()
             if progress:
                 self.cycle = c + 1
@@ -89,3 +113,4 @@ class Machine:
                 wake = min(mem.next_event(c),
                            *(core.next_event(c) for core in cores))
                 self.cycle = max(c + 1, min(wake, limit))
+        return self.cycle

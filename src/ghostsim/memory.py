@@ -553,6 +553,8 @@ class MemorySystem:
         if cycle >= self.deliver_bound:
             progress = self._deliver(cycle)
         events = self._events
+        if not events or events[0][0] > cycle:
+            return progress
         due = []
         while events and events[0][0] <= cycle:
             due.append(heappop(events))

@@ -46,12 +46,9 @@ class TimestampAllocator:
                 f"{self.live} timestamps live with window {self.window}"
             )
         ts = self.next
-        self._advance_past(ts)
+        self.next = ts + 1 if self.unbounded else (ts + 1) % self.window
         self.live += 1
         return ts
-
-    def _advance_past(self, ts: int) -> None:
-        self.next = ts + 1 if self.unbounded else (ts + 1) % self.window
 
     def retire(self, count: int = 1) -> None:
         self.live -= count
@@ -59,5 +56,5 @@ class TimestampAllocator:
 
     def rewind(self, ts: int, live: int) -> None:
         """Reset allocation to just after ``ts`` (used on pipeline squash)."""
-        self._advance_past(ts)
+        self.next = ts + 1 if self.unbounded else (ts + 1) % self.window
         self.live = live

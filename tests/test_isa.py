@@ -75,6 +75,50 @@ def test_register_digits():
     assert (p.instrs[0].dst, p.instrs[0].s1, p.instrs[0].s2) == (1, 15, 0)
 
 
+# every spelling the assembler accepts, with the fields it gives:
+# (pc, op, cls, dst, s1, s2, imm, target)
+SPELLINGS = """\
+top:
+add r01, r15, r0
+addi r1, r2, -8
+ld r3, r4, 0x40
+andi r5, r6, 0b101
+li r7, 1_000
+add  r1 ,r2 ,   r3
+st r7 , r2 , 8
+add\tr1,\tr2,\tr3
+beq r1 , r2 , top
+li r3, -1
+mv r4, r3
+.word 0x100 0xff
+.word 0x1_08 1_000
+.word 272 -5
+halt
+"""
+SPELLED = [
+    (0, "add", ALU, 1, 15, 0, 0, 0),
+    (4, "addi", ALU, 1, 2, 0, -8, 0),
+    (8, "ld", LOAD, 3, 4, 0, 0x40, 0),
+    (12, "andi", ALU, 5, 6, 0, 5, 0),
+    (16, "addi", ALU, 7, 0, 0, 1000, 0),
+    (20, "add", ALU, 1, 2, 3, 0, 0),
+    (24, "st", STORE, 0, 2, 7, 8, 0),
+    (28, "add", ALU, 1, 2, 3, 0, 0),
+    (32, "beq", BRANCH, 0, 1, 2, 0, 0),
+    (36, "addi", ALU, 3, 0, 0, -1, 0),
+    (40, "add", ALU, 4, 3, 0, 0, 0),
+    (44, "halt", HALT, 0, 0, 0, 0, 0),
+]
+
+
+def test_spellings():
+    p = load_program(SPELLINGS)
+    assert [(si.pc, si.op, si.cls, si.dst, si.s1, si.s2, si.imm, si.target)
+            for si in p.instrs] == SPELLED
+    assert p.data == {0x100: 0xFF, 0x108: 1000, 0x110: -5}
+    assert p.labels == {"top": 0}
+
+
 def test_misc_classes():
     p = load_program("div r1, r2, r3\nrdcycle r5\nfence\n")
     assert p.instrs[0].cls == DIV

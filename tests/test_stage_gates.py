@@ -1,0 +1,93 @@
+"""Oracle: ``Machine.run`` calls a stage only when its occupancy says it
+can act.  A reference loop that calls every stage on every visited cycle
+must give the same run: timelines, cycles, counters and non-speculative
+cache state, for normal and ablated runs alike."""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from ghostsim import Machine, RunConfig, SimTimeout, load_program
+from ghostsim.config import MODES
+from ghostsim.gadgets import GADGETS
+from ghostsim.harness import _gen_program
+
+SECRETS = (0, 11)
+
+
+def reference_run(m, max_cycles=None):
+    """``Machine.run`` with every stage called on every visited cycle."""
+    limit = max_cycles if max_cycles is not None else m.cfg.max_cycles
+    mem = m.mem
+    cores = m.cores
+    while True:
+        if all(core.halted for core in cores):
+            return m.cycle
+        if m.cycle >= limit:
+            raise SimTimeout(limit)
+        c = m.cycle
+        progress = mem.tick(c)
+        for core in cores:
+            progress |= core.do_complete(c)
+            progress |= core.do_commit(c)
+            progress |= core.do_issue(c)
+            progress |= core.do_rename(c)
+            progress |= core.do_fetch(c)
+        if m.cfg.check_invariants:
+            mem.check_invariants()
+        if progress:
+            m.cycle = c + 1
+        else:
+            wake = min(mem.next_event(c),
+                       *(core.next_event(c) for core in cores))
+            m.cycle = max(c + 1, min(wake, limit))
+
+
+def _outcome(m, run, max_cycles=None):
+    try:
+        run(m, max_cycles)
+        timeout = None
+    except SimTimeout as e:
+        timeout = e.cycles
+    return (timeout, m.cycle, [core.timeline for core in m.cores],
+            dict(m.mem.counters), m.mem.nonspec_state())
+
+
+def _runs(programs, cfg, run, ablate):
+    """The outcome of the normal run and, if ``ablate``, of its ablation."""
+    m1 = Machine(programs, cfg)
+    out = [_outcome(m1, run)]
+    if ablate:
+        out.append(_outcome(Machine(programs, cfg, normal=m1), run, m1.cycle))
+    return out
+
+
+def _check(texts, cfg, ablate=False):
+    programs = [load_program(t) for t in texts]
+    assert (_runs(programs, cfg, Machine.run, ablate)
+            == _runs(programs, cfg, reference_run, ablate))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", GADGETS)
+def test_gadgets(name, mode):
+    g = GADGETS[name]
+    cfg = replace(RunConfig(mode=mode), **g.cfg_overrides)
+    for s in SECRETS:
+        _check(g.programs(s), cfg)
+
+
+def test_fuzz_programs_ablated():
+    rng = random.Random(0)
+    cfg = RunConfig(mode="ghostminion")
+    for _ in range(30):
+        _check([_gen_program(rng)], cfg, ablate=True)
+
+
+@pytest.mark.parametrize("mode", ("ghostminion", "unsafe"))
+def test_two_core_pairs(mode):
+    rng = random.Random(7)
+    cfg = RunConfig(mode=mode)
+    for _ in range(10):
+        _check([_gen_program(rng), _gen_program(rng)], cfg, ablate=True)
