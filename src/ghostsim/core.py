@@ -68,10 +68,11 @@ class DynInstr:
     )
 
     def __init__(self, si, ts, iline, cycle):
-        # only the slots read before a stage writes them are set here:
-        # rename sets seq, akey, renamed and dep1/dep2; issue sets issued,
-        # addr, line and taken; complete (or rename, for what is done at
-        # rename) sets completed, and a load's completion sets origin
+        # Only the slots read before a stage writes them are set here.
+        # Rename sets seq, akey, renamed, dep1 and dep2; issue sets issued,
+        # addr, line, taken and a load's origin (mem_ready, for a miss);
+        # completion sets completed.  Rename itself sets issued for an
+        # ablated instruction, and completed too for one done at rename.
         self.pc = si.pc
         self.op = si.op
         self.cls = si.cls
@@ -83,7 +84,7 @@ class DynInstr:
         self.ts = ts
         self.state = "FETQ"       # FETQ ROB EXEC DONE COMMITTED SQUASHED
         self.iline = iline        # instruction line, as fetch requested it
-        self.fetched = cycle      # the cycle of each pipeline stage
+        self.fetched = cycle
         self.result = None
         self.pred_taken = False
         self.noncoherent = False

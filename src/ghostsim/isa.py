@@ -154,7 +154,6 @@ _REGS = {f"r{n}": n for n in range(NUM_REGS)}
 
 def _reg(tok: str, lineno: int) -> int:
     """A register name: ``r`` followed by ASCII decimal digits."""
-    tok = tok.strip()
     if not tok.startswith("r"):
         raise ParseError(f"line {lineno}: expected register, got {tok!r}")
     digits = tok[1:]
@@ -168,7 +167,7 @@ def _reg(tok: str, lineno: int) -> int:
 
 def _imm(tok: str, lineno: int) -> int:
     try:
-        return int(tok.strip(), 0)
+        return int(tok, 0)
     except ValueError:
         raise ParseError(f"line {lineno}: bad immediate {tok!r}")
 
