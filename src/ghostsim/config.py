@@ -101,9 +101,9 @@ class RunConfig:
         for name in _LATENCIES:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative")
-        # MemorySystem.tick delivers a miss only in its exact delivery
-        # cycle, and the tick of the cycle a miss is requested in has
-        # already run: a zero-cycle miss would never arrive
+        # a miss is requested after the MemorySystem.tick of its cycle has
+        # run, so a zero-cycle miss would be delivered a cycle after it
+        # is due
         if self.l1_lat + self.l2_lat < 1 or self.l2_lat + self.mem_lat < 1:
             raise ConfigError("l1_lat + l2_lat and l2_lat + mem_lat must "
                               "each be at least 1")
@@ -143,6 +143,8 @@ class RunConfig:
             key, val = key.strip(), val.strip()
             if key not in kinds:
                 raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+            if key in kwargs:
+                raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
             kind = kinds[key]
             if kind is bool:
                 if val.lower() not in ("true", "false", "0", "1"):

@@ -42,7 +42,7 @@ from collections import deque
 from operator import attrgetter
 
 from . import isa
-from .isa import MASK64, MUL, DIV, LOAD, STORE, BRANCH, JMP, RDCYCLE, FENCE, HALT, NOP
+from .isa import s64, MUL, DIV, LOAD, STORE, BRANCH, JMP, RDCYCLE, FENCE, HALT, NOP
 from .order import TimestampAllocator
 
 # commit_mem of a store or replay whose commit-time access waits for a
@@ -50,11 +50,6 @@ from .order import TimestampAllocator
 WAITING = float("inf")
 
 _SEQ = attrgetter("seq")
-
-
-def s64(v):
-    v &= MASK64
-    return v - (1 << 64) if v >= (1 << 63) else v
 
 
 class DynInstr:

@@ -121,6 +121,12 @@ ENCODE = {name: (op, DECODE[op][0], tuple(_OPERAND[k] for k in form))
 MASK64 = (1 << 64) - 1
 
 
+def s64(v):
+    """``v`` as a register holds it: wrapped to signed 64 bits."""
+    v &= MASK64
+    return v - (1 << 64) if v >= (1 << 63) else v
+
+
 def _div(a, b):
     """Truncating division; dividing by zero gives 0."""
     if b == 0:
@@ -210,7 +216,7 @@ def load_program(text: str) -> Program:
                 addr, val = _imm(toks[0], lineno), _imm(toks[1], lineno)
             if addr < 0 or addr % WORD_BYTES:
                 raise ParseError(f"line {lineno}: .word address must be {WORD_BYTES}-byte aligned")
-            data[addr] = val
+            data[addr] = s64(val)
             continue
         if op == ".align":
             n = _imm(parts[1], lineno) if len(parts) > 1 else 0

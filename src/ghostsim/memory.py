@@ -22,6 +22,12 @@ older ones:
 Each rule is a switch of ``config.Protection``, and ``config.PROTECTION``
 says which a protection mode turns on.  With no side buffer, speculative
 fills pollute the L1/L2 directly.
+
+One event heap holds every timed action: each miss delivery, queued when
+its latency is set, and each background fill or prefetch.  In a cycle the
+L2, then each core's L1D and L1I deliver, each file's misses in creation
+order, then the actions run in scheduling order.  A delivery whose miss
+was since freed, restarted or handed to the L2 is skipped.
 """
 
 COUNTER_KEYS = (
@@ -30,6 +36,7 @@ COUNTER_KEYS = (
 )
 
 from heapq import heappop, heappush
+from itertools import count
 
 from .ghost_cache import GhostCache
 
@@ -83,16 +90,17 @@ class Cache:
 
 
 class MshrEntry:
-    __slots__ = ("file", "addr", "ts", "core", "spec", "is_write",
+    __slots__ = ("file", "addr", "ts", "core", "spec", "is_write", "seq",
                  "targets", "parents", "child", "deliver_at", "origin")
 
-    def __init__(self, file, addr, ts, core, spec, is_write=False):
+    def __init__(self, file, addr, ts, core, spec, seq, is_write=False):
         self.file = file      # the MshrFile holding this entry
         self.addr = addr
         self.ts = ts
         self.core = core
         self.spec = spec
         self.is_write = is_write
+        self.seq = seq        # creation order, unique
         self.targets = []     # waiters for delivery: (core, instr or None)
         self.parents = []     # upper-level MshrEntry objects waiting on us
         self.child = None
@@ -101,8 +109,10 @@ class MshrEntry:
 
 
 class MshrFile:
-    def __init__(self, cap):
+    def __init__(self, cap, rank, kind=None):
         self.cap = cap
+        self.rank = rank      # delivery order among the files in one cycle
+        self.kind = kind      # "d" or "i" for an L1 file, None for the L2
         self.entries = []
         self.waiters = []     # targets to wake when a slot frees
 
@@ -136,9 +146,11 @@ class MemorySystem:
         self.dghost = [mk() if prot.side_buffer else None for _ in range(ncores)]
         self.ighost = [mk() if prot.side_buffer else None for _ in range(ncores)]
 
-        self.l1d_file = [MshrFile(cfg.l1_mshrs) for _ in range(ncores)]
-        self.l1i_file = [MshrFile(cfg.l1_mshrs) for _ in range(ncores)]
-        self.l2_file = MshrFile(cfg.l2_mshrs)
+        self.l1d_file = [MshrFile(cfg.l1_mshrs, 1 + 2 * c, "d")
+                         for c in range(ncores)]
+        self.l1i_file = [MshrFile(cfg.l1_mshrs, 2 + 2 * c, "i")
+                         for c in range(ncores)]
+        self.l2_file = MshrFile(cfg.l2_mshrs, 0)
 
         # directory: line -> {core: "M"|"E"|"S"} over L1D contents
         self.directory = {}
@@ -146,13 +158,11 @@ class MemorySystem:
         # stride prefetcher at the L2 (reference prediction table)
         self.rpt = [None] * cfg.rpt_entries   # [pc, last_line, stride, conf]
 
-        # background actions as a heap of (cycle, seq, fn); seq keeps the
-        # actions due in one tick in the order they were scheduled
+        # (cycle, rank, seq, entry) for a delivery, ranked by its file, or
+        # (cycle, rank after every file, seq, fn) for a background action
         self._events = []
-        self._event_seq = 0
-        # no miss is delivered before this cycle: tick scans the miss
-        # registers only once it is reached
-        self.deliver_bound = float("inf")
+        self._seq = count()            # entry creation and scheduling order
+        self._action_rank = 2 * ncores + 1
 
     # ------------------------------------------------------------------ util
 
@@ -172,12 +182,10 @@ class MemorySystem:
 
     def _deliver_at(self, entry, cycle):
         entry.deliver_at = cycle
-        if cycle < self.deliver_bound:
-            self.deliver_bound = cycle
+        heappush(self._events, (cycle, entry.file.rank, entry.seq, entry))
 
     def at(self, cycle, fn):
-        heappush(self._events, (cycle, self._event_seq, fn))
-        self._event_seq += 1
+        heappush(self._events, (cycle, self._action_rank, next(self._seq), fn))
 
     # ------------------------------------------------------------- directory
 
@@ -277,6 +285,7 @@ class MemorySystem:
         file = entry.file
         if entry in file.entries:
             file.entries.remove(entry)
+            entry.deliver_at = None
             self._wake(file)
 
     def _orphan_child(self, entry):
@@ -362,7 +371,8 @@ class MemorySystem:
                 if target is not None:
                     file.waiters.append(target)
                 return None
-        entry = MshrEntry(file, line, ts, core, spec, is_write)
+        entry = MshrEntry(file, line, ts, core, spec, next(self._seq),
+                          is_write)
         if target is not None:
             entry.targets.append(target)
         if parent is not None:
@@ -549,67 +559,54 @@ class MemorySystem:
     def tick(self, cycle):
         """Deliver the misses and run the background actions due this
         cycle.  Returns whether anything happened."""
-        progress = False
-        if cycle >= self.deliver_bound:
-            progress = self._deliver(cycle)
         events = self._events
         if not events or events[0][0] > cycle:
-            return progress
-        due = []
-        while events and events[0][0] <= cycle:
-            due.append(heappop(events))
-        for _, _, fn in sorted(due, key=lambda ev: ev[1]):
-            fn()
-        return progress or bool(due)
-
-    def _deliver(self, cycle):
-        """Deliver the misses due this cycle, and raise ``deliver_bound``
-        to the next pending delivery.  Returns whether any was due."""
+            return False
         progress = False
-        # L2-level completions feed parent L1 MSHRs after the L1 transit
-        for e in list(self.l2_file.entries):
-            if e.deliver_at == cycle:
+        actions = []
+        # a delivery this pushes for this cycle (l1_lat = 0) is popped too
+        while events and events[0][0] <= cycle:
+            at, rank, seq, what = heappop(events)
+            if rank == self._action_rank:
+                actions.append((seq, what))
+            elif what.deliver_at == at:
                 progress = True
-                if e.parents:   # else orphaned: every requester was cancelled
-                    if (not e.spec) or not self.prot.hide_spec_l2_fill:
-                        self.l2.install(e.addr)
-                    for parent in e.parents:
-                        self._deliver_at(parent, cycle + self.cfg.l1_lat)
-                        parent.origin = e.origin
-                        parent.child = None
-                e.parents = []
-                self._free_entry(e)
-        # L1-level completions deliver to the core and install the line
-        for core in range(self.ncores):
-            for kind, file in (("d", self.l1d_file[core]), ("i", self.l1i_file[core])):
-                for e in list(file.entries):
-                    if e.deliver_at == cycle:
-                        progress = True
-                        self._deliver_l1(core, kind, e, cycle)
-                        if e.is_write:   # only L1D entries are writes
-                            self.directory.setdefault(e.addr, {})[core] = "M"
-                        self._free_entry(e)
-        self.deliver_bound = self._next_delivery(cycle)
-        return progress
+                self._deliver(what, at)
+        # an action scheduled for a cycle whose tick had already run is
+        # due now, after this cycle's deliveries
+        for _, fn in sorted(actions):
+            fn()
+        return progress or bool(actions)
 
-    def _next_delivery(self, cycle):
-        """Earliest cycle after ``cycle`` at which a miss is delivered;
-        inf if none."""
-        t = float("inf")
-        for file in (*self.l1d_file, *self.l1i_file, self.l2_file):
-            for e in file.entries:
-                d = e.deliver_at
-                if d is not None and cycle < d < t:
-                    t = d
-        return t
+    def _deliver(self, e, cycle):
+        if e.file is self.l2_file:
+            # an L2 completion feeds its parent L1 misses after the L1 transit
+            if e.parents:   # else orphaned: every requester was cancelled
+                if (not e.spec) or not self.prot.hide_spec_l2_fill:
+                    self.l2.install(e.addr)
+                for parent in e.parents:
+                    self._deliver_at(parent, cycle + self.cfg.l1_lat)
+                    parent.origin = e.origin
+                    parent.child = None
+            e.parents = []
+        else:
+            self._deliver_l1(e, cycle)
+        self._free_entry(e)
 
     def next_event(self, cycle):
-        """Earliest cycle after ``cycle`` at which a miss is delivered, or
-        the cycle of the first pending background action; inf if none."""
-        t = self._events[0][0] if self._events else float("inf")
-        return min(t, self._next_delivery(cycle))
+        """The cycle of the first queued delivery or background action,
+        dropping stale deliveries from the heap; inf if none."""
+        events = self._events
+        while events:
+            at, rank, _, what = events[0]
+            if rank == self._action_rank or what.deliver_at == at:
+                return at
+            heappop(events)
+        return float("inf")
 
-    def _deliver_l1(self, core, kind, entry, cycle):
+    def _deliver_l1(self, entry, cycle):
+        """An L1 completion: install the line and wake its targets."""
+        core, kind = entry.core, entry.file.kind
         g = self._ghost_for(core, kind)
         # a speculative copy of a line another core has taken Exclusive
         # meanwhile is non-coherent: its loads are replayed at commit
@@ -625,6 +622,8 @@ class MemorySystem:
             self.cores[tcore].mem_ready(instr, entry.addr, cycle, entry.origin,
                                         noncoherent)
         entry.targets = []
+        if entry.is_write:   # only L1D entries are writes
+            self.directory.setdefault(entry.addr, {})[core] = "M"
 
     # ------------------------------------------------------------ snapshots
 

@@ -18,7 +18,7 @@ Corpus:
 * the programs of fuzz seed 0, ablated: 1000 in ghostminion mode at the
   default geometry, 300 for every other mode x geometry in ``GEOMETRIES``;
 * the 150 ``random.Random(7)`` two-core pairs in ghostminion and unsafe
-  mode, ablated.
+  mode, ablated, at the default geometry and at ``zerolat``.
 
 The file is not collected by pytest; the whole corpus takes about
 a minute and a half.
@@ -40,6 +40,9 @@ GEOMETRIES = {
     "rob4": {"rob": 4},
     "tiny": {"rob": 2, "l1_mshrs": 1, "ghost_sets": 1, "ghost_ways": 1},
     "mshr31": {"l1_mshrs": 3, "l2_mshrs": 1},
+    # an L2 completion hands its L1 parent a same-cycle delivery; in the
+    # pairs, a forwarded fill is also scheduled for the current cycle
+    "zerolat": {"l1_lat": 0, "coh_lat": 0, "mem_lat": 0},
 }
 ABLATED_SECRETS = (0, 11)
 FUZZ_SEED = 0
@@ -105,10 +108,12 @@ def corpus():
     rng = random.Random(PAIR_SEED)
     pairs = [[harness._gen_program(rng), harness._gen_program(rng)]
              for _ in range(PAIRS)]
-    for mode in ("ghostminion", "unsafe"):
-        cfg = replace(base, mode=mode)
-        for i, pair in enumerate(pairs):
-            yield f"pair/{mode}/{i}", pair, cfg, True
+    for geo in ("default", "zerolat"):
+        prefix = "pair" if geo == "default" else f"pair/{geo}"
+        for mode in ("ghostminion", "unsafe"):
+            cfg = replace(base, mode=mode, **GEOMETRIES[geo])
+            for i, pair in enumerate(pairs):
+                yield f"{prefix}/{mode}/{i}", pair, cfg, True
 
 
 def compare(path_a, path_b):

@@ -64,6 +64,17 @@ def test_unknown_key_rejected():
         RunConfig.from_text("robs = 64\n")
 
 
+def test_duplicate_key_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_text("rob = 8\n# a comment\n\nrob = 16\n")
+    assert str(exc.value) == "config line 4: duplicate key 'rob'"
+    from ghostsim.cli import main
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("rob = 8\nrob = 16\n")
+    assert main(["diff", "spectre_v1", "--config", str(cfgf)]) == 2
+    assert "config line 2: duplicate key 'rob'" in capsys.readouterr().err
+
+
 def test_bad_int_rejected():
     with pytest.raises(ConfigError):
         RunConfig.from_text("rob = sixty-four\n")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ghostsim import RunConfig, harness
 from ghostsim.isa import (
     ALU, BRANCH, DIV, HALT, JMP, LOAD, NOP, RDCYCLE, STORE,
     INSTR_BYTES, ParseError, load_program,
@@ -54,6 +55,24 @@ def test_word_directive_and_comments():
     p = load_program("# header\n.word 0x100 7   # data\nnop\n")
     assert p.data == {0x100: 7}
     assert p.instrs[0].cls == NOP
+
+
+@pytest.mark.parametrize("value", ["0xFFFFFFFFFFFFFFFF", "-1",
+                                   "0x1FFFFFFFFFFFFFFFF"])
+def test_word_holds_what_a_register_holds(value):
+    # every spelling of the 64-bit word of all ones loads as -1, the value
+    # ``li r2, -1`` gives, so the branch is taken and r3 stays 0
+    text = (f".word 0x1000 {value}\nld r1, r0, 0x1000\nli r2, -1\n"
+            "beq r1, r2, same\nli r3, 5\nsame:\nhalt\n")
+    assert load_program(text).data == {0x1000: -1}
+    m, _ = harness.run([text], RunConfig())
+    assert m.cores[0].regs[1:4] == [-1, -1, 0]
+
+
+def test_word_wraps_at_the_signed_64_bit_bounds():
+    p = load_program(".word 0x100 0x8000000000000000\n"
+                     ".word 0x108 0x7fffffffffffffff\n")
+    assert p.data == {0x100: -(1 << 63), 0x108: (1 << 63) - 1}
 
 
 def test_align_pads_with_nops():

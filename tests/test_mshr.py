@@ -19,9 +19,13 @@ def _na(ts, ts2):
 class _StubCore:
     def __init__(self):
         self.wakes = []
+        self.ready = []
 
     def mem_retry(self, instr):
         self.wakes.append(instr)
+
+    def mem_ready(self, instr, line, cycle, origin, noncoherent):
+        self.ready.append((instr, cycle))
 
 
 def make(mode="ghostminion", mshrs=3):
@@ -134,6 +138,32 @@ class TestMergeAndTimeleap:
                           cycle=5, target=(0, "young"))
         assert (entry.ts, entry.child.deliver_at) == (40, deliver)
         assert mem.counters["timeleaps"] == 0
+
+
+class TestDelivery:
+    def test_restarted_and_cancelled_misses_deliver_once_or_never(self):
+        # a timeleap restarts the miss of line 7 at cycle 5, in the L1 and
+        # the L2; a leapfrog at cycle 6 cancels the L2 hit of line 9.  Both
+        # leave a delivery queued for a cycle their entry no longer waits
+        # for, and neither may be delivered then
+        mem, core = make(mshrs=2)
+        mem.l2.install(9 << 6)
+        requests = {0: [(7, 40, "a"), (9, 50, "victim")],
+                    5: [(7, 30, "old")],
+                    6: [(11, 35, "c")]}
+        for cycle in range(300):
+            mem.tick(cycle)
+            for line, ts, tag in requests.get(cycle, ()):
+                mem._mshr_request(mem.l1d_file[0], line << 6, ts, 0, True,
+                                  cycle, target=(0, tag))
+        assert mem.counters["timeleaps"] == 2
+        assert mem.counters["mshr_leapfrogs"] == 1
+        cfg = mem.cfg
+        miss = cfg.l2_lat + cfg.mem_lat + cfg.l1_lat
+        assert core.ready == [("a", 5 + miss), ("old", 5 + miss),
+                              ("c", 6 + miss)]
+        assert core.wakes == ["victim"]
+        assert mem.next_event(300) == float("inf")
 
 
 class TestUnsafeMode:

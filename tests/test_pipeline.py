@@ -233,8 +233,9 @@ class TestSteppedEquivalence:
 
 class TestWakeupBookkeeping:
     """Oracle: the lists the core keeps as instructions change state equal
-    what a scan of the ROB finds, after every cycle; and no miss is
-    delivered before the memory system's delivery bound."""
+    what a scan of the ROB finds, after every cycle; and every miss
+    waiting for a delivery cycle, none of them past, has a delivery
+    queued for it on the memory system's event heap."""
 
     @staticmethod
     def _check(m):
@@ -249,11 +250,12 @@ class TestWakeupBookkeeping:
             assert list(core.stq) == [di for di in rob if di.cls == STORE]
             assert list(core.divq) == [di for di in rob if di.cls == DIV]
         mem = m.mem
-        pending = [e.deliver_at
-                   for f in (*mem.l1d_file, *mem.l1i_file, mem.l2_file)
-                   for e in f.entries
-                   if e.deliver_at is not None and e.deliver_at >= m.cycle]
-        assert mem.deliver_bound <= min(pending, default=float("inf"))
+        queued = {(ev[0], ev[3]) for ev in mem._events}
+        for f in (*mem.l1d_file, *mem.l1i_file, mem.l2_file):
+            for e in f.entries:
+                if e.deliver_at is not None:
+                    assert e.deliver_at >= m.cycle
+                    assert (e.deliver_at, e) in queued
 
     def _step(self, programs, cfg):
         m = Machine([load_program(p) for p in programs], cfg)
