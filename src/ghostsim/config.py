@@ -109,6 +109,9 @@ class RunConfig:
                               "each be at least 1")
         if self.line_bytes < 8 or self.line_bytes & (self.line_bytes - 1):
             raise ConfigError("line_bytes must be a power of two, at least 8")
+        # the prefetcher's confidence counter saturates at 3
+        if not 1 <= self.rpt_confidence <= 3:
+            raise ConfigError("rpt_confidence must be from 1 to 3")
 
     @property
     def protection(self) -> Protection:

@@ -58,16 +58,16 @@ class DynInstr:
         "ts", "state", "iline", "fetched", "renamed", "issued", "completed",
         "dep1", "dep2",
         "result", "addr", "line", "pred_taken", "taken", "done_at",
-        "origin", "noncoherent", "akey", "ablated",
+        "forwarded", "from_below", "noncoherent", "akey", "ablated",
         "div_unit", "commit_mem", "seq", "waits", "consumers",
     )
 
     def __init__(self, si, ts, iline, cycle):
         # Only the slots read before a stage writes them are set here.
         # Rename sets seq, akey, renamed, dep1 and dep2; issue sets issued,
-        # addr, line, taken and a load's origin (mem_ready, for a miss);
-        # completion sets completed.  Rename itself sets issued for an
-        # ablated instruction, and completed too for one done at rename.
+        # addr, line, taken, forwarded and from_below (mem_ready, for a
+        # miss); completion sets completed.  Rename itself sets issued for
+        # an ablated instruction, and completed too for one done at rename.
         self.pc = si.pc
         self.op = si.op
         self.cls = si.cls
@@ -157,7 +157,7 @@ class Core:
         return ctr >= 2 and pc in self.btb
 
     def do_fetch(self, cycle):
-        if self.fetch_done or self.halted or cycle < self.fetch_stall_until:
+        if self.fetch_done or cycle < self.fetch_stall_until:
             return False
         cfg = self.cfg
         fetched = 0
@@ -203,13 +203,12 @@ class Core:
     # ---------------------------------------------------------------- rename
 
     def do_rename(self, cycle):
-        """Returns whether anything was renamed."""
+        """Returns whether anything was renamed.  Fetch takes a stamp only
+        while fewer than ``rob`` are live, so the whole fetch queue fits."""
         cfg = self.cfg
         budget = cfg.width
         while budget and self.fetchq:
             di = self.fetchq[0]
-            if len(self.rob) >= cfg.rob:
-                break
             if di.cls == FENCE and self.rob:
                 break
             if di.cls == LOAD and self.lq_used >= cfg.lq:
@@ -323,9 +322,10 @@ class Core:
                 fwd = self._forward_store(di)
                 di.issued = cycle
                 mem_slots -= 1
+                di.forwarded = fwd is not None
                 if fwd is not None:
                     di.result = fwd.result
-                    di.origin = "fwd"
+                    di.from_below = False
                     di.state = "EXEC"
                     di.done_at = cycle + 1
                     self.inflight.append(di)
@@ -335,7 +335,7 @@ class Core:
                                                di.ts, spec, cycle)
                     di.state = "EXEC"   # a miss keeps done_at None until its callback
                     if hit is not None:
-                        di.done_at, di.origin, di.noncoherent = hit
+                        di.done_at, di.from_below, di.noncoherent = hit
                         self.inflight.append(di)
                     # a leapfrog retries the loads of the misses it cancels;
                     # one older than di (a register stamped younger than one
@@ -429,14 +429,14 @@ class Core:
                 self._squash_after(di, cycle,
                                    self.normal.squash_log[di.akey][1])
                 continue
-            if di.cls == LOAD and di.origin != "fwd":
+            if di.cls == LOAD and not di.forwarded:
                 di.result = self.machine.read_word(di.addr)
             if di.cls == BRANCH and di.taken != di.pred_taken:
                 self._squash_after(di, cycle, di.target if di.taken
                                    else di.pc + isa.INSTR_BYTES)
         return True
 
-    def mem_ready(self, di, line, cycle, origin, noncoherent):
+    def mem_ready(self, di, line, cycle, noncoherent):
         """A miss was delivered to ``di``, or to the instruction fetch of
         ``line`` when ``di`` is None."""
         if di is None:
@@ -447,7 +447,7 @@ class Core:
             di.commit_mem = cycle
         elif di.state == "EXEC":         # else squashed while in flight
             di.result = self.machine.read_word(di.addr)
-            di.origin = origin
+            di.from_below = True
             di.noncoherent = noncoherent
             self._done(di, cycle)
 
@@ -563,7 +563,7 @@ class Core:
             mem.commit_extract(self.core_id, "i", di.iline, di.ts)
             if cls == LOAD:
                 mem.commit_extract(self.core_id, "d", di.line, di.ts)
-                mem.prefetch_notify(di.pc, di.line, di.origin, cycle)
+                mem.prefetch_notify(di.pc, di.line, di.from_below, cycle)
             elif cls == BRANCH:
                 ctr = self.bp_counters.get(di.pc, 1)
                 self.bp_counters[di.pc] = min(ctr + 1, 3) if di.taken else max(ctr - 1, 0)

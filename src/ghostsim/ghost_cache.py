@@ -25,13 +25,12 @@ position as in a fully allocated set.
 
 
 class GhostLine:
-    __slots__ = ("tag", "ts", "valid", "origin_level", "noncoherent")
+    __slots__ = ("tag", "ts", "valid", "noncoherent")
 
     def __init__(self):
         self.tag = -1             # line address
         self.ts = 0
         self.valid = False
-        self.origin_level = ""    # where the data came from: "l1"/"l2"/"mem"
         self.noncoherent = False
 
 
@@ -66,7 +65,7 @@ class GhostCache:
                 return None
         return None
 
-    def fill(self, line_addr, ts, origin_level="mem", noncoherent=False):
+    def fill(self, line_addr, ts, noncoherent=False):
         """Store a line; returns True if stored, False if rejected.
 
         Rejection (no free slot and no eligible victim) is a defined
@@ -109,7 +108,6 @@ class GhostCache:
         victim.tag = line_addr
         victim.ts = ts
         victim.valid = True
-        victim.origin_level = origin_level
         victim.noncoherent = noncoherent
         return True
 

@@ -61,9 +61,9 @@ class Machine:
         A stage is called only when its occupancy says it can act: complete
         with something in flight, commit with a DONE instruction at the
         ROB head, issue with a ready instruction, rename with a fetched
-        instruction, room in the ROB and no fence waiting for the ROB to
-        drain, and fetch once its stall is over, with no missed line
-        pending and room in the fetch queue.  Each test is one the stage
+        instruction and no fence waiting for the ROB to drain, and fetch
+        once its stall is over, with no missed line pending and room in
+        the fetch queue.  Each test is one the stage
         makes first itself, so a stage not called would have returned
         False and changed nothing.  Only commit halts a core, so whether
         every core has halted is asked again only then.
@@ -77,7 +77,6 @@ class Machine:
         with nothing left to wait for times out at once."""
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
         check = self.cfg.check_invariants
-        rob_size = self.cfg.rob
         fetchq_size = self.cfg.fetchq
         mem = self.mem
         cores = self.cores
@@ -98,8 +97,7 @@ class Machine:
                 if core.ready:
                     progress |= core.do_issue(c)
                 fetchq = core.fetchq
-                if fetchq and len(rob) < rob_size \
-                        and not (rob and fetchq[0].cls == FENCE):
+                if fetchq and not (rob and fetchq[0].cls == FENCE):
                     progress |= core.do_rename(c)
                 if (c >= core.fetch_stall_until and not core.fetch_done
                         and core.line_req is None

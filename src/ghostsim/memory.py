@@ -91,7 +91,7 @@ class Cache:
 
 class MshrEntry:
     __slots__ = ("file", "addr", "ts", "core", "spec", "is_write", "seq",
-                 "targets", "parents", "child", "deliver_at", "origin")
+                 "targets", "parents", "child", "deliver_at")
 
     def __init__(self, file, addr, ts, core, spec, seq, is_write=False):
         self.file = file      # the MshrFile holding this entry
@@ -105,7 +105,6 @@ class MshrEntry:
         self.parents = []     # upper-level MshrEntry objects waiting on us
         self.child = None
         self.deliver_at = None
-        self.origin = "mem"
 
 
 class MshrFile:
@@ -204,11 +203,10 @@ class MemorySystem:
                 holders[c] = "S"
 
     def _dir_remove(self, line, core):
-        holders = self.directory.get(line)
-        if holders and core in holders:
-            del holders[core]
-            if not holders:
-                del self.directory[line]
+        holders = self.directory[line]
+        del holders[core]
+        if not holders:
+            del self.directory[line]
 
     def _downgrade(self, line, requester):
         """A remote Exclusive/Modified copy is demoted to Shared; a dirty
@@ -283,19 +281,16 @@ class MemorySystem:
 
     def _free_entry(self, entry):
         file = entry.file
-        if entry in file.entries:
-            file.entries.remove(entry)
-            entry.deliver_at = None
-            self._wake(file)
+        file.entries.remove(entry)
+        entry.deliver_at = None
+        self._wake(file)
 
     def _orphan_child(self, entry):
         """Detach ``entry`` from its lower-level miss.  An L2 entry left
         with no parents is orphaned: it completes but delivers nothing."""
         child = entry.child
-        entry.child = None
-        if child is None:
-            return
-        if entry in child.parents:
+        if child is not None:
+            entry.child = None
             child.parents.remove(entry)
 
     def _cancel_entry(self, entry, blocking_file=None):
@@ -341,14 +336,14 @@ class MemorySystem:
                 existing.core = core
                 self._orphan_child(existing)
                 if not self._dispatch_lower(existing, cycle):
-                    # restart could not get a lower-level register: the
-                    # whole access waits on the blocking level
-                    if target is not None:
-                        self.l2_file.waiters.append(target)
+                    # the restart got no L2 register: the whole access
+                    # waits on the L2.  Only an L1 entry's restart needs
+                    # one, and every L1 request has a target
+                    self.l2_file.waiters.append(target)
                     return None
             if target is not None:
                 existing.targets.append(target)
-            if parent is not None and parent not in existing.parents:
+            if parent is not None:
                 existing.parents.append(parent)
                 parent.child = existing
             return existing
@@ -388,13 +383,12 @@ class MemorySystem:
         register for it: the entry is then released and its targets wait
         on the L2."""
         cfg = self.cfg
-        if entry.file is self.l2_file:   # its origin stays "mem"
+        if entry.file is self.l2_file:
             self._deliver_at(entry, cycle + cfg.l2_lat + cfg.mem_lat)
             return True
         if self.l2.lookup(entry.addr):
             if self._lru_visible(entry.spec):
                 self.l2.touch(entry.addr)
-            entry.origin = "l2"
             self._deliver_at(entry, cycle + cfg.l1_lat + cfg.l2_lat)
             return True
         entry.deliver_at = None
@@ -408,11 +402,11 @@ class MemorySystem:
 
     # ------------------------------------------------------------- accesses
     #
-    # Each access returns its ready cycle on a hit (a load also gets the
-    # origin level and the noncoherent flag) or None on a miss.  A miss
-    # leaves the target (core, instr) waiting, instr None for an
-    # instruction fetch.  The memory system then calls the core's
-    # mem_ready(instr, line, cycle, origin, noncoherent) when the line is
+    # Each access returns its ready cycle on a hit (a load also gets
+    # whether its line came from below the L1, and the noncoherent flag)
+    # or None on a miss.  A miss leaves the target (core, instr) waiting,
+    # instr None for an instruction fetch.  The memory system then calls
+    # the core's mem_ready(instr, line, cycle, noncoherent) when the line is
     # delivered, or mem_retry(instr) when a miss-register file had no room
     # or the miss was cancelled, after which the access is made again.
 
@@ -424,16 +418,17 @@ class MemorySystem:
         return True
 
     def data_access(self, core, instr, line, ts, spec, cycle):
-        """A load reaching the memory system: (ready, origin, noncoherent)
-        on a hit, None on a miss."""
+        """A load reaching the memory system: (ready, from_below,
+        noncoherent) on a hit, None on a miss.  A side-buffer line and a
+        copy forwarded from another core came from below the L1."""
         cfg = self.cfg
         g = self.dghost[core]
         if g is not None:
             hit = g.lookup(line, ts)
             if hit is not None:
-                return (cycle + cfg.l1_lat, hit.origin_level, hit.noncoherent)
+                return (cycle + cfg.l1_lat, True, hit.noncoherent)
         if self._l1_hit(self.l1d[core], line, spec):
-            return (cycle + cfg.l1_lat, "l1", False)
+            return (cycle + cfg.l1_lat, False, False)
         if self._remote_owner(line, core) is not None:
             if spec and self.prot.noncoherent_forward:
                 # forward a non-coherent copy without touching remote state;
@@ -442,11 +437,16 @@ class MemorySystem:
                 l1 = self.l1d[core]
 
                 def fill():
-                    # the core's own L1D may have got the line meanwhile
-                    if g is not None and not l1.lookup(line):
-                        g.fill(line, ts, origin_level="l2", noncoherent=True)
+                    # a squash drops the copy as it cancels a miss: the
+                    # rewound stamps would let a correct-path load read
+                    # it; the core's own L1D may have got the line meanwhile
+                    squashed = instr.state == "SQUASHED" \
+                        and self.prot.squash_cancels_misses
+                    if g is not None and not squashed \
+                            and not l1.lookup(line):
+                        g.fill(line, ts, noncoherent=True)
                 self.at(ready, fill)
-                return (ready, "l2", True)
+                return (ready, True, True)
             self._downgrade(line, core)
             cycle += cfg.coh_lat
         self._mshr_request(self.l1d_file[core], line, ts, core, spec, cycle,
@@ -514,10 +514,10 @@ class MemorySystem:
         if line in st:
             st[line] = st.pop(line)   # Cache.touch
 
-    def prefetch_notify(self, pc, line, origin, cycle):
+    def prefetch_notify(self, pc, line, from_below, cycle):
         """Train the L2 stride prefetcher from the committed access stream.
-        Only accesses that were brought in from the L2 or below train it."""
-        if origin not in ("l2", "mem"):
+        Only accesses whose line came from below the L1 train it."""
+        if not from_below:
             return
         cfg = self.cfg
         idx = (pc // 4) % cfg.rpt_entries
@@ -586,7 +586,6 @@ class MemorySystem:
                     self.l2.install(e.addr)
                 for parent in e.parents:
                     self._deliver_at(parent, cycle + self.cfg.l1_lat)
-                    parent.origin = e.origin
                     parent.child = None
             e.parents = []
         else:
@@ -614,13 +613,11 @@ class MemorySystem:
         if entry.spec and g is not None:
             noncoherent = (kind == "d" and self.prot.noncoherent_forward
                            and self._remote_owner(entry.addr, core) is not None)
-            g.fill(entry.addr, entry.ts, origin_level=entry.origin,
-                   noncoherent=noncoherent)
+            g.fill(entry.addr, entry.ts, noncoherent=noncoherent)
         else:
             self._install_l1(core, kind, entry.addr, dirty=entry.is_write)
         for tcore, instr in entry.targets:
-            self.cores[tcore].mem_ready(instr, entry.addr, cycle, entry.origin,
-                                        noncoherent)
+            self.cores[tcore].mem_ready(instr, entry.addr, cycle, noncoherent)
         entry.targets = []
         if entry.is_write:   # only L1D entries are writes
             self.directory.setdefault(entry.addr, {})[core] = "M"

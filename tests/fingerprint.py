@@ -18,7 +18,7 @@ Corpus:
 * the programs of fuzz seed 0, ablated: 1000 in ghostminion mode at the
   default geometry, 300 for every other mode x geometry in ``GEOMETRIES``;
 * the 150 ``random.Random(7)`` two-core pairs in ghostminion and unsafe
-  mode, ablated, at the default geometry and at ``zerolat``.
+  mode, ablated, at each geometry of ``PAIR_GEOMETRIES``.
 
 The file is not collected by pytest; the whole corpus takes about
 a minute and a half.
@@ -43,7 +43,11 @@ GEOMETRIES = {
     # an L2 completion hands its L1 parent a same-cycle delivery; in the
     # pairs, a forwarded fill is also scheduled for the current cycle
     "zerolat": {"l1_lat": 0, "coh_lat": 0, "mem_lat": 0},
+    # fewer units than the width, and queues and miss registers that fill
+    "tight": {"alu_units": 1, "mul_units": 1, "mem_ports": 1, "lq": 2,
+              "sq": 2, "l1_mshrs": 2, "l2_mshrs": 1},
 }
+PAIR_GEOMETRIES = ("default", "zerolat", "tight")
 ABLATED_SECRETS = (0, 11)
 FUZZ_SEED = 0
 PAIR_SEED = 7
@@ -108,7 +112,7 @@ def corpus():
     rng = random.Random(PAIR_SEED)
     pairs = [[harness._gen_program(rng), harness._gen_program(rng)]
              for _ in range(PAIRS)]
-    for geo in ("default", "zerolat"):
+    for geo in PAIR_GEOMETRIES:
         prefix = "pair" if geo == "default" else f"pair/{geo}"
         for mode in ("ghostminion", "unsafe"):
             cfg = replace(base, mode=mode, **GEOMETRIES[geo])

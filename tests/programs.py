@@ -9,6 +9,13 @@ leapfrog.  The message-passing pair ``MP_CORE0``/``MP_CORE1`` leaves 1 in
 core 0's r2 only when the commit-time replay runs.  ``OLDER_RETRY``
 exercises the issue walk rather than a protection, with ``warm_icache``
 and timeleap off.
+
+The rest each reach a path that the default config does not, at the
+config named with them: ``UNIT_SLOTS`` the issue slots and the store
+queue, ``L1I_EVICTION`` an instruction-line eviction,
+``TIMELEAP_RESTART`` a timeleap restart that finds no L2 miss register,
+and the pair ``OTHER_CORE_MISS``/``OLDER_MISS`` a full L2 miss-register
+file holding only the other core's miss.
 """
 
 OLDER_READER = """\
@@ -133,5 +140,60 @@ ld r5, r1, 0x3000
 ld r7, r2, 0x4000
 ld r8, r2, 0x5000
 ld r10, r1, 0x4000
+halt
+"""
+
+# at ``fingerprint.GEOMETRIES["tight"]``: the second ``li`` finds no ALU
+# slot, the second ``mul`` no MUL slot and the first store no ALU slot,
+# each for one cycle; the third store finds the two-entry store queue
+# full until the first commits
+UNIT_SLOTS = """\
+li r1, 3
+li r2, 5
+mul r3, r1, r1
+mul r4, r1, r1
+st r1, r0, 0x100
+st r2, r0, 0x108
+st r3, r0, 0x110
+halt
+"""
+
+# two instruction lines: at ``l1_sets=1, l1_ways=1`` the second evicts
+# the first from the L1I
+L1I_EVICTION = "nop\n" * 20 + "halt\n"
+
+# at ``l1_lat=20, l2_mshrs=1, warm_icache``: the youngest load (TIMELEAP_YOUNG)
+# misses on 0x3000 first.  Its L2 miss completes, speculative, so the L2
+# keeps no copy, and while the line crosses the L1 the divide chain
+# releases the two older loads: ``ld r3`` takes the only L2 miss register
+# and ``ld r4`` restarts the 0x3000 miss with its older stamp, which finds
+# no L2 register and waits for one
+TIMELEAP_YOUNG = "ld r5, r0, 0x3000"
+TIMELEAP_RESTART = """\
+.word 0x3000 5
+.word 0x5000 7
+li r9, 1
+mul r2, r9, r9
+""" + "div r2, r2, r9\n" * 12 + f"""\
+mul r2, r2, r9
+sub r2, r2, r9
+ld r3, r2, 0x5000
+ld r4, r2, 0x3000
+{TIMELEAP_YOUNG}
+halt
+"""
+TIMELEAP_CONFIG = {"l1_lat": 20, "l2_mshrs": 1, "warm_icache": True}
+
+# at ``l2_mshrs=1, warm_icache``: both cores miss in the same cycle, core
+# 0 first; core 1's load is the older by stamp, but the only L2 miss
+# register holds core 0's miss, which it may not leapfrog (merge_core)
+OTHER_CORE_MISS = """\
+li r1, 1
+li r2, 2
+ld r3, r0, 0x2000
+halt
+"""
+OLDER_MISS = """\
+ld r3, r0, 0x3000
 halt
 """

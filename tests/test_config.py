@@ -132,8 +132,18 @@ def test_zero_cycle_miss_rejected(lats):
         RunConfig(l1_lat=l1, l2_lat=l2, mem_lat=mem)
 
 
+@pytest.mark.parametrize("conf", [-1, 0, 4, 9])
+def test_rpt_confidence_out_of_range_rejected(conf):
+    # the confidence counter saturates at 3, so a threshold above it
+    # would switch the prefetcher off, and one below 1 would act as 1
+    with pytest.raises(ConfigError, match="rpt_confidence"):
+        RunConfig(rpt_confidence=conf)
+    assert RunConfig(rpt_confidence=3).rpt_confidence == 3
+
+
 def test_smallest_legal_values_accepted():
-    smallest = {**{n: 1 for n in COUNTS}, **{n: 0 for n in LATENCIES}}
+    smallest = {**{n: 1 for n in COUNTS}, **{n: 0 for n in LATENCIES},
+                "rpt_confidence": 1}
     cfg = RunConfig(rob=2, line_bytes=8, **{**smallest, "l2_lat": 1})
     assert RunConfig.from_text(cfg.to_text()) == cfg
 

@@ -62,6 +62,16 @@ class TestFill:
         tags = {w.tag: w.ts for w in g.valid_lines()}
         assert tags == {line(1): 26, line(3): 25}
 
+    def test_youngest_eligible_found_in_any_way(self):
+        # the same stamps in the other ways: the younger line comes first
+        # and stays the victim
+        g = make()
+        g.fill(line(1), 28)
+        g.fill(line(2), 26)
+        assert g.fill(line(3), 25)
+        tags = {w.tag: w.ts for w in g.valid_lines()}
+        assert tags == {line(3): 25, line(2): 26}
+
     def test_young_fill_into_older_set_rejected(self):
         # {3, 4} are both older than a fill stamped 9: evicting either
         # would let the young filler signal backwards in time
@@ -149,9 +159,9 @@ class TestWayPositions:
         g = make(timeguard=False)
         g.fill(line(1), 5)
         g.fill(line(2), 6)
-        assert g.fill(line(1), 9, origin_level="l2")
+        assert g.fill(line(1), 9)
         way = g.lines[0][0]
-        assert (way.tag, way.ts, way.origin_level) == (line(1), 9, "l2")
+        assert (way.tag, way.ts) == (line(1), 9)
         assert positions(g) == {0: line(1), 1: line(2)}
         assert g._fifo == [0]
         g.fill(line(3), 10)

@@ -76,11 +76,12 @@ class TestDifferential:
         assert ea[:3] == eb[:3]      # same instruction, different timing
 
 
-def _pair_13():
-    """Two-core pair 13 of seed 7 (both programs store)."""
+def _pair(index):
+    """Two-core pair ``index`` of seed 7, as ``tests/fingerprint.py``
+    builds its pairs."""
     import random
     rng = random.Random(7)
-    for _ in range(14):
+    for _ in range(index + 1):
         pair = [harness._gen_program(rng), harness._gen_program(rng)]
     return pair
 
@@ -124,7 +125,7 @@ class TestAblation:
         # seed 7, pair 13: a non-coherent copy forwarded to core 0 used to
         # land in its side buffer after a committing store had put the
         # line in its L1D, breaking exclusivity and the ablation check
-        pair = _pair_13()
+        pair = _pair(13)
         harness.run(pair, RunConfig(check_invariants=True))
         res = harness.run_ablation(pair, RunConfig())
         assert res.verdict == "PASS" and res.pure
@@ -135,12 +136,18 @@ class TestAblation:
         # side buffer as a coherent copy after the other core had taken
         # the line Exclusive; in pairs 38 and 118 a core took the line
         # Exclusive while the other held a coherent speculative copy
-        import random
-        rng = random.Random(7)
-        for _ in range(index + 1):
-            pair = [harness._gen_program(rng), harness._gen_program(rng)]
+        pair = _pair(index)
         harness.run(pair, RunConfig(check_invariants=True))
         res = harness.run_ablation(pair, RunConfig())
+        assert res.verdict == "PASS" and res.pure
+
+    def test_squashed_load_leaves_no_forwarded_copy(self):
+        # seed 7, pair 56 at l2_mshrs=1: core 1's wrong-path load got a
+        # non-coherent copy whose side-buffer fill was due after its
+        # squash; filled then, with a stamp the squash had rewound, it
+        # let a correct-path load hit 20 cycles early
+        res = harness.run_ablation(_pair(56), RunConfig(l2_mshrs=1,
+                                                        check_invariants=True))
         assert res.verdict == "PASS" and res.pure
 
     def test_older_reader_cannot_see_younger_side_buffer_fill(self,
@@ -225,7 +232,7 @@ SHARED_CASES = [
     pytest.param([OLDER_READER], "ghostminion", "PASS", id="older_reader"),
     pytest.param([OLDER_READER], "unsafe", "FAIL", id="older_reader-unsafe"),
     pytest.param([SIMPLE, DIVIDER_ORDER], "ghostminion", "PASS", id="stores"),
-    pytest.param(_pair_13(), "ghostminion", "PASS", id="pair13"),
+    pytest.param(_pair(13), "ghostminion", "PASS", id="pair13"),
 ]
 
 
@@ -285,6 +292,25 @@ class TestCli:
     def test_diff_exit_codes(self):
         assert main(["diff", "spectre_v1", "--mode", "ghostminion"]) == 0
         assert main(["diff", "spectre_v1", "--mode", "unsafe"]) == 1
+
+    def test_diff_error_verdict_is_usage_error(self, monkeypatch, capsys):
+        bad = Gadget("bad", lambda s: "nop\n" * (s + 1) + "halt\n",
+                     lambda m: 0, secrets=(0, 3))
+        monkeypatch.setitem(GADGETS, "bad", bad)
+        assert main(["diff", "bad"]) == 2
+        assert "verdict: ERROR" in capsys.readouterr().out
+
+    def test_module_entry_point(self, monkeypatch, capsys):
+        import runpy
+        import sys
+        import warnings
+        monkeypatch.setattr(sys, "argv", ["ghostsim", "gadgets", "list"])
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as e:
+            # runpy warns that the package has already imported the module
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module("ghostsim.cli", run_name="__main__")
+        assert e.value.code == 0
+        assert "spectre_v1" in capsys.readouterr().out
 
     def test_ablate_exit_codes(self, tmp_path):
         g = self._emit(tmp_path)

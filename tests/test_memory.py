@@ -6,7 +6,10 @@ import pytest
 
 from ghostsim import Machine, RunConfig, load_program
 from ghostsim.config import MODES
-from ghostsim.memory import Cache
+from ghostsim.memory import Cache, MemorySystem
+from ghostsim.order import ts_not_after
+
+from programs import L1I_EVICTION
 
 RESULT = 0xC080
 
@@ -28,6 +31,11 @@ def run(lines, **cfg_kw):
 
 def deltas(m, n):
     return [m.read_word(RESULT + 8 * i) for i in range(n)]
+
+
+def _mem(ncores=1, mode="ghostminion"):
+    return MemorySystem(RunConfig(mode=mode), ncores,
+                        lambda a, b: ts_not_after(a, b, 128))
 
 
 class TestCache:
@@ -140,16 +148,13 @@ class TestPrefetcher:
         # unit-level: three same-pc accesses at a constant line stride
         # reach the confidence threshold and schedule an L2 install of
         # the next line mem_lat cycles later
-        from ghostsim.memory import MemorySystem
-        from ghostsim.order import ts_not_after
-        cfg = RunConfig()
-        mem = MemorySystem(cfg, 1, lambda a, b: ts_not_after(a, b, 128))
+        mem = _mem()
         pc = 0x40
         for i, cyc in enumerate((0, 10, 20)):
-            mem.prefetch_notify(pc, 0x2000 + 64 * i, "mem", cyc)
+            mem.prefetch_notify(pc, 0x2000 + 64 * i, True, cyc)
         assert mem.counters["prefetches_issued"] == 1
         assert not mem.l2.lookup(0x2000 + 64 * 3)
-        mem.tick(20 + cfg.mem_lat)
+        mem.tick(20 + mem.cfg.mem_lat)
         assert mem.l2.lookup(0x2000 + 64 * 3)
 
     def test_stride_stream_trains_and_prefetches(self):
@@ -172,13 +177,10 @@ class TestPrefetcher:
         assert m.mem.l2.lookup(0x2000 + 64 * 15)
 
     def test_l1_hits_do_not_train(self):
-        # only accesses served from the L2 or below train the table
-        from ghostsim.memory import MemorySystem
-        from ghostsim.order import ts_not_after
-        mem = MemorySystem(RunConfig(), 1,
-                           lambda a, b: ts_not_after(a, b, 128))
+        # only accesses whose line came from below the L1 train the table
+        mem = _mem()
         for i, cyc in enumerate((0, 10, 20, 30)):
-            mem.prefetch_notify(0x40, 0x2000 + 64 * i, "l1", cyc)
+            mem.prefetch_notify(0x40, 0x2000 + 64 * i, False, cyc)
         assert mem.counters["prefetches_issued"] == 0
 
     def test_no_prefetch_without_stride(self):
@@ -259,12 +261,6 @@ class TestCommitExtract:
     A, B, C = 0x2000, 0x2000 + L1_STRIDE, 0x2000 + 2 * L1_STRIDE
     OTHER = A + CFG.ghost_sets * CFG.line_bytes
 
-    def _mem(self, mode="ghostminion"):
-        from ghostsim.memory import MemorySystem
-        from ghostsim.order import ts_not_after
-        return MemorySystem(RunConfig(mode=mode), 1,
-                            lambda a, b: ts_not_after(a, b, 128))
-
     @staticmethod
     def _sides(mem, kind):
         if kind == "i":
@@ -273,9 +269,9 @@ class TestCommitExtract:
 
     @pytest.mark.parametrize("kind", ["d", "i"])
     def test_visible_line_moves_to_l1(self, kind):
-        mem = self._mem()
+        mem = _mem()
         g, l1 = self._sides(mem, kind)
-        g.fill(self.A, 5, origin_level="mem")
+        g.fill(self.A, 5)
         mem.commit_extract(0, kind, self.A, 5)
         assert l1.lookup(self.A) and not g.has(self.A)
         assert mem.counters["lines_extracted"] == 1
@@ -283,19 +279,19 @@ class TestCommitExtract:
         assert other.contents() == frozenset()
 
     def test_noncoherent_copy_is_dropped_not_installed(self):
-        mem = self._mem()
+        mem = _mem()
         g, l1 = self._sides(mem, "d")
-        g.fill(self.A, 5, origin_level="l2", noncoherent=True)
+        g.fill(self.A, 5, noncoherent=True)
         mem.commit_extract(0, "d", self.A, 5)
         assert not g.has(self.A) and not l1.lookup(self.A)
         assert mem.counters["lines_extracted"] == 1
 
     def test_younger_copy_stays_and_l1_is_untouched(self):
-        mem = self._mem()
+        mem = _mem()
         g, l1 = self._sides(mem, "d")
         l1.install(self.B)
         l1.install(self.C)
-        g.fill(self.A, 9, origin_level="mem")
+        g.fill(self.A, 9)
         mem.commit_extract(0, "d", self.A, 5)
         assert g.has(self.A) and not l1.lookup(self.A)
         assert mem.counters["lines_extracted"] == 0
@@ -305,12 +301,12 @@ class TestCommitExtract:
     def test_committed_l1_line_becomes_mru(self, buffered):
         # buffered: the side-buffer set is empty, holds another line, or
         # holds only an invalid way
-        mem = self._mem()
+        mem = _mem()
         g, l1 = self._sides(mem, "d")
         if buffered == "OTHER":
-            g.fill(self.OTHER, 3, origin_level="mem")
+            g.fill(self.OTHER, 3)
         elif buffered == "evicted":
-            g.fill(self.A, 3, origin_level="mem")
+            g.fill(self.A, 3)
             g.invalidate(self.A)
         l1.install(self.A)
         l1.install(self.B)
@@ -322,7 +318,7 @@ class TestCommitExtract:
 
     @pytest.mark.parametrize("kind", ["d", "i"])
     def test_unsafe_has_no_side_buffer(self, kind):
-        mem = self._mem("unsafe")
+        mem = _mem(mode="unsafe")
         assert self._sides(mem, kind)[0] is None
         l1 = self._sides(mem, kind)[1]
         l1.install(self.A)
@@ -348,3 +344,59 @@ class TestSingleCoreDirectory:
         assert m.mem.directory[0x1000] == {0: "M"}
         assert m.mem.directory[RESULT] == {0: "M"}
         assert m.mem.directory[0x2000] == {0: "E"}
+
+
+class TestInstructionLines:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_evicted_instruction_line_is_dropped(self, mode):
+        # a one-line L1I: the HALT's line evicts the first; the directory
+        # covers the L1D only, so it stays empty
+        m = Machine([load_program(L1I_EVICTION)],
+                    RunConfig(mode=mode, l1_sets=1, l1_ways=1,
+                              check_invariants=True))
+        m.run()
+        assert m.mem.l1i[0].contents() == {(0, 64, False)}
+        assert m.mem.directory == {}
+
+
+class TestReplayAccess:
+    def test_replay_without_side_buffer_downgrades_the_owner(self):
+        # with no side buffer to clear, a replay is a non-speculative
+        # access: the remote Exclusive copy becomes Shared, for coh_lat,
+        # and the miss then starts
+        mem = _mem(2, mode="unsafe")
+        mem._install_l1(1, "d", 0x2000)
+        assert mem.directory[0x2000] == {1: "E"}
+        instr = type("Load", (), {"ts": 3})()
+        assert mem.replay_access(0, instr, 0x2000, 10) is None
+        assert mem.directory[0x2000] == {1: "S"}
+        assert mem.counters["replays"] == 1
+        entry, = mem.l1d_file[0].entries
+        assert entry.targets == [(0, instr)] and not entry.spec
+        cfg = mem.cfg
+        assert entry.child.deliver_at == 10 + cfg.coh_lat + cfg.l2_lat \
+            + cfg.mem_lat
+
+
+class TestInvariantChecks:
+    """``check_invariants`` names the invariant a state breaks."""
+
+    def test_l1d_line_missing_from_directory(self):
+        mem = _mem()
+        mem.l1d[0].install(0x2000)
+        with pytest.raises(AssertionError, match="directory entries differ"):
+            mem.check_invariants()
+
+    def test_line_in_both_l1_and_side_buffer(self):
+        mem = _mem()
+        mem.l1i[0].install(0x2000)
+        mem.ighost[0].fill(0x2000, 3)
+        with pytest.raises(AssertionError, match="0x2000 in both L1i"):
+            mem.check_invariants()
+
+    def test_unflagged_copy_of_a_remote_exclusive_line(self):
+        mem = _mem(2)
+        mem._install_l1(1, "d", 0x2000)
+        mem.dghost[0].fill(0x2000, 3)
+        with pytest.raises(AssertionError, match="unflagged speculative"):
+            mem.check_invariants()

@@ -3,11 +3,15 @@ and retry behavior, driven directly against the memory system.
 """
 
 import random
+from dataclasses import replace
 
 from ghostsim import harness
-from ghostsim.config import RunConfig
+from ghostsim.config import PROTECTION, RunConfig
 from ghostsim.memory import MemorySystem
 from ghostsim.order import ts_not_after
+
+from programs import (OLDER_MISS, OTHER_CORE_MISS, TIMELEAP_CONFIG,
+                      TIMELEAP_RESTART, TIMELEAP_YOUNG)
 
 WINDOW = 128
 
@@ -24,7 +28,7 @@ class _StubCore:
     def mem_retry(self, instr):
         self.wakes.append(instr)
 
-    def mem_ready(self, instr, line, cycle, origin, noncoherent):
+    def mem_ready(self, instr, line, cycle, noncoherent):
         self.ready.append((instr, cycle))
 
 
@@ -195,3 +199,50 @@ class TestCancelledFetch:
         assert m.mem.counters["mshr_leapfrogs"] > 0
         res = harness.run_ablation([text], cfg)
         assert res.verdict == "PASS" and res.pure
+
+
+def _switched_off(monkeypatch, name):
+    monkeypatch.setitem(PROTECTION, "ghostminion",
+                        replace(PROTECTION["ghostminion"], **{name: False}))
+
+
+class TestRestartWithoutL2Register:
+    """A younger load's miss may not move an older load of the same line,
+    even when the older load's restart of that miss must wait for the
+    only L2 register.  Cutting the younger load (a ``nop`` in its place)
+    leaves every older commit as it was."""
+
+    @staticmethod
+    def _older(text, cfg):
+        m, rep = harness.run([text], cfg)
+        return m.cores[0].timeline[:-2], rep.counters   # all but nop, halt
+
+    def test_cutting_the_younger_load_moves_nothing(self, monkeypatch):
+        cut = TIMELEAP_RESTART.replace(TIMELEAP_YOUNG, "nop")
+        cfg = RunConfig(**TIMELEAP_CONFIG)
+        full, counters = self._older(TIMELEAP_RESTART, cfg)
+        assert counters["timeleaps"] == 1 and counters["retries"] == 1
+        assert full == self._older(cut, cfg)[0]
+        # without timeleap the older load rides on the younger's miss
+        unsafe = replace(cfg, mode="unsafe")
+        assert self._older(TIMELEAP_RESTART, unsafe)[0][-1] \
+            != self._older(cut, unsafe)[0][-1]
+        _switched_off(monkeypatch, "timeleap")
+        assert self._older(TIMELEAP_RESTART, cfg)[0][-1] != full[-1]
+
+
+class TestOtherCoreL2Miss:
+    def test_other_cores_miss_is_never_leapfrogged(self, monkeypatch):
+        # core 1's load is older by stamp, but stamps of two cores are
+        # not ordered: it waits for core 0's L2 register instead of
+        # cancelling it, and core 0 runs as with core 1 idle
+        cfg = RunConfig(l2_mshrs=1, warm_icache=True, check_invariants=True)
+        alone, _ = harness.run([OTHER_CORE_MISS, "halt\n"], cfg)
+        m, rep = harness.run([OTHER_CORE_MISS, OLDER_MISS], cfg)
+        assert (rep.counters["mshr_leapfrogs"], rep.counters["retries"]) \
+            == (0, 1)
+        assert m.cores[0].timeline == alone.cores[0].timeline
+        _switched_off(monkeypatch, "merge_core")
+        m, rep = harness.run([OTHER_CORE_MISS, OLDER_MISS], cfg)
+        assert rep.counters["mshr_leapfrogs"] == 1
+        assert m.cores[0].timeline != alone.cores[0].timeline

@@ -18,7 +18,8 @@ from ghostsim.machine import SimTimeout
 from ghostsim.memory import MemorySystem
 from ghostsim.order import WindowOverflowError
 
-from programs import OLDER_RETRY
+from fingerprint import GEOMETRIES
+from programs import OLDER_RETRY, UNIT_SLOTS
 from ref_model import ref_execute
 
 import random
@@ -87,6 +88,25 @@ class TestAnalyticTiming:
         assert mul[3][3] - mul[3][2] == cfg.mul_lat
         assert div[3][3] - div[3][2] == cfg.div_lat
         assert (mul[4], div[4]) == (768, 12)
+
+
+class TestNarrowUnits:
+    """Fewer units than the issue width: two instructions of one class
+    ready in the same cycle issue a cycle apart, oldest first, and a full
+    store queue holds rename until a store commits."""
+
+    def test_unit_slots_and_store_queue(self):
+        wide, _ = run(UNIT_SLOTS, warm_icache=True)
+        tight, _ = run(UNIT_SLOTS, warm_icache=True, **GEOMETRIES["tight"])
+        wide, tight = wide.cores[0].timeline, tight.cores[0].timeline
+        for a, b in ((0, 1), (2, 3), (4, 5)):   # the li, mul and st pairs
+            assert wide[b][3][2] == wide[a][3][2]
+            assert tight[b][3][2] == tight[a][3][2] + 1
+        # the third store renames with the others, or when the first
+        # store commits
+        assert wide[6][3][1] == wide[4][3][1]
+        assert tight[6][3][1] == tight[4][3][4] > tight[4][3][1]
+        assert [e[4] for e in tight] == [e[4] for e in wide]
 
 
 class TestSquash:
@@ -404,12 +424,12 @@ class TestMemoryCallbacks:
         self._step_until(m, lambda: core.line_req is not None)
         line = core.line_req
         assert core.line_buf is None
-        core.mem_ready(None, line + 64, m.cycle, "mem", False)
+        core.mem_ready(None, line + 64, m.cycle, False)
         assert core.line_req == line       # another line: ignored
         core.mem_retry(None)
         assert core.line_req is None       # fetch will ask again
         self._step_until(m, lambda: core.line_req is not None)
-        core.mem_ready(None, line, m.cycle, "mem", False)
+        core.mem_ready(None, line, m.cycle, False)
         assert (core.line_buf, core.line_req) == (line, None)
 
     def _inflight_load(self, m, addr):
@@ -430,9 +450,9 @@ class TestMemoryCallbacks:
         core.mem_retry(di)
         assert (di.state, di.done_at) == ("ROB", None)
         core, di = self._inflight_load(m, 0x2000)
-        core.mem_ready(di, di.line, m.cycle, "l2", True)
-        assert (di.state, di.result, di.origin, di.noncoherent) \
-            == ("DONE", 42, "l2", True)
+        core.mem_ready(di, di.line, m.cycle, True)
+        assert (di.state, di.result, di.from_below, di.noncoherent) \
+            == ("DONE", 42, True, True)
         assert di.completed == m.cycle
 
     def test_store_waiting_on_commit_access(self):
@@ -444,7 +464,7 @@ class TestMemoryCallbacks:
         core.mem_retry(st)
         assert st.commit_mem is None and st.state == "DONE"
         self._step_until(m, lambda: st.commit_mem == WAITING)
-        core.mem_ready(st, st.line, m.cycle, "mem", False)
+        core.mem_ready(st, st.line, m.cycle, False)
         assert st.commit_mem == m.cycle and st.state == "DONE"
 
     def test_squashed_load_is_ignored(self):
@@ -460,7 +480,7 @@ class TestMemoryCallbacks:
         self._step_until(m, lambda: di.state == "SQUASHED")
         # the completion cycle is written only when an instruction completes
         assert di.result is None and not hasattr(di, "completed")
-        core.mem_ready(di, di.line, m.cycle, "mem", False)
+        core.mem_ready(di, di.line, m.cycle, False)
         core.mem_retry(di)
         assert (di.state, di.result, di.done_at) == ("SQUASHED", None, None)
         assert not hasattr(di, "completed")
