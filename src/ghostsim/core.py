@@ -32,6 +32,18 @@ squash pops the squashed tail of every list, as it does the ROB's.  An
 instruction-line hit is a fetch stall until the line is ready; only a
 missed line waits for ``mem_ready``.
 
+The stages are the per-instruction hot path.  Each reads the fields it
+uses into locals once per call, writes its counters back once, and calls
+no one-line helper.  What stays a call has a reason to: the stages, the
+``MemorySystem`` accesses, ``commit_extract`` and ``squash_flush`` and
+the ``GhostCache`` operations are the layers the benchmark's tracer
+wraps and times (``tests/test_stage_gates.py`` checks that each is still
+called); ``_replays`` is patched by the mutant matrix and a test;
+``TimestampAllocator.allocate``/``retire`` keep the window's liveness
+check in one place; ``_done`` is the one wake-up path, which
+``mem_ready`` shares; and ``_older_waiting``/``_forward_store`` run only
+when the store queue holds something.
+
 The committed timeline - (sequence, pc, opcode, per-stage cycles,
 architectural result) for every committed instruction - is the
 observable over which noninterference is checked.
@@ -42,7 +54,8 @@ from collections import deque
 from operator import attrgetter
 
 from . import isa
-from .isa import s64, MUL, DIV, LOAD, STORE, BRANCH, JMP, RDCYCLE, FENCE, HALT, NOP
+from .isa import (s64, INSTR_BYTES, WORD_BYTES, MUL, DIV, LOAD, STORE, BRANCH,
+                  JMP, RDCYCLE, FENCE, HALT, NOP)
 from .order import TimestampAllocator
 
 # commit_mem of a store or replay whose commit-time access waits for a
@@ -50,6 +63,7 @@ from .order import TimestampAllocator
 WAITING = float("inf")
 
 _SEQ = attrgetter("seq")
+_WORD = ~(WORD_BYTES - 1)   # a data address's word-aligned part
 
 
 class DynInstr:
@@ -152,53 +166,64 @@ class Core:
 
     # ----------------------------------------------------------------- fetch
 
-    def _predict(self, pc):
-        ctr = self.bp_counters.get(pc, 1)
-        return ctr >= 2 and pc in self.btb
-
     def do_fetch(self, cycle):
+        """Returns whether anything was fetched or an instruction line was
+        requested.  A call fetches from one instruction line only."""
         if self.fetch_done or cycle < self.fetch_stall_until:
             return False
         cfg = self.cfg
+        alloc = self.alloc
+        fetchq = self.fetchq
+        # each instruction fetched takes a fetch-queue slot and a stamp
+        limit = min(cfg.width, cfg.fetchq - len(fetchq), cfg.rob - alloc.live)
+        if limit <= 0:
+            return False
+        line_mask = self.line_mask
+        pc = self.pc
+        raw_line = pc & line_mask
+        line = raw_line + self.code_base
+        if self.line_buf != line:
+            if self.line_req is not None:
+                return False   # the missed line is not in yet
+            # a hit is a fetch stall until the line is ready
+            ready = self.mem.ifetch_access(self.core_id, line, alloc.next,
+                                           cycle)
+            if ready is None:
+                self.line_req = line
+            else:
+                self.line_buf = line
+                self.fetch_stall_until = ready
+            return True
+        program = self.program
+        instrs = program.instrs
+        size = len(instrs)
         fetched = 0
-        while (fetched < cfg.width and len(self.fetchq) < cfg.fetchq
-               and self.alloc.live < cfg.rob):
-            raw_line = self.pc & self.line_mask
-            line = raw_line + self.code_base
-            if self.line_buf != line:
-                if self.line_req is not None:
-                    break   # the missed line is not in yet
-                # a hit is a fetch stall until the line is ready
-                ready = self.mem.ifetch_access(self.core_id, line,
-                                               self.alloc.next, cycle)
-                if ready is None:
-                    self.line_req = line
-                else:
-                    self.line_buf = line
-                    self.fetch_stall_until = ready
-                return True
-            si = self.program.get(self.pc)
-            di = DynInstr(si, self.alloc.allocate(), line, cycle)
-            self.fetch_seq += 1
-            self.fetchq.append(di)
+        while True:
+            idx = pc // INSTR_BYTES
+            si = instrs[idx] if 0 <= idx < size else program.get(pc)
+            di = DynInstr(si, alloc.allocate(), line, cycle)
+            fetchq.append(di)
             fetched += 1
-            if si.cls == BRANCH:
-                di.pred_taken = self._predict(si.pc)
-                if di.pred_taken:
-                    self.pc = si.target
+            cls = si.cls
+            if cls == BRANCH:
+                if self.bp_counters.get(si.pc, 1) >= 2 and si.pc in self.btb:
+                    di.pred_taken = True
+                    pc = si.target
                     break
-                self.pc += isa.INSTR_BYTES
-            elif si.cls == JMP:
-                self.pc = si.target
+                pc += INSTR_BYTES
+            elif cls == JMP:
+                pc = si.target
                 break
-            elif si.cls == HALT:
+            elif cls == HALT:
                 self.fetch_done = True
                 break
             else:
-                self.pc += isa.INSTR_BYTES
-            if self.pc & self.line_mask != raw_line:
+                pc += INSTR_BYTES
+            if fetched == limit or pc & line_mask != raw_line:
                 break
-        return fetched > 0
+        self.pc = pc
+        self.fetch_seq += fetched
+        return True
 
     # ---------------------------------------------------------------- rename
 
@@ -206,32 +231,44 @@ class Core:
         """Returns whether anything was renamed.  Fetch takes a stamp only
         while fewer than ``rob`` are live, so the whole fetch queue fits."""
         cfg = self.cfg
+        fetchq = self.fetchq
+        rob = self.rob
+        stq = self.stq
+        ready = self.ready
+        rat = self.rat
+        normal = self.normal
+        lq_size = cfg.lq
+        sq_size = cfg.sq
+        lq_used = self.lq_used
+        epoch = self.epoch
+        pos = self.epoch_pos
+        seq = self.rename_count
         budget = cfg.width
-        while budget and self.fetchq:
-            di = self.fetchq[0]
-            if di.cls == FENCE and self.rob:
+        while budget and fetchq:
+            di = fetchq[0]
+            cls = di.cls
+            if cls == LOAD:
+                if lq_used >= lq_size:
+                    break
+                lq_used += 1
+            elif cls == STORE:
+                if len(stq) >= sq_size:
+                    break
+                stq.append(di)
+            elif cls == DIV:
+                self.divq.append(di)
+            elif cls == FENCE and rob:
                 break
-            if di.cls == LOAD and self.lq_used >= cfg.lq:
-                break
-            if di.cls == STORE and len(self.stq) >= cfg.sq:
-                break
-            self.fetchq.popleft()
-            self.rename_count += 1
-            di.seq = self.rename_count
-            di.akey = (self.epoch, self.epoch_pos)
-            self.epoch_pos += 1
+            fetchq.popleft()
+            seq += 1
+            di.seq = seq
+            di.akey = akey = (epoch, pos)
+            pos += 1
             di.renamed = cycle
             di.state = "ROB"
-            if di.cls == LOAD:
-                self.lq_used += 1
-            elif di.cls == STORE:
-                self.stq.append(di)
-            elif di.cls == DIV:
-                self.divq.append(di)
-            self.rob.append(di)
+            rob.append(di)
             budget -= 1
-            if self.normal is not None \
-                    and di.akey not in self.normal.committed_keys:
+            if normal is not None and akey not in normal.committed_keys:
                 # transient-ablation: a would-be-squashed op becomes a
                 # zero-latency no-op.  It keeps its class so front-end
                 # resource accounting (LQ/SQ slots, fence drains) matches
@@ -240,8 +277,8 @@ class Core:
                 # (same cycle, same redirect) to reproduce the wrong-path
                 # fetch stream.
                 di.ablated = True
-                event = self.normal.squash_log.get(di.akey)
-                if di.cls == BRANCH and event is not None:
+                event = normal.squash_log.get(akey)
+                if cls == BRANCH and event is not None:
                     di.state = "EXEC"
                     di.issued = cycle
                     di.done_at = event[0]
@@ -251,28 +288,31 @@ class Core:
                     di.issued = di.completed = cycle
                 continue
             # unused source fields are r0, which is never renamed
-            di.dep1 = self.rat.get(di.s1)
-            di.dep2 = self.rat.get(di.s2)
-            if di.cls in _DONE_AT_RENAME:
+            di.dep1 = dep1 = rat.get(di.s1)
+            di.dep2 = dep2 = rat.get(di.s2)
+            if cls in _DONE_AT_RENAME:
                 di.state = "DONE"
                 di.issued = di.completed = cycle
             else:
-                for dep in (di.dep1, di.dep2):
-                    if dep is not None and dep.state != "DONE":
-                        di.waits += 1
-                        dep.consumers.append(di)
-                if not di.waits:
-                    self.ready.append(di)   # the youngest: order is kept
+                waits = 0
+                if dep1 is not None and dep1.state != "DONE":
+                    waits = 1
+                    dep1.consumers.append(di)
+                if dep2 is not None and dep2.state != "DONE":
+                    waits += 1
+                    dep2.consumers.append(di)
+                if waits:
+                    di.waits = waits
+                else:
+                    ready.append(di)   # the youngest: order is kept
             if di.dst:
-                self.rat[di.dst] = di
+                rat[di.dst] = di
+        self.lq_used = lq_used
+        self.epoch_pos = pos
+        self.rename_count = seq
         return budget < cfg.width
 
     # ----------------------------------------------------------------- issue
-
-    def _val(self, dep, reg):
-        if dep is not None:
-            return dep.result
-        return self.regs[reg]
 
     @staticmethod
     def _older_waiting(queue, di):
@@ -293,50 +333,58 @@ class Core:
         alu_slots = cfg.alu_units
         mul_slots = cfg.mul_units
         mem_slots = cfg.mem_ports
-        head = self.rob[0] if self.rob else None
+        rob = self.rob
+        head = rob[0] if rob else None
         ready = self.ready
+        inflight = self.inflight
+        regs = self.regs
+        stq = self.stq
+        line_mask = self.line_mask
         i = 0
         while budget and i < len(ready):
             di = ready[i]
             cls = di.cls
+            dep = di.dep1
             if cls == STORE:
                 if not alu_slots:
                     i += 1
                     continue
-                di.addr = s64(self._val(di.dep1, di.s1) + di.imm) \
-                    & ~(isa.WORD_BYTES - 1)
-                di.line = di.addr & self.line_mask
-                di.result = self._val(di.dep2, di.s2)   # written at commit
+                di.addr = addr = s64((regs[di.s1] if dep is None
+                                      else dep.result) + di.imm) & _WORD
+                di.line = addr & line_mask
+                dep = di.dep2
+                # written at commit
+                di.result = regs[di.s2] if dep is None else dep.result
                 di.state = "EXEC"
                 di.issued = cycle
                 di.done_at = cycle + 1
-                self.inflight.append(di)
+                inflight.append(di)
                 alu_slots -= 1
             elif cls == LOAD:
-                if not mem_slots or self._older_waiting(self.stq, di):
+                if not mem_slots or (stq and self._older_waiting(stq, di)):
                     i += 1
                     continue   # conservative: wait for older store addresses
-                di.addr = s64(self._val(di.dep1, di.s1) + di.imm) \
-                    & ~(isa.WORD_BYTES - 1)
-                di.line = di.addr & self.line_mask
-                fwd = self._forward_store(di)
+                di.addr = addr = s64((regs[di.s1] if dep is None
+                                      else dep.result) + di.imm) & _WORD
+                di.line = line = addr & line_mask
+                fwd = self._forward_store(di) if stq else None
                 di.issued = cycle
                 mem_slots -= 1
-                di.forwarded = fwd is not None
                 if fwd is not None:
+                    di.forwarded = True
                     di.result = fwd.result
                     di.from_below = False
                     di.state = "EXEC"
                     di.done_at = cycle + 1
-                    self.inflight.append(di)
+                    inflight.append(di)
                 else:
-                    spec = di is not head
-                    hit = self.mem.data_access(self.core_id, di, di.line,
-                                               di.ts, spec, cycle)
+                    di.forwarded = False
+                    hit = self.mem.data_access(self.core_id, di, line,
+                                               di.ts, di is not head, cycle)
                     di.state = "EXEC"   # a miss keeps done_at None until its callback
                     if hit is not None:
                         di.done_at, di.from_below, di.noncoherent = hit
-                        self.inflight.append(di)
+                        inflight.append(di)
                     # a leapfrog retries the loads of the misses it cancels;
                     # one older than di (a register stamped younger than one
                     # of its loads, which timeleap prevents) re-enters the
@@ -369,8 +417,9 @@ class Core:
                         continue
                     lat = cfg.alu_lat
                     alu_slots -= 1
-                v1 = self._val(di.dep1, di.s1)
-                v2 = self._val(di.dep2, di.s2) + di.imm
+                v1 = regs[di.s1] if dep is None else dep.result
+                dep = di.dep2
+                v2 = (regs[di.s2] if dep is None else dep.result) + di.imm
                 if cls == RDCYCLE:
                     di.result = cycle
                 elif cls == BRANCH:   # acted on when it completes
@@ -380,7 +429,7 @@ class Core:
                 di.state = "EXEC"
                 di.issued = cycle
                 di.done_at = cycle + lat
-                self.inflight.append(di)
+                inflight.append(di)
             del ready[i]
             budget -= 1
         return budget < cfg.width
@@ -419,7 +468,9 @@ class Core:
         if not due:
             return False
         self.inflight = rest
-        due.sort(key=_SEQ)
+        if len(due) > 1:
+            due.sort(key=_SEQ)
+        words = self.machine.words
         for di in due:
             if di.state != "EXEC":   # a just-resolved older branch wiped us
                 continue
@@ -429,11 +480,13 @@ class Core:
                 self._squash_after(di, cycle,
                                    self.normal.squash_log[di.akey][1])
                 continue
-            if di.cls == LOAD and not di.forwarded:
-                di.result = self.machine.read_word(di.addr)
-            if di.cls == BRANCH and di.taken != di.pred_taken:
+            cls = di.cls
+            if cls == LOAD:
+                if not di.forwarded:   # issue aligned the address
+                    di.result = words.get(di.addr, 0)
+            elif cls == BRANCH and di.taken != di.pred_taken:
                 self._squash_after(di, cycle, di.target if di.taken
-                                   else di.pc + isa.INSTR_BYTES)
+                                   else di.pc + INSTR_BYTES)
         return True
 
     def mem_ready(self, di, line, cycle, noncoherent):
@@ -503,34 +556,80 @@ class Core:
     def do_commit(self, cycle):
         """Returns whether anything committed or started its commit-time
         access."""
-        cfg = self.cfg
+        width = self.cfg.width
+        rob = self.rob
+        mem = self.mem
+        core_id = self.core_id
+        machine = self.machine
+        regs = self.regs
+        timeline = self.timeline
+        committed_keys = self.committed_keys
+        seq = self.commit_count
         commits = 0
         progress = False
-        while commits < cfg.width and self.rob and not self.halted:
-            di = self.rob[0]
+        while commits < width and rob:
+            di = rob[0]
             if di.state != "DONE":
                 break
+            cls = di.cls
+            ablated = di.ablated
             # a store writes, and a load that consumed a non-coherent
             # copy is replayed, before either may retire
-            if (di.cls == STORE or self._replays(di)) and not di.ablated:
+            if (cls == STORE or self._replays(di)) and not ablated:
                 if di.commit_mem is None:
-                    if di.cls == STORE:
-                        self.machine.write_word(di.addr, di.result)
-                        ready = self.mem.store_access(self.core_id, di, di.line, cycle)
+                    if cls == STORE:
+                        machine.write_word(di.addr, di.result)
+                        ready = mem.store_access(core_id, di, di.line, cycle)
                     else:
-                        ready = self.mem.replay_access(self.core_id, di, di.line, cycle)
+                        ready = mem.replay_access(core_id, di, di.line, cycle)
                     di.commit_mem = WAITING if ready is None else ready
                     progress = True
                 if cycle < di.commit_mem:
                     break
-                fresh = self.machine.read_word(di.addr)
-                if di.cls == LOAD and fresh != di.result:
+                fresh = machine.read_word(di.addr)
+                if cls == LOAD and fresh != di.result:
                     # the forwarded value went stale: re-execute with the
                     # fresh value and restart everything younger
                     di.result = fresh
-                    self._squash_after(di, cycle, di.pc + isa.INSTR_BYTES)
-            self._commit_one(di, cycle)
+                    self._squash_after(di, cycle, di.pc + INSTR_BYTES)
+            di.state = "COMMITTED"
+            committed_keys.add(di.akey)
+            if not ablated:
+                mem.commit_extract(core_id, "i", di.iline, di.ts)
+                if cls == LOAD:
+                    mem.commit_extract(core_id, "d", di.line, di.ts)
+                    mem.prefetch_notify(di.pc, di.line, di.from_below, cycle)
+                elif cls == BRANCH:
+                    pc = di.pc
+                    ctr = self.bp_counters.get(pc, 1)
+                    if di.taken:
+                        self.bp_counters[pc] = min(ctr + 1, 3)
+                        self.btb[pc] = di.target
+                    else:
+                        self.bp_counters[pc] = max(ctr - 1, 0)
+            dst = di.dst
+            if dst:
+                regs[dst] = di.result
+                rat = self.rat   # a replay's squash above rebuilds it
+                if rat.get(dst) is di:
+                    del rat[dst]
+            if cls == LOAD:
+                self.lq_used -= 1
+            elif cls == STORE:
+                self.stq.popleft()
+            elif cls == DIV:
+                self.divq.popleft()
+            timeline.append((seq, di.pc, di.op,
+                             (di.fetched, di.renamed, di.issued,
+                              di.completed, cycle),
+                             di.result if (dst or cls == STORE) else None))
+            seq += 1
+            self.alloc.retire(1)
+            rob.popleft()
             commits += 1
+            if cls == HALT:
+                self.halted = True   # nothing younger was fetched
+        self.commit_count = seq
         return progress or commits > 0
 
     def _replays(self, di):
@@ -547,43 +646,20 @@ class Core:
         none."""
         if self.halted:
             return WAITING
-        times = [self.fetch_stall_until, *self.div_busy,
-                 *(di.done_at for di in self.inflight)]
-        if self.rob and self.rob[0].commit_mem is not None:
-            times.append(self.rob[0].commit_mem)
-        return min((t for t in times if t > cycle), default=WAITING)
-
-    def _commit_one(self, di, cycle):
-        di.state = "COMMITTED"
-        self.committed_keys.add(di.akey)
-        cls = di.cls
-        dst = di.dst
-        if not di.ablated:
-            mem = self.mem
-            mem.commit_extract(self.core_id, "i", di.iline, di.ts)
-            if cls == LOAD:
-                mem.commit_extract(self.core_id, "d", di.line, di.ts)
-                mem.prefetch_notify(di.pc, di.line, di.from_below, cycle)
-            elif cls == BRANCH:
-                ctr = self.bp_counters.get(di.pc, 1)
-                self.bp_counters[di.pc] = min(ctr + 1, 3) if di.taken else max(ctr - 1, 0)
-                if di.taken:
-                    self.btb[di.pc] = di.target
-        if dst:
-            self.regs[dst] = di.result
-            if self.rat.get(dst) is di:
-                del self.rat[dst]
-        if cls == LOAD:
-            self.lq_used -= 1
-        elif cls == STORE:
-            self.stq.popleft()
-        elif cls == DIV:
-            self.divq.popleft()
-        stages = (di.fetched, di.renamed, di.issued, di.completed, cycle)
-        result = di.result if (dst or cls == STORE) else None
-        self.timeline.append((self.commit_count, di.pc, di.op, stages, result))
-        self.commit_count += 1
-        self.alloc.retire(1)
-        self.rob.popleft()
-        if cls == HALT:
-            self.halted = True
+        best = WAITING
+        t = self.fetch_stall_until
+        if t > cycle:
+            best = t
+        for t in self.div_busy:
+            if cycle < t < best:
+                best = t
+        for di in self.inflight:
+            t = di.done_at
+            if cycle < t < best:
+                best = t
+        rob = self.rob
+        if rob:
+            t = rob[0].commit_mem
+            if t is not None and cycle < t < best:
+                best = t
+        return best

@@ -24,6 +24,7 @@ class Machine:
         self.programs = list(programs)
         self.cfg = cfg
         self.cycle = 0
+        self.window = cfg.window
         self.words = {}
         for p in self.programs:
             self.words.update(p.data)
@@ -38,7 +39,7 @@ class Machine:
     def not_after(self, ts, ts2):
         if self.cfg.debug_unbounded_ts:
             return ts <= ts2
-        return ts_not_after(ts, ts2, self.cfg.window)
+        return ts_not_after(ts, ts2, self.window)
 
     def read_word(self, addr):
         return self.words.get(addr & ~(WORD_BYTES - 1), 0)

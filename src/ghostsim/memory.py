@@ -427,14 +427,17 @@ class MemorySystem:
             hit = g.lookup(line, ts)
             if hit is not None:
                 return (cycle + cfg.l1_lat, True, hit.noncoherent)
-        if self._l1_hit(self.l1d[core], line, spec):
+        l1 = self.l1d[core]
+        st = l1.lines[(line >> l1.line_shift) % l1.sets]
+        if line in st:
+            if not spec or not self.prot.hide_spec_lru:
+                st[line] = st.pop(line)   # Cache.touch
             return (cycle + cfg.l1_lat, False, False)
         if self._remote_owner(line, core) is not None:
             if spec and self.prot.noncoherent_forward:
                 # forward a non-coherent copy without touching remote state;
                 # the consumer must be revalidated at commit
                 ready = cycle + cfg.l1_lat + cfg.coh_lat
-                l1 = self.l1d[core]
 
                 def fill():
                     # a squash drops the copy as it cancels a miss: the

@@ -107,18 +107,20 @@ def test_c03_mshr_ordering():
 
 def test_c04_noninterference_all_gadgets():
     with criterion(4, "differential noninterference over all gadgets"):
+        # every verdict is checked before any wall-clock bound, so a slow
+        # host (or a tracer) still sees each verdict
+        seconds = {}
         for name, g in GADGETS.items():
-            t0 = time.monotonic()
-            assert harness.run_differential(
-                g, RunConfig(mode="ghostminion")).verdict == "SAFE", name
-            assert time.monotonic() - t0 < 5.0, name
-            t0 = time.monotonic()
-            assert harness.run_differential(
-                g, RunConfig(mode="unsafe")).verdict == "LEAKS", name
-            assert time.monotonic() - t0 < 5.0, name
+            for mode, verdict in (("ghostminion", "SAFE"), ("unsafe", "LEAKS")):
+                t0 = time.monotonic()
+                assert harness.run_differential(
+                    g, RunConfig(mode=mode)).verdict == verdict, (name, mode)
+                seconds[name, mode] = time.monotonic() - t0
         assert harness.run_differential(
             GADGETS["speculative_interference"],
             RunConfig(mode="flush_only")).verdict == "LEAKS"
+        for key, s in seconds.items():
+            assert s < 5.0, key
 
 
 def test_c05_fuzz_ablation():

@@ -1,17 +1,26 @@
 """Oracle: ``Machine.run`` calls a stage only when its occupancy says it
 can act.  A reference loop that calls every stage on every visited cycle
 must give the same run: timelines, cycles, counters and non-speculative
-cache state, for normal and ablated runs alike."""
+cache state, for normal and ablated runs alike.
+
+Also: every method the benchmark's tracer wraps is still called, so a
+later inlining cannot silently empty a per-layer metric."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from programs import MP_CORE0, MP_CORE1
 
-from ghostsim import Machine, RunConfig, SimTimeout, load_program
+import ghostsim
+from ghostsim import Machine, RunConfig, SimTimeout, harness, isa, load_program
 from ghostsim.config import MODES
+from ghostsim.core import Core
 from ghostsim.gadgets import GADGETS
+from ghostsim.ghost_cache import GhostCache
 from ghostsim.harness import _gen_program
+from ghostsim.memory import MemorySystem
 
 SECRETS = (0, 11)
 
@@ -91,3 +100,43 @@ def test_two_core_pairs(mode):
     cfg = RunConfig(mode=mode)
     for _ in range(10):
         _check([_gen_program(rng), _gen_program(rng)], cfg, ablate=True)
+
+
+# (owner, attribute) of every method perfbench/tracing.py wraps.  The
+# package, harness and isa each hold a reference to the one
+# load_program, which is counted once, under its isa name.
+TRACED = [
+    (Machine, "__init__"), (Machine, "run"), (Machine, "not_after"),
+    (MemorySystem, "tick"), (MemorySystem, "commit_extract"),
+    (MemorySystem, "squash_flush"), (MemorySystem, "data_access"),
+    (MemorySystem, "ifetch_access"), (MemorySystem, "store_access"),
+    (MemorySystem, "replay_access"),
+    *((Core, f"do_{s}")
+      for s in ("fetch", "rename", "issue", "complete", "commit")),
+    *((GhostCache, o) for o in ("lookup", "fill", "extract", "flush")),
+    (harness, "run"), (harness, "run_ablation"),
+    (isa, "load_program"), (harness, "load_program"),
+    (ghostsim, "load_program"),
+]
+
+
+def _traced_name(owner, attr):
+    if attr == "load_program":
+        return "isa.load_program"
+    return f"{owner.__name__.rpartition('.')[2]}.{attr}"
+
+
+def test_traced_methods_are_called(monkeypatch):
+    """One gadget, one ablated fuzz program and one two-core pair (which
+    replays a load) call every traced method."""
+    calls = Counter()
+    for owner, attr in TRACED:
+        def counted(*args, _fn=getattr(owner, attr),
+                    _name=_traced_name(owner, attr), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+    harness.run_differential(GADGETS["spectre_v1"], RunConfig())
+    harness.run_ablation([_gen_program(random.Random(0))], RunConfig())
+    harness.run([MP_CORE0, MP_CORE1], RunConfig())
+    assert sorted({_traced_name(o, a) for o, a in TRACED} - set(calls)) == []
