@@ -38,11 +38,18 @@ no one-line helper.  What stays a call has a reason to: the stages, the
 ``MemorySystem`` accesses, ``commit_extract`` and ``squash_flush`` and
 the ``GhostCache`` operations are the layers the benchmark's tracer
 wraps and times (``tests/test_stage_gates.py`` checks that each is still
-called); ``_replays`` is patched by the mutant matrix and a test;
+called); ``_replays`` is patched by the mutant matrix and a test, and is
+asked only for a load, the one class that can read a non-coherent copy;
 ``TimestampAllocator.allocate``/``retire`` keep the window's liveness
-check in one place; ``_done`` is the one wake-up path, which
+check in one place, and commit retires its stamps in one call (two when
+a replay squashes), while fetch still takes one stamp per instruction: a
+single call per fetch needs a list of what was fetched, which costs more
+than the calls it saves; ``_done`` is the one wake-up path, which
 ``mem_ready`` shares; and ``_older_waiting``/``_forward_store`` run only
-when the store queue holds something.
+when the store queue holds something.  Commit free-slots an instruction
+line only when no earlier commit of the same call left that line in the
+L1I: nothing a commit does takes a line out of the L1I, so the call
+would only re-touch its most recently used line.
 
 The committed timeline - (sequence, pc, opcode, per-stage cycles,
 architectural result) for every committed instruction - is the
@@ -564,8 +571,11 @@ class Core:
         regs = self.regs
         timeline = self.timeline
         committed_keys = self.committed_keys
+        alloc = self.alloc
         seq = self.commit_count
         commits = 0
+        settled = 0       # commits already retired by a replay's squash
+        in_l1i = None     # the line an earlier commit left in the L1I
         progress = False
         while commits < width and rob:
             di = rob[0]
@@ -575,7 +585,8 @@ class Core:
             ablated = di.ablated
             # a store writes, and a load that consumed a non-coherent
             # copy is replayed, before either may retire
-            if (cls == STORE or self._replays(di)) and not ablated:
+            if (cls == STORE or cls == LOAD and self._replays(di)) \
+                    and not ablated:
                 if di.commit_mem is None:
                     if cls == STORE:
                         machine.write_word(di.addr, di.result)
@@ -591,11 +602,20 @@ class Core:
                     # the forwarded value went stale: re-execute with the
                     # fresh value and restart everything younger
                     di.result = fresh
+                    # the squash sets the live count from the ROB, which
+                    # the commits before this one have left
+                    alloc.retire(commits)
+                    settled = commits
                     self._squash_after(di, cycle, di.pc + INSTR_BYTES)
             di.state = "COMMITTED"
             committed_keys.add(di.akey)
             if not ablated:
-                mem.commit_extract(core_id, "i", di.iline, di.ts)
+                # nothing a commit does moves a line out of the L1I, so a
+                # line an earlier commit left there is still its MRU line
+                iline = di.iline
+                if iline != in_l1i:
+                    in_l1i = iline if mem.commit_extract(
+                        core_id, "i", iline, di.ts) else None
                 if cls == LOAD:
                     mem.commit_extract(core_id, "d", di.line, di.ts)
                     mem.prefetch_notify(di.pc, di.line, di.from_below, cycle)
@@ -624,13 +644,15 @@ class Core:
                               di.completed, cycle),
                              di.result if (dst or cls == STORE) else None))
             seq += 1
-            self.alloc.retire(1)
             rob.popleft()
             commits += 1
             if cls == HALT:
                 self.halted = True   # nothing younger was fetched
         self.commit_count = seq
-        return progress or commits > 0
+        if commits:
+            alloc.retire(commits - settled)
+            return True
+        return progress
 
     def _replays(self, di):
         """Commit-time replay: a load that consumed a non-coherent copy

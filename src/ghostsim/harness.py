@@ -58,10 +58,17 @@ class Report:
 
 
 def timeline_digest(machine):
+    """sha256 over each core's ``repr(core.timeline)`` followed by a NUL
+    byte.  Each entry is written by one format that reprs its fields, not
+    by repr's walk of the nested tuples; the bytes are the same."""
     h = hashlib.sha256()
     for core in machine.cores:
-        h.update(repr(core.timeline).encode())
-        h.update(b"\x00")
+        text = ", ".join([
+            f"({seq!r}, {pc!r}, {op!r}, ({fet!r}, {ren!r}, {iss!r}, "
+            f"{cpl!r}, {cmt!r}), {result!r})"
+            for seq, pc, op, (fet, ren, iss, cpl, cmt), result
+            in core.timeline])
+        h.update(f"[{text}]\x00".encode())
     return h.hexdigest()
 
 

@@ -61,7 +61,8 @@ class Machine:
 
         A stage is called only when its occupancy says it can act: complete
         with something in flight, commit with a DONE instruction at the
-        ROB head, issue with a ready instruction, rename with a fetched
+        ROB head whose commit-time access, if it has made one, is ready,
+        issue with a ready instruction, rename with a fetched
         instruction and no fence waiting for the ROB to drain, and fetch
         once its stall is over, with no missed line pending and room in
         the fetch queue.  Each test is one the stage
@@ -91,7 +92,10 @@ class Machine:
                 if core.inflight:
                     progress |= core.do_complete(c)
                 rob = core.rob
-                if rob and rob[0].state == "DONE":
+                # commit_mem: None until a store's or replay's commit-time
+                # access is made, then the cycle it is ready (inf waiting)
+                if rob and rob[0].state == "DONE" \
+                        and (rob[0].commit_mem or 0) <= c:
                     progress |= core.do_commit(c)
                     if core.halted:
                         halted = all(other.halted for other in cores)

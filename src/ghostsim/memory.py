@@ -499,9 +499,12 @@ class MemorySystem:
     def commit_extract(self, core, kind, line, ts):
         """Free-slotting: on commit, move the committing instruction's line
         from the side buffer into the L1; with no copy there it may read,
-        a line already in the L1 becomes most recently used.  Runs at
-        every commit, so it reads both sets directly: an empty side-buffer
-        set holds no line and is not searched."""
+        a line already in the L1 becomes most recently used.  Returns
+        whether the line is in the L1 afterwards: a line valid in the L1 is
+        never valid in the side buffer, so a second call for it would only
+        re-touch it.  Runs on the commit path, so it reads both sets
+        directly: an empty side-buffer set holds no line and is not
+        searched."""
         if kind == "i":
             g, l1 = self.ighost[core], self.l1i[core]
         else:
@@ -510,12 +513,15 @@ class MemorySystem:
             ln = g.extract(line, ts)
             if ln is not None:
                 # a non-coherent copy is handled by the replay path instead
-                if not ln.noncoherent:
-                    self._install_l1(core, kind, line)
-                return
+                if ln.noncoherent:
+                    return False
+                self._install_l1(core, kind, line)
+                return True
         st = l1.lines[(line >> l1.line_shift) % l1.sets]
         if line in st:
             st[line] = st.pop(line)   # Cache.touch
+            return True
+        return False
 
     def prefetch_notify(self, pc, line, from_below, cycle):
         """Train the L2 stride prefetcher from the committed access stream.

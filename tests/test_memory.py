@@ -253,7 +253,7 @@ class TestCommitExtract:
     """Free-slotting at commit, driven directly: ``commit_extract`` moves
     the committing instruction's line from the side buffer into the L1,
     or refreshes its L1 recency when the buffer holds no copy it may
-    read.  Lines ``A``, ``B`` and ``C`` share L1 set 0; ``OTHER`` shares
+    read, and returns whether the line is in the L1 afterwards.  Lines ``A``, ``B`` and ``C`` share L1 set 0; ``OTHER`` shares
     side-buffer set 0 with ``A`` but not its L1 set."""
 
     CFG = RunConfig()
@@ -272,7 +272,7 @@ class TestCommitExtract:
         mem = _mem()
         g, l1 = self._sides(mem, kind)
         g.fill(self.A, 5)
-        mem.commit_extract(0, kind, self.A, 5)
+        assert mem.commit_extract(0, kind, self.A, 5) is True
         assert l1.lookup(self.A) and not g.has(self.A)
         assert mem.counters["lines_extracted"] == 1
         other = mem.l1d[0] if kind == "i" else mem.l1i[0]
@@ -282,7 +282,7 @@ class TestCommitExtract:
         mem = _mem()
         g, l1 = self._sides(mem, "d")
         g.fill(self.A, 5, noncoherent=True)
-        mem.commit_extract(0, "d", self.A, 5)
+        assert mem.commit_extract(0, "d", self.A, 5) is False
         assert not g.has(self.A) and not l1.lookup(self.A)
         assert mem.counters["lines_extracted"] == 1
 
@@ -292,7 +292,7 @@ class TestCommitExtract:
         l1.install(self.B)
         l1.install(self.C)
         g.fill(self.A, 9)
-        mem.commit_extract(0, "d", self.A, 5)
+        assert mem.commit_extract(0, "d", self.A, 5) is False
         assert g.has(self.A) and not l1.lookup(self.A)
         assert mem.counters["lines_extracted"] == 0
         assert l1.install(self.A) == (self.B, False)   # recency unchanged
@@ -310,7 +310,7 @@ class TestCommitExtract:
             g.invalidate(self.A)
         l1.install(self.A)
         l1.install(self.B)
-        mem.commit_extract(0, "d", self.A, 5)
+        assert mem.commit_extract(0, "d", self.A, 5) is True
         assert l1.install(self.C) == (self.B, False)
         assert l1.lookup(self.A)
         assert mem.counters["lines_extracted"] == 0
@@ -323,8 +323,9 @@ class TestCommitExtract:
         l1 = self._sides(mem, kind)[1]
         l1.install(self.A)
         l1.install(self.B)
-        mem.commit_extract(0, kind, self.A, 5)
-        mem.commit_extract(0, kind, self.C, 5)         # absent: no effect
+        assert mem.commit_extract(0, kind, self.A, 5) is True
+        # absent: no effect
+        assert mem.commit_extract(0, kind, self.C, 5) is False
         assert l1.install(self.C) == (self.B, False)
         assert l1.lookup(self.A)
         assert mem.counters["lines_extracted"] == 0

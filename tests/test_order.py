@@ -96,23 +96,33 @@ class TestAllocator:
         nts = al.allocate()
         assert nts == stamps[3]
 
-    @given(st.lists(st.sampled_from(["alloc", "retire", "rewind"]),
-                    max_size=60))
-    def test_live_never_exceeds_rob(self, ops):
-        al = TimestampAllocator(window=16)
+    @given(st.booleans(), st.lists(st.one_of(
+        st.sampled_from(["alloc", "retire", "rewind"]),
+        st.tuples(st.just("retire"), st.integers(0, 9))), max_size=60))
+    def test_live_never_exceeds_rob(self, unbounded, ops):
+        # a batched retire of n, as commit makes once per call, must leave
+        # the allocator as n single retires leave a shadow of it
+        al = TimestampAllocator(window=16, unbounded=unbounded)
+        shadow = TimestampAllocator(window=16, unbounded=unbounded)
         issued = []
         for op in ops:
+            op, n = (op, 1) if isinstance(op, str) else op
             if op == "alloc":
                 if al.live < 8:
                     issued.append(al.allocate())
+                    assert shadow.allocate() == issued[-1]
                 else:
                     with pytest.raises(WindowOverflowError):
                         al.allocate()
-            elif op == "retire" and issued:
-                issued.pop(0)
-                al.retire()
+            elif op == "retire" and len(issued) >= n:
+                del issued[:n]
+                al.retire(n)
+                for _ in range(n):
+                    shadow.retire()
             elif op == "rewind" and issued:
                 keep = len(issued) // 2 + 1
                 issued = issued[:keep]
                 al.rewind(issued[-1], keep)
+                shadow.rewind(issued[-1], keep)
             assert 0 <= al.live <= 8
+            assert (al.next, al.live) == (shadow.next, shadow.live)

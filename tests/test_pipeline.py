@@ -10,8 +10,8 @@ import pytest
 from ghostsim import Machine, RunConfig, load_program
 from ghostsim import harness
 from ghostsim.config import PROTECTION
-from ghostsim.core import WAITING
-from ghostsim.isa import DIV, STORE
+from ghostsim.core import WAITING, Core
+from ghostsim.isa import DIV, LOAD, STORE
 from ghostsim.gadgets import GADGETS
 from ghostsim.harness import _gen_program
 from ghostsim.machine import SimTimeout
@@ -19,7 +19,7 @@ from ghostsim.memory import MemorySystem
 from ghostsim.order import WindowOverflowError
 
 from fingerprint import GEOMETRIES
-from programs import OLDER_RETRY, UNIT_SLOTS
+from programs import MP_CORE0, MP_CORE1, OLDER_RETRY, UNIT_SLOTS
 from ref_model import ref_execute
 
 import random
@@ -269,6 +269,8 @@ class TestWakeupBookkeeping:
                 di for di in rob if di.state == "EXEC" and di.done_at is not None]
             assert list(core.stq) == [di for di in rob if di.cls == STORE]
             assert list(core.divq) == [di for di in rob if di.cls == DIV]
+            # a stamp is live from fetch until commit or squash
+            assert core.alloc.live == len(rob) + len(core.fetchq)
         mem = m.mem
         queued = {(ev[0], ev[3]) for ev in mem._events}
         for f in (*mem.l1d_file, *mem.l1i_file, mem.l2_file):
@@ -334,6 +336,32 @@ class TestWakeupBookkeeping:
         cfg = RunConfig(**overrides)
         for _ in range(50):
             self._step([_gen_program(rng)], cfg)
+
+    def test_replay_squash_with_and_without_commits_before_it(self,
+                                                              monkeypatch):
+        # a replayed load whose value went stale squashes from the commit
+        # stage.  In the message-passing pair it is the first commit of
+        # its cycle.  At zero latency its commit-time access can hit at
+        # once, so in pair 28 of seed 102 an older instruction commits
+        # first in the same call, and its stamp must be retired before
+        # the squash resets the live count
+        squashes = []
+        squash = Core._squash_after
+
+        def spy(core, di, cycle, redirect_pc):
+            if di.cls == LOAD:
+                tl = core.timeline
+                squashes.append(bool(tl) and tl[-1][3][4] == cycle)
+            return squash(core, di, cycle, redirect_pc)
+
+        monkeypatch.setattr(Core, "_squash_after", spy)
+        self._step([MP_CORE0, MP_CORE1], RunConfig())
+        assert squashes == [False]
+        rng = random.Random(102)
+        for _ in range(29):
+            pair = [_gen_program(rng), _gen_program(rng)]
+        self._step(pair, replace(RunConfig(), **GEOMETRIES["zerolat"]))
+        assert squashes == [False, True]
 
 
 class TestStoreForward:
