@@ -57,18 +57,29 @@ class Report:
                 w.writerow([k, self.counters.get(k, 0)])
 
 
+# timeline entries formatted and hashed at a time, so the digest never
+# holds a whole timeline's text
+_DIGEST_SLICE = 1024
+
+
 def timeline_digest(machine):
     """sha256 over each core's ``repr(core.timeline)`` followed by a NUL
     byte.  Each entry is written by one format that reprs its fields, not
-    by repr's walk of the nested tuples; the bytes are the same."""
+    by repr's walk of the nested tuples, and the text is hashed a slice of
+    entries at a time; the bytes hashed are the same."""
     h = hashlib.sha256()
     for core in machine.cores:
-        text = ", ".join([
-            f"({seq!r}, {pc!r}, {op!r}, ({fet!r}, {ren!r}, {iss!r}, "
-            f"{cpl!r}, {cmt!r}), {result!r})"
-            for seq, pc, op, (fet, ren, iss, cpl, cmt), result
-            in core.timeline])
-        h.update(f"[{text}]\x00".encode())
+        timeline = core.timeline
+        h.update(b"[")
+        for start in range(0, len(timeline), _DIGEST_SLICE):
+            if start:
+                h.update(b", ")
+            h.update(", ".join([
+                f"({seq!r}, {pc!r}, {op!r}, ({fet!r}, {ren!r}, {iss!r}, "
+                f"{cpl!r}, {cmt!r}), {result!r})"
+                for seq, pc, op, (fet, ren, iss, cpl, cmt), result
+                in timeline[start:start + _DIGEST_SLICE]]).encode())
+        h.update(b"]\x00")
     return h.hexdigest()
 
 

@@ -5,6 +5,7 @@ Oracle: the digest recomputed here from that definition.
 ``harness.timeline_digest`` formats the entries itself, so it must give
 the same bytes on every kind of run: single-core gadgets in every mode,
 fuzz programs at a tight geometry, the two-core message-passing pair,
+timelines longer than the slice it hashes at a time, an empty timeline,
 and results at the edges of the 64-bit range.
 """
 
@@ -16,7 +17,7 @@ import pytest
 from fingerprint import GEOMETRIES
 from programs import MP_CORE0, MP_CORE1
 
-from ghostsim import RunConfig, harness
+from ghostsim import Machine, RunConfig, harness, load_program
 from ghostsim.config import MODES
 from ghostsim.gadgets import GADGETS
 
@@ -68,6 +69,18 @@ def test_fuzz_programs_at_tight_geometry():
 def test_message_passing_pair():
     m = _check([MP_CORE0, MP_CORE1], RunConfig())
     assert len(m.cores) == 2 and all(c.timeline for c in m.cores)
+
+
+def test_timelines_of_several_slices_and_none():
+    # the digest hashes a slice of entries at a time: a timeline of
+    # several slices, ending inside one, and an empty one
+    g = GADGETS["spectre_prime"]
+    m = _check(g.programs(5), replace(RunConfig(), **g.cfg_overrides))
+    assert max(len(c.timeline) for c in m.cores) > 3 * harness._DIGEST_SLICE
+    assert len(m.cores[1].timeline) % harness._DIGEST_SLICE
+    m = Machine([load_program("halt")], RunConfig())
+    assert m.cores[0].timeline == []
+    assert harness.timeline_digest(m) == repr_digest(m)
 
 
 def test_none_negative_and_extreme_results():
