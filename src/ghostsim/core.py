@@ -42,7 +42,7 @@ called); ``_replays`` is patched by the mutant matrix and a test, and is
 asked only for a load, the one class that can read a non-coherent copy;
 ``TimestampAllocator.allocate``/``retire`` keep the window's liveness
 check in one place, and commit retires its stamps in one call (two when
-a replay squashes), while fetch still takes one stamp per instruction: a
+a replay squashes), while fetch takes one stamp per instruction: a
 single call per fetch needs a list of what was fetched, which costs more
 than the calls it saves; ``_done`` is the one wake-up path, which
 ``mem_ready`` shares; and ``_older_waiting``/``_forward_store`` run only
