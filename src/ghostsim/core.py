@@ -76,19 +76,21 @@ _WORD = ~(WORD_BYTES - 1)   # a data address's word-aligned part
 class DynInstr:
     __slots__ = (
         "pc", "op", "cls", "dst", "s1", "s2", "imm", "target",
-        "ts", "state", "iline", "fetched", "renamed", "issued", "completed",
+        "ts", "state", "fetched", "renamed", "issued", "completed",
         "dep1", "dep2",
         "result", "addr", "line", "pred_taken", "taken", "done_at",
         "forwarded", "from_below", "noncoherent", "akey", "ablated",
         "div_unit", "commit_mem", "seq", "waits", "consumers",
     )
 
-    def __init__(self, si, ts, iline, cycle):
+    def __init__(self, si, ts, cycle):
         # Only the slots read before a stage writes them are set here.
-        # Rename sets seq, akey, renamed, dep1 and dep2; issue sets issued,
-        # addr, line, taken, forwarded and from_below (mem_ready, for a
-        # miss); completion sets completed.  Rename itself sets issued for
-        # an ablated instruction, and completed too for one done at rename.
+        # Rename sets seq, akey, renamed, state, dep1 and dep2; issue sets
+        # issued, addr, line, taken, forwarded and from_below (mem_ready,
+        # for a miss); completion sets completed.  Rename itself sets
+        # issued for an ablated instruction, and completed too for one
+        # done at rename.  state is ROB, EXEC, DONE or SQUASHED; a
+        # committed instruction stays DONE.
         self.pc = si.pc
         self.op = si.op
         self.cls = si.cls
@@ -98,8 +100,6 @@ class DynInstr:
         self.imm = si.imm
         self.target = si.target
         self.ts = ts
-        self.state = "FETQ"       # FETQ ROB EXEC DONE COMMITTED SQUASHED
-        self.iline = iline        # instruction line, as fetch requested it
         self.fetched = cycle
         self.result = None
         self.pred_taken = False
@@ -208,7 +208,7 @@ class Core:
         while True:
             idx = pc // INSTR_BYTES
             si = instrs[idx] if 0 <= idx < size else program.get(pc)
-            di = DynInstr(si, alloc.allocate(), line, cycle)
+            di = DynInstr(si, alloc.allocate(), cycle)
             fetchq.append(di)
             fetched += 1
             cls = si.cls
@@ -572,6 +572,8 @@ class Core:
         timeline = self.timeline
         committed_keys = self.committed_keys
         alloc = self.alloc
+        line_mask = self.line_mask
+        code_base = self.code_base
         seq = self.commit_count
         commits = 0
         settled = 0       # commits already retired by a replay's squash
@@ -607,18 +609,20 @@ class Core:
                     alloc.retire(commits)
                     settled = commits
                     self._squash_after(di, cycle, di.pc + INSTR_BYTES)
-            di.state = "COMMITTED"
             committed_keys.add(di.akey)
             if not ablated:
                 # nothing a commit does moves a line out of the L1I, so a
-                # line an earlier commit left there is still its MRU line
-                iline = di.iline
+                # line an earlier commit left there is still its MRU line;
+                # fetch takes a call's instructions from one line
+                iline = (di.pc & line_mask) + code_base
                 if iline != in_l1i:
                     in_l1i = iline if mem.commit_extract(
                         core_id, "i", iline, di.ts) else None
                 if cls == LOAD:
                     mem.commit_extract(core_id, "d", di.line, di.ts)
-                    mem.prefetch_notify(di.pc, di.line, di.from_below, cycle)
+                    # only a line from below the L1 trains the prefetcher
+                    if di.from_below:
+                        mem.prefetch_notify(di.pc, di.line, cycle)
                 elif cls == BRANCH:
                     pc = di.pc
                     ctr = self.bp_counters.get(pc, 1)

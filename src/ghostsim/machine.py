@@ -64,8 +64,8 @@ class Machine:
         ROB head whose commit-time access, if it has made one, is ready,
         issue with a ready instruction, rename with a fetched
         instruction and no fence waiting for the ROB to drain, and fetch
-        once its stall is over, with no missed line pending and room in
-        the fetch queue.  Each test is one the stage
+        once its stall is over, with no missed line pending, room in the
+        fetch queue and a free stamp.  Each test is one the stage
         makes first itself, so a stage not called would have returned
         False and changed nothing.  Only commit halts a core, so whether
         every core has halted is asked again only then.
@@ -80,6 +80,7 @@ class Machine:
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
         check = self.cfg.check_invariants
         fetchq_size = self.cfg.fetchq
+        rob_size = self.cfg.rob
         mem = self.mem
         cores = self.cores
         halted = all(core.halted for core in cores)
@@ -106,7 +107,8 @@ class Machine:
                     progress |= core.do_rename(c)
                 if (c >= core.fetch_stall_until and not core.fetch_done
                         and core.line_req is None
-                        and len(fetchq) < fetchq_size):
+                        and len(fetchq) < fetchq_size
+                        and core.alloc.live < rob_size):
                     progress |= core.do_fetch(c)
             if check:
                 mem.check_invariants()

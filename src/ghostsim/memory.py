@@ -20,8 +20,11 @@ older ones:
   prefetches.
 
 Each rule is a switch of ``config.Protection``, and ``config.PROTECTION``
-says which a protection mode turns on.  With no side buffer, speculative
-fills pollute the L1/L2 directly.
+says which a protection mode turns on.  Every mode builds the same
+caches, side buffers included; ``side_buffer`` only decides where a
+speculative fill lands and whether a squash wipes the buffer.  Without
+it, speculative fills pollute the L1/L2 directly and the side buffers
+stay empty.
 
 One event heap holds every timed action: each miss delivery, queued when
 its latency is set, and each background fill or prefetch.  In a cycle the
@@ -142,8 +145,8 @@ class MemorySystem:
         mk = lambda: GhostCache(cfg.ghost_sets, cfg.ghost_ways,
                                 timeguard=prot.timeguard, not_after=not_after,
                                 counters=self.counters, line_shift=shift)
-        self.dghost = [mk() if prot.side_buffer else None for _ in range(ncores)]
-        self.ighost = [mk() if prot.side_buffer else None for _ in range(ncores)]
+        self.dghost = [mk() for _ in range(ncores)]
+        self.ighost = [mk() for _ in range(ncores)]
 
         self.l1d_file = [MshrFile(cfg.l1_mshrs, 1 + 2 * c, "d")
                          for c in range(ncores)]
@@ -236,9 +239,8 @@ class MemorySystem:
                 self.l1d[c].invalidate(line)
                 self._dir_remove(line, c)
                 cost = self.cfg.coh_lat
-            for g in (self.dghost[c], self.ighost[c]):
-                if g is not None:
-                    g.invalidate(line)
+            self.dghost[c].invalidate(line)
+            self.ighost[c].invalidate(line)
         holders = self.directory.get(line, {})
         if core in holders:
             if holders[core] == "S":
@@ -251,9 +253,8 @@ class MemorySystem:
     def _install_l1(self, core, kind, line, dirty=False):
         l1 = self._l1_for(core, kind)
         evicted = l1.install(line, dirty)
-        g = self._ghost_for(core, kind)
-        if g is not None:
-            g.invalidate(line)  # a line never lives in both structures
+        # a line never lives in both structures
+        self._ghost_for(core, kind).invalidate(line)
         if kind == "d":
             self._dir_install(line, core)
             if self.prot.noncoherent_forward \
@@ -261,7 +262,7 @@ class MemorySystem:
                 # the directory does not track side-buffer copies: drop the
                 # other cores' speculative copies of a line now held Exclusive
                 for c, other in enumerate(self.dghost):
-                    if c != core and other is not None:
+                    if c != core:
                         other.invalidate(line)
         if evicted:
             etag, edirty = evicted
@@ -422,11 +423,9 @@ class MemorySystem:
         noncoherent) on a hit, None on a miss.  A side-buffer line and a
         copy forwarded from another core came from below the L1."""
         cfg = self.cfg
-        g = self.dghost[core]
-        if g is not None:
-            hit = g.lookup(line, ts)
-            if hit is not None:
-                return (cycle + cfg.l1_lat, True, hit.noncoherent)
+        hit = self.dghost[core].lookup(line, ts)
+        if hit is not None:
+            return (cycle + cfg.l1_lat, True, hit.noncoherent)
         l1 = self.l1d[core]
         st = l1.lines[(line >> l1.line_shift) % l1.sets]
         if line in st:
@@ -445,9 +444,9 @@ class MemorySystem:
                     # it; the core's own L1D may have got the line meanwhile
                     squashed = instr.state == "SQUASHED" \
                         and self.prot.squash_cancels_misses
-                    if g is not None and not squashed \
+                    if self.prot.side_buffer and not squashed \
                             and not l1.lookup(line):
-                        g.fill(line, ts, noncoherent=True)
+                        self.dghost[core].fill(line, ts, noncoherent=True)
                 self.at(ready, fill)
                 return (ready, True, True)
             self._downgrade(line, core)
@@ -457,8 +456,7 @@ class MemorySystem:
         return None
 
     def ifetch_access(self, core, line, ts, cycle):
-        g = self.ighost[core]
-        if (g is not None and g.lookup(line, ts) is not None) \
+        if self.ighost[core].lookup(line, ts) is not None \
                 or self._l1_hit(self.l1i[core], line, True):
             return cycle + self.cfg.l1_lat
         self._mshr_request(self.l1i_file[core], line, ts, core, True, cycle,
@@ -468,18 +466,15 @@ class MemorySystem:
     def store_access(self, core, instr, line, cycle):
         """Committing store: non-speculative write-allocate write."""
         cycle += self.upgrade_for_store(line, core)
-        g = self.dghost[core]
-        if g is not None:
-            g.invalidate(line)   # speculative copies of the line are now stale
+        # speculative copies of the line are now stale
+        self.dghost[core].invalidate(line)
         return self._commit_access(core, instr, line, cycle, is_write=True)
 
     def replay_access(self, core, instr, line, cycle):
         """Commit-time revalidation of a load that consumed a non-coherent
         forwarded copy: reissue non-speculatively."""
         self._bump("replays")
-        g = self.dghost[core]
-        if g is not None:
-            g.invalidate(line)
+        self.dghost[core].invalidate(line)
         if self._downgrade(line, core):
             cycle += self.cfg.coh_lat
         return self._commit_access(core, instr, line, cycle, is_write=False)
@@ -509,7 +504,7 @@ class MemorySystem:
             g, l1 = self.ighost[core], self.l1i[core]
         else:
             g, l1 = self.dghost[core], self.l1d[core]
-        if g is not None and g.lines[(line >> g.line_shift) % g.sets]:
+        if g.lines[(line >> g.line_shift) % g.sets]:
             ln = g.extract(line, ts)
             if ln is not None:
                 # a non-coherent copy is handled by the replay path instead
@@ -523,11 +518,10 @@ class MemorySystem:
             return True
         return False
 
-    def prefetch_notify(self, pc, line, from_below, cycle):
+    def prefetch_notify(self, pc, line, cycle):
         """Train the L2 stride prefetcher from the committed access stream.
-        Only accesses whose line came from below the L1 train it."""
-        if not from_below:
-            return
+        The core calls it only for a load whose line came from below the
+        L1: an L1 hit does not train it."""
         cfg = self.cfg
         idx = (pc // 4) % cfg.rpt_entries
         e = self.rpt[idx]
@@ -553,9 +547,9 @@ class MemorySystem:
         """Misspeculation wipe: single-cycle invalidate of every side-buffer
         line younger than the squash point, and (under full protection)
         cancellation of every younger in-flight miss of this core."""
-        for g in (self.dghost[core], self.ighost[core]):
-            if g is not None:
-                g.flush(ts)
+        if self.prot.side_buffer:
+            self.dghost[core].flush(ts)
+            self.ighost[core].flush(ts)
         if not self.prot.squash_cancels_misses:
             return
         for file in (self.l1d_file[core], self.l1i_file[core], self.l2_file):
@@ -615,14 +609,14 @@ class MemorySystem:
     def _deliver_l1(self, entry, cycle):
         """An L1 completion: install the line and wake its targets."""
         core, kind = entry.core, entry.file.kind
-        g = self._ghost_for(core, kind)
         # a speculative copy of a line another core has taken Exclusive
         # meanwhile is non-coherent: its loads are replayed at commit
         noncoherent = False
-        if entry.spec and g is not None:
+        if entry.spec and self.prot.side_buffer:
             noncoherent = (kind == "d" and self.prot.noncoherent_forward
                            and self._remote_owner(entry.addr, core) is not None)
-            g.fill(entry.addr, entry.ts, noncoherent=noncoherent)
+            self._ghost_for(core, kind).fill(entry.addr, entry.ts,
+                                             noncoherent=noncoherent)
         else:
             self._install_l1(core, kind, entry.addr, dirty=entry.is_write)
         for tcore, instr in entry.targets:
@@ -651,16 +645,12 @@ class MemorySystem:
             assert held == cached, \
                 f"core {core}'s directory entries differ from its L1D"
             for kind in ("d", "i"):
-                g = self._ghost_for(core, kind)
-                if g is None:
-                    continue
                 l1 = self._l1_for(core, kind)
-                for way in g.valid_lines():
+                for way in self._ghost_for(core, kind).valid_lines():
                     assert not l1.lookup(way.tag), \
                         f"line {way.tag:#x} in both L1{kind} and its side buffer"
-            g = self.dghost[core]
-            if g is not None and self.prot.noncoherent_forward:
-                for way in g.valid_lines():
+            if self.prot.noncoherent_forward:
+                for way in self.dghost[core].valid_lines():
                     if not way.noncoherent:
                         assert self._remote_owner(way.tag, core) is None, \
                             f"unflagged speculative copy of {way.tag:#x} with remote owner"

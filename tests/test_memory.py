@@ -2,14 +2,19 @@
 LRU eviction, the stride prefetcher, and speculative-fill containment.
 """
 
+import random
+from dataclasses import replace
+
 import pytest
 
-from ghostsim import Machine, RunConfig, load_program
+from ghostsim import Machine, RunConfig, harness, load_program
 from ghostsim.config import MODES
+from ghostsim.gadgets import GADGETS
+from ghostsim.ghost_cache import GhostCache
 from ghostsim.memory import Cache, MemorySystem
 from ghostsim.order import ts_not_after
 
-from programs import L1I_EVICTION
+from programs import L1I_EVICTION, MP_CORE0, MP_CORE1
 
 RESULT = 0xC080
 
@@ -151,7 +156,7 @@ class TestPrefetcher:
         mem = _mem()
         pc = 0x40
         for i, cyc in enumerate((0, 10, 20)):
-            mem.prefetch_notify(pc, 0x2000 + 64 * i, True, cyc)
+            mem.prefetch_notify(pc, 0x2000 + 64 * i, cyc)
         assert mem.counters["prefetches_issued"] == 1
         assert not mem.l2.lookup(0x2000 + 64 * 3)
         mem.tick(20 + mem.cfg.mem_lat)
@@ -177,11 +182,31 @@ class TestPrefetcher:
         assert m.mem.l2.lookup(0x2000 + 64 * 15)
 
     def test_l1_hits_do_not_train(self):
-        # only accesses whose line came from below the L1 train the table
-        mem = _mem()
-        for i, cyc in enumerate((0, 10, 20, 30)):
-            mem.prefetch_notify(0x40, 0x2000 + 64 * i, False, cyc)
-        assert mem.counters["prefetches_issued"] == 0
+        # only loads whose line came from below the L1 train the table:
+        # committed stores put the 16 lines in the L1D, so the strided
+        # loads that follow all hit there and leave every entry empty
+        body = [
+            "li r1, 0",
+            "li r2, 16",
+            "warm:",
+            "slli r3, r1, 6",
+            "st r1, r3, 0x2000",
+            "addi r1, r1, 1",
+            "bne r1, r2, warm",
+            "fence",
+            "li r1, 0",
+            "loop:",
+            "slli r3, r1, 6",
+            "ld r4, r3, 0x2000",
+            "fence",
+            "addi r1, r1, 1",
+            "bne r1, r2, loop",
+        ]
+        for mode in MODES:
+            m = run(body, mode=mode)
+            assert m.read_word(0x2000 + 64 * 15) == 15
+            assert m.mem.counters["prefetches_issued"] == 0, mode
+            assert all(e is None for e in m.mem.rpt_state()), mode
 
     def test_no_prefetch_without_stride(self):
         m = run([".word 0x2000 1"]
@@ -317,9 +342,10 @@ class TestCommitExtract:
         assert g.has(self.OTHER) == (buffered == "OTHER")
 
     @pytest.mark.parametrize("kind", ["d", "i"])
-    def test_unsafe_has_no_side_buffer(self, kind):
+    def test_unsafe_l1_line_becomes_mru(self, kind):
+        # in unsafe the side buffer is empty: a committed L1 line is only
+        # touched, and an absent line is left absent
         mem = _mem(mode="unsafe")
-        assert self._sides(mem, kind)[0] is None
         l1 = self._sides(mem, kind)[1]
         l1.install(self.A)
         l1.install(self.B)
@@ -329,6 +355,42 @@ class TestCommitExtract:
         assert l1.install(self.C) == (self.B, False)
         assert l1.lookup(self.A)
         assert mem.counters["lines_extracted"] == 0
+
+
+class TestUnsafeSideBuffers:
+    """``unsafe`` builds the same side buffers as the other modes but
+    never fills them: every gadget at every secret, 20 ablated fuzz
+    programs and the MP pair leave them empty and their counters at 0."""
+
+    def test_never_filled(self, monkeypatch):
+        built = []
+        fills = []
+        init, fill = GhostCache.__init__, GhostCache.fill
+
+        def recorded_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        def recorded_fill(self, *args, **kwargs):
+            fills.append(args)
+            return fill(self, *args, **kwargs)
+        monkeypatch.setattr(GhostCache, "__init__", recorded_init)
+        monkeypatch.setattr(GhostCache, "fill", recorded_fill)
+        cfg = RunConfig(mode="unsafe")
+        for g in GADGETS.values():
+            for s in g.secrets:
+                harness.run(g.programs(s), replace(cfg, **g.cfg_overrides))
+        rng = random.Random(0)
+        for _ in range(20):
+            harness.run_ablation([harness._gen_program(rng)], cfg)
+        harness.run([MP_CORE0, MP_CORE1], cfg)
+        assert fills == []
+        assert built
+        for g in built:
+            assert not any(g.lines)
+            for key in ("flush_count", "lines_extracted", "timeguard_blocks",
+                        "fills_rejected"):
+                assert g.counters[key] == 0, key
 
 
 class TestSingleCoreDirectory:
@@ -362,7 +424,7 @@ class TestInstructionLines:
 
 class TestReplayAccess:
     def test_replay_without_side_buffer_downgrades_the_owner(self):
-        # with no side buffer to clear, a replay is a non-speculative
+        # with an empty side buffer to clear, a replay is a non-speculative
         # access: the remote Exclusive copy becomes Shared, for coh_lat,
         # and the miss then starts
         mem = _mem(2, mode="unsafe")
