@@ -1,7 +1,14 @@
 """Cache hierarchy: per-core L1s with speculative side buffers, a shared
 L2, fixed-latency main memory, timestamped MSHRs, a commit-trained stride
-prefetcher, and a simplified directory that keeps the L1Ds coherent for
-any number of cores.
+prefetcher, and an owner map that keeps the L1Ds coherent for any
+number of cores.
+
+A core holds a line when its L1D does; the L1Ds are the only record of
+the holders.  ``MemorySystem.owner`` maps a line to the one core holding
+it Exclusive or Modified, which its L1D dirty bit tells apart.  Every
+other holder is Shared, and a Shared copy may be dirty: a core that
+installs a line another core holds Modified demotes it without a
+write-back, and the dirty copy is written back when it is evicted.
 
 Timing rules that keep younger (more speculative) requests invisible to
 older ones:
@@ -154,8 +161,8 @@ class MemorySystem:
                          for c in range(ncores)]
         self.l2_file = MshrFile(cfg.l2_mshrs, 0)
 
-        # directory: line -> {core: "M"|"E"|"S"} over L1D contents
-        self.directory = {}
+        # line -> the core holding it Exclusive or Modified in its L1D
+        self.owner = {}
 
         # stride prefetcher at the L2 (reference prediction table)
         self.rpt = [None] * cfg.rpt_entries   # [pc, last_line, stride, conf]
@@ -189,27 +196,12 @@ class MemorySystem:
     def at(self, cycle, fn):
         heappush(self._events, (cycle, self._action_rank, next(self._seq), fn))
 
-    # ------------------------------------------------------------- directory
+    # ------------------------------------------------------------- coherence
 
     def _remote_owner(self, line, core):
         """Core id holding this line Exclusive/Modified in a remote L1."""
-        for c, st in self.directory.get(line, {}).items():
-            if c != core and st in ("M", "E"):
-                return c
-        return None
-
-    def _dir_install(self, line, core):
-        holders = self.directory.setdefault(line, {})
-        holders[core] = "E" if not holders else "S"
-        if len(holders) > 1:
-            for c in holders:
-                holders[c] = "S"
-
-    def _dir_remove(self, line, core):
-        holders = self.directory[line]
-        del holders[core]
-        if not holders:
-            del self.directory[line]
+        owner = self.owner.get(line)
+        return owner if owner != core else None
 
     def _downgrade(self, line, requester):
         """A remote Exclusive/Modified copy is demoted to Shared; a dirty
@@ -217,13 +209,13 @@ class MemorySystem:
         owner = self._remote_owner(line, requester)
         if owner is None:
             return False
-        holders = self.directory[line]
-        if holders[owner] == "M":
+        l1 = self.l1d[owner]
+        if l1.lines[(line >> l1.line_shift) % l1.sets][line]:
             # dirty data is written back to the shared L2; the owner keeps
             # a clean Shared copy
             self.l2.install(line, dirty=True)
-            self.l1d[owner].mark_dirty(line, False)
-        holders[owner] = "S"
+            l1.mark_dirty(line, False)
+        del self.owner[line]
         return True
 
     def upgrade_for_store(self, line, core):
@@ -234,40 +226,46 @@ class MemorySystem:
         for c in range(self.ncores):
             if c == core:
                 continue
-            holders = self.directory.get(line, {})
-            if c in holders:
-                self.l1d[c].invalidate(line)
-                self._dir_remove(line, c)
+            if self.l1d[c].invalidate(line):
                 cost = self.cfg.coh_lat
             self.dghost[c].invalidate(line)
             self.ighost[c].invalidate(line)
-        holders = self.directory.get(line, {})
-        if core in holders:
-            if holders[core] == "S":
-                cost = max(cost, self.cfg.coh_lat)
-            holders[core] = "M"
+        if self.l1d[core].lookup(line):
+            if self.owner.get(line) != core:   # it was Shared
+                cost = self.cfg.coh_lat
+            self.owner[line] = core
+        else:   # a remote owner's copy is gone; the write delivery owns it
+            self.owner.pop(line, None)
         return cost
 
     # ------------------------------------------------------------- L1 install
 
     def _install_l1(self, core, kind, line, dirty=False):
+        """The L1 does not hold the line: an extracted line comes from the
+        side buffer, which never holds a line valid in its L1, and a
+        delivered miss was made when the L1 missed; its file holds no
+        other entry for the line."""
         l1 = self._l1_for(core, kind)
         evicted = l1.install(line, dirty)
         # a line never lives in both structures
         self._ghost_for(core, kind).invalidate(line)
         if kind == "d":
-            self._dir_install(line, core)
-            if self.prot.noncoherent_forward \
-                    and self.directory[line][core] == "E":
-                # the directory does not track side-buffer copies: drop the
-                # other cores' speculative copies of a line now held Exclusive
-                for c, other in enumerate(self.dghost):
-                    if c != core:
-                        other.invalidate(line)
+            if any(other.lookup(line) for c, other in enumerate(self.l1d)
+                   if c != core):
+                # every copy is now Shared
+                self.owner.pop(line, None)
+            else:
+                self.owner[line] = core
+                if self.prot.noncoherent_forward:
+                    # side-buffer copies are not tracked: drop the other
+                    # cores' speculative copies of a line now held Exclusive
+                    for c, other in enumerate(self.dghost):
+                        if c != core:
+                            other.invalidate(line)
         if evicted:
             etag, edirty = evicted
-            if kind == "d":
-                self._dir_remove(etag, core)
+            if kind == "d" and self.owner.get(etag) == core:
+                del self.owner[etag]
             if edirty:
                 self.l2.install(etag, dirty=True)
 
@@ -623,7 +621,7 @@ class MemorySystem:
             self.cores[tcore].mem_ready(instr, entry.addr, cycle, noncoherent)
         entry.targets = []
         if entry.is_write:   # only L1D entries are writes
-            self.directory.setdefault(entry.addr, {})[core] = "M"
+            self.owner[entry.addr] = core
 
     # ------------------------------------------------------------ snapshots
 
@@ -637,13 +635,12 @@ class MemorySystem:
         return tuple(tuple(e) if e else None for e in self.rpt)
 
     def check_invariants(self):
-        """Exclusivity, cleanliness, and directory safety: a core holds a
-        line in the directory exactly when its L1D has it."""
+        """Exclusivity, cleanliness, and coherence safety: an owner holds
+        its line in its L1D."""
+        for line, core in self.owner.items():
+            assert self.l1d[core].lookup(line), \
+                f"owner {core} of line {line:#x} does not hold it"
         for core in range(self.ncores):
-            held = {ln for ln, h in self.directory.items() if core in h}
-            cached = {t for st in self.l1d[core].lines for t in st}
-            assert held == cached, \
-                f"core {core}'s directory entries differ from its L1D"
             for kind in ("d", "i"):
                 l1 = self._l1_for(core, kind)
                 for way in self._ghost_for(core, kind).valid_lines():

@@ -394,32 +394,30 @@ class TestUnsafeSideBuffers:
 
 
 class TestSingleCoreDirectory:
-    """The directory is kept for any number of cores: after a one-core
-    run it lists exactly the lines of core 0's L1D, stored lines Modified
-    and loaded ones Exclusive."""
+    """Coherence is kept for any number of cores: after a one-core run,
+    core 0 owns every line of its L1D, stored lines dirty (Modified) and
+    loaded ones clean (Exclusive)."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_directory_holds_the_l1d_lines(self, mode):
         m = run([".word 0x2000 5", "li r1, 7", "st r1, r0, 0x1000"]
                 + timed_load(0x2000, 0), mode=mode, check_invariants=True)
-        cached = {t for st in m.mem.l1d[0].lines for t in st}
-        assert cached and set(m.mem.directory) == cached
-        assert m.mem.directory[0x1000] == {0: "M"}
-        assert m.mem.directory[RESULT] == {0: "M"}
-        assert m.mem.directory[0x2000] == {0: "E"}
+        dirty = {t: d for st in m.mem.l1d[0].lines for t, d in st.items()}
+        assert dirty and m.mem.owner == dict.fromkeys(dirty, 0)
+        assert dirty[0x1000] and dirty[RESULT] and not dirty[0x2000]
 
 
 class TestInstructionLines:
     @pytest.mark.parametrize("mode", MODES)
     def test_evicted_instruction_line_is_dropped(self, mode):
-        # a one-line L1I: the HALT's line evicts the first; the directory
+        # a one-line L1I: the HALT's line evicts the first; the owner map
         # covers the L1D only, so it stays empty
         m = Machine([load_program(L1I_EVICTION)],
                     RunConfig(mode=mode, l1_sets=1, l1_ways=1,
                               check_invariants=True))
         m.run()
         assert m.mem.l1i[0].contents() == {(0, 64, False)}
-        assert m.mem.directory == {}
+        assert m.mem.owner == {}
 
 
 class TestReplayAccess:
@@ -429,10 +427,11 @@ class TestReplayAccess:
         # and the miss then starts
         mem = _mem(2, mode="unsafe")
         mem._install_l1(1, "d", 0x2000)
-        assert mem.directory[0x2000] == {1: "E"}
+        assert mem.owner == {0x2000: 1}
         instr = type("Load", (), {"ts": 3})()
         assert mem.replay_access(0, instr, 0x2000, 10) is None
-        assert mem.directory[0x2000] == {1: "S"}
+        assert mem.owner == {}
+        assert mem.l1d[1].contents() == {(0, 0x2000, False)}
         assert mem.counters["replays"] == 1
         entry, = mem.l1d_file[0].entries
         assert entry.targets == [(0, instr)] and not entry.spec
@@ -441,13 +440,40 @@ class TestReplayAccess:
             + cfg.mem_lat
 
 
+class TestSharedDirty:
+    """A core that installs a line another core holds Modified demotes it
+    to Shared without a write-back: the dirty bit stays, ownership goes."""
+
+    def test_dirty_line_need_not_be_owned(self):
+        mem = _mem(2)
+        cfg = mem.cfg
+        instr = type("Instr", (), {"ts": 3})()
+        mem._install_l1(1, "d", 0x2000)
+        assert mem.store_access(1, instr, 0x2000, 10) == 10 + cfg.l1_lat
+        mem._install_l1(0, "d", 0x2000)
+        assert mem.owner == {}
+        assert mem.l1d[1].contents() == {(0, 0x2000, True)}
+        # no owner to downgrade: no coh_lat, and nothing is written back
+        assert mem.replay_access(0, instr, 0x2000, 20) == 20 + cfg.l1_lat
+        assert mem.l1d[1].contents() == {(0, 0x2000, True)}
+        assert not mem.l2.lookup(0x2000)
+        mem.check_invariants()
+        # core 1's eviction writes its dirty copy back to the L2
+        for way in range(1, cfg.l1_ways + 1):
+            mem._install_l1(1, "d", 0x2000 + way * cfg.l1_sets * 64)
+        assert not mem.l1d[1].lookup(0x2000)
+        assert (0, 0x2000, True) in mem.l2.contents()
+
+
 class TestInvariantChecks:
     """``check_invariants`` names the invariant a state breaks."""
 
-    def test_l1d_line_missing_from_directory(self):
+    def test_owner_without_its_line(self):
         mem = _mem()
-        mem.l1d[0].install(0x2000)
-        with pytest.raises(AssertionError, match="directory entries differ"):
+        mem._install_l1(0, "d", 0x2000)
+        mem.l1d[0].invalidate(0x2000)
+        with pytest.raises(AssertionError,
+                           match="owner 0 of line 0x2000 does not hold it"):
             mem.check_invariants()
 
     def test_line_in_both_l1_and_side_buffer(self):
