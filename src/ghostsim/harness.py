@@ -166,7 +166,7 @@ class AblationResult:
     verdict: str                 # "PASS" | "FAIL"
     divergence: object = None    # (core, index, entry_normal, entry_ablated)
     detail: str = ""
-    pure: bool = True            # cache + prefetcher state identical at HALT
+    pure: bool = True            # caches, owners, prefetcher identical at HALT
 
 
 def run_ablation(programs, cfg: RunConfig):
@@ -192,6 +192,7 @@ def run_ablation(programs, cfg: RunConfig):
         pure = False   # it never reached HALT; its divergence is located below
     else:
         pure = (m1.mem.nonspec_state() == m2.mem.nonspec_state()
+                and m1.mem.owner == m2.mem.owner
                 and m1.mem.rpt_state() == m2.mem.rpt_state())
     div = _first_divergence(m1.cores, m2.cores)
     if div is not None:

@@ -141,6 +141,29 @@ class TestAblation:
         res = harness.run_ablation(pair, RunConfig())
         assert res.verdict == "PASS" and res.pure
 
+    @pytest.mark.parametrize("mode, pure", [("flush_only", False),
+                                            ("ghostminion", True)])
+    def test_wrong_path_demotion_of_a_remote_line_is_impure(self, mode,
+                                                            pure):
+        # core 0's wrong-path load of 0x2000 issues once the cold r5 is
+        # back, before the cold chain resolves the beq.  Without
+        # non-coherent forwarding it demotes core 1's clean Exclusive copy
+        # to Shared: the caches are unchanged, the owner map is not
+        core0 = """\
+.word 0x3000 0x40
+ld r1, r0, 0x3000
+ld r3, r1, 0x3000
+ld r5, r0, 0x4000
+beq r3, r0, skip
+ld r2, r5, 0x2000
+skip:
+halt
+"""
+        core1 = "ld r1, r0, 0x2000\n" + "div r1, r1, r1\n" * 26 + "halt\n"
+        res = harness.run_ablation([core0, core1],
+                                   RunConfig(mode=mode, warm_icache=True))
+        assert res.verdict == "PASS" and res.pure is pure
+
     def test_squashed_load_leaves_no_forwarded_copy(self):
         # seed 7, pair 56 at l2_mshrs=1: core 1's wrong-path load got a
         # non-coherent copy whose side-buffer fill was due after its
