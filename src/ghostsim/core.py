@@ -506,7 +506,8 @@ class Core:
         elif di.commit_mem == WAITING:   # committing store or replay
             di.commit_mem = cycle
         elif di.state == "EXEC":         # else squashed while in flight
-            di.result = self.machine.read_word(di.addr)
+            # issue aligned the address
+            di.result = self.machine.words.get(di.addr, 0)
             di.from_below = True
             di.noncoherent = noncoherent
             self._done(di, cycle)
@@ -567,7 +568,7 @@ class Core:
         rob = self.rob
         mem = self.mem
         core_id = self.core_id
-        machine = self.machine
+        words = self.machine.words
         regs = self.regs
         timeline = self.timeline
         committed_keys = self.committed_keys
@@ -591,7 +592,7 @@ class Core:
                     and not ablated:
                 if di.commit_mem is None:
                     if cls == STORE:
-                        machine.write_word(di.addr, di.result)
+                        words[di.addr] = di.result   # issue aligned the address
                         ready = mem.store_access(core_id, di, di.line, cycle)
                     else:
                         ready = mem.replay_access(core_id, di, di.line, cycle)
@@ -599,7 +600,7 @@ class Core:
                     progress = True
                 if cycle < di.commit_mem:
                     break
-                fresh = machine.read_word(di.addr)
+                fresh = words.get(di.addr, 0)
                 if cls == LOAD and fresh != di.result:
                     # the forwarded value went stale: re-execute with the
                     # fresh value and restart everything younger

@@ -44,9 +44,6 @@ class Machine:
     def read_word(self, addr):
         return self.words.get(addr & ~(WORD_BYTES - 1), 0)
 
-    def write_word(self, addr, value):
-        self.words[addr & ~(WORD_BYTES - 1)] = value
-
     def _warm_icache(self):
         for core in self.cores:
             step = self.cfg.line_bytes
