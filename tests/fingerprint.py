@@ -18,7 +18,9 @@ Corpus:
 * the programs of fuzz seed 0, ablated: 1000 in ghostminion mode at the
   default geometry, 300 for every other mode x geometry in ``GEOMETRIES``;
 * the 150 ``random.Random(7)`` two-core pairs in ghostminion and unsafe
-  mode, ablated, at each geometry of ``PAIR_GEOMETRIES``.
+  mode, ablated, at each geometry of ``PAIR_GEOMETRIES``, with
+  ``check_invariants`` on: a coherence invariant broken in any cycle
+  stops the script with its assertion.
 
 The file is not collected by pytest; the whole corpus takes about
 a minute and a half.
@@ -115,7 +117,8 @@ def corpus():
     for geo in PAIR_GEOMETRIES:
         prefix = "pair" if geo == "default" else f"pair/{geo}"
         for mode in ("ghostminion", "unsafe"):
-            cfg = replace(base, mode=mode, **GEOMETRIES[geo])
+            cfg = replace(base, mode=mode, check_invariants=True,
+                          **GEOMETRIES[geo])
             for i, pair in enumerate(pairs):
                 yield f"{prefix}/{mode}/{i}", pair, cfg, True
 

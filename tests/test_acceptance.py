@@ -230,7 +230,7 @@ def test_c09_divider_scheduling():
 
 
 def test_c10_coherence():
-    with criterion(10, "two-core coherence with per-cycle directory check"):
+    with criterion(10, "two-core coherence with per-cycle owner-map check"):
         g = GADGETS["spectre_prime"]
         safe = harness.run_differential(
             g, RunConfig(mode="ghostminion", check_invariants=True))
