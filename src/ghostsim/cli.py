@@ -77,11 +77,8 @@ def _read_programs(paths):
 
 def cmd_run(args):
     cfg = _build_config(args)
-    m, rep = harness.run(_read_programs(args.program), cfg)
+    _, rep = harness.run(_read_programs(args.program), cfg)
     print(rep.to_text())
-    if args.csv:
-        with _writing(args.csv):
-            rep.write_csv(args.csv)
     return EXIT_OK
 
 
@@ -171,7 +168,6 @@ def build_parser():
     p = sub.add_parser("run", help="simulate one or two programs to HALT")
     p.add_argument("program", nargs="+", help=".gasm file(s), one per core")
     _add_common(p)
-    p.add_argument("--csv", metavar="FILE", help="write counters as CSV")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("diff", help="differential leak check over a "

@@ -86,7 +86,6 @@ class RunConfig:
     mode: str = "ghostminion"
     # debug / harness
     warm_icache: bool = False
-    debug_unbounded_ts: bool = False
     check_invariants: bool = False
     max_cycles: int = 1_000_000
 
@@ -117,11 +116,6 @@ class RunConfig:
     def protection(self) -> Protection:
         """The mechanisms ``mode`` switches on."""
         return PROTECTION[self.mode]
-
-    @property
-    def window(self) -> int:
-        """Timestamp window size: twice the ROB capacity."""
-        return 2 * self.rob
 
     def to_text(self) -> str:
         lines = []

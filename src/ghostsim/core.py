@@ -40,7 +40,7 @@ the ``GhostCache`` operations are the layers the benchmark's tracer
 wraps and times (``tests/test_stage_gates.py`` checks that each is still
 called); ``_replays`` is patched by the mutant matrix and a test, and is
 asked only for a load, the one class that can read a non-coherent copy;
-``TimestampAllocator.allocate``/``retire`` keep the window's liveness
+``TimestampAllocator.allocate``/``retire`` keep the ROB-bound liveness
 check in one place, and commit retires its stamps in one call (two when
 a replay squashes), while fetch takes one stamp per instruction: a
 single call per fetch needs a list of what was fetched, which costs more
@@ -125,7 +125,7 @@ class Core:
         self.normal = normal      # this core in the normal run, when ablated
         self.prot = cfg.protection
 
-        self.alloc = TimestampAllocator(cfg.window, cfg.debug_unbounded_ts)
+        self.alloc = TimestampAllocator(cfg.rob)
         self.regs = [0] * isa.NUM_REGS
         self.rat = {}
         self.rob = deque()

@@ -9,7 +9,6 @@ architectural value) or they do not; there is no statistical
 thresholding.
 """
 
-import csv
 import hashlib
 import json
 import random
@@ -18,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from .config import RunConfig
 from .isa import load_program
 from .machine import Machine, SimTimeout
-from .memory import COUNTER_KEYS
 
 SCHEMA = 1
 
@@ -46,15 +44,6 @@ class Report:
             "counters": self.counters,
         }
         return json.dumps(doc, indent=2)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["counter", "value"])
-            w.writerow(["cycles", self.cycles])
-            w.writerow(["commits", self.commits])
-            for k in COUNTER_KEYS:
-                w.writerow([k, self.counters.get(k, 0)])
 
 
 # timeline entries formatted and hashed at a time, so the digest never

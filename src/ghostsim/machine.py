@@ -7,7 +7,6 @@ from .config import RunConfig
 from .core import Core
 from .isa import FENCE, WORD_BYTES
 from .memory import MemorySystem
-from .order import ts_not_after
 
 
 class SimTimeout(Exception):
@@ -24,7 +23,6 @@ class Machine:
         self.programs = list(programs)
         self.cfg = cfg
         self.cycle = 0
-        self.window = cfg.window
         self.words = {}
         for p in self.programs:
             self.words.update(p.data)
@@ -37,9 +35,12 @@ class Machine:
             self._warm_icache()
 
     def not_after(self, ts, ts2):
-        if self.cfg.debug_unbounded_ts:
-            return ts <= ts2
-        return ts_not_after(ts, ts2, self.window)
+        """True iff stamp ``ts`` precedes or equals ``ts2`` in speculative
+        program order: the one place where stamps are ordered.  Stamps
+        are plain counters (see ``order``).  It stays a method so that
+        the benchmark's tracer, ``tests/test_stage_gates.py`` and C06's
+        window check can wrap it."""
+        return ts <= ts2
 
     def read_word(self, addr):
         return self.words.get(addr & ~(WORD_BYTES - 1), 0)

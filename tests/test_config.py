@@ -12,7 +12,6 @@ def test_defaults():
     assert cfg.width == 4
     assert cfg.rob == 64
     assert cfg.mode == "ghostminion"
-    assert cfg.window == 2 * cfg.rob
 
 
 def test_round_trip_identical():
@@ -27,7 +26,6 @@ def test_partial_text_keeps_defaults():
     assert cfg.mode == "flush_only"
     assert cfg.rob == 32
     assert cfg.width == RunConfig().width
-    assert cfg.window == 64
 
 
 def test_modes_enumerated():
@@ -62,6 +60,15 @@ def test_tiny_rob_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         RunConfig.from_text("robs = 64\n")
+
+
+def test_removed_timestamp_knob_rejected(tmp_path, capsys):
+    # stamps have a single encoding, so no key selects another
+    from ghostsim.cli import main
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("debug_unbounded_ts = true\n")
+    assert main(["diff", "spectre_v1", "--config", str(cfgf)]) == 2
+    assert "debug_unbounded_ts" in capsys.readouterr().err
 
 
 def test_duplicate_key_rejected(tmp_path, capsys):

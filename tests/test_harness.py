@@ -1,6 +1,5 @@
 """Harness drivers and CLI: reports, verdicts, fuzzing, exit codes."""
 
-import csv
 from dataclasses import replace
 
 import pytest
@@ -39,15 +38,6 @@ class TestRun:
         _, a = harness.run([SIMPLE], RunConfig())
         _, b = harness.run([SIMPLE], RunConfig(warm_icache=True))
         assert a.digest != b.digest
-
-    def test_csv_output(self, tmp_path):
-        _, rep = harness.run([SIMPLE], RunConfig())
-        out = tmp_path / "c.csv"
-        rep.write_csv(out)
-        rows = dict(csv.reader(out.open()))
-        assert rows["counter"] == "value"
-        assert int(rows["cycles"]) == rep.cycles
-        assert "timeguard_blocks" in rows
 
     def test_timeout_raises(self):
         with pytest.raises(SimTimeout):
@@ -300,18 +290,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert '"schema": 1' in out and '"digest"' in out
 
-    def test_run_csv(self, tmp_path):
-        p = tmp_path / "p.gasm"
-        p.write_text(SIMPLE)
-        out = tmp_path / "c.csv"
-        assert main(["run", str(p), "--csv", str(out)]) == 0
-        assert out.exists()
-
-    def test_csv_is_a_run_option_only(self, tmp_path):
-        out = tmp_path / "c.csv"
-        assert main(["diff", "spectre_v1", "--csv", str(out)]) == 2
-        assert not out.exists()
-
     def test_diff_exit_codes(self):
         assert main(["diff", "spectre_v1", "--mode", "ghostminion"]) == 0
         assert main(["diff", "spectre_v1", "--mode", "unsafe"]) == 1
@@ -372,16 +350,13 @@ class TestCli:
         assert "internal error" not in err
 
     @pytest.mark.parametrize("argv", [
-        ["run", "{prog}", "--csv", "{dir}"],
-        ["run", "{prog}", "--csv", "{dir}/missing/c.csv"],
         ["gadgets", "emit", "spectre_v1", "--dir", "{prog}"],
         ["gadgets", "emit", "spectre_v1", "--dir", "{prog}/sub"],
-    ], ids=["csv-directory", "csv-missing-parent", "emit-dir-file",
-            "emit-dir-under-file"])
+    ], ids=["emit-dir-file", "emit-dir-under-file"])
     def test_unwritable_path_is_usage_error(self, tmp_path, capsys, argv):
         prog = tmp_path / "p.gasm"
         prog.write_text(SIMPLE)
-        argv = [a.format(dir=tmp_path, prog=prog) for a in argv]
+        argv = [a.format(prog=prog) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ")

@@ -2,6 +2,7 @@
 LRU eviction, the stride prefetcher, and speculative-fill containment.
 """
 
+import operator
 import random
 from dataclasses import replace
 
@@ -12,7 +13,6 @@ from ghostsim.config import MODES
 from ghostsim.gadgets import GADGETS
 from ghostsim.ghost_cache import GhostCache
 from ghostsim.memory import Cache, MemorySystem
-from ghostsim.order import ts_not_after
 
 from programs import L1I_EVICTION, MP_CORE0, MP_CORE1
 
@@ -39,8 +39,7 @@ def deltas(m, n):
 
 
 def _mem(ncores=1, mode="ghostminion"):
-    return MemorySystem(RunConfig(mode=mode), ncores,
-                        lambda a, b: ts_not_after(a, b, 128))
+    return MemorySystem(RunConfig(mode=mode), ncores, operator.le)
 
 
 class TestCache:

@@ -2,22 +2,19 @@
 and retry behavior, driven directly against the memory system.
 """
 
+import operator
 import random
 from dataclasses import replace
 
 from ghostsim import harness
 from ghostsim.config import PROTECTION, RunConfig
 from ghostsim.memory import MemorySystem
-from ghostsim.order import ts_not_after
 
 from programs import (OLDER_MISS, OTHER_CORE_MISS, TIMELEAP_CONFIG,
                       TIMELEAP_RESTART, TIMELEAP_YOUNG)
 
-WINDOW = 128
-
-
-def _na(ts, ts2):
-    return ts_not_after(ts, ts2, WINDOW)
+# Machine.not_after: stamps are plain counters
+_na = operator.le
 
 
 class _StubCore:

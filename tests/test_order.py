@@ -1,21 +1,25 @@
-"""Windowed timestamp ordering: predicate correctness and allocator
+"""Timestamp ordering: the hardware's windowed rule, and allocator
 bookkeeping.
 
-Oracle: for any two *live* timestamps (unbounded distance at most N),
-the windowed comparison must agree with plain integer comparison of the
-unbounded counters that produced them.
+The simulator stores each stamp as a plain counter and orders two stamps
+by ``<=``.  Hardware keeps a stamp modulo 2N for an N-entry ROB and
+orders by the windowed rule below.  Oracle: for any two stamps fewer than
+N apart (C06 checks that every comparison of a run is such a pair), the
+windowed rule agrees with integer order of the counters.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ghostsim.order import (
-    TimestampAllocator,
-    WindowOverflowError,
-    ts_not_after,
-)
+from ghostsim.order import TimestampAllocator, WindowOverflowError
 
 WINDOW = 128   # default geometry: ROB of 64
+
+
+def ts_not_after(a, b, window):
+    """True iff windowed stamp ``a`` precedes or equals ``b``:
+    (b - a) mod 2N <= N."""
+    return (b - a) % window <= window // 2
 
 
 class TestNotAfter:
@@ -37,9 +41,10 @@ class TestNotAfter:
     @given(st.integers(0, 10_000),
            st.integers(-(WINDOW // 2 - 1), WINDOW // 2 - 1))
     def test_agrees_with_unbounded_comparison(self, i, d):
-        # oracle: windowed comparison == unbounded comparison whenever
-        # both timestamps are live.  At most N timestamps are live at
-        # once, so live unbounded distances are at most N - 1.
+        # oracle: windowed comparison == counter comparison whenever the
+        # stamps are fewer than N apart.  At most N timestamps are live
+        # at once, so live distances are at most N - 1, and C06 checks
+        # that every comparison of its runs is such a pair.
         j = i + d
         if j < 0:
             return
@@ -54,56 +59,34 @@ class TestNotAfter:
 
 class TestAllocator:
     def test_sequential(self):
-        al = TimestampAllocator(window=8)
+        al = TimestampAllocator(rob=4)
         assert [al.allocate() for _ in range(4)] == [0, 1, 2, 3]
 
-    def test_wraps_modulo_window(self):
-        al = TimestampAllocator(window=8)
-        for _ in range(6):
-            al.allocate()
-            al.retire()
-        ts = al.allocate()
-        assert ts == 6
-        al.retire()
-        for want in (7, 0, 1):
-            ts = al.allocate()
-            assert ts == want
-            al.retire()
-
-    def test_unbounded_shadow_never_wraps(self):
-        al = TimestampAllocator(window=8)
-        unb = TimestampAllocator(window=8, unbounded=True)
-        for i in range(20):
-            assert unb.allocate() == i
-            assert al.allocate() == i % 8
-            unb.retire()
-            al.retire()
-
     def test_overflow_at_rob_capacity(self):
-        al = TimestampAllocator(window=8)
+        al = TimestampAllocator(rob=4)
         for _ in range(4):
             al.allocate()
         with pytest.raises(WindowOverflowError):
             al.allocate()
 
     def test_rewind_reissues_after_squash_point(self):
-        al = TimestampAllocator(window=16)
+        al = TimestampAllocator(rob=8)
         stamps = [al.allocate() for _ in range(6)]
         # squash everything after the third: live count drops to 3
         ts = stamps[2]
         al.rewind(ts, live=3)
-        assert al.next == (ts + 1) % 16
+        assert al.next == ts + 1
         nts = al.allocate()
         assert nts == stamps[3]
 
-    @given(st.booleans(), st.lists(st.one_of(
+    @given(st.lists(st.one_of(
         st.sampled_from(["alloc", "retire", "rewind"]),
         st.tuples(st.just("retire"), st.integers(0, 9))), max_size=60))
-    def test_live_never_exceeds_rob(self, unbounded, ops):
+    def test_live_never_exceeds_rob(self, ops):
         # a batched retire of n, as commit makes once per call, must leave
         # the allocator as n single retires leave a shadow of it
-        al = TimestampAllocator(window=16, unbounded=unbounded)
-        shadow = TimestampAllocator(window=16, unbounded=unbounded)
+        al = TimestampAllocator(rob=8)
+        shadow = TimestampAllocator(rob=8)
         issued = []
         for op in ops:
             op, n = (op, 1) if isinstance(op, str) else op

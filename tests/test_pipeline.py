@@ -21,6 +21,7 @@ from ghostsim.order import WindowOverflowError
 from fingerprint import GEOMETRIES
 from programs import MP_CORE0, MP_CORE1, OLDER_RETRY, UNIT_SLOTS
 from ref_model import ref_execute
+from test_order import ts_not_after
 
 import random
 
@@ -153,8 +154,8 @@ class TestSquash:
         assert halt[3][0] >= br[3][3] + cfg.squash_penalty
 
     def test_window_survives_long_programs(self):
-        # many more instructions than the timestamp window; allocation
-        # must recycle cleanly
+        # many more instructions than the ROB holds; every stamp must be
+        # retired or rewound, or allocation overflows
         text = ("li r1, 200\n"
                 "loop:\n"
                 "addi r2, r2, 3\n"
@@ -170,29 +171,35 @@ class TestSquash:
 
 
 class TestUnboundedTimestamps:
-    """Oracle: with ``debug_unbounded_ts`` every timestamp is an
-    unbounded counter, so a run must commit the same timeline whether its
-    stamps wrap around the window or not.  Memory-heavy programs exercise
-    the side buffers and miss registers, which order by timestamp too."""
+    """Oracle: the simulator orders plain counters, while hardware keeps
+    each stamp modulo 2 x ``rob`` and orders two stamps by their windowed
+    difference.  A run must commit the same timeline under either rule.
+    Memory-heavy programs exercise the side buffers and miss registers,
+    which order by timestamp too."""
 
     @staticmethod
-    def _digests(programs, cfg):
-        return [harness.run(programs, replace(cfg, debug_unbounded_ts=dbg))[1].digest
-                for dbg in (False, True)]
+    def _digests(programs, cfg, monkeypatch):
+        counter = harness.run(programs, cfg)[1].digest
+        with monkeypatch.context() as mp:
+            mp.setattr(Machine, "not_after", lambda self, ts, ts2:
+                       ts_not_after(ts, ts2, 2 * self.cfg.rob))
+            windowed = harness.run(programs, cfg)[1].digest
+        return counter, windowed
 
     @pytest.mark.parametrize("mode", ["ghostminion", "unsafe", "flush_only"])
-    def test_gadgets(self, mode):
+    def test_gadgets(self, mode, monkeypatch):
         for name, g in GADGETS.items():
             cfg = replace(RunConfig(mode=mode), **g.cfg_overrides)
-            a, b = self._digests(g.programs(0), cfg)
+            a, b = self._digests(g.programs(0), cfg, monkeypatch)
             assert a == b, name
 
     @pytest.mark.parametrize("rob", [64, 4])
-    def test_fuzz_programs(self, rob):
+    def test_fuzz_programs(self, rob, monkeypatch):
         # rob=4 gives a window of 8 that wraps many times per program
         rng = random.Random(0)
         for i in range(50):
-            a, b = self._digests([_gen_program(rng)], RunConfig(rob=rob))
+            a, b = self._digests([_gen_program(rng)], RunConfig(rob=rob),
+                                 monkeypatch)
             assert a == b, f"fuzz seed 0 program {i}"
 
 
