@@ -155,8 +155,3 @@ class RunConfig:
             else:
                 kwargs[key] = val
         return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_text(fh.read())

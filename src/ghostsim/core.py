@@ -40,16 +40,12 @@ the ``GhostCache`` operations are the layers the benchmark's tracer
 wraps and times (``tests/test_stage_gates.py`` checks that each is still
 called); ``_replays`` is patched by the mutant matrix and a test, and is
 asked only for a load, the one class that can read a non-coherent copy;
-``TimestampAllocator.allocate``/``retire`` keep the ROB-bound liveness
-check in one place, and commit retires its stamps in one call (two when
-a replay squashes), while fetch takes one stamp per instruction: a
-single call per fetch needs a list of what was fetched, which costs more
-than the calls it saves; ``_done`` is the one wake-up path, which
-``mem_ready`` shares; and ``_older_waiting``/``_forward_store`` run only
-when the store queue holds something.  Commit free-slots an instruction
-line only when no earlier commit of the same call left that line in the
-L1I: nothing a commit does takes a line out of the L1I, so the call
-would only re-touch its most recently used line.
+``_done`` is the one wake-up path, which ``mem_ready`` shares; and
+``_older_waiting``/``_forward_store`` run only when the store queue
+holds something.  Commit free-slots an instruction line only when no
+earlier commit of the same call left that line in the L1I: nothing a
+commit does takes a line out of the L1I, so the call would only
+re-touch its most recently used line.
 
 The committed timeline - (sequence, pc, opcode, per-stage cycles,
 architectural result) for every committed instruction - is the
@@ -63,7 +59,6 @@ from operator import attrgetter
 from . import isa
 from .isa import (s64, INSTR_BYTES, WORD_BYTES, MUL, DIV, LOAD, STORE, BRANCH,
                   JMP, RDCYCLE, FENCE, HALT, NOP)
-from .order import TimestampAllocator
 
 # commit_mem of a store or replay whose commit-time access waits for a
 # callback: no cycle is ever late enough to retire it
@@ -125,7 +120,7 @@ class Core:
         self.normal = normal      # this core in the normal run, when ablated
         self.prot = cfg.protection
 
-        self.alloc = TimestampAllocator(cfg.rob)
+        self.next_ts = 0          # the stamp the next fetched instruction takes
         self.regs = [0] * isa.NUM_REGS
         self.rat = {}
         self.rob = deque()
@@ -179,10 +174,11 @@ class Core:
         if self.fetch_done or cycle < self.fetch_stall_until:
             return False
         cfg = self.cfg
-        alloc = self.alloc
         fetchq = self.fetchq
-        # each instruction fetched takes a fetch-queue slot and a stamp
-        limit = min(cfg.width, cfg.fetchq - len(fetchq), cfg.rob - alloc.live)
+        # each instruction fetched takes a fetch-queue slot, and at most
+        # ``rob`` are live (fetched, not yet committed or squashed)
+        limit = min(cfg.width, cfg.fetchq - len(fetchq),
+                    cfg.rob - len(self.rob) - len(fetchq))
         if limit <= 0:
             return False
         line_mask = self.line_mask
@@ -193,7 +189,7 @@ class Core:
             if self.line_req is not None:
                 return False   # the missed line is not in yet
             # a hit is a fetch stall until the line is ready
-            ready = self.mem.ifetch_access(self.core_id, line, alloc.next,
+            ready = self.mem.ifetch_access(self.core_id, line, self.next_ts,
                                            cycle)
             if ready is None:
                 self.line_req = line
@@ -204,11 +200,13 @@ class Core:
         program = self.program
         instrs = program.instrs
         size = len(instrs)
+        ts = self.next_ts
         fetched = 0
         while True:
             idx = pc // INSTR_BYTES
             si = instrs[idx] if 0 <= idx < size else program.get(pc)
-            di = DynInstr(si, alloc.allocate(), cycle)
+            di = DynInstr(si, ts, cycle)
+            ts += 1
             fetchq.append(di)
             fetched += 1
             cls = si.cls
@@ -229,6 +227,7 @@ class Core:
             if fetched == limit or pc & line_mask != raw_line:
                 break
         self.pc = pc
+        self.next_ts = ts
         self.fetch_seq += fetched
         return True
 
@@ -547,7 +546,7 @@ class Core:
         self.epoch_pos = 0
         self.squash_log[di.akey] = (cycle, redirect_pc)
         self.fetchq.clear()
-        self.alloc.rewind(di.ts, len(self.rob))
+        self.next_ts = di.ts + 1
         self.mem.squash_flush(self.core_id, di.ts)
         self.rat = {}
         for other in self.rob:
@@ -572,12 +571,10 @@ class Core:
         regs = self.regs
         timeline = self.timeline
         committed_keys = self.committed_keys
-        alloc = self.alloc
         line_mask = self.line_mask
         code_base = self.code_base
         seq = self.commit_count
         commits = 0
-        settled = 0       # commits already retired by a replay's squash
         in_l1i = None     # the line an earlier commit left in the L1I
         progress = False
         while commits < width and rob:
@@ -605,10 +602,6 @@ class Core:
                     # the forwarded value went stale: re-execute with the
                     # fresh value and restart everything younger
                     di.result = fresh
-                    # the squash sets the live count from the ROB, which
-                    # the commits before this one have left
-                    alloc.retire(commits)
-                    settled = commits
                     self._squash_after(di, cycle, di.pc + INSTR_BYTES)
             committed_keys.add(di.akey)
             if not ablated:
@@ -654,10 +647,7 @@ class Core:
             if cls == HALT:
                 self.halted = True   # nothing younger was fetched
         self.commit_count = seq
-        if commits:
-            alloc.retire(commits - settled)
-            return True
-        return progress
+        return progress or commits > 0
 
     def _replays(self, di):
         """Commit-time replay: a load that consumed a non-coherent copy

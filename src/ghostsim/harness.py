@@ -106,7 +106,6 @@ def _first_divergence(cores_a, cores_b):
 @dataclass
 class DiffResult:
     verdict: str                 # "SAFE" | "LEAKS" | "ERROR"
-    secrets: tuple
     divergence: object = None    # (secret, core, index, entry_a, entry_b)
     detail: str = ""
 
@@ -121,10 +120,9 @@ def run_differential(gadget, cfg: RunConfig):
     """
     if gadget.cfg_overrides:
         cfg = replace(cfg, **gadget.cfg_overrides)
-    secrets = tuple(gadget.secrets)
     baseline = None
     base_secret = None
-    for s in secrets:
+    for s in gadget.secrets:
         m = Machine(_assemble(gadget.programs(s)), cfg)
         m.run()
         if baseline is None:
@@ -136,7 +134,7 @@ def run_differential(gadget, cfg: RunConfig):
             sb = [(e[1], e[2]) for e in b.timeline]
             if sa != sb:
                 return DiffResult(
-                    "ERROR", secrets,
+                    "ERROR",
                     detail=f"committed instruction streams differ "
                            f"structurally between secrets {base_secret} "
                            f"and {s} on core {a.core_id}")
@@ -144,10 +142,10 @@ def run_differential(gadget, cfg: RunConfig):
         if div is not None:
             cid, idx, ea, eb = div
             return DiffResult(
-                "LEAKS", secrets, (s, cid, idx, ea, eb),
+                "LEAKS", (s, cid, idx, ea, eb),
                 detail=f"secret {base_secret} vs {s}: core {cid} commit "
                        f"#{idx} differs: {ea} != {eb}")
-    return DiffResult("SAFE", secrets)
+    return DiffResult("SAFE")
 
 
 @dataclass

@@ -36,10 +36,18 @@ class Machine:
 
     def not_after(self, ts, ts2):
         """True iff stamp ``ts`` precedes or equals ``ts2`` in speculative
-        program order: the one place where stamps are ordered.  Stamps
-        are plain counters (see ``order``).  It stays a method so that
-        the benchmark's tracer, ``tests/test_stage_gates.py`` and C06's
-        window check can wrap it."""
+        program order: the one place where stamps are ordered.  It stays
+        a method so that the benchmark's tracer,
+        ``tests/test_stage_gates.py`` and C06's window check can wrap it.
+
+        Every micro-op in flight carries one stamp, and every speculative
+        structure orders by it through this method.  The simulator stores
+        the stamp as a plain counter.  Hardware keeps it modulo 2N, where
+        N is the reorder-buffer capacity: at most N micro-ops are live at
+        once, so any two stamps it compares are fewer than N apart, and
+        for such a pair the windowed distance test orders them as the
+        counter does.  C06 of the acceptance gate checks that every
+        comparison is such a pair."""
         return ts <= ts2
 
     def read_word(self, addr):
@@ -63,10 +71,11 @@ class Machine:
         issue with a ready instruction, rename with a fetched
         instruction and no fence waiting for the ROB to drain, and fetch
         once its stall is over, with no missed line pending, room in the
-        fetch queue and a free stamp.  Each test is one the stage
-        makes first itself, so a stage not called would have returned
-        False and changed nothing.  Only commit halts a core, so whether
-        every core has halted is asked again only then.
+        fetch queue and fewer than ``rob`` instructions live (in the ROB
+        and the fetch queue).  Each test is one the stage makes first
+        itself, so a stage not called would have returned False and
+        changed nothing.  Only commit halts a core, so whether every core
+        has halted is asked again only then.
 
         A cycle in which neither the memory system nor any stage changes
         state is followed by a jump to the next cycle at which something
@@ -106,7 +115,7 @@ class Machine:
                 if (c >= core.fetch_stall_until and not core.fetch_done
                         and core.line_req is None
                         and len(fetchq) < fetchq_size
-                        and core.alloc.live < rob_size):
+                        and len(rob) + len(fetchq) < rob_size):
                     progress |= core.do_fetch(c)
             if check:
                 mem.check_invariants()

@@ -22,9 +22,11 @@ def test_round_trip_identical():
 
 
 def test_partial_text_keeps_defaults():
-    cfg = RunConfig.from_text("mode = flush_only\nrob = 32\n# comment\n")
+    cfg = RunConfig.from_text("mode = flush_only\nrob = 32\n# comment\n"
+                              "mem_lat = 0x40\n")
     assert cfg.mode == "flush_only"
     assert cfg.rob == 32
+    assert cfg.mem_lat == 64   # integers take any base prefix
     assert cfg.width == RunConfig().width
 
 
@@ -95,14 +97,6 @@ def test_bad_bool_rejected():
 def test_missing_equals_rejected():
     with pytest.raises(ConfigError):
         RunConfig.from_text("rob 64\n")
-
-
-def test_from_file(tmp_path):
-    p = tmp_path / "c.cfg"
-    p.write_text("mode = unsafe\nmem_lat = 0x40\n")
-    cfg = RunConfig.from_file(p)
-    assert cfg.mode == "unsafe"
-    assert cfg.mem_lat == 64
 
 
 COUNTS = ("width", "lq", "sq", "fetchq", "alu_units", "mul_units",

@@ -1,5 +1,4 @@
-"""Timestamp ordering: the hardware's windowed rule, and allocator
-bookkeeping.
+"""Timestamp ordering: the hardware's windowed rule.
 
 The simulator stores each stamp as a plain counter and orders two stamps
 by ``<=``.  Hardware keeps a stamp modulo 2N for an N-entry ROB and
@@ -8,10 +7,7 @@ N apart (C06 checks that every comparison of a run is such a pair), the
 windowed rule agrees with integer order of the counters.
 """
 
-import pytest
 from hypothesis import given, strategies as st
-
-from ghostsim.order import TimestampAllocator, WindowOverflowError
 
 WINDOW = 128   # default geometry: ROB of 64
 
@@ -55,57 +51,3 @@ class TestNotAfter:
     def test_total_on_live_pairs(self, a, b, c):
         # at least one direction always holds
         assert ts_not_after(a, b, WINDOW) or ts_not_after(b, a, WINDOW)
-
-
-class TestAllocator:
-    def test_sequential(self):
-        al = TimestampAllocator(rob=4)
-        assert [al.allocate() for _ in range(4)] == [0, 1, 2, 3]
-
-    def test_overflow_at_rob_capacity(self):
-        al = TimestampAllocator(rob=4)
-        for _ in range(4):
-            al.allocate()
-        with pytest.raises(WindowOverflowError):
-            al.allocate()
-
-    def test_rewind_reissues_after_squash_point(self):
-        al = TimestampAllocator(rob=8)
-        stamps = [al.allocate() for _ in range(6)]
-        # squash everything after the third: live count drops to 3
-        ts = stamps[2]
-        al.rewind(ts, live=3)
-        assert al.next == ts + 1
-        nts = al.allocate()
-        assert nts == stamps[3]
-
-    @given(st.lists(st.one_of(
-        st.sampled_from(["alloc", "retire", "rewind"]),
-        st.tuples(st.just("retire"), st.integers(0, 9))), max_size=60))
-    def test_live_never_exceeds_rob(self, ops):
-        # a batched retire of n, as commit makes once per call, must leave
-        # the allocator as n single retires leave a shadow of it
-        al = TimestampAllocator(rob=8)
-        shadow = TimestampAllocator(rob=8)
-        issued = []
-        for op in ops:
-            op, n = (op, 1) if isinstance(op, str) else op
-            if op == "alloc":
-                if al.live < 8:
-                    issued.append(al.allocate())
-                    assert shadow.allocate() == issued[-1]
-                else:
-                    with pytest.raises(WindowOverflowError):
-                        al.allocate()
-            elif op == "retire" and len(issued) >= n:
-                del issued[:n]
-                al.retire(n)
-                for _ in range(n):
-                    shadow.retire()
-            elif op == "rewind" and issued:
-                keep = len(issued) // 2 + 1
-                issued = issued[:keep]
-                al.rewind(issued[-1], keep)
-                shadow.rewind(issued[-1], keep)
-            assert 0 <= al.live <= 8
-            assert (al.next, al.live) == (shadow.next, shadow.live)
