@@ -32,6 +32,10 @@ squash pops the squashed tail of every list, as it does the ROB's.  An
 instruction-line hit is a fetch stall until the line is ready; only a
 missed line waits for ``mem_ready``.
 
+A dynamic instruction points at its shared, read-only ``StaticInstr``
+(``di.si``), as gem5's ``DynInst`` does, and keeps only what execution
+adds; a data line is derived where it is used (``addr & line_mask``).
+
 The stages are the per-instruction hot path.  Each reads the fields it
 uses into locals once per call, writes its counters back once, and calls
 no one-line helper.  What stays a call has a reason to: the stages, the
@@ -70,30 +74,22 @@ _WORD = ~(WORD_BYTES - 1)   # a data address's word-aligned part
 
 class DynInstr:
     __slots__ = (
-        "pc", "op", "cls", "dst", "s1", "s2", "imm", "target",
-        "ts", "state", "fetched", "renamed", "issued", "completed",
-        "dep1", "dep2",
-        "result", "addr", "line", "pred_taken", "taken", "done_at",
-        "forwarded", "from_below", "noncoherent", "akey", "ablated",
-        "div_unit", "commit_mem", "seq", "waits", "consumers",
+        "si", "ts", "state", "fetched", "renamed", "issued", "completed",
+        "dep1", "dep2", "result", "addr", "pred_taken", "taken", "done_at",
+        "from_below", "noncoherent", "akey", "ablated", "div_unit",
+        "commit_mem", "seq", "waits", "consumers",
     )
 
     def __init__(self, si, ts, cycle):
-        # Only the slots read before a stage writes them are set here.
-        # Rename sets seq, akey, renamed, state, dep1 and dep2; issue sets
-        # issued, addr, line, taken, forwarded and from_below (mem_ready,
-        # for a miss); completion sets completed.  Rename itself sets
-        # issued for an ablated instruction, and completed too for one
-        # done at rename.  state is ROB, EXEC, DONE or SQUASHED; a
-        # committed instruction stays DONE.
-        self.pc = si.pc
-        self.op = si.op
-        self.cls = si.cls
-        self.dst = si.dst
-        self.s1 = si.s1
-        self.s2 = si.s2
-        self.imm = si.imm
-        self.target = si.target
+        # si is the shared StaticInstr; the other slots are what execution
+        # adds, and only those read before a stage writes them are set
+        # here.  Rename sets seq, akey, renamed, state, dep1 and dep2;
+        # issue sets issued, addr, taken, from_below (mem_ready, for a
+        # miss) and a forwarded load's result; completion sets completed.
+        # Rename itself sets issued for an ablated instruction, and
+        # completed too for one done at rename.  state is ROB, EXEC, DONE
+        # or SQUASHED; a committed instruction stays DONE.
+        self.si = si
         self.ts = ts
         self.fetched = cycle
         self.result = None
@@ -252,7 +248,8 @@ class Core:
         budget = cfg.width
         while budget and fetchq:
             di = fetchq[0]
-            cls = di.cls
+            si = di.si
+            cls = si.cls
             if cls == LOAD:
                 if lq_used >= lq_size:
                     break
@@ -294,8 +291,8 @@ class Core:
                     di.issued = di.completed = cycle
                 continue
             # unused source fields are r0, which is never renamed
-            di.dep1 = dep1 = rat.get(di.s1)
-            di.dep2 = dep2 = rat.get(di.s2)
+            di.dep1 = dep1 = rat.get(si.s1)
+            di.dep2 = dep2 = rat.get(si.s2)
             if cls in _DONE_AT_RENAME:
                 di.state = "DONE"
                 di.issued = di.completed = cycle
@@ -311,8 +308,8 @@ class Core:
                     di.waits = waits
                 else:
                     ready.append(di)   # the youngest: order is kept
-            if di.dst:
-                rat[di.dst] = di
+            if si.dst:
+                rat[si.dst] = di
         self.lq_used = lq_used
         self.epoch_pos = pos
         self.rename_count = seq
@@ -349,18 +346,18 @@ class Core:
         i = 0
         while budget and i < len(ready):
             di = ready[i]
-            cls = di.cls
+            si = di.si
+            cls = si.cls
             dep = di.dep1
             if cls == STORE:
                 if not alu_slots:
                     i += 1
                     continue
-                di.addr = addr = s64((regs[di.s1] if dep is None
-                                      else dep.result) + di.imm) & _WORD
-                di.line = addr & line_mask
+                di.addr = s64((regs[si.s1] if dep is None
+                               else dep.result) + si.imm) & _WORD
                 dep = di.dep2
                 # written at commit
-                di.result = regs[di.s2] if dep is None else dep.result
+                di.result = regs[si.s2] if dep is None else dep.result
                 di.state = "EXEC"
                 di.issued = cycle
                 di.done_at = cycle + 1
@@ -370,23 +367,21 @@ class Core:
                 if not mem_slots or (stq and self._older_waiting(stq, di)):
                     i += 1
                     continue   # conservative: wait for older store addresses
-                di.addr = addr = s64((regs[di.s1] if dep is None
-                                      else dep.result) + di.imm) & _WORD
-                di.line = line = addr & line_mask
+                di.addr = addr = s64((regs[si.s1] if dep is None
+                                      else dep.result) + si.imm) & _WORD
                 fwd = self._forward_store(di) if stq else None
                 di.issued = cycle
                 mem_slots -= 1
                 if fwd is not None:
-                    di.forwarded = True
-                    di.result = fwd.result
+                    di.result = fwd.result   # a store's data: never None
                     di.from_below = False
                     di.state = "EXEC"
                     di.done_at = cycle + 1
                     inflight.append(di)
                 else:
-                    di.forwarded = False
-                    hit = self.mem.data_access(self.core_id, di, line,
-                                               di.ts, di is not head, cycle)
+                    hit = self.mem.data_access(self.core_id, di,
+                                               addr & line_mask, di.ts,
+                                               di is not head, cycle)
                     di.state = "EXEC"   # a miss keeps done_at None until its callback
                     if hit is not None:
                         di.done_at, di.from_below, di.noncoherent = hit
@@ -423,15 +418,15 @@ class Core:
                         continue
                     lat = cfg.alu_lat
                     alu_slots -= 1
-                v1 = regs[di.s1] if dep is None else dep.result
+                v1 = regs[si.s1] if dep is None else dep.result
                 dep = di.dep2
-                v2 = (regs[di.s2] if dep is None else dep.result) + di.imm
+                v2 = (regs[si.s2] if dep is None else dep.result) + si.imm
                 if cls == RDCYCLE:
                     di.result = cycle
                 elif cls == BRANCH:   # acted on when it completes
-                    di.taken = isa.BRANCH_CONDS[di.op](v1, v2)
+                    di.taken = isa.BRANCH_CONDS[si.op](v1, v2)
                 else:
-                    di.result = s64(isa.OPS[di.op](v1, v2))
+                    di.result = s64(isa.OPS[si.op](v1, v2))
                 di.state = "EXEC"
                 di.issued = cycle
                 di.done_at = cycle + lat
@@ -486,13 +481,16 @@ class Core:
                 self._squash_after(di, cycle,
                                    self.normal.squash_log[di.akey][1])
                 continue
-            cls = di.cls
+            si = di.si
+            cls = si.cls
             if cls == LOAD:
-                if not di.forwarded:   # issue aligned the address
+                # only a forward sets a load's result before it completes;
+                # issue aligned the address
+                if di.result is None:
                     di.result = words.get(di.addr, 0)
             elif cls == BRANCH and di.taken != di.pred_taken:
-                self._squash_after(di, cycle, di.target if di.taken
-                                   else di.pc + INSTR_BYTES)
+                self._squash_after(di, cycle, si.target if di.taken
+                                   else si.pc + INSTR_BYTES)
         return True
 
     def mem_ready(self, di, line, cycle, noncoherent):
@@ -533,7 +531,7 @@ class Core:
             other = self.rob.pop()
             other.state = "SQUASHED"
             other.consumers = None
-            if other.cls == LOAD:
+            if other.si.cls == LOAD:
                 self.lq_used -= 1
             if other.div_unit is not None and self.prot.squash_frees_divider \
                     and self.div_busy[other.div_unit] > cycle:
@@ -550,8 +548,9 @@ class Core:
         self.mem.squash_flush(self.core_id, di.ts)
         self.rat = {}
         for other in self.rob:
-            if other.dst:
-                self.rat[other.dst] = other
+            dst = other.si.dst
+            if dst:
+                self.rat[dst] = other
         self.pc = redirect_pc
         self.fetch_stall_until = cycle + self.cfg.squash_penalty
         self.fetch_done = False
@@ -581,18 +580,20 @@ class Core:
             di = rob[0]
             if di.state != "DONE":
                 break
-            cls = di.cls
+            si = di.si
+            cls = si.cls
             ablated = di.ablated
             # a store writes, and a load that consumed a non-coherent
             # copy is replayed, before either may retire
             if (cls == STORE or cls == LOAD and self._replays(di)) \
                     and not ablated:
                 if di.commit_mem is None:
+                    line = di.addr & line_mask
                     if cls == STORE:
                         words[di.addr] = di.result   # issue aligned the address
-                        ready = mem.store_access(core_id, di, di.line, cycle)
+                        ready = mem.store_access(core_id, di, line, cycle)
                     else:
-                        ready = mem.replay_access(core_id, di, di.line, cycle)
+                        ready = mem.replay_access(core_id, di, line, cycle)
                     di.commit_mem = WAITING if ready is None else ready
                     progress = True
                 if cycle < di.commit_mem:
@@ -602,30 +603,31 @@ class Core:
                     # the forwarded value went stale: re-execute with the
                     # fresh value and restart everything younger
                     di.result = fresh
-                    self._squash_after(di, cycle, di.pc + INSTR_BYTES)
+                    self._squash_after(di, cycle, si.pc + INSTR_BYTES)
             committed_keys.add(di.akey)
             if not ablated:
                 # nothing a commit does moves a line out of the L1I, so a
                 # line an earlier commit left there is still its MRU line;
                 # fetch takes a call's instructions from one line
-                iline = (di.pc & line_mask) + code_base
+                iline = (si.pc & line_mask) + code_base
                 if iline != in_l1i:
                     in_l1i = iline if mem.commit_extract(
                         core_id, "i", iline, di.ts) else None
                 if cls == LOAD:
-                    mem.commit_extract(core_id, "d", di.line, di.ts)
+                    line = di.addr & line_mask
+                    mem.commit_extract(core_id, "d", line, di.ts)
                     # only a line from below the L1 trains the prefetcher
                     if di.from_below:
-                        mem.prefetch_notify(di.pc, di.line, cycle)
+                        mem.prefetch_notify(si.pc, line, cycle)
                 elif cls == BRANCH:
-                    pc = di.pc
+                    pc = si.pc
                     ctr = self.bp_counters.get(pc, 1)
                     if di.taken:
                         self.bp_counters[pc] = min(ctr + 1, 3)
-                        self.btb[pc] = di.target
+                        self.btb[pc] = si.target
                     else:
                         self.bp_counters[pc] = max(ctr - 1, 0)
-            dst = di.dst
+            dst = si.dst
             if dst:
                 regs[dst] = di.result
                 rat = self.rat   # a replay's squash above rebuilds it
@@ -637,7 +639,7 @@ class Core:
                 self.stq.popleft()
             elif cls == DIV:
                 self.divq.popleft()
-            timeline.append((seq, di.pc, di.op,
+            timeline.append((seq, si.pc, si.op,
                              (di.fetched, di.renamed, di.issued,
                               di.completed, cycle),
                              di.result if (dst or cls == STORE) else None))

@@ -104,10 +104,22 @@ def _first_divergence(cores_a, cores_b):
 
 
 @dataclass
-class DiffResult:
-    verdict: str                 # "SAFE" | "LEAKS" | "ERROR"
-    divergence: object = None    # (secret, core, index, entry_a, entry_b)
+class CheckResult:
+    """One check's finding; every check returns this record.
+
+    ``verdict`` is "SAFE", "LEAKS" or "ERROR" (differential) or "PASS" or
+    "FAIL" (ablation).  ``divergence``, unless None, is the first differing
+    commit with both runs' timeline entries: ``(secret, core, index,
+    entry_a, entry_b)`` for the differential, ``entry_a`` from the first
+    secret's run; ``(core, index, entry_normal, entry_ablated)`` for
+    ablation, an entry None where its run committed nothing.  ``pure`` is
+    whether ablation's caches, owners and prefetcher matched at HALT.
+    """
+
+    verdict: str
+    divergence: tuple = None
     detail: str = ""
+    pure: bool = True
 
 
 def run_differential(gadget, cfg: RunConfig):
@@ -133,7 +145,7 @@ def run_differential(gadget, cfg: RunConfig):
             sa = [(e[1], e[2]) for e in a.timeline]
             sb = [(e[1], e[2]) for e in b.timeline]
             if sa != sb:
-                return DiffResult(
+                return CheckResult(
                     "ERROR",
                     detail=f"committed instruction streams differ "
                            f"structurally between secrets {base_secret} "
@@ -141,19 +153,11 @@ def run_differential(gadget, cfg: RunConfig):
         div = _first_divergence(baseline.cores, m.cores)
         if div is not None:
             cid, idx, ea, eb = div
-            return DiffResult(
+            return CheckResult(
                 "LEAKS", (s, cid, idx, ea, eb),
                 detail=f"secret {base_secret} vs {s}: core {cid} commit "
                        f"#{idx} differs: {ea} != {eb}")
-    return DiffResult("SAFE")
-
-
-@dataclass
-class AblationResult:
-    verdict: str                 # "PASS" | "FAIL"
-    divergence: object = None    # (core, index, entry_normal, entry_ablated)
-    detail: str = ""
-    pure: bool = True            # caches, owners, prefetcher identical at HALT
+    return CheckResult("SAFE")
 
 
 def run_ablation(programs, cfg: RunConfig):
@@ -186,11 +190,11 @@ def run_ablation(programs, cfg: RunConfig):
         cid, idx, ea, eb = div
         if eb is None:
             eb = f"nothing committed by cycle {m1.cycle}"
-        return AblationResult(
+        return CheckResult(
             "FAIL", div, pure=pure,
             detail=f"core {cid} commit #{idx} differs between normal and "
                    f"ablated run: {ea} != {eb}")
-    return AblationResult("PASS", pure=pure)
+    return CheckResult("PASS", pure=pure)
 
 
 # ------------------------------------------------------------------ fuzzer
@@ -260,7 +264,7 @@ def _gen_program(rng):
 def fuzz_programs(count, cfg: RunConfig, seed=0):
     """Generate ``count`` seeded random programs and run the ablation
     check on each.  Returns (passes, fails, first_failure) where
-    first_failure is (index, program_text, AblationResult) or None."""
+    first_failure is (index, program_text, CheckResult) or None."""
     rng = random.Random(seed)
     passes = fails = 0
     first_failure = None

@@ -110,7 +110,7 @@ class Machine:
                 if core.ready:
                     progress |= core.do_issue(c)
                 fetchq = core.fetchq
-                if fetchq and not (rob and fetchq[0].cls == FENCE):
+                if fetchq and not (rob and fetchq[0].si.cls == FENCE):
                     progress |= core.do_rename(c)
                 if (c >= core.fetch_stall_until and not core.fetch_done
                         and core.line_req is None

@@ -325,8 +325,9 @@ class MemorySystem:
                 while e is not None:
                     e.spec = False
                     e = e.child
-            if prot.timeleap and existing.ts != ts \
-                    and self.not_after(ts, existing.ts):
+            restart = prot.timeleap and existing.ts != ts \
+                and self.not_after(ts, existing.ts)
+            if restart:
                 # timeleap: the older request restarts the miss so its
                 # timing is unaffected by the younger in-flight one
                 self._bump("timeleaps")
@@ -334,53 +335,47 @@ class MemorySystem:
                 existing.spec = spec
                 existing.core = core
                 self._orphan_child(existing)
-                if not self._dispatch_lower(existing, cycle):
-                    # the restart got no L2 register: the whole access
-                    # waits on the L2.  Only an L1 entry's restart needs
-                    # one, and every L1 request has a target
-                    self.l2_file.waiters.append(target)
+            entry = existing
+        else:
+            if file.full():
+                victim = None
+                if prot.leapfrog:
+                    for e in file.entries:
+                        if merge_core is not None and e.core != core:
+                            continue
+                        if victim is None or self.not_after(victim.ts, e.ts):
+                            victim = e
+                    if victim is not None and self.not_after(ts, victim.ts) \
+                            and victim.ts != ts:
+                        self._bump("mshr_leapfrogs")
+                        self._cancel_entry(victim, file)
+                    else:
+                        victim = None
+                if victim is None:
+                    self._bump("retries")
+                    if target is not None:
+                        file.waiters.append(target)
                     return None
-            if target is not None:
-                existing.targets.append(target)
-            if parent is not None:
-                existing.parents.append(parent)
-                parent.child = existing
-            return existing
-        if file.full():
-            victim = None
-            if prot.leapfrog:
-                for e in file.entries:
-                    if merge_core is not None and e.core != core:
-                        continue
-                    if victim is None or self.not_after(victim.ts, e.ts):
-                        victim = e
-                if victim is not None and self.not_after(ts, victim.ts) \
-                        and victim.ts != ts:
-                    self._bump("mshr_leapfrogs")
-                    self._cancel_entry(victim, file)
-                else:
-                    victim = None
-            if victim is None:
-                self._bump("retries")
-                if target is not None:
-                    file.waiters.append(target)
-                return None
-        entry = MshrEntry(file, line, ts, core, spec, next(self._seq),
-                          is_write)
+            entry = MshrEntry(file, line, ts, core, spec, next(self._seq),
+                              is_write)
+            file.entries.append(entry)
+            restart = True
         if target is not None:
             entry.targets.append(target)
         if parent is not None:
             entry.parents.append(parent)
             parent.child = entry
-        file.entries.append(entry)
-        if not self._dispatch_lower(entry, cycle):
+        # a new or restarted miss goes below with its targets attached; if
+        # it gets no L2 register (only an L1 entry, which has no parent,
+        # can fail), they all wait on the L2, this one last
+        if restart and not self._dispatch_lower(entry, cycle):
             return None
         return entry
 
     def _dispatch_lower(self, entry, cycle):
         """Start the miss below ``entry``.  Returns False if the L2 had no
-        register for it: the entry is then released and its targets wait
-        on the L2."""
+        register for it: the entry, which has no parent or child, is then
+        cancelled and its targets wait on the L2."""
         cfg = self.cfg
         if entry.file is self.l2_file:
             self._deliver_at(entry, cycle + cfg.l2_lat + cfg.mem_lat)
@@ -394,9 +389,7 @@ class MemorySystem:
         if self._mshr_request(self.l2_file, entry.addr, entry.ts, entry.core,
                               entry.spec, cycle, parent=entry):
             return True
-        self.l2_file.waiters.extend(entry.targets)
-        entry.targets = []
-        self._free_entry(entry)
+        self._cancel_entry(entry, self.l2_file)
         return False
 
     # ------------------------------------------------------------- accesses

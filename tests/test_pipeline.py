@@ -271,9 +271,9 @@ class TestWakeupBookkeeping:
                                   and done(di.dep1) and done(di.dep2)]
             assert sorted(core.inflight, key=lambda di: di.seq) == [
                 di for di in rob if di.state == "EXEC" and di.done_at is not None]
-            assert list(core.stq) == [di for di in rob if di.cls == STORE]
-            assert list(core.divq) == [di for di in rob if di.cls == DIV]
-            assert core.lq_used == sum(di.cls == LOAD for di in rob)
+            assert list(core.stq) == [di for di in rob if di.si.cls == STORE]
+            assert list(core.divq) == [di for di in rob if di.si.cls == DIV]
+            assert core.lq_used == sum(di.si.cls == LOAD for di in rob)
             # a stamp is live from fetch until commit or squash
             live = [di.ts for di in (*rob, *core.fetchq)]
             n = len(live)
@@ -358,7 +358,7 @@ class TestWakeupBookkeeping:
         squash = Core._squash_after
 
         def spy(core, di, cycle, redirect_pc):
-            if di.cls == LOAD:
+            if di.si.cls == LOAD:
                 tl = core.timeline
                 squashes.append(bool(tl) and tl[-1][3][4] == cycle)
             return squash(core, di, cycle, redirect_pc)
@@ -375,15 +375,20 @@ class TestWakeupBookkeeping:
 
 class TestStoreForward:
     def test_forwarded_value_and_timing(self):
-        text = ("li r1, 77\n"
-                "st r1, r0, 0x200\n"
-                "ld r2, r0, 0x200\n"
-                "halt\n")
-        m, _ = run(text, warm_icache=True)
-        ld = m.cores[0].timeline[2]
-        assert ld[4] == 77
-        # forwarding: the load completes without a memory round trip
-        assert ld[3][3] - ld[3][2] <= 2
+        # the second input forwards 0 over a word that holds 5: a load's
+        # result is set before it completes only by a forward, and 0 is
+        # such a result; the load completes before the store's commit
+        # writes the word, so reading memory instead would give 5
+        for word, value in (("", 77), (".word 0x200 5\n", 0)):
+            text = (f"{word}li r1, {value}\n"
+                    "st r1, r0, 0x200\n"
+                    "ld r2, r0, 0x200\n"
+                    "halt\n")
+            m, _ = run(text, warm_icache=True)
+            ld = m.cores[0].timeline[2]
+            assert ld[4] == value
+            # forwarding: the load completes without a memory round trip
+            assert ld[3][3] - ld[3][2] <= 2
 
     def test_load_waits_for_older_store_address(self):
         # conservative disambiguation: the load must not issue before the
@@ -487,7 +492,7 @@ class TestMemoryCallbacks:
         core.mem_retry(di)
         assert (di.state, di.done_at) == ("ROB", None)
         core, di = self._inflight_load(m, 0x2000)
-        core.mem_ready(di, di.line, m.cycle, True)
+        core.mem_ready(di, di.addr & core.line_mask, m.cycle, True)
         assert (di.state, di.result, di.from_below, di.noncoherent) \
             == ("DONE", 42, True, True)
         assert di.completed == m.cycle
@@ -501,7 +506,7 @@ class TestMemoryCallbacks:
         core.mem_retry(st)
         assert st.commit_mem is None and st.state == "DONE"
         self._step_until(m, lambda: st.commit_mem == WAITING)
-        core.mem_ready(st, st.line, m.cycle, False)
+        core.mem_ready(st, st.addr & core.line_mask, m.cycle, False)
         assert st.commit_mem == m.cycle and st.state == "DONE"
 
     def test_squashed_load_is_ignored(self):
@@ -517,7 +522,7 @@ class TestMemoryCallbacks:
         self._step_until(m, lambda: di.state == "SQUASHED")
         # the completion cycle is written only when an instruction completes
         assert di.result is None and not hasattr(di, "completed")
-        core.mem_ready(di, di.line, m.cycle, False)
+        core.mem_ready(di, di.addr & core.line_mask, m.cycle, False)
         core.mem_retry(di)
         assert (di.state, di.result, di.done_at) == ("SQUASHED", None, None)
         assert not hasattr(di, "completed")
