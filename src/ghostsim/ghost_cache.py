@@ -17,11 +17,14 @@ simultaneously valid in the attached L1.  With ``timeguard=False`` the
 buffer degrades to a flush-on-squash-only victim structure, which keeps
 no ordering guarantees.
 
-A set's ways are allocated on first fill: a set starts empty and a way
-missing from it counts as free, so a fill appends a line only when no
-existing way matches or is free.  The first free way is then the same
-position as in a fully allocated set.
+A set is allocated, empty, the first time it is touched, and its ways on
+first fill: a way missing from a set counts as free, so a fill appends a
+line only when no existing way matches or is free.  The first free way
+is then the same position as in a fully allocated set.  ``lines`` maps a
+set index to its set, and a buffer costs only the sets a run touched.
 """
+
+from collections import defaultdict
 
 
 class GhostLine:
@@ -44,7 +47,7 @@ class GhostCache:
         # not_after(a, b): stamp a precedes or equals b in program order
         self.not_after = not_after
         self.counters = counters if counters is not None else {}
-        self.lines = [[] for _ in range(sets)]   # up to ``ways`` lines each
+        self.lines = defaultdict(list)   # set index -> up to ``ways`` lines
         self._fifo = [0] * sets  # replacement pointer for non-timeguarded mode
 
     def _set(self, line_addr):
@@ -131,7 +134,7 @@ class GhostCache:
         timeguarding the whole buffer is cleared.
         """
         n = 0
-        for st in self.lines:
+        for st in self.lines.values():
             for way in st:
                 if way.valid and (not self.timeguard
                                   or not self.not_after(way.ts, ts)):
@@ -149,7 +152,7 @@ class GhostCache:
         return any(w.valid and w.tag == line_addr for w in self._set(line_addr))
 
     def valid_lines(self):
-        for st in self.lines:
+        for st in self.lines.values():
             for way in st:
                 if way.valid:
                     yield way

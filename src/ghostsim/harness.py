@@ -92,14 +92,16 @@ def _first_divergence(cores_a, cores_b):
     """Locate the first committed instruction that differs between two
     runs, as (core, commit index, entry_a, entry_b)."""
     for cid, (a, b) in enumerate(zip(cores_a, cores_b)):
-        for i, (ea, eb) in enumerate(zip(a.timeline, b.timeline)):
+        ta, tb = a.timeline, b.timeline
+        if ta == tb:
+            continue
+        for i, (ea, eb) in enumerate(zip(ta, tb)):
             if ea != eb:
                 return (cid, i, ea, eb)
-        if len(a.timeline) != len(b.timeline):
-            i = min(len(a.timeline), len(b.timeline))
-            return (cid, i,
-                    a.timeline[i] if i < len(a.timeline) else None,
-                    b.timeline[i] if i < len(b.timeline) else None)
+        # one timeline is a proper prefix of the other
+        i = min(len(ta), len(tb))
+        return (cid, i, ta[i] if i < len(ta) else None,
+                tb[i] if i < len(tb) else None)
     return None
 
 
@@ -182,9 +184,9 @@ def run_ablation(programs, cfg: RunConfig):
     except SimTimeout:
         pure = False   # it never reached HALT; its divergence is located below
     else:
-        pure = (m1.mem.nonspec_state() == m2.mem.nonspec_state()
-                and m1.mem.owner == m2.mem.owner
-                and m1.mem.rpt_state() == m2.mem.rpt_state())
+        mem1, mem2 = m1.mem, m2.mem
+        pure = (mem1.nonspec_sets() == mem2.nonspec_sets()
+                and mem1.owner == mem2.owner and mem1.rpt == mem2.rpt)
     div = _first_divergence(m1.cores, m2.cores)
     if div is not None:
         cid, idx, ea, eb = div

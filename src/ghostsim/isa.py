@@ -1,4 +1,4 @@
-"""A minimal 16-register load/store ISA and its two-pass assembler.
+"""A minimal 16-register load/store ISA and its one-pass assembler.
 
 The machine is word-oriented: 64-bit registers, 8-byte memory words,
 4-byte instruction slots.  This is the smallest ISA that can express the
@@ -155,7 +155,9 @@ BRANCH_CONDS = {"beq": operator.eq, "bne": operator.ne,
                 "blt": operator.lt, "bge": operator.ge}
 
 
-_REGS = {f"r{n}": n for n in range(NUM_REGS)}
+# a register operand is looked up as split from its line, so a name after
+# ", " is found without stripping it
+_REGS = {f"{sp}r{n}": n for n in range(NUM_REGS) for sp in ("", " ")}
 
 
 def _reg(tok: str, lineno: int) -> int:
@@ -183,14 +185,24 @@ def load_program(text: str) -> Program:
 
     Raises ParseError (with source line numbers) for malformed lines,
     unknown opcodes/registers, and undefined or duplicate labels.
+
+    One pass decodes each statement once; a branch to a label not yet
+    defined is filled in from a fix-up list at the end.  Every label and
+    directive error is raised where it is found, so it wins over any
+    instruction error, which is kept and raised once the whole text has
+    been read.  Instruction errors are ordered as the statements are:
+    opcode, operand count, then operands left to right, a label that is
+    never defined counting as the last operand of its statement.
     """
-    # pass 1: strip comments, collect labels and raw statements
-    stmts = []       # (lineno, op, operand tokens, not yet stripped)
+    instrs = []
     labels = {}
     data = {}
-    pc = 0
+    fixups = []      # (instruction, label, lineno): a branch to a later label
+    err = None       # the first instruction error
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        line = raw.strip()
         if not line:
             continue
         while ":" in line:
@@ -200,70 +212,82 @@ def load_program(text: str) -> Program:
                 raise ParseError(f"line {lineno}: bad label {label!r}")
             if label in labels:
                 raise ParseError(f"line {lineno}: duplicate label {label!r}")
-            labels[label] = pc
+            labels[label] = len(instrs) * INSTR_BYTES
             line = line.strip()
         if not line:
             continue
         parts = line.split(None, 1)
-        op = parts[0].lower()
-        if op == ".word":
-            toks = parts[1].split() if len(parts) > 1 else []
-            if len(toks) != 2:
-                raise ParseError(f"line {lineno}: .word needs address and value")
-            try:
-                addr, val = int(toks[0], 0), int(toks[1], 0)
-            except ValueError:
-                addr, val = _imm(toks[0], lineno), _imm(toks[1], lineno)
-            if addr < 0 or addr % WORD_BYTES:
-                raise ParseError(f"line {lineno}: .word address must be {WORD_BYTES}-byte aligned")
-            data[addr] = s64(val)
-            continue
-        if op == ".align":
-            n = _imm(parts[1], lineno) if len(parts) > 1 else 0
-            if n <= 0 or n % INSTR_BYTES:
-                raise ParseError(f"line {lineno}: bad alignment {parts[1] if len(parts) > 1 else ''!r}")
-            while pc % n:
-                stmts.append((lineno, "nop", ()))
-                pc += INSTR_BYTES
-            continue
-        stmts.append((lineno, op, parts[1].split(",") if len(parts) > 1 else ()))
-        pc += INSTR_BYTES
-
-    # pass 2: encode
-    def target(tok, lineno):
-        if tok in labels:
-            addr = labels[tok]
-        elif tok.isidentifier():
-            raise ParseError(f"line {lineno}: undefined label {tok!r}")
-        else:
-            addr = _imm(tok, lineno)
-        if addr % INSTR_BYTES:
-            raise ParseError(f"line {lineno}: misaligned branch target {addr:#x}")
-        return addr
-
-    instrs = []
-    for lineno, name, args in stmts:
+        name = parts[0]
         enc = ENCODE.get(name)
         if enc is None:
-            raise ParseError(f"line {lineno}: unknown opcode {name!r}")
-        op, cls, operands = enc
-        if len(args) != len(operands):
-            raise ParseError(f"line {lineno}: {name} expects {len(operands)} operands")
-        fields = [0, 0, 0, 0, 0]
-        for (kind, idx), tok in zip(operands, args):
-            tok = tok.strip()
-            if kind == "r":
-                val = _REGS.get(tok)
-                if val is None:   # r01, or an error message
-                    val = _reg(tok, lineno)
-            elif kind == "i":
+            name = name.lower()
+            enc = ENCODE.get(name)
+        if enc is None:
+            if name == ".word":
+                toks = parts[1].split() if len(parts) > 1 else []
+                if len(toks) != 2:
+                    raise ParseError(f"line {lineno}: .word needs address and value")
                 try:
-                    val = int(tok, 0)
+                    addr, val = int(toks[0], 0), int(toks[1], 0)
                 except ValueError:
-                    val = _imm(tok, lineno)
-            else:
-                val = target(tok, lineno)
-            fields[idx] = val
-        instrs.append(StaticInstr(len(instrs) * INSTR_BYTES, op, cls,
-                                  *fields))
+                    addr, val = _imm(toks[0], lineno), _imm(toks[1], lineno)
+                if addr < 0 or addr % WORD_BYTES:
+                    raise ParseError(f"line {lineno}: .word address must be {WORD_BYTES}-byte aligned")
+                data[addr] = s64(val)
+            elif name == ".align":
+                n = _imm(parts[1], lineno) if len(parts) > 1 else 0
+                if n <= 0 or n % INSTR_BYTES:
+                    raise ParseError(f"line {lineno}: bad alignment {parts[1] if len(parts) > 1 else ''!r}")
+                while len(instrs) * INSTR_BYTES % n:
+                    instrs.append(StaticInstr(len(instrs) * INSTR_BYTES,
+                                              "nop", NOP))
+            elif err is None:
+                err = ParseError(f"line {lineno}: unknown opcode {name!r}")
+            continue
+        if err is not None:
+            continue
+        op, cls, operands = enc
+        args = parts[1].split(",") if len(parts) > 1 else ()
+        try:
+            if len(args) != len(operands):
+                raise ParseError(f"line {lineno}: {name} expects {len(operands)} operands")
+            fields = [0, 0, 0, 0, 0]
+            label = None
+            for (kind, idx), tok in zip(operands, args):
+                # a register or an immediate is read with its spaces:
+                # _REGS holds " rN" and int() ignores them
+                if kind == "r":
+                    val = _REGS.get(tok)
+                    if val is None:   # r01, or an error message
+                        val = _reg(tok.strip(), lineno)
+                elif kind == "i":
+                    try:
+                        val = int(tok, 0)
+                    except ValueError:
+                        val = _imm(tok.strip(), lineno)
+                else:
+                    tok = tok.strip()
+                    if tok in labels:
+                        val = labels[tok]
+                    elif tok.isidentifier():
+                        label, val = tok, 0
+                    else:
+                        val = _imm(tok, lineno)
+                        if val % INSTR_BYTES:
+                            raise ParseError(f"line {lineno}: misaligned branch target {val:#x}")
+                fields[idx] = val
+        except ParseError as e:
+            err = e
+            continue
+        si = StaticInstr(len(instrs) * INSTR_BYTES, op, cls, *fields)
+        if label is not None:
+            fixups.append((si, label, lineno))
+        instrs.append(si)
+    # a fix-up comes from a statement before the first instruction error
+    for si, label, lineno in fixups:
+        if label not in labels:
+            raise ParseError(f"line {lineno}: undefined label {label!r}")
+        si.target = labels[label]
+    if err is not None:
+        raise err
     return Program(instrs=instrs, data=data, labels=labels)

@@ -83,19 +83,27 @@ class Machine:
         the cores), capped at the budget.  The cycles skipped would change
         nothing, so ``check_invariants`` still sees every cycle that does;
         ``run(max_cycles=cycle + 1)`` steps exactly one cycle, and a run
-        with nothing left to wait for times out at once."""
+        with nothing left to wait for times out at once.
+
+        The memory system is ticked only in a cycle in which the top of
+        its event heap is due.  The clock is kept in a local and written
+        back to ``self.cycle`` when the run halts or times out."""
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
         check = self.cfg.check_invariants
         fetchq_size = self.cfg.fetchq
         rob_size = self.cfg.rob
         mem = self.mem
+        events = mem._events
         cores = self.cores
+        c = self.cycle
         halted = all(core.halted for core in cores)
         while not halted:
-            if self.cycle >= limit:
+            if c >= limit:
+                self.cycle = c
                 raise SimTimeout(limit)
-            c = self.cycle
-            progress = mem.tick(c)
+            progress = False
+            if events and events[0][0] <= c:
+                progress = mem.tick(c)
             for core in cores:
                 if core.inflight:
                     progress |= core.do_complete(c)
@@ -120,9 +128,13 @@ class Machine:
             if check:
                 mem.check_invariants()
             if progress:
-                self.cycle = c + 1
+                c += 1
             else:
-                wake = min(mem.next_event(c),
-                           *(core.next_event(c) for core in cores))
-                self.cycle = max(c + 1, min(wake, limit))
-        return self.cycle
+                wake = mem.next_event(c)
+                for core in cores:
+                    t = core.next_event(c)
+                    if t < wake:
+                        wake = t
+                c = max(c + 1, min(wake, limit))
+        self.cycle = c
+        return c

@@ -45,6 +45,7 @@ COUNTER_KEYS = (
     "mshr_leapfrogs", "timeleaps", "retries", "prefetches_issued", "replays",
 )
 
+from collections import defaultdict
 from heapq import heappop, heappush
 from itertools import count
 
@@ -52,14 +53,18 @@ from .ghost_cache import GhostCache
 
 
 class Cache:
-    """Set-associative tag store with LRU replacement and dirty bits."""
+    """Set-associative tag store with LRU replacement and dirty bits.
+
+    A set is allocated the first time it is touched: ``lines`` maps a set
+    index to its set, so building a cache and snapshotting it cost only
+    the sets a run used.  A set that was only looked up exists, empty."""
 
     def __init__(self, sets, ways, line_shift=6):
         self.sets = sets
         self.ways = ways
         self.line_shift = line_shift
-        # per set: tag -> dirty, least recently used first
-        self.lines = [{} for _ in range(sets)]
+        # set index -> {tag: dirty}, least recently used first
+        self.lines = defaultdict(dict)
 
     def _set(self, line_addr):
         return self.lines[(line_addr >> self.line_shift) % self.sets]
@@ -95,8 +100,14 @@ class Cache:
 
     def contents(self):
         """Replacement-order-insensitive snapshot (for purity checks)."""
-        return frozenset((i, tag, dirty) for i, st in enumerate(self.lines)
+        return frozenset((i, tag, dirty) for i, st in self.lines.items()
                          for tag, dirty in st.items())
+
+    def used_sets(self):
+        """The non-empty sets by index.  Two caches hold the same lines
+        exactly when these are equal: dict equality ignores LRU order, as
+        ``contents`` does, and a set only looked up is left out."""
+        return {i: st for i, st in self.lines.items() if st}
 
 
 class MshrEntry:
@@ -412,11 +423,15 @@ class MemorySystem:
     def data_access(self, core, instr, line, ts, spec, cycle):
         """A load reaching the memory system: (ready, from_below,
         noncoherent) on a hit, None on a miss.  A side-buffer line and a
-        copy forwarded from another core came from below the L1."""
+        copy forwarded from another core came from below the L1.  An empty
+        side-buffer set holds no line and is not searched, here and in
+        ``ifetch_access``."""
         cfg = self.cfg
-        hit = self.dghost[core].lookup(line, ts)
-        if hit is not None:
-            return (cycle + cfg.l1_lat, True, hit.noncoherent)
+        g = self.dghost[core]
+        if g.lines[(line >> g.line_shift) % g.sets]:
+            hit = g.lookup(line, ts)
+            if hit is not None:
+                return (cycle + cfg.l1_lat, True, hit.noncoherent)
         l1 = self.l1d[core]
         st = l1.lines[(line >> l1.line_shift) % l1.sets]
         if line in st:
@@ -447,7 +462,9 @@ class MemorySystem:
         return None
 
     def ifetch_access(self, core, line, ts, cycle):
-        if self.ighost[core].lookup(line, ts) is not None \
+        g = self.ighost[core]
+        if g.lines[(line >> g.line_shift) % g.sets] \
+                and g.lookup(line, ts) is not None \
                 or self._l1_hit(self.l1i[core], line, True):
             return cycle + self.cfg.l1_lat
         self._mshr_request(self.l1i_file[core], line, ts, core, True, cycle,
@@ -552,10 +569,9 @@ class MemorySystem:
 
     def tick(self, cycle):
         """Deliver the misses and run the background actions due this
-        cycle.  Returns whether anything happened."""
+        cycle.  Returns whether anything happened.  ``Machine.run`` calls
+        it only when the top of ``_events`` is due."""
         events = self._events
-        if not events or events[0][0] > cycle:
-            return False
         progress = False
         actions = []
         # a delivery this pushes for this cycle (l1_lat = 0) is popped too
@@ -623,6 +639,11 @@ class MemorySystem:
         return (tuple(c.contents() for c in self.l1d),
                 tuple(c.contents() for c in self.l1i),
                 self.l2.contents())
+
+    def nonspec_sets(self):
+        """The non-empty sets of every L1 and the L2: equal for two memory
+        systems exactly when ``nonspec_state`` is, and cheaper to build."""
+        return [c.used_sets() for c in (*self.l1d, *self.l1i, self.l2)]
 
     def rpt_state(self):
         return tuple(tuple(e) if e else None for e in self.rpt)

@@ -219,6 +219,6 @@ def test_guard_properties(ops):
             hit = g.lookup(line(ln), ts)
             if hit is not None:
                 assert hit.ts <= ts
-        for s in g.lines:
+        for s in g.lines.values():
             tags = [w.tag for w in s if w.valid]
             assert len(tags) == len(set(tags))

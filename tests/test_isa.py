@@ -51,6 +51,14 @@ def test_numeric_branch_target():
     assert p.instrs[0].target == 0x40
 
 
+def test_forward_and_backward_targets():
+    # a label defined later is filled in from the fix-up list at the end
+    p = load_program("top:\nbeq r1, r2, end\nmid: jmp top\nbne r1, r0, mid\n"
+                     "jmp end\nblt r1, r2, 8\nend: halt\n")
+    assert [si.target for si in p.instrs] == [20, 0, 4, 20, 8, 0]
+    assert p.labels == {"top": 0, "mid": 4, "end": 20}
+
+
 def test_word_directive_and_comments():
     p = load_program("# header\n.word 0x100 7   # data\nnop\n")
     assert p.data == {0x100: 7}
@@ -180,11 +188,24 @@ PARSE_ERRORS = {
     # .align: a bad width on a later line; padding keeps line numbers
     "nop\n.align 6\n": "line 2: bad alignment '6'",
     "nop\n.align 16\nfrob\n": "line 3: unknown opcode 'frob'",
-    # check order: every pass-1 error before any pass-2 error, operand
-    # count before operands, operands left to right
+    # check order: every label and directive error before any
+    # instruction error, operand count before operands, operands left
+    # to right
     "frob\n.word 0x101 5\n": "line 2: .word address must be 8-byte aligned",
     "add r99, r2\n": "line 1: add expects 3 operands",
     "add r99, x3, r1\n": "line 1: register 'r99' out of range",
+    # branch targets through the fix-up list: an undefined label is
+    # reported in its statement's place among the instruction errors,
+    # after every label and directive error
+    "nop\nbeq r1, r2, later\njmp nowhere\nlater: halt\n":
+        "line 3: undefined label 'nowhere'",
+    "jmp nowhere\njmp 0x41\n": "line 1: undefined label 'nowhere'",
+    "jmp 0x42\njmp nowhere\n": "line 1: misaligned branch target 0x42",
+    "add r1, r2, rx\njmp nowhere\nfrob\n": "line 1: bad register 'rx'",
+    "bne r1, r0, nowhere\nld r1, r2, zz\n":
+        "line 1: undefined label 'nowhere'",
+    "jmp nowhere\n.align 3\n": "line 2: bad alignment '3'",
+    "jmp a\na:\nnop\na: halt\n": "line 4: duplicate label 'a'",
 }
 
 

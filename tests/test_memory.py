@@ -214,19 +214,22 @@ class TestPrefetcher:
         assert m.mem.counters["prefetches_issued"] == 0
 
 
+def wrong_path_load(addr):
+    """An untrained branch is taken; the fall-through (wrong-path) load of
+    ``addr`` runs transiently while the branch input crawls in."""
+    return [
+        ".word 0x2000 0",
+        "ld r1, r0, 0x2000",     # cold: delays the branch
+        "bge r1, r0, out",       # taken (0 >= 0), predicted not-taken
+        f"ld r2, r0, {addr}",    # transient
+        "out:",
+        "fence",
+    ]
+
+
 class TestSpeculativeContainment:
     def _wrong_path_load(self, mode):
-        # untrained branch is taken; the fall-through (wrong-path) load
-        # of 0x7000 runs transiently while the branch input crawls in
-        body = [
-            ".word 0x2000 0",
-            "ld r1, r0, 0x2000",     # cold: delays the branch
-            "bge r1, r0, out",       # taken (0 >= 0), predicted not-taken
-            "ld r2, r0, 0x7000",     # transient
-            "out:",
-            "fence",
-        ]
-        m = run(body, mode=mode)
+        m = run(wrong_path_load(0x7000), mode=mode)
         line = 0x7000 & ~63
         return m, bool(m.mem.l1d[0].lookup(line) or m.mem.l2.lookup(line))
 
@@ -250,6 +253,46 @@ class TestSpeculativeContainment:
         assert m.mem.l1d[0].lookup(line)
         assert not m.mem.dghost[0].has(line)
         assert m.mem.counters["lines_extracted"] > 0
+
+
+class TestPurityComparison:
+    """Ablation purity compares the lines each cache holds, whatever their
+    LRU order and whichever sets a run only looked up: a lookup allocates
+    its set, empty."""
+
+    def test_order_and_probed_sets_are_ignored(self):
+        a, b = _mem(), _mem()
+        # 0x1000 and 0x2000 share L1 set 0, 0x1040 is in set 1
+        for line in (0x1000, 0x2000, 0x1040):
+            a.l1d[0].install(line)
+            a.l2.install(line, dirty=line == 0x2000)
+        for line in (0x1040, 0x2000, 0x1000):
+            b.l1d[0].install(line)
+            b.l2.install(line, dirty=line == 0x2000)
+        assert not b.l1d[0].lookup(0x7080) and not b.l2.lookup(0x7080)
+        assert set(a.l1d[0].lines) < set(b.l1d[0].lines)
+        assert set(a.l2.lines) < set(b.l2.lines)
+        assert a.nonspec_sets() == b.nonspec_sets()
+        assert a.nonspec_state() == b.nonspec_state()
+        b.l2.mark_dirty(0x1000)
+        assert a.nonspec_sets() != b.nonspec_sets()
+        assert a.nonspec_state() != b.nonspec_state()
+
+    def test_wrong_path_probe_is_pure(self):
+        # only the normal run's transient load looks up L1D set 1 (0x7040);
+        # the ablated run renames it as a no-op
+        text = "\n".join(wrong_path_load(0x7040)) + "\nhalt\n"
+        cfg = RunConfig(warm_icache=True)
+        programs = [load_program(text)]
+        m1 = Machine(programs, cfg)
+        m1.run()
+        m2 = Machine(programs, cfg, normal=m1)
+        m2.run(m1.cycle)
+        assert m1.mem.l1d[0].lines.get(1) == {}
+        assert 1 not in m2.mem.l1d[0].lines
+        assert m1.mem.nonspec_sets() == m2.mem.nonspec_sets()
+        res = harness.run_ablation([text], cfg)
+        assert res.verdict == "PASS" and res.pure
 
 
 class TestStoreMergesIntoLoadMiss:
@@ -386,7 +429,7 @@ class TestUnsafeSideBuffers:
         assert fills == []
         assert built
         for g in built:
-            assert not any(g.lines)
+            assert not any(g.lines.values())
             for key in ("flush_count", "lines_extracted", "timeguard_blocks",
                         "fills_rejected"):
                 assert g.counters[key] == 0, key
@@ -401,7 +444,8 @@ class TestSingleCoreDirectory:
     def test_directory_holds_the_l1d_lines(self, mode):
         m = run([".word 0x2000 5", "li r1, 7", "st r1, r0, 0x1000"]
                 + timed_load(0x2000, 0), mode=mode, check_invariants=True)
-        dirty = {t: d for st in m.mem.l1d[0].lines for t, d in st.items()}
+        dirty = {t: d for st in m.mem.l1d[0].lines.values()
+                 for t, d in st.items()}
         assert dirty and m.mem.owner == dict.fromkeys(dirty, 0)
         assert dirty[0x1000] and dirty[RESULT] and not dirty[0x2000]
 

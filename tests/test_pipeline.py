@@ -238,19 +238,40 @@ class TestSteppedEquivalence:
             assert a == b, f"fuzz seed 0 program {i}"
 
     def test_idle_cycles_are_skipped(self, monkeypatch):
-        # most of a gadget's cycles wait on a miss; run() jumps over them
-        ticks = []
-        tick = MemorySystem.tick
+        # most of a gadget's cycles wait on a miss; run() jumps over them.
+        # check_invariants runs once in every visited cycle, and tick only
+        # in a visited cycle in which the top of the event heap is due
+        visited, ticks = [], []
+        check, tick = MemorySystem.check_invariants, MemorySystem.tick
 
-        def counted(mem, cycle):
+        def counted_check(mem):
+            visited.append(1)
+            check(mem)
+
+        def counted_tick(mem, cycle):
+            assert mem._events[0][0] <= cycle
             ticks.append(cycle)
             return tick(mem, cycle)
 
-        monkeypatch.setattr(MemorySystem, "tick", counted)
+        monkeypatch.setattr(MemorySystem, "check_invariants", counted_check)
+        monkeypatch.setattr(MemorySystem, "tick", counted_tick)
         g = GADGETS["spectre_v1"]
-        cfg = replace(RunConfig(mode="ghostminion"), **g.cfg_overrides)
+        cfg = replace(RunConfig(mode="ghostminion", check_invariants=True),
+                      **g.cfg_overrides)
         _, rep = harness.run(g.programs(0), cfg)
-        assert len(ticks) < rep.cycles / 4
+        assert 0 < len(ticks) < len(visited) < rep.cycles / 4
+
+    @pytest.mark.parametrize("limit", [1, 37, 150])
+    def test_cycle_is_written_back(self, limit):
+        # run() keeps the clock in a local: self.cycle is the budget after
+        # a timeout, and the returned cycle after a halt
+        m = Machine([load_program(_gen_program(random.Random(3)))],
+                    RunConfig())
+        with pytest.raises(SimTimeout):
+            m.run(max_cycles=limit)
+        assert m.cycle == limit
+        assert m.run() == m.cycle > limit
+        assert m.cores[0].halted
 
 
 class TestWakeupBookkeeping:
