@@ -21,12 +21,16 @@ Issue is wake-up driven, after the gem5 O3 instruction queue: each
 renamed instruction counts its sources that are not yet DONE, and its
 producers list it as a consumer.  When an instruction completes, the
 consumers it was the last wait of join the ready list, which is kept in
-program (rename) order; a load whose miss is retried rejoins it in order.
+stamp order; a load whose miss is retried rejoins it in order.  A core
+orders its live instructions by ``ts`` directly: the ROB and the fetch
+queue hold consecutive stamps (a squash restarts stamping after the
+squashing instruction), so stamp order is program order, and the stamps
+compared are always fewer than ``rob`` apart.
 Issue walks only the ready list, oldest first.  The two rules that look
 at older instructions that are *not* ready - a load waits behind an
 older store that has not issued, and a speculative divide behind an
 older divide - scan the store and divide queues, which hold the live
-stores and divides in program order.  Complete and ``next_event`` read
+stores and divides in stamp order.  Complete and ``next_event`` read
 the in-flight list (issued, finish cycle known) instead of the ROB.  A
 squash pops the squashed tail of every list, as it does the ROB's.  An
 instruction-line hit is a fetch stall until the line is ready; only a
@@ -68,7 +72,7 @@ from .isa import (s64, INSTR_BYTES, WORD_BYTES, MUL, DIV, LOAD, STORE, BRANCH,
 # callback: no cycle is ever late enough to retire it
 WAITING = float("inf")
 
-_SEQ = attrgetter("seq")
+_TS = attrgetter("ts")
 _WORD = ~(WORD_BYTES - 1)   # a data address's word-aligned part
 
 
@@ -77,13 +81,13 @@ class DynInstr:
         "si", "ts", "state", "fetched", "renamed", "issued", "completed",
         "dep1", "dep2", "result", "addr", "pred_taken", "taken", "done_at",
         "from_below", "noncoherent", "akey", "ablated", "div_unit",
-        "commit_mem", "seq", "waits", "consumers",
+        "commit_mem", "waits", "consumers",
     )
 
     def __init__(self, si, ts, cycle):
         # si is the shared StaticInstr; the other slots are what execution
         # adds, and only those read before a stage writes them are set
-        # here.  Rename sets seq, akey, renamed, state, dep1 and dep2;
+        # here.  Rename sets akey, renamed, state, dep1 and dep2;
         # issue sets issued, addr, taken, from_below (mem_ready, for a
         # miss) and a forwarded load's result; completion sets completed.
         # Rename itself sets issued for an ablated instruction, and
@@ -107,12 +111,12 @@ _DONE_AT_RENAME = (NOP, JMP, FENCE, HALT)
 
 
 class Core:
-    def __init__(self, core_id, program, cfg, mem, machine, normal=None):
+    def __init__(self, core_id, program, cfg, mem, words, normal=None):
         self.core_id = core_id
         self.program = program
         self.cfg = cfg
         self.mem = mem
-        self.machine = machine
+        self.words = words        # the machine's memory: address -> word
         self.normal = normal      # this core in the normal run, when ablated
         self.prot = cfg.protection
 
@@ -121,7 +125,7 @@ class Core:
         self.rat = {}
         self.rob = deque()
         self.fetchq = deque()
-        # wake-up bookkeeping, each list in program (rename) order:
+        # wake-up bookkeeping, each list in stamp (program) order:
         self.ready = []           # ROB state with every source DONE
         self.inflight = []        # EXEC with a known done_at
         self.stq = deque()        # live stores
@@ -158,9 +162,6 @@ class Core:
         # instruction lines live in a per-core region of the physical
         # address space, so two cores' images never alias in the shared L2
         self.code_base = core_id << 32
-
-    def _iline(self, pc):
-        return (pc & self.line_mask) + self.code_base
 
     # ----------------------------------------------------------------- fetch
 
@@ -244,7 +245,6 @@ class Core:
         lq_used = self.lq_used
         epoch = self.epoch
         pos = self.epoch_pos
-        seq = self.rename_count
         budget = cfg.width
         while budget and fetchq:
             di = fetchq[0]
@@ -263,8 +263,6 @@ class Core:
             elif cls == FENCE and rob:
                 break
             fetchq.popleft()
-            seq += 1
-            di.seq = seq
             di.akey = akey = (epoch, pos)
             pos += 1
             di.renamed = cycle
@@ -312,17 +310,18 @@ class Core:
                 rat[si.dst] = di
         self.lq_used = lq_used
         self.epoch_pos = pos
-        self.rename_count = seq
+        self.rename_count += cfg.width - budget
         return budget < cfg.width
 
     # ----------------------------------------------------------------- issue
 
     @staticmethod
     def _older_waiting(queue, di):
-        """Whether an instruction of ``queue`` (in program order) older than
+        """Whether an instruction of ``queue`` (in stamp order) older than
         ``di`` is still waiting to issue."""
+        ts = di.ts
         for other in queue:
-            if other.seq >= di.seq:
+            if other.ts >= ts:
                 return False
             if other.state == "ROB":
                 return True
@@ -330,7 +329,7 @@ class Core:
 
     def do_issue(self, cycle):
         """Returns whether anything was issued.  Walks the ready list in
-        program order and takes what issues out of it."""
+        stamp order and takes what issues out of it."""
         cfg = self.cfg
         budget = cfg.width
         alu_slots = cfg.alu_units
@@ -438,8 +437,9 @@ class Core:
     def _forward_store(self, di):
         """Youngest older store to the same word.  Only called once every
         older store has executed, so all addresses and data are known."""
+        ts = di.ts
         for other in reversed(self.stq):
-            if other.seq < di.seq and other.addr == di.addr:
+            if other.ts < ts and other.addr == di.addr:
                 return other
         return None
 
@@ -452,7 +452,7 @@ class Core:
         for other in di.consumers:
             other.waits -= 1
             if not other.waits and other.state == "ROB":
-                insort(self.ready, other, key=_SEQ)
+                insort(self.ready, other, key=_TS)
         di.consumers = None   # a consumer's dep link back would be a cycle
 
     def do_complete(self, cycle):
@@ -470,8 +470,8 @@ class Core:
             return False
         self.inflight = rest
         if len(due) > 1:
-            due.sort(key=_SEQ)
-        words = self.machine.words
+            due.sort(key=_TS)
+        words = self.words
         for di in due:
             if di.state != "EXEC":   # a just-resolved older branch wiped us
                 continue
@@ -504,7 +504,7 @@ class Core:
             di.commit_mem = cycle
         elif di.state == "EXEC":         # else squashed while in flight
             # issue aligned the address
-            di.result = self.machine.words.get(di.addr, 0)
+            di.result = self.words.get(di.addr, 0)
             di.from_below = True
             di.noncoherent = noncoherent
             self._done(di, cycle)
@@ -519,7 +519,7 @@ class Core:
         elif di.state == "EXEC":
             di.state = "ROB"
             di.done_at = None
-            insort(self.ready, di, key=_SEQ)
+            insort(self.ready, di, key=_TS)
 
     # ---------------------------------------------------------------- squash
 
@@ -566,7 +566,7 @@ class Core:
         rob = self.rob
         mem = self.mem
         core_id = self.core_id
-        words = self.machine.words
+        words = self.words
         regs = self.regs
         timeline = self.timeline
         committed_keys = self.committed_keys

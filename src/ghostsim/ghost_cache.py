@@ -133,23 +133,17 @@ class GhostCache:
         Constant-time regardless of how many lines are wiped.  Without
         timeguarding the whole buffer is cleared.
         """
-        n = 0
         for st in self.lines.values():
             for way in st:
                 if way.valid and (not self.timeguard
                                   or not self.not_after(way.ts, ts)):
                     way.valid = False
-                    n += 1
         self._bump("flush_count")
-        return n
 
     def invalidate(self, line_addr):
         for way in self._set(line_addr):
             if way.valid and way.tag == line_addr:
                 way.valid = False
-
-    def has(self, line_addr):
-        return any(w.valid and w.tag == line_addr for w in self._set(line_addr))
 
     def valid_lines(self):
         for st in self.lines.values():

@@ -12,7 +12,7 @@ thresholding.
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .config import RunConfig
 from .isa import load_program
@@ -34,16 +34,8 @@ class Report:
     counters: dict = field(default_factory=dict)
 
     def to_text(self):
-        doc = {
-            "schema": self.schema,
-            "mode": self.mode,
-            "cycles": self.cycles,
-            "commits": self.commits,
-            "ipc": round(self.ipc, 4),
-            "digest": self.digest,
-            "counters": self.counters,
-        }
-        return json.dumps(doc, indent=2)
+        return json.dumps({**asdict(self), "ipc": round(self.ipc, 4)},
+                          indent=2)
 
 
 # timeline entries formatted and hashed at a time, so the digest never
@@ -141,17 +133,17 @@ def run_differential(gadget, cfg: RunConfig):
         m.run()
         if baseline is None:
             baseline, base_secret = m, s
+            # each core's committed (pc, op) stream, built once
+            streams = [[(e[1], e[2]) for e in c.timeline] for c in m.cores]
             continue
         # structural check: the committed (pc, op) stream must match
-        for a, b in zip(baseline.cores, m.cores):
-            sa = [(e[1], e[2]) for e in a.timeline]
-            sb = [(e[1], e[2]) for e in b.timeline]
-            if sa != sb:
+        for sa, b in zip(streams, m.cores):
+            if sa != [(e[1], e[2]) for e in b.timeline]:
                 return CheckResult(
                     "ERROR",
                     detail=f"committed instruction streams differ "
                            f"structurally between secrets {base_secret} "
-                           f"and {s} on core {a.core_id}")
+                           f"and {s} on core {b.core_id}")
         div = _first_divergence(baseline.cores, m.cores)
         if div is not None:
             cid, idx, ea, eb = div

@@ -27,7 +27,7 @@ class Machine:
         for p in self.programs:
             self.words.update(p.data)
         self.mem = MemorySystem(cfg, len(self.programs), self.not_after)
-        self.cores = [Core(i, p, cfg, self.mem, self,
+        self.cores = [Core(i, p, cfg, self.mem, self.words,
                            normal.cores[i] if normal is not None else None)
                       for i, p in enumerate(self.programs)]
         self.mem.cores = self.cores
@@ -36,12 +36,14 @@ class Machine:
 
     def not_after(self, ts, ts2):
         """True iff stamp ``ts`` precedes or equals ``ts2`` in speculative
-        program order: the one place where stamps are ordered.  It stays
-        a method so that the benchmark's tracer,
+        program order: the one place where memory structures order
+        stamps.  It stays a method so that the benchmark's tracer,
         ``tests/test_stage_gates.py`` and C06's window check can wrap it.
 
         Every micro-op in flight carries one stamp, and every speculative
-        structure orders by it through this method.  The simulator stores
+        memory structure orders by it through this method; a core orders
+        its own live instructions by ``ts`` directly, and those stamps are
+        always fewer than ``rob`` apart.  The simulator stores
         the stamp as a plain counter.  Hardware keeps it modulo 2N, where
         N is the reorder-buffer capacity: at most N micro-ops are live at
         once, so any two stamps it compares are fewer than N apart, and
@@ -54,10 +56,10 @@ class Machine:
         return self.words.get(addr & ~(WORD_BYTES - 1), 0)
 
     def _warm_icache(self):
+        step = self.cfg.line_bytes
         for core in self.cores:
-            step = self.cfg.line_bytes
-            for pc in range(0, max(core.program.end_pc, 1), step):
-                line = core._iline(pc)
+            base = core.code_base
+            for line in range(base, base + max(core.program.end_pc, 1), step):
                 self.mem.l1i[core.core_id].install(line)
                 self.mem.l2.install(line)
 

@@ -98,15 +98,10 @@ class Cache:
     def invalidate(self, line_addr):
         return self._set(line_addr).pop(line_addr, None) is not None
 
-    def contents(self):
-        """Replacement-order-insensitive snapshot (for purity checks)."""
-        return frozenset((i, tag, dirty) for i, st in self.lines.items()
-                         for tag, dirty in st.items())
-
     def used_sets(self):
-        """The non-empty sets by index.  Two caches hold the same lines
-        exactly when these are equal: dict equality ignores LRU order, as
-        ``contents`` does, and a set only looked up is left out."""
+        """The non-empty sets by index.  Two caches hold the same lines,
+        each equally dirty, exactly when these are equal: dict equality
+        ignores LRU order, and a set only looked up is left out."""
         return {i: st for i, st in self.lines.items() if st}
 
 
@@ -634,19 +629,11 @@ class MemorySystem:
 
     # ------------------------------------------------------------ snapshots
 
-    def nonspec_state(self):
-        """Full non-speculative cache state, for purity comparisons."""
-        return (tuple(c.contents() for c in self.l1d),
-                tuple(c.contents() for c in self.l1i),
-                self.l2.contents())
-
     def nonspec_sets(self):
-        """The non-empty sets of every L1 and the L2: equal for two memory
-        systems exactly when ``nonspec_state`` is, and cheaper to build."""
+        """The non-empty sets of every L1D, every L1I and the L2, in that
+        order: equal for two memory systems exactly when their
+        non-speculative caches hold the same lines, each equally dirty."""
         return [c.used_sets() for c in (*self.l1d, *self.l1i, self.l2)]
-
-    def rpt_state(self):
-        return tuple(tuple(e) if e else None for e in self.rpt)
 
     def check_invariants(self):
         """Exclusivity, cleanliness, and coherence safety: an owner holds

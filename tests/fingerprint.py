@@ -6,9 +6,10 @@ behaviour.
 
 The first form simulates the corpus below and writes one record per run:
 a hash of the program texts, timeline digest, cycles, counters, hashes
-of ``nonspec_state()`` and ``rpt_state()``, final registers and memory
-words and, where the corpus ablates, the ablation verdict, purity and
-detail.  The second lists the
+of every non-speculative cache's lines (``_cache_lines``), of the line
+owners (``MemorySystem.owner``, its sorted items) and of the
+prefetcher's table, final registers and memory words and, where the
+corpus ablates, the ablation verdict, purity and detail.  The second lists the
 records that differ between two such files and exits 1 if there are any.
 
 Corpus:
@@ -59,14 +60,15 @@ def _hash(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
-def _canonical(state):
-    """Cache snapshots are frozensets; sort them so equal states hash
-    equally whatever their iteration order."""
-    if isinstance(state, frozenset):
-        return sorted(state)
-    if isinstance(state, tuple):
-        return tuple(_canonical(s) for s in state)
-    return state
+def _cache_lines(mem):
+    """Each cache's lines as sorted ``(set, tag, dirty)`` triples, grouped
+    as (L1Ds, L1Is, L2): equal states hash equally whatever their LRU
+    order."""
+    caches = [sorted((i, tag, dirty) for i, st in sets.items()
+                     for tag, dirty in st.items())
+              for sets in mem.nonspec_sets()]
+    n = len(mem.l1d)
+    return tuple(caches[:n]), tuple(caches[n:2 * n]), caches[-1]
 
 
 def record(programs, cfg, ablate):
@@ -80,8 +82,9 @@ def record(programs, cfg, ablate):
         "digest": rep.digest,
         "cycles": rep.cycles,
         "counters": rep.counters,
-        "nonspec": _hash(_canonical(m.mem.nonspec_state())),
-        "rpt": _hash(m.mem.rpt_state()),
+        "nonspec": _hash(_cache_lines(m.mem)),
+        "owner": _hash(sorted(m.mem.owner.items())),
+        "rpt": _hash(tuple(tuple(e) if e else None for e in m.mem.rpt)),
         "regs": [c.regs for c in m.cores],
         "words": _hash(sorted(m.words.items())),
     }

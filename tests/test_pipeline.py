@@ -201,13 +201,14 @@ class TestUnboundedTimestamps:
 class TestSteppedEquivalence:
     """Oracle: ``run(max_cycles=cycle + 1)`` advances exactly one cycle,
     so stepping a machine one cycle at a time must end in the same state
-    as one ``run()`` call: timeline, cycle count, counters, cache and
-    prefetcher state."""
+    as one ``run()`` call: timeline, cycle count, counters, cache, owner
+    and prefetcher state."""
 
     @staticmethod
     def _observe(m):
-        return (harness.timeline_digest(m), m.cycle, m.mem.counters,
-                m.mem.nonspec_state(), m.mem.rpt_state())
+        mem = m.mem
+        return (harness.timeline_digest(m), m.cycle, mem.counters,
+                mem.nonspec_sets(), mem.owner, mem.rpt)
 
     def _both(self, programs, cfg):
         whole = Machine([load_program(p) for p in programs], cfg)
@@ -285,12 +286,12 @@ class TestWakeupBookkeeping:
     @staticmethod
     def _check(m):
         def done(dep):
-            return dep is None or dep.state in ("DONE", "COMMITTED")
+            return dep is None or dep.state == "DONE"
         for core in m.cores:
             rob = list(core.rob)
             assert core.ready == [di for di in rob if di.state == "ROB"
                                   and done(di.dep1) and done(di.dep2)]
-            assert sorted(core.inflight, key=lambda di: di.seq) == [
+            assert sorted(core.inflight, key=lambda di: di.ts) == [
                 di for di in rob if di.state == "EXEC" and di.done_at is not None]
             assert list(core.stq) == [di for di in rob if di.si.cls == STORE]
             assert list(core.divq) == [di for di in rob if di.si.cls == DIV]

@@ -1,7 +1,8 @@
 """Oracle: ``Machine.run`` calls a stage only when its occupancy says it
 can act.  A reference loop that calls every stage on every visited cycle
-must give the same run: timelines, cycles, counters and non-speculative
-cache state, for normal and ablated runs alike.
+must give the same run: timelines, cycles, counters, non-speculative
+cache state, line owners and the prefetcher's table, for normal and
+ablated runs alike.
 
 Also: every method the benchmark's tracer wraps is still called, so a
 later inlining cannot silently empty a per-layer metric."""
@@ -60,7 +61,8 @@ def _outcome(m, run, max_cycles=None):
     except SimTimeout as e:
         timeout = e.cycles
     return (timeout, m.cycle, [core.timeline for core in m.cores],
-            dict(m.mem.counters), m.mem.nonspec_state())
+            dict(m.mem.counters), m.mem.nonspec_sets(), m.mem.owner,
+            m.mem.rpt)
 
 
 def _runs(programs, cfg, run, ablate):
