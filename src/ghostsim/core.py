@@ -77,6 +77,11 @@ _WORD = ~(WORD_BYTES - 1)   # a data address's word-aligned part
 
 
 class DynInstr:
+    """One fetched instance of a ``StaticInstr``.  Its producer links
+    (``dep1``, ``dep2``) and consumer links are dropped when it completes,
+    so a committed instruction is freed when it leaves the ROB and a run
+    holds only its window and its timeline."""
+
     __slots__ = (
         "si", "ts", "state", "fetched", "renamed", "issued", "completed",
         "dep1", "dep2", "result", "addr", "pred_taken", "taken", "done_at",
@@ -150,10 +155,13 @@ class Core:
         # (epoch, position-within-epoch), where an epoch is the span
         # between two squashes.  Within an epoch the renamed instruction
         # sequence is deterministic, so the key lines up across the normal
-        # and the ablated run even when wrong-path *lengths* differ.
+        # and the ablated run even when wrong-path *lengths* differ.  An
+        # epoch's committed positions are a prefix 0..k-1: commit is in
+        # program order and every squash removes a tail, so one count per
+        # epoch records them.
         self.epoch = 0
         self.epoch_pos = 0
-        self.committed_keys = set()   # akeys of committed instructions
+        self.committed = {}    # epoch -> how many of its positions committed
         self.squash_log = {}   # akey of squashing instr -> (cycle, redirect)
         self.timeline = []
         self.halted = False
@@ -245,6 +253,8 @@ class Core:
         lq_used = self.lq_used
         epoch = self.epoch
         pos = self.epoch_pos
+        # no squash happens during rename: the epoch is fixed for the call
+        kept = normal.committed.get(epoch, 0) if normal is not None else None
         budget = cfg.width
         while budget and fetchq:
             di = fetchq[0]
@@ -269,7 +279,9 @@ class Core:
             di.state = "ROB"
             rob.append(di)
             budget -= 1
-            if normal is not None and akey not in normal.committed_keys:
+            # the normal run committed this epoch's positions 0..kept-1,
+            # and akey's position is pos - 1
+            if normal is not None and pos > kept:
                 # transient-ablation: a would-be-squashed op becomes a
                 # zero-latency no-op.  It keeps its class so front-end
                 # resource accounting (LQ/SQ slots, fence drains) matches
@@ -453,7 +465,9 @@ class Core:
             other.waits -= 1
             if not other.waits and other.state == "ROB":
                 insort(self.ready, other, key=_TS)
-        di.consumers = None   # a consumer's dep link back would be a cycle
+        # only issue reads the links, so a finished instruction holds none
+        # and is freed when it leaves the ROB
+        di.consumers = di.dep1 = di.dep2 = None
 
     def do_complete(self, cycle):
         """Returns whether anything completed.  Finishes the in-flight
@@ -569,7 +583,7 @@ class Core:
         words = self.words
         regs = self.regs
         timeline = self.timeline
-        committed_keys = self.committed_keys
+        committed = self.committed
         line_mask = self.line_mask
         code_base = self.code_base
         seq = self.commit_count
@@ -604,7 +618,8 @@ class Core:
                     # fresh value and restart everything younger
                     di.result = fresh
                     self._squash_after(di, cycle, si.pc + INSTR_BYTES)
-            committed_keys.add(di.akey)
+            epoch, pos = di.akey
+            committed[epoch] = pos + 1
             if not ablated:
                 # nothing a commit does moves a line out of the L1I, so a
                 # line an earlier commit left there is still its MRU line;

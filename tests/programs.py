@@ -8,7 +8,9 @@ ghostminion mode and FAIL it with their mechanism switched off:
 leapfrog.  The message-passing pair ``MP_CORE0``/``MP_CORE1`` leaves 1 in
 core 0's r2 only when the commit-time replay runs.  ``OLDER_RETRY``
 exercises the issue walk rather than a protection, with ``warm_icache``
-and timeleap off.
+and timeleap off.  ``COUNTED_LOOP`` is a loop whose trip count is filled
+in with ``str.format``, for checks that a run's length does not grow the
+state it keeps.
 
 The rest each reach a path that the default config does not, at the
 config named with them: ``UNIT_SLOTS`` the issue slots and the store
@@ -195,5 +197,20 @@ halt
 """
 OLDER_MISS = """\
 ld r3, r0, 0x3000
+halt
+"""
+
+# a load, a store and two dependence chains, through the loop counter
+# and the running sum; the exit branch mispredicts once trained
+COUNTED_LOOP = """\
+.word 0x1000 3
+li r8, {trips}
+loop:
+andi r9, r8, 0x38
+ld r2, r9, 0x1000
+add r1, r1, r2
+st r8, r9, 0x1000
+addi r8, r8, -1
+bne r8, r0, loop
 halt
 """

@@ -1,6 +1,8 @@
 """Harness drivers and CLI: reports, verdicts, fuzzing, exit codes."""
 
+import random
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -11,6 +13,7 @@ from ghostsim.core import Core
 from ghostsim.gadgets import GADGETS, Gadget
 from ghostsim import harness
 
+from fingerprint import GEOMETRIES
 from programs import (DIVIDER_ORDER, LEAPFROG, LRU_STATE, MP_CORE0,
                       MP_CORE1, OLDER_READER)
 
@@ -237,6 +240,62 @@ halt
         import random
         texts = {harness._gen_program(random.Random(s)) for s in range(8)}
         assert len(texts) == 8
+
+
+class TestCommittedPrefix:
+    """Oracle: each epoch's committed positions are a prefix 0..k-1, so
+    ``Core.committed``, the count k per epoch, names exactly the
+    instructions that committed, in the normal and in the ablated run."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Core -> the akeys of the instructions it committed."""
+        seen = {}
+        commit = Core.do_commit
+
+        def spy(core, cycle):
+            # a call commits at most width instructions off the ROB head
+            head = list(islice(core.rob, core.cfg.width))
+            before = len(core.timeline)
+            progress = commit(core, cycle)
+            seen.setdefault(core, set()).update(
+                di.akey for di in head[:len(core.timeline) - before])
+            return progress
+
+        monkeypatch.setattr(Core, "do_commit", spy)
+        return seen
+
+    @staticmethod
+    def _check(seen, programs, cfg):
+        """Whether a run squashed: an epoch after the first committed."""
+        harness.run_ablation(programs, cfg)
+        assert len(seen) == 2 * len(programs)   # normal and ablated cores
+        for core, keys in seen.items():
+            assert keys == {(e, p) for e, k in core.committed.items()
+                            for p in range(k)}
+        squashed = any(len(core.committed) > 1 for core in seen)
+        seen.clear()
+        return squashed
+
+    @pytest.mark.parametrize("geometry", ["default", "tight"])
+    @pytest.mark.parametrize("mode", ["ghostminion", "unsafe"])
+    def test_fuzz_programs(self, seen, mode, geometry):
+        rng = random.Random(0)
+        cfg = replace(RunConfig(mode=mode), **GEOMETRIES[geometry])
+        assert all([self._check(seen, [harness._gen_program(rng)], cfg)
+                    for _ in range(200)])
+
+    @pytest.mark.parametrize("mode", ["ghostminion", "unsafe", "flush_only"])
+    def test_gadgets(self, seen, mode):
+        for g in GADGETS.values():
+            if not g.two_core:
+                cfg = replace(RunConfig(mode=mode), **g.cfg_overrides)
+                assert self._check(seen, g.programs(0), cfg), g.name
+
+    def test_replay_squash_at_commit(self, seen):
+        # core 0's replayed load squashes from commit, then commits itself
+        # as the last position of the epoch its squash ended
+        assert self._check(seen, [MP_CORE0, MP_CORE1], RunConfig())
 
 
 # a program with a wrong path that passes, the same program failing

@@ -3,6 +3,7 @@ semantics, store forwarding, and equivalence against the sequential
 reference interpreter.
 """
 
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -18,7 +19,7 @@ from ghostsim.machine import SimTimeout
 from ghostsim.memory import MemorySystem
 
 from fingerprint import GEOMETRIES
-from programs import MP_CORE0, MP_CORE1, OLDER_RETRY, UNIT_SLOTS
+from programs import COUNTED_LOOP, MP_CORE0, MP_CORE1, OLDER_RETRY, UNIT_SLOTS
 from ref_model import ref_execute
 from test_order import ts_not_after
 
@@ -393,6 +394,51 @@ class TestWakeupBookkeeping:
             pair = [_gen_program(rng), _gen_program(rng)]
         self._step(pair, replace(RunConfig(), **GEOMETRIES["zerolat"]))
         assert squashes == [False, True]
+
+
+class TestRunMemory:
+    """A run holds its window and its timeline: the state a core keeps
+    does not grow with the number of instructions it commits."""
+
+    @pytest.mark.parametrize("trips", [50, 200])
+    def test_finished_core_keeps_commits_only_in_its_timeline(self, trips):
+        m, _ = run(COUNTED_LOOP.format(trips=trips))
+        core = m.cores[0]
+        bound = core.epoch + core.cfg.rob
+        assert len(core.timeline) > bound
+        for name, value in vars(core).items():
+            # words is the machine's memory, shared by the cores
+            if name not in ("timeline", "words") \
+                    and isinstance(value, (list, dict, set, deque)):
+                assert len(value) <= bound, name
+
+    def test_finished_instruction_holds_no_links(self):
+        # every instruction a core can reach through producer and
+        # consumer links from its ROB and fetch queue: the live ones, the
+        # producers they read and the squashed consumers of a producer
+        # still waiting; an instruction that kept its producers after
+        # completing would chain back through every earlier counter update
+        m = Machine([load_program(COUNTED_LOOP.format(trips=200))],
+                    RunConfig())
+        core = m.cores[0]
+        most = 0
+        while not core.halted:
+            try:
+                m.run(max_cycles=m.cycle + 1)
+            except SimTimeout:
+                pass
+            seen = set()
+            todo = [*core.rob, *core.fetchq]
+            while todo:
+                di = todo.pop()
+                if di not in seen:
+                    seen.add(di)
+                    todo += [d for d in (getattr(di, "dep1", None),
+                                         getattr(di, "dep2", None))
+                             if d is not None]
+                    todo += di.consumers or ()
+            most = max(most, len(seen))
+        assert core.cfg.rob < most <= 2 * core.cfg.rob
 
 
 class TestStoreForward:
