@@ -18,7 +18,7 @@ execution:
 ``config.PROTECTION`` says which switches each protection mode turns on.
 
 Issue is wake-up driven, after the gem5 O3 instruction queue: each
-renamed instruction counts its sources that are not yet DONE, and its
+renamed instruction counts its sources that have not completed, and its
 producers list it as a consumer.  When an instruction completes, the
 consumers it was the last wait of join the ready list, which is kept in
 stamp order; a load whose miss is retried rejoins it in order.  A core
@@ -30,15 +30,17 @@ Issue walks only the ready list, oldest first.  The two rules that look
 at older instructions that are *not* ready - a load waits behind an
 older store that has not issued, and a speculative divide behind an
 older divide - scan the store and divide queues, which hold the live
-stores and divides in stamp order.  Complete and ``next_event`` read
-the in-flight list (issued, finish cycle known) instead of the ROB.  A
-squash pops the squashed tail of every list, as it does the ROB's.  An
-instruction-line hit is a fetch stall until the line is ready; only a
-missed line waits for ``mem_ready``.
+stores and divides in stamp order, as the load queue holds the loads.
+Complete and ``next_event`` read the in-flight list (issued, finish
+cycle known) instead of the ROB.  A squash pops the squashed tail of
+every list, as it does the ROB's.  An instruction-line hit is a fetch
+stall until the line is ready; only a missed line waits for
+``mem_ready``.
 
 A dynamic instruction points at its shared, read-only ``StaticInstr``
 (``di.si``), as gem5's ``DynInst`` does, and keeps only what execution
-adds; a data line is derived where it is used (``addr & line_mask``).
+adds; a data line is derived where it is used (``addr & line_mask``),
+and its state is its stage cycles and a ``squashed`` flag.
 
 The stages are the per-instruction hot path.  Each reads the fields it
 uses into locals once per call, writes its counters back once, and calls
@@ -77,13 +79,16 @@ _WORD = ~(WORD_BYTES - 1)   # a data address's word-aligned part
 
 
 class DynInstr:
-    """One fetched instance of a ``StaticInstr``.  Its producer links
-    (``dep1``, ``dep2``) and consumer links are dropped when it completes,
-    so a committed instruction is freed when it leaves the ROB and a run
-    holds only its window and its timeline."""
+    """One fetched instance of a ``StaticInstr``.  Once renamed, it waits
+    to issue while ``issued`` is None (a retried miss clears it again),
+    executes until ``completed`` is set and is then done; a squash sets
+    ``squashed``, the one fact beside its stage cycles.  Its producer
+    links (``dep1``, ``dep2``) and consumer links are dropped when it
+    completes, so a committed instruction is freed when it leaves the ROB
+    and a run holds only its window and its timeline."""
 
     __slots__ = (
-        "si", "ts", "state", "fetched", "renamed", "issued", "completed",
+        "si", "ts", "squashed", "fetched", "renamed", "issued", "completed",
         "dep1", "dep2", "result", "addr", "pred_taken", "taken", "done_at",
         "from_below", "noncoherent", "akey", "ablated", "div_unit",
         "commit_mem", "waits", "consumers",
@@ -92,22 +97,24 @@ class DynInstr:
     def __init__(self, si, ts, cycle):
         # si is the shared StaticInstr; the other slots are what execution
         # adds, and only those read before a stage writes them are set
-        # here.  Rename sets akey, renamed, state, dep1 and dep2;
-        # issue sets issued, addr, taken, from_below (mem_ready, for a
-        # miss) and a forwarded load's result; completion sets completed.
-        # Rename itself sets issued for an ablated instruction, and
-        # completed too for one done at rename.  state is ROB, EXEC, DONE
-        # or SQUASHED; a committed instruction stays DONE.
+        # here.  Rename sets akey, renamed, dep1 and dep2; issue sets
+        # issued, addr, taken, from_below (mem_ready, for a miss) and a
+        # forwarded load's result; completion sets completed.  Rename
+        # itself sets issued for an ablated instruction, and completed
+        # too for one done at rename.  A committed instruction keeps its
+        # stage cycles; a squashed one keeps those it reached.
         self.si = si
         self.ts = ts
         self.fetched = cycle
+        self.issued = self.completed = None
+        self.squashed = False
         self.result = None
         self.pred_taken = False
         self.noncoherent = False
         self.ablated = False
         self.div_unit = None
         self.commit_mem = None    # store/replay: None | ready cycle | WAITING
-        self.waits = 0            # sources not yet DONE
+        self.waits = 0            # sources not yet completed
         self.done_at = None
         self.consumers = []       # renamed instructions reading our result
 
@@ -131,11 +138,11 @@ class Core:
         self.rob = deque()
         self.fetchq = deque()
         # wake-up bookkeeping, each list in stamp (program) order:
-        self.ready = []           # ROB state with every source DONE
-        self.inflight = []        # EXEC with a known done_at
+        self.ready = []           # not issued, every source completed
+        self.inflight = []        # issued, not completed, done_at known
         self.stq = deque()        # live stores
         self.divq = deque()       # live divides
-        self.lq_used = 0
+        self.ldq = deque()        # live loads
 
         self.pc = 0
         self.fetch_stall_until = 0
@@ -245,12 +252,12 @@ class Core:
         fetchq = self.fetchq
         rob = self.rob
         stq = self.stq
+        ldq = self.ldq
         ready = self.ready
         rat = self.rat
         normal = self.normal
         lq_size = cfg.lq
         sq_size = cfg.sq
-        lq_used = self.lq_used
         epoch = self.epoch
         pos = self.epoch_pos
         # no squash happens during rename: the epoch is fixed for the call
@@ -261,9 +268,9 @@ class Core:
             si = di.si
             cls = si.cls
             if cls == LOAD:
-                if lq_used >= lq_size:
+                if len(ldq) >= lq_size:
                     break
-                lq_used += 1
+                ldq.append(di)
             elif cls == STORE:
                 if len(stq) >= sq_size:
                     break
@@ -276,7 +283,6 @@ class Core:
             di.akey = akey = (epoch, pos)
             pos += 1
             di.renamed = cycle
-            di.state = "ROB"
             rob.append(di)
             budget -= 1
             # the normal run committed this epoch's positions 0..kept-1,
@@ -292,26 +298,23 @@ class Core:
                 di.ablated = True
                 event = normal.squash_log.get(akey)
                 if cls == BRANCH and event is not None:
-                    di.state = "EXEC"
                     di.issued = cycle
                     di.done_at = event[0]
                     self.inflight.append(di)
                 else:
-                    di.state = "DONE"
                     di.issued = di.completed = cycle
                 continue
             # unused source fields are r0, which is never renamed
             di.dep1 = dep1 = rat.get(si.s1)
             di.dep2 = dep2 = rat.get(si.s2)
             if cls in _DONE_AT_RENAME:
-                di.state = "DONE"
                 di.issued = di.completed = cycle
             else:
                 waits = 0
-                if dep1 is not None and dep1.state != "DONE":
+                if dep1 is not None and dep1.completed is None:
                     waits = 1
                     dep1.consumers.append(di)
-                if dep2 is not None and dep2.state != "DONE":
+                if dep2 is not None and dep2.completed is None:
                     waits += 1
                     dep2.consumers.append(di)
                 if waits:
@@ -320,7 +323,6 @@ class Core:
                     ready.append(di)   # the youngest: order is kept
             if si.dst:
                 rat[si.dst] = di
-        self.lq_used = lq_used
         self.epoch_pos = pos
         self.rename_count += cfg.width - budget
         return budget < cfg.width
@@ -335,7 +337,7 @@ class Core:
         for other in queue:
             if other.ts >= ts:
                 return False
-            if other.state == "ROB":
+            if other.issued is None:
                 return True
         return False
 
@@ -369,7 +371,6 @@ class Core:
                 dep = di.dep2
                 # written at commit
                 di.result = regs[si.s2] if dep is None else dep.result
-                di.state = "EXEC"
                 di.issued = cycle
                 di.done_at = cycle + 1
                 inflight.append(di)
@@ -386,14 +387,13 @@ class Core:
                 if fwd is not None:
                     di.result = fwd.result   # a store's data: never None
                     di.from_below = False
-                    di.state = "EXEC"
                     di.done_at = cycle + 1
                     inflight.append(di)
                 else:
                     hit = self.mem.data_access(self.core_id, di,
                                                addr & line_mask, di.ts,
                                                di is not head, cycle)
-                    di.state = "EXEC"   # a miss keeps done_at None until its callback
+                    # a miss keeps done_at None until its callback
                     if hit is not None:
                         di.done_at, di.from_below, di.noncoherent = hit
                         inflight.append(di)
@@ -438,7 +438,6 @@ class Core:
                     di.taken = isa.BRANCH_CONDS[si.op](v1, v2)
                 else:
                     di.result = s64(isa.OPS[si.op](v1, v2))
-                di.state = "EXEC"
                 di.issued = cycle
                 di.done_at = cycle + lat
                 inflight.append(di)
@@ -459,11 +458,12 @@ class Core:
 
     def _done(self, di, cycle):
         """``di`` has its result: wake the consumers it was holding back."""
-        di.state = "DONE"
         di.completed = cycle
         for other in di.consumers:
             other.waits -= 1
-            if not other.waits and other.state == "ROB":
+            # a consumer issues only once its last wait is gone, so it
+            # has not issued yet; a squashed one never will
+            if not other.waits and not other.squashed:
                 insort(self.ready, other, key=_TS)
         # only issue reads the links, so a finished instruction holds none
         # and is freed when it leaves the ROB
@@ -487,7 +487,7 @@ class Core:
             due.sort(key=_TS)
         words = self.words
         for di in due:
-            if di.state != "EXEC":   # a just-resolved older branch wiped us
+            if di.squashed:   # a just-resolved older branch wiped us
                 continue
             self._done(di, cycle)
             if di.ablated:
@@ -516,7 +516,8 @@ class Core:
                 self.line_req = None
         elif di.commit_mem == WAITING:   # committing store or replay
             di.commit_mem = cycle
-        elif di.state == "EXEC":         # else squashed while in flight
+        elif di.issued is not None and di.completed is None \
+                and not di.squashed:     # else squashed while in flight
             # issue aligned the address
             di.result = self.words.get(di.addr, 0)
             di.from_below = True
@@ -530,9 +531,9 @@ class Core:
             self.line_req = None
         elif di.commit_mem == WAITING:
             di.commit_mem = None
-        elif di.state == "EXEC":
-            di.state = "ROB"
-            di.done_at = None
+        elif di.issued is not None and di.completed is None \
+                and not di.squashed:
+            di.issued = di.done_at = None
             insort(self.ready, di, key=_TS)
 
     # ---------------------------------------------------------------- squash
@@ -543,17 +544,15 @@ class Core:
         order, so the younger instructions are its tail."""
         while self.rob[-1] is not di:
             other = self.rob.pop()
-            other.state = "SQUASHED"
+            other.squashed = True
             other.consumers = None
-            if other.si.cls == LOAD:
-                self.lq_used -= 1
             if other.div_unit is not None and self.prot.squash_frees_divider \
                     and self.div_busy[other.div_unit] > cycle:
                 self.div_busy[other.div_unit] = cycle
-        for queue in (self.ready, self.stq, self.divq):
-            while queue and queue[-1].state == "SQUASHED":
+        for queue in (self.ready, self.stq, self.divq, self.ldq):
+            while queue and queue[-1].squashed:
                 queue.pop()
-        self.inflight = [d for d in self.inflight if d.state != "SQUASHED"]
+        self.inflight = [d for d in self.inflight if not d.squashed]
         self.epoch += 1
         self.epoch_pos = 0
         self.squash_log[di.akey] = (cycle, redirect_pc)
@@ -592,7 +591,7 @@ class Core:
         progress = False
         while commits < width and rob:
             di = rob[0]
-            if di.state != "DONE":
+            if di.completed is None:
                 break
             si = di.si
             cls = si.cls
@@ -649,7 +648,7 @@ class Core:
                 if rat.get(dst) is di:
                     del rat[dst]
             if cls == LOAD:
-                self.lq_used -= 1
+                self.ldq.popleft()
             elif cls == STORE:
                 self.stq.popleft()
             elif cls == DIV:

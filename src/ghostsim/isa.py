@@ -13,9 +13,7 @@ Text format, one instruction per line::
     .align n                   # pad code with nops to an n-byte boundary
 
 A ``Program`` is assembled once and shared read-only by every machine
-that runs it: a ``Machine`` copies ``data`` into its own memory, and the
-only state a run adds is the memo of off-image no-ops, which is the same
-whoever fills it.
+that runs it: a ``Machine`` copies ``data`` into its own memory.
 """
 
 import operator
@@ -66,17 +64,13 @@ class Program:
     data: dict = field(default_factory=dict)   # word address -> value
     labels: dict = field(default_factory=dict)
 
-    _nop_cache: dict = field(default_factory=dict, repr=False)
-
     def get(self, pc: int):
         """Decoded instruction at ``pc``; wrong-path fetches of addresses
         outside the image decode as no-ops."""
         idx = pc // INSTR_BYTES
         if 0 <= idx < len(self.instrs):
             return self.instrs[idx]
-        if pc not in self._nop_cache:
-            self._nop_cache[pc] = StaticInstr(pc=pc, op="nop", cls=NOP)
-        return self._nop_cache[pc]
+        return StaticInstr(pc=pc, op="nop", cls=NOP)
 
     @property
     def end_pc(self) -> int:

@@ -112,7 +112,7 @@ class Machine:
                 rob = core.rob
                 # commit_mem: None until a store's or replay's commit-time
                 # access is made, then the cycle it is ready (inf waiting)
-                if rob and rob[0].state == "DONE" \
+                if rob and rob[0].completed is not None \
                         and (rob[0].commit_mem or 0) <= c:
                     progress |= core.do_commit(c)
                     if core.halted:

@@ -443,7 +443,7 @@ class MemorySystem:
                     # a squash drops the copy as it cancels a miss: the
                     # rewound stamps would let a correct-path load read
                     # it; the core's own L1D may have got the line meanwhile
-                    squashed = instr.state == "SQUASHED" \
+                    squashed = instr.squashed \
                         and self.prot.squash_cancels_misses
                     if self.prot.side_buffer and not squashed \
                             and not l1.lookup(line):

@@ -14,14 +14,18 @@ The file holds, per workload and end-to-end metric of ``BENCHMARK.json``,
 every run's value, the median and quartiles of each side, the ratio of
 the medians (change / parent), and the pairs the change won (ties count
 for neither side); whether every run was ``correct`` with no failed
-operation; the seeds; and the output of ``tests/fingerprint.py
---compare`` between the base's sources and this checkout's: the records
-that differ, then the summary line.  The file is also printed.  The
-script is not collected by pytest; at the default 10 pairs of 8 s it
-takes about twenty minutes.
+operation; the seeds; the output of ``tests/fingerprint.py --compare``
+between the base's sources and this checkout's: the records that
+differ, then the summary line; and, under ``mutants``, the lines of this
+checkout's ``tests/mutants.py`` output that differ between a run on the
+base's sources (``-``) and one on this checkout's (``+``), then a
+summary line.  The differing mutant lines and then the file are printed.
+The script is not collected by pytest; at the default 10 pairs of 8 s
+it takes about twenty-five minutes.
 """
 
 import argparse
+import difflib
 import json
 import os
 import platform
@@ -69,6 +73,26 @@ def _fingerprint(base):
     if not lines or not re.fullmatch(r"\d+ of \d+ records differ", lines[-1]):
         raise RuntimeError(f"fingerprint --compare failed:\n{out}")
     return lines
+
+
+def _mutants(base):
+    """The lines of ``mutants.py``'s output that differ, base vs head."""
+    script = str(ROOT / "tests" / "mutants.py")
+    outs = []
+    for checkout in (base, ROOT):
+        env = {**os.environ, "PYTHONPATH": str(Path(checkout) / "src")}
+        run = subprocess.run([sys.executable, script], env=env,
+                             capture_output=True, text=True)
+        # exit 1 with this one line is an unmutated run that fails an
+        # oracle, and is reported; anything else is a crash
+        if run.returncode and run.stderr.strip() != (
+                "the unmutated ghostminion run fails an oracle"):
+            raise RuntimeError(f"mutants.py failed:\n{run.stderr}")
+        outs.append((run.stdout + run.stderr).splitlines())
+    lines = [line for line in difflib.ndiff(*outs) if line[:2] in ("- ", "+ ")]
+    minus = sum(line[0] == "-" for line in lines)
+    return lines + [f"{minus} of {len(outs[0])} base lines and "
+                    f"{len(lines) - minus} of {len(outs[1])} head lines differ"]
 
 
 def _summary(values):
@@ -127,6 +151,8 @@ def main(argv=None):
     dirty = _git("status", "--porcelain", "--untracked-files=no")
     head_rev = _git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
     fingerprint = _fingerprint(base)
+    mutants = _mutants(base)
+    print(*mutants, sep="\n", file=sys.stderr, flush=True)
     seeds, report = bench(base, args.pairs, args.seconds, args.seed)
     out = {
         "base": base_rev,
@@ -136,6 +162,7 @@ def main(argv=None):
         "host": {"python": platform.python_version(), "nproc": os.cpu_count(),
                  "platform": platform.platform()},
         "fingerprint": fingerprint,
+        "mutants": mutants,
         "workloads": report,
     }
     text = json.dumps(out, indent=1) + "\n"

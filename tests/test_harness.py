@@ -298,6 +298,42 @@ class TestCommittedPrefix:
         assert self._check(seen, [MP_CORE0, MP_CORE1], RunConfig())
 
 
+class TestTwoDividers:
+    """With two dividers, issue scans for a free unit and a squash frees
+    the unit a squashed divide holds, unit 1 included; ablation still
+    passes, pure, on seed-0 fuzz programs."""
+
+    def test_fuzz_programs(self, monkeypatch):
+        on_unit1 = freed_unit1 = 0
+        issue, squash = Core.do_issue, Core._squash_after
+
+        def issue_spy(core, cycle):
+            nonlocal on_unit1
+            busy = core.div_busy[1]
+            progress = issue(core, cycle)
+            # an issue on a free unit makes it busy past this cycle
+            on_unit1 += core.div_busy[1] != busy
+            return progress
+
+        def squash_spy(core, di, cycle, redirect_pc):
+            nonlocal freed_unit1
+            busy = core.div_busy[1]
+            squash(core, di, cycle, redirect_pc)
+            # a squash frees a busy unit by making it free this cycle
+            freed_unit1 += busy > cycle == core.div_busy[1]
+
+        monkeypatch.setattr(Core, "do_issue", issue_spy)
+        monkeypatch.setattr(Core, "_squash_after", squash_spy)
+        for geometry in ("default", "tight"):
+            rng = random.Random(0)
+            cfg = replace(RunConfig(div_units=2, check_invariants=True),
+                          **GEOMETRIES[geometry])
+            for i in range(100):
+                res = harness.run_ablation([harness._gen_program(rng)], cfg)
+                assert res.verdict == "PASS" and res.pure, (geometry, i)
+        assert on_unit1 and freed_unit1
+
+
 # a program with a wrong path that passes, the same program failing
 # under unsafe, and two two-core runs with stores that pass
 SHARED_CASES = [

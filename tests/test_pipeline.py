@@ -276,10 +276,24 @@ class TestSteppedEquivalence:
         assert m.cores[0].halted
 
 
+def _waiting(di):
+    """A renamed instruction that has not issued (or was retried)."""
+    return di.issued is None and not di.squashed
+
+
+def _executing(di):
+    return di.issued is not None and di.completed is None and not di.squashed
+
+
+def _done(di):
+    return di.completed is not None and not di.squashed
+
+
 class TestWakeupBookkeeping:
-    """Oracle: the lists and the load count the core keeps as
-    instructions change state equal what a scan of the ROB finds, after
-    every cycle; the live stamps, in the ROB and the fetch queue, are
+    """Oracle: the lists the core keeps as instructions move through
+    their stages equal what a scan of the ROB finds, hold no squashed
+    instruction, and a completed instruction has issued, after every
+    cycle; the live stamps, in the ROB and the fetch queue, are
     the last ``n <= rob`` handed out, consecutive in program order; and
     every miss waiting for a delivery cycle, none of them past, has a
     delivery queued for it on the memory system's event heap."""
@@ -287,16 +301,21 @@ class TestWakeupBookkeeping:
     @staticmethod
     def _check(m):
         def done(dep):
-            return dep is None or dep.state == "DONE"
+            return dep is None or _done(dep)
         for core in m.cores:
             rob = list(core.rob)
-            assert core.ready == [di for di in rob if di.state == "ROB"
+            assert core.ready == [di for di in rob if _waiting(di)
                                   and done(di.dep1) and done(di.dep2)]
             assert sorted(core.inflight, key=lambda di: di.ts) == [
-                di for di in rob if di.state == "EXEC" and di.done_at is not None]
+                di for di in rob if _executing(di) and di.done_at is not None]
             assert list(core.stq) == [di for di in rob if di.si.cls == STORE]
             assert list(core.divq) == [di for di in rob if di.si.cls == DIV]
-            assert core.lq_used == sum(di.si.cls == LOAD for di in rob)
+            assert list(core.ldq) == [di for di in rob if di.si.cls == LOAD]
+            assert not any(di.squashed for di in (
+                *rob, *core.fetchq, *core.ready, *core.inflight, *core.stq,
+                *core.divq, *core.ldq))
+            assert all(di.issued is not None for di in rob
+                       if di.completed is not None)
             # a stamp is live from fetch until commit or squash
             live = [di.ts for di in (*rob, *core.fetchq)]
             n = len(live)
@@ -546,9 +565,9 @@ class TestMemoryCallbacks:
         core = m.cores[0]
 
         def find():
-            # a load in flight is EXEC with no finish cycle; an instruction
-            # that has not issued has no address yet
-            return next((di for di in core.rob if di.state == "EXEC"
+            # a load in flight is executing with no finish cycle; an
+            # instruction that has not issued has no address yet
+            return next((di for di in core.rob if _executing(di)
                          and di.done_at is None and di.addr == addr), None)
         self._step_until(m, lambda: find() is not None)
         return core, find()
@@ -558,11 +577,11 @@ class TestMemoryCallbacks:
                           warm_icache=True)
         core, di = self._inflight_load(m, 0x2000)
         core.mem_retry(di)
-        assert (di.state, di.done_at) == ("ROB", None)
+        assert _waiting(di) and di.completed is None and di.done_at is None
         core, di = self._inflight_load(m, 0x2000)
         core.mem_ready(di, di.addr & core.line_mask, m.cycle, True)
-        assert (di.state, di.result, di.from_below, di.noncoherent) \
-            == ("DONE", 42, True, True)
+        assert _done(di)
+        assert (di.result, di.from_below, di.noncoherent) == (42, True, True)
         assert di.completed == m.cycle
 
     def test_store_waiting_on_commit_access(self):
@@ -572,10 +591,10 @@ class TestMemoryCallbacks:
                          and core.rob[0].commit_mem == WAITING)
         st = core.rob[0]
         core.mem_retry(st)
-        assert st.commit_mem is None and st.state == "DONE"
+        assert st.commit_mem is None and _done(st)
         self._step_until(m, lambda: st.commit_mem == WAITING)
         core.mem_ready(st, st.addr & core.line_mask, m.cycle, False)
-        assert st.commit_mem == m.cycle and st.state == "DONE"
+        assert st.commit_mem == m.cycle and _done(st)
 
     def test_squashed_load_is_ignored(self):
         # the fall-through load runs on the wrong path of a mispredicted
@@ -587,10 +606,11 @@ class TestMemoryCallbacks:
                            "ld r2, r3, 0x7000", "out:"],
                           warm_icache=True)
         core, di = self._inflight_load(m, 0x7000)
-        self._step_until(m, lambda: di.state == "SQUASHED")
-        # the completion cycle is written only when an instruction completes
-        assert di.result is None and not hasattr(di, "completed")
+        self._step_until(m, lambda: di.squashed)
+        issued = di.issued
+        assert issued is not None
+        assert (di.result, di.completed) == (None, None)
         core.mem_ready(di, di.addr & core.line_mask, m.cycle, False)
         core.mem_retry(di)
-        assert (di.state, di.result, di.done_at) == ("SQUASHED", None, None)
-        assert not hasattr(di, "completed")
+        assert (di.squashed, di.issued, di.result, di.done_at, di.completed) \
+            == (True, issued, None, None, None)
