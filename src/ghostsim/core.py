@@ -13,7 +13,7 @@ execution:
   (``squash_frees_divider``) and cancels their in-flight misses
   (``squash_cancels_misses``), so rollback cost is a constant independent
   of how much transient work was discarded;
-* the branch predictor and BTB are trained at commit only.
+* the branch predictor is trained at commit only.
 
 ``config.PROTECTION`` says which switches each protection mode turns on.
 
@@ -33,9 +33,10 @@ older divide - scan the store and divide queues, which hold the live
 stores and divides in stamp order, as the load queue holds the loads.
 Complete and ``next_event`` read the in-flight list (issued, finish
 cycle known) instead of the ROB.  A squash pops the squashed tail of
-every list, as it does the ROB's.  An instruction-line hit is a fetch
-stall until the line is ready; only a missed line waits for
-``mem_ready``.
+every list, as it does the ROB's.  An instruction line is a fetch stall
+until it is ready: a hit until its ready cycle, a missed line until its
+``mem_ready`` (``fetch_stall_until`` is ``WAITING`` meanwhile), as
+gem5's O3 fetch records an outstanding I-cache miss as its status.
 
 A dynamic instruction points at its shared, read-only ``StaticInstr``
 (``di.si``), as gem5's ``DynInst`` does, and keeps only what execution
@@ -71,7 +72,8 @@ from .isa import (s64, INSTR_BYTES, WORD_BYTES, MUL, DIV, LOAD, STORE, BRANCH,
                   JMP, RDCYCLE, FENCE, HALT, NOP)
 
 # commit_mem of a store or replay whose commit-time access waits for a
-# callback: no cycle is ever late enough to retire it
+# callback, and fetch_stall_until while a missed instruction line does:
+# no cycle is ever late enough
 WAITING = float("inf")
 
 _TS = attrgetter("ts")
@@ -147,17 +149,16 @@ class Core:
         self.pc = 0
         self.fetch_stall_until = 0
         self.fetch_done = False
-        self.line_buf = None
-        self.line_req = None      # missed line, not yet in line_buf
+        self.line_buf = None      # the line fetch reads, or waits for
 
+        # pc -> 2-bit counter, 1 until a commit; a counter of 2 or more
+        # means the branch committed taken, so its target is known
         self.bp_counters = {}
-        self.btb = {}
 
         self.div_busy = [0] * cfg.div_units
 
         self.fetch_seq = 0
         self.rename_count = 0
-        self.commit_count = 0
         # ablation bookkeeping: dynamic instances are identified by
         # (epoch, position-within-epoch), where an epoch is the span
         # between two squashes.  Within an epoch the renamed instruction
@@ -198,16 +199,11 @@ class Core:
         raw_line = pc & line_mask
         line = raw_line + self.code_base
         if self.line_buf != line:
-            if self.line_req is not None:
-                return False   # the missed line is not in yet
-            # a hit is a fetch stall until the line is ready
+            # a fetch stall until the line is ready, or until delivered
             ready = self.mem.ifetch_access(self.core_id, line, self.next_ts,
                                            cycle)
-            if ready is None:
-                self.line_req = line
-            else:
-                self.line_buf = line
-                self.fetch_stall_until = ready
+            self.line_buf = line
+            self.fetch_stall_until = WAITING if ready is None else ready
             return True
         program = self.program
         instrs = program.instrs
@@ -223,7 +219,7 @@ class Core:
             fetched += 1
             cls = si.cls
             if cls == BRANCH:
-                if self.bp_counters.get(si.pc, 1) >= 2 and si.pc in self.btb:
+                if self.bp_counters.get(si.pc, 1) >= 2:
                     di.pred_taken = True
                     pc = si.target
                     break
@@ -511,9 +507,9 @@ class Core:
         """A miss was delivered to ``di``, or to the instruction fetch of
         ``line`` when ``di`` is None."""
         if di is None:
-            if self.line_req == line:
-                self.line_buf = line
-                self.line_req = None
+            # else a squash dropped the request, or fetch has the line
+            if self.fetch_stall_until == WAITING and self.line_buf == line:
+                self.fetch_stall_until = cycle
         elif di.commit_mem == WAITING:   # committing store or replay
             di.commit_mem = cycle
         elif di.issued is not None and di.completed is None \
@@ -528,7 +524,9 @@ class Core:
         """The access found no free miss register, or its miss was
         cancelled: make it again."""
         if di is None:
-            self.line_req = None
+            if self.fetch_stall_until == WAITING:   # else squashed away
+                self.line_buf = None
+                self.fetch_stall_until = 0
         elif di.commit_mem == WAITING:
             di.commit_mem = None
         elif di.issued is not None and di.completed is None \
@@ -568,7 +566,6 @@ class Core:
         self.fetch_stall_until = cycle + self.cfg.squash_penalty
         self.fetch_done = False
         self.line_buf = None
-        self.line_req = None
 
     # ---------------------------------------------------------------- commit
 
@@ -585,7 +582,6 @@ class Core:
         committed = self.committed
         line_mask = self.line_mask
         code_base = self.code_base
-        seq = self.commit_count
         commits = 0
         in_l1i = None     # the line an earlier commit left in the L1I
         progress = False
@@ -638,7 +634,6 @@ class Core:
                     ctr = self.bp_counters.get(pc, 1)
                     if di.taken:
                         self.bp_counters[pc] = min(ctr + 1, 3)
-                        self.btb[pc] = si.target
                     else:
                         self.bp_counters[pc] = max(ctr - 1, 0)
             dst = si.dst
@@ -653,17 +648,20 @@ class Core:
                 self.stq.popleft()
             elif cls == DIV:
                 self.divq.popleft()
-            timeline.append((seq, si.pc, si.op,
+            timeline.append((len(timeline), si.pc, si.op,
                              (di.fetched, di.renamed, di.issued,
                               di.completed, cycle),
                              di.result if (dst or cls == STORE) else None))
-            seq += 1
             rob.popleft()
             commits += 1
             if cls == HALT:
                 self.halted = True   # nothing younger was fetched
-        self.commit_count = seq
         return progress or commits > 0
+
+    @property
+    def commit_count(self):
+        """Instructions committed so far: one timeline entry each."""
+        return len(self.timeline)
 
     def _replays(self, di):
         """Commit-time replay: a load that consumed a non-coherent copy

@@ -17,24 +17,19 @@ simultaneously valid in the attached L1.  With ``timeguard=False`` the
 buffer degrades to a flush-on-squash-only victim structure, which keeps
 no ordering guarantees.
 
-A set is allocated, empty, the first time it is touched, and its ways on
-first fill: a way missing from a set counts as free, so a fill appends a
-line only when no existing way matches or is free.  The first free way
-is then the same position as in a fully allocated set.  ``lines`` maps a
-set index to its set, and a buffer costs only the sets a run touched.
+A set is ``ways`` slots, each a line or None for a free way, allocated
+on the set's first fill.  ``lines`` maps a set index to its set, so a
+buffer costs only the sets a run filled, and a lookup allocates nothing.
 """
-
-from collections import defaultdict
 
 
 class GhostLine:
-    __slots__ = ("tag", "ts", "valid", "noncoherent")
+    __slots__ = ("tag", "ts", "noncoherent")
 
-    def __init__(self):
-        self.tag = -1             # line address
-        self.ts = 0
-        self.valid = False
-        self.noncoherent = False
+    def __init__(self, tag, ts, noncoherent):
+        self.tag = tag            # line address
+        self.ts = ts
+        self.noncoherent = noncoherent
 
 
 class GhostCache:
@@ -47,21 +42,21 @@ class GhostCache:
         # not_after(a, b): stamp a precedes or equals b in program order
         self.not_after = not_after
         self.counters = counters if counters is not None else {}
-        self.lines = defaultdict(list)   # set index -> up to ``ways`` lines
+        self.lines = {}          # set index -> ``ways`` slots, line or None
         self._fifo = [0] * sets  # replacement pointer for non-timeguarded mode
 
     def _set(self, line_addr):
-        return self.lines[(line_addr >> self.line_shift) % self.sets]
+        return self.lines.get((line_addr >> self.line_shift) % self.sets, ())
 
     def _bump(self, key):
         self.counters[key] = self.counters.get(key, 0) + 1
 
     def lookup(self, line_addr, ts):
-        """TimeGuarded read: a hit requires a valid tag match whose
-        timestamp is not after the reader's.  A guarded line is
-        indistinguishable from an absent one."""
+        """TimeGuarded read: a hit requires a tag match whose timestamp is
+        not after the reader's.  A guarded line is indistinguishable from
+        an absent one."""
         for way in self._set(line_addr):
-            if way.valid and way.tag == line_addr:
+            if way is not None and way.tag == line_addr:
                 if not self.timeguard or self.not_after(way.ts, ts):
                     return way
                 self._bump("timeguard_blocks")
@@ -74,79 +69,75 @@ class GhostCache:
         Rejection (no free slot and no eligible victim) is a defined
         outcome: the data still goes to the core, it just is not cached.
         """
-        st = self._set(line_addr)
-        victim = free = None
-        for way in st:
-            if way.valid:
-                if way.tag == line_addr:
-                    # duplicate tags are never allowed in a set: reuse the
-                    # matching way if eligible (always, unguarded), else the
-                    # line is already visible to this filler and the fill
-                    # is redundant
-                    if self.timeguard and not self.not_after(ts, way.ts):
-                        return True
-                    victim = way
-                    break
-            elif free is None:
-                free = way
+        si = (line_addr >> self.line_shift) % self.sets
+        st = self.lines.get(si)
+        if st is None:
+            st = self.lines[si] = [None] * self.ways
+        victim = None   # the way the line goes to
+        for i, way in enumerate(st):
+            if way is None:
+                if victim is None:
+                    victim = i
+            elif way.tag == line_addr:
+                # duplicate tags are never allowed in a set: reuse the
+                # matching way if eligible (always, unguarded), else the
+                # line is already visible to this filler and the fill is
+                # redundant
+                if self.timeguard and not self.not_after(ts, way.ts):
+                    return True
+                victim = i
+                break
         else:
-            if free is not None:
-                victim = free
-            elif len(st) < self.ways:
-                victim = GhostLine()
-                st.append(victim)
-            elif self.timeguard:
-                for way in st:
+            # no way matches: the first free way, else an eviction
+            if victim is None and self.timeguard:
+                for i, way in enumerate(st):
                     if self.not_after(ts, way.ts):
-                        if victim is None or self.not_after(victim.ts, way.ts):
-                            victim = way
-            else:
-                si = (line_addr >> self.line_shift) % self.sets
-                idx = self._fifo[si]
-                self._fifo[si] = (idx + 1) % self.ways
-                victim = st[idx]
+                        if victim is None \
+                                or self.not_after(st[victim].ts, way.ts):
+                            victim = i
+            elif victim is None:
+                victim = self._fifo[si]
+                self._fifo[si] = (victim + 1) % self.ways
         if victim is None:
             self._bump("fills_rejected")
             return False
-        victim.tag = line_addr
-        victim.ts = ts
-        victim.valid = True
-        victim.noncoherent = noncoherent
+        st[victim] = GhostLine(line_addr, ts, noncoherent)
         return True
 
     def extract(self, line_addr, ts):
-        """On commit of a load: invalidate and return the matching way the
-        committing instruction is allowed to read, if any.  The way keeps
-        the line's fields until a later fill reuses it."""
-        for way in self._set(line_addr):
-            if way.valid and way.tag == line_addr:
+        """On commit of a load: free and return the matching way the
+        committing instruction is allowed to read, if any."""
+        st = self._set(line_addr)
+        for i, way in enumerate(st):
+            if way is not None and way.tag == line_addr:
                 if not self.timeguard or self.not_after(way.ts, ts):
-                    way.valid = False
+                    st[i] = None
                     self._bump("lines_extracted")
                     return way
                 return None
         return None
 
     def flush(self, ts):
-        """Squash wipe: invalidate every line younger than ``ts``.
+        """Squash wipe: free every line younger than ``ts``.
 
         Constant-time regardless of how many lines are wiped.  Without
         timeguarding the whole buffer is cleared.
         """
         for st in self.lines.values():
-            for way in st:
-                if way.valid and (not self.timeguard
-                                  or not self.not_after(way.ts, ts)):
-                    way.valid = False
+            for i, way in enumerate(st):
+                if way is not None and (not self.timeguard
+                                        or not self.not_after(way.ts, ts)):
+                    st[i] = None
         self._bump("flush_count")
 
     def invalidate(self, line_addr):
-        for way in self._set(line_addr):
-            if way.valid and way.tag == line_addr:
-                way.valid = False
+        st = self._set(line_addr)
+        for i, way in enumerate(st):
+            if way is not None and way.tag == line_addr:
+                st[i] = None
 
     def valid_lines(self):
         for st in self.lines.values():
             for way in st:
-                if way.valid:
+                if way is not None:
                     yield way

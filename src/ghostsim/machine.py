@@ -20,16 +20,16 @@ class Machine:
         """One core per ``Program``.  A machine given the finished
         ``normal`` run of the same programs is its transient ablation:
         each core takes its fates from the same core of ``normal``."""
-        self.programs = list(programs)
+        programs = list(programs)
         self.cfg = cfg
         self.cycle = 0
         self.words = {}
-        for p in self.programs:
+        for p in programs:
             self.words.update(p.data)
-        self.mem = MemorySystem(cfg, len(self.programs), self.not_after)
+        self.mem = MemorySystem(cfg, len(programs), self.not_after)
         self.cores = [Core(i, p, cfg, self.mem, self.words,
                            normal.cores[i] if normal is not None else None)
-                      for i, p in enumerate(self.programs)]
+                      for i, p in enumerate(programs)]
         self.mem.cores = self.cores
         if cfg.warm_icache:
             self._warm_icache()
@@ -72,12 +72,12 @@ class Machine:
         ROB head whose commit-time access, if it has made one, is ready,
         issue with a ready instruction, rename with a fetched
         instruction and no fence waiting for the ROB to drain, and fetch
-        once its stall is over, with no missed line pending, room in the
-        fetch queue and fewer than ``rob`` instructions live (in the ROB
-        and the fetch queue).  Each test is one the stage makes first
-        itself, so a stage not called would have returned False and
-        changed nothing.  Only commit halts a core, so whether every core
-        has halted is asked again only then.
+        once its stall is over (a missed line stalls it until delivered),
+        with room in the fetch queue and fewer than ``rob`` instructions
+        live (in the ROB and the fetch queue).  Each test is one the stage
+        makes first itself, so a stage not called would have returned
+        False and changed nothing.  Only commit halts a core, so whether
+        every core has halted is asked again only then.
 
         A cycle in which neither the memory system nor any stage changes
         state is followed by a jump to the next cycle at which something
@@ -123,7 +123,6 @@ class Machine:
                 if fetchq and not (rob and fetchq[0].si.cls == FENCE):
                     progress |= core.do_rename(c)
                 if (c >= core.fetch_stall_until and not core.fetch_done
-                        and core.line_req is None
                         and len(fetchq) < fetchq_size
                         and len(rob) + len(fetchq) < rob_size):
                     progress |= core.do_fetch(c)

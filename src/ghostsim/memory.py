@@ -418,12 +418,12 @@ class MemorySystem:
     def data_access(self, core, instr, line, ts, spec, cycle):
         """A load reaching the memory system: (ready, from_below,
         noncoherent) on a hit, None on a miss.  A side-buffer line and a
-        copy forwarded from another core came from below the L1.  An empty
-        side-buffer set holds no line and is not searched, here and in
-        ``ifetch_access``."""
+        copy forwarded from another core came from below the L1.  A
+        side-buffer set never filled holds no line and is not searched,
+        here and in ``ifetch_access``."""
         cfg = self.cfg
         g = self.dghost[core]
-        if g.lines[(line >> g.line_shift) % g.sets]:
+        if g.lines.get((line >> g.line_shift) % g.sets):
             hit = g.lookup(line, ts)
             if hit is not None:
                 return (cycle + cfg.l1_lat, True, hit.noncoherent)
@@ -458,7 +458,7 @@ class MemorySystem:
 
     def ifetch_access(self, core, line, ts, cycle):
         g = self.ighost[core]
-        if g.lines[(line >> g.line_shift) % g.sets] \
+        if g.lines.get((line >> g.line_shift) % g.sets) \
                 and g.lookup(line, ts) is not None \
                 or self._l1_hit(self.l1i[core], line, True):
             return cycle + self.cfg.l1_lat
@@ -501,13 +501,13 @@ class MemorySystem:
         whether the line is in the L1 afterwards: a line valid in the L1 is
         never valid in the side buffer, so a second call for it would only
         re-touch it.  Runs on the commit path, so it reads both sets
-        directly: an empty side-buffer set holds no line and is not
+        directly: a side-buffer set never filled holds no line and is not
         searched."""
         if kind == "i":
             g, l1 = self.ighost[core], self.l1i[core]
         else:
             g, l1 = self.dghost[core], self.l1d[core]
-        if g.lines[(line >> g.line_shift) % g.sets]:
+        if g.lines.get((line >> g.line_shift) % g.sets):
             ln = g.extract(line, ts)
             if ln is not None:
                 # a non-coherent copy is handled by the replay path instead

@@ -10,7 +10,8 @@ core 0's r2 only when the commit-time replay runs.  ``OLDER_RETRY``
 exercises the issue walk rather than a protection, with ``warm_icache``
 and timeleap off.  ``COUNTED_LOOP`` is a loop whose trip count is filled
 in with ``str.format``, for checks that a run's length does not grow the
-state it keeps.
+state it keeps.  ``STRIDED_LOOP``, formatted the same way, walks two
+line-strided streams that wrap after 256 lines each.
 
 The rest each reach a path that the default config does not, at the
 config named with them: ``UNIT_SLOTS`` the issue slots and the store
@@ -212,5 +213,22 @@ add r1, r1, r2
 st r8, r9, 0x1000
 addi r8, r8, -1
 bne r8, r0, loop
+halt
+"""
+
+# two streams, each a line further on per trip and wrapping after 256
+# lines (16 KiB), so trips past 256 re-read lines the first pass left in
+# the L2; the loads' strides train the prefetcher
+STRIDED_LOOP = """\
+li r1, {trips}
+loop:
+slli r4, r2, 6
+andi r4, r4, 0x3fc0
+ld r5, r4, 0x10000
+ld r6, r4, 0x20000
+add r3, r3, r5
+add r3, r3, r6
+addi r2, r2, 1
+bne r2, r1, loop
 halt
 """

@@ -1,10 +1,15 @@
-"""Config parsing, validation, and round-tripping."""
+"""Config parsing, validation, and round-tripping; runs at the config
+fields no other test, gadget or fingerprint geometry varies."""
 
+import random
 from dataclasses import fields
 
 import pytest
 
+from ghostsim import harness
 from ghostsim.config import MODES, PROTECTION, ConfigError, Protection, RunConfig
+
+from programs import STRIDED_LOOP
 
 
 def test_defaults():
@@ -142,11 +147,55 @@ def test_rpt_confidence_out_of_range_rejected(conf):
     assert RunConfig(rpt_confidence=3).rpt_confidence == 3
 
 
+SMALLEST = {**{n: 1 for n in COUNTS}, **{n: 0 for n in LATENCIES},
+            "rob": 2, "line_bytes": 8, "l2_lat": 1, "rpt_confidence": 1}
+
+
 def test_smallest_legal_values_accepted():
-    smallest = {**{n: 1 for n in COUNTS}, **{n: 0 for n in LATENCIES},
-                "rpt_confidence": 1}
-    cfg = RunConfig(rob=2, line_bytes=8, **{**smallest, "l2_lat": 1})
+    cfg = RunConfig(**SMALLEST)
     assert RunConfig.from_text(cfg.to_text()) == cfg
+
+
+# a value off the default for each field that nothing else varies
+VARIED = {"width": 2, "fetchq": 3, "line_bytes": 32, "squash_penalty": 0,
+          "alu_lat": 2, "mul_lat": 1, "div_lat": 5, "l2_sets": 8,
+          "l2_ways": 2, "rpt_entries": 1, "rpt_confidence": 1}
+
+
+@pytest.fixture(scope="module")
+def field_corpus():
+    """The strided loop, which wraps through the L2 and trains the
+    prefetcher as the fuzz programs' 16 data lines never do, then 30
+    seed-0 fuzz programs; each with its digest at the default config."""
+    rng = random.Random(0)
+    texts = [STRIDED_LOOP.format(trips=300)]
+    texts += [harness._gen_program(rng) for _ in range(30)]
+    return [(t, harness.run([t], RunConfig())[1].digest) for t in texts]
+
+
+@pytest.mark.parametrize("name", VARIED)
+def test_varied_field_moves_a_digest(field_corpus, name):
+    cfg = RunConfig(**{name: VARIED[name]})
+    assert cfg != RunConfig()
+    assert any(harness.run([text], cfg)[1].digest != digest
+               for text, digest in field_corpus)
+
+
+@pytest.mark.parametrize("overrides", [
+    # every count 1, every latency 0 and the cycle budget left alone
+    pytest.param({**SMALLEST, "max_cycles": RunConfig().max_cycles},
+                 id="smallest"),
+    pytest.param(VARIED, id="varied")])
+def test_ablation_at_unvaried_fields(overrides):
+    cfg = RunConfig(mode="ghostminion", check_invariants=True, **overrides)
+    rng = random.Random(0)
+    runs = [[harness._gen_program(rng)] for _ in range(100)]
+    rng = random.Random(7)
+    runs += [[harness._gen_program(rng), harness._gen_program(rng)]
+             for _ in range(20)]
+    for i, programs in enumerate(runs):
+        res = harness.run_ablation(programs, cfg)
+        assert res.verdict == "PASS" and res.pure, i
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):

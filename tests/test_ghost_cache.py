@@ -114,45 +114,47 @@ class TestFill:
         assert valid_tags(g) == {line(2), line(3)}
 
 
-def positions(g, s=0):
-    """way index -> tag of each valid line in set ``s``."""
-    return {i: w.tag for i, w in enumerate(g.lines[s]) if w.valid}
+def slots(g, s=0):
+    """The tag in each way of set ``s``, None for a free way."""
+    return [None if w is None else w.tag for w in g.lines[s]]
 
 
 class TestWayPositions:
-    """Ways are allocated on first fill, so pin where each fill lands."""
+    """A set's ways are allocated on its first fill, so pin where each
+    fill lands."""
 
     @pytest.mark.parametrize("timeguard", [True, False])
     def test_fills_from_empty_take_ways_in_order(self, timeguard):
         g = make(timeguard=timeguard)
         g.fill(line(1), 10)
-        assert positions(g) == {0: line(1)}
+        assert slots(g) == [line(1), None]
         g.fill(line(2), 11)
-        assert positions(g) == {0: line(1), 1: line(2)}
+        assert slots(g) == [line(1), line(2)]
 
     @pytest.mark.parametrize("timeguard", [True, False])
     def test_invalid_way_reused_before_a_new_one(self, timeguard):
         g = make(timeguard=timeguard)
         g.fill(line(1), 30)
         g.invalidate(line(1))
+        assert slots(g) == [None, None]
         g.fill(line(2), 25)
-        assert positions(g) == {0: line(2)}
+        assert slots(g) == [line(2), None]
 
     def test_flushed_way_0_of_a_full_set_reused(self):
         g = make()
         g.fill(line(1), 30)
         g.fill(line(2), 10)
         g.flush(20)
-        assert positions(g) == {1: line(2)}
+        assert slots(g) == [None, line(2)]
         g.fill(line(3), 15)
-        assert positions(g) == {0: line(3), 1: line(2)}
+        assert slots(g) == [line(3), line(2)]
 
     def test_unguarded_full_set_evicts_fifo_from_way_0(self):
         g = make(timeguard=False)
         for n in range(1, 6):
             g.fill(line(n), 50 - n)
         # lines 3, 4 and 5 replaced ways 0, 1 and 0
-        assert positions(g) == {0: line(5), 1: line(4)}
+        assert slots(g) == [line(5), line(4)]
 
     def test_unguarded_refill_of_a_present_line_keeps_its_way(self):
         # a refill matches the present line whatever the stamps, so the
@@ -163,17 +165,28 @@ class TestWayPositions:
         assert g.fill(line(1), 9)
         way = g.lines[0][0]
         assert (way.tag, way.ts) == (line(1), 9)
-        assert positions(g) == {0: line(1), 1: line(2)}
+        assert slots(g) == [line(1), line(2)]
         assert g._fifo == [0]
         g.fill(line(3), 10)
-        assert positions(g) == {0: line(3), 1: line(2)}
+        assert slots(g) == [line(3), line(2)]
 
     def test_equal_stamps_evict_the_last_way(self):
         g = make()
         g.fill(line(1), 20)
         g.fill(line(2), 20)
         assert g.fill(line(3), 20)
-        assert positions(g) == {0: line(1), 1: line(3)}
+        assert slots(g) == [line(1), line(3)]
+
+    def test_only_a_fill_allocates_a_set(self):
+        g = make(sets=4)
+        assert g.lookup(line(1), 5) is None
+        assert g.extract(line(1), 5) is None
+        g.invalidate(line(1))
+        g.flush(5)
+        assert g.lines == {}
+        g.fill(line(2), 5)
+        assert g.lines == {2: g.lines[2]}
+        assert slots(g, 2) == [line(2), None]
 
 
 class TestExtractFlush:
@@ -221,5 +234,6 @@ def test_guard_properties(ops):
             if hit is not None:
                 assert hit.ts <= ts
         for s in g.lines.values():
-            tags = [w.tag for w in s if w.valid]
+            assert len(s) == 2
+            tags = [w.tag for w in s if w is not None]
             assert len(tags) == len(set(tags))

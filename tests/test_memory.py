@@ -369,8 +369,8 @@ class TestCommitExtract:
 
     @pytest.mark.parametrize("buffered", [None, "OTHER", "evicted"])
     def test_committed_l1_line_becomes_mru(self, buffered):
-        # buffered: the side-buffer set is empty, holds another line, or
-        # holds only an invalid way
+        # buffered: the side-buffer set was never filled, holds another
+        # line, or holds only free ways
         mem = _mem()
         g, l1 = self._sides(mem, "d")
         if buffered == "OTHER":
@@ -432,7 +432,7 @@ class TestUnsafeSideBuffers:
         assert fills == []
         assert built
         for g in built:
-            assert not any(g.lines.values())
+            assert g.lines == {}
             for key in ("flush_count", "lines_extracted", "timeguard_blocks",
                         "fills_rejected"):
                 assert g.counters[key] == 0, key

@@ -547,19 +547,53 @@ class TestMemoryCallbacks:
         return Machine([load_program("\n".join(lines) + "\nhalt\n")],
                        RunConfig(**cfg_kw))
 
+    @staticmethod
+    def _fetch_state(core):
+        return core.line_buf, core.fetch_stall_until
+
     def test_fetch_line(self):
         m = self._machine(["nop"])
         core = m.cores[0]
-        self._step_until(m, lambda: core.line_req is not None)
-        line = core.line_req
-        assert core.line_buf is None
+        self._step_until(m, lambda: core.fetch_stall_until == WAITING)
+        line = core.line_buf
+        assert line == core.code_base and core.fetch_seq == 0
         core.mem_ready(None, line + 64, m.cycle, False)
-        assert core.line_req == line       # another line: ignored
+        assert self._fetch_state(core) == (line, WAITING)  # another line
         core.mem_retry(None)
-        assert core.line_req is None       # fetch will ask again
-        self._step_until(m, lambda: core.line_req is not None)
+        assert self._fetch_state(core) == (None, 0)   # fetch will ask again
+        self._step_until(m, lambda: core.fetch_stall_until == WAITING)
+        assert core.line_buf == line
         core.mem_ready(None, line, m.cycle, False)
-        assert (core.line_buf, core.line_req) == (line, None)
+        assert self._fetch_state(core) == (line, m.cycle)
+        with pytest.raises(SimTimeout):
+            m.run(max_cycles=m.cycle + 1)
+        assert core.fetch_seq == 2             # the nop and the halt
+
+    def test_fetch_callbacks_while_a_hit_stalls_fetch(self):
+        # fetch waits for no delivery while a hit stalls it until its
+        # ready cycle: a delivery of that line or a retry changes nothing
+        m = self._machine(["nop"], warm_icache=True)
+        core = m.cores[0]
+        self._step_until(m, lambda: core.line_buf is not None)
+        state = self._fetch_state(core)
+        assert m.cycle < state[1] < WAITING
+        core.mem_ready(None, core.line_buf, m.cycle, False)
+        core.mem_retry(None)
+        assert self._fetch_state(core) == state
+
+    def test_fetch_retry_during_the_squash_penalty(self):
+        # a fetch target left on the L1I file's waiters by a request a
+        # squash dropped is woken while fetch serves the squash penalty
+        m = self._machine(["li r1, 1", "bne r1, r0, out", "nop", "out:"],
+                          warm_icache=True)
+        core = m.cores[0]
+        self._step_until(m, lambda: core.epoch == 1)
+        state = self._fetch_state(core)
+        assert state[0] is None and m.cycle < state[1] < WAITING
+        file = m.mem.l1i_file[0]
+        file.waiters.append((0, None))
+        m.mem._wake(file)
+        assert self._fetch_state(core) == state
 
     def _inflight_load(self, m, addr):
         core = m.cores[0]
