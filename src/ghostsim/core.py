@@ -31,6 +31,9 @@ at older instructions that are *not* ready - a load waits behind an
 older store that has not issued, and a speculative divide behind an
 older divide - scan the store and divide queues, which hold the live
 stores and divides in stamp order, as the load queue holds the loads.
+A load reads the store queue once, youngest first: the same pass that
+finds an older store not yet issued finds the youngest older store to
+its word, which forwards its data.
 Complete and ``next_event`` read the in-flight list (issued, finish
 cycle known) instead of the ROB.  A squash pops the squashed tail of
 every list, as it does the ROB's.  An instruction line is a fetch stall
@@ -52,11 +55,11 @@ wraps and times (``tests/test_stage_gates.py`` checks that each is still
 called); ``_replays`` is patched by the mutant matrix and a test, and is
 asked only for a load, the one class that can read a non-coherent copy;
 ``_done`` is the one wake-up path, which ``mem_ready`` shares; and
-``_older_waiting``/``_forward_store`` run only when the store queue
-holds something.  Commit free-slots an instruction line only when no
-earlier commit of the same call left that line in the L1I: nothing a
-commit does takes a line out of the L1I, so the call would only
-re-touch its most recently used line.
+``_older_waiting`` runs only for a divide under ``inorder_divider``.
+Commit free-slots an instruction line only when no earlier commit of the
+same call left that line in the L1I: nothing a commit does takes a line
+out of the L1I, so the call would only re-touch its most recently used
+line.
 
 The committed timeline - (sequence, pc, opcode, per-stage cycles,
 architectural result) for every committed instruction - is the
@@ -327,15 +330,13 @@ class Core:
 
     @staticmethod
     def _older_waiting(queue, di):
-        """Whether an instruction of ``queue`` (in stamp order) older than
-        ``di`` is still waiting to issue."""
-        ts = di.ts
+        """Whether an instruction of ``queue`` older than ``di`` is still
+        waiting to issue.  ``queue`` holds ``di``, in stamp order."""
         for other in queue:
-            if other.ts >= ts:
+            if other is di:
                 return False
             if other.issued is None:
                 return True
-        return False
 
     def do_issue(self, cycle):
         """Returns whether anything was issued.  Walks the ready list in
@@ -372,12 +373,30 @@ class Core:
                 inflight.append(di)
                 alu_slots -= 1
             elif cls == LOAD:
-                if not mem_slots or (stq and self._older_waiting(stq, di)):
+                if not mem_slots:
                     i += 1
-                    continue   # conservative: wait for older store addresses
-                di.addr = addr = s64((regs[si.s1] if dep is None
-                                      else dep.result) + si.imm) & _WORD
-                fwd = self._forward_store(di) if stq else None
+                    continue
+                addr = s64((regs[si.s1] if dep is None
+                            else dep.result) + si.imm) & _WORD
+                fwd = None
+                if stq:
+                    # one pass over the older stores, youngest first: the
+                    # load waits while any has not issued (conservative:
+                    # its address is unknown), else forwards from the
+                    # youngest to its word
+                    ts = di.ts
+                    waits = False
+                    for other in reversed(stq):
+                        if other.ts < ts:
+                            if other.issued is None:
+                                waits = True
+                                break
+                            if fwd is None and other.addr == addr:
+                                fwd = other
+                    if waits:
+                        i += 1
+                        continue
+                di.addr = addr
                 di.issued = cycle
                 mem_slots -= 1
                 if fwd is not None:
@@ -440,15 +459,6 @@ class Core:
             del ready[i]
             budget -= 1
         return budget < cfg.width
-
-    def _forward_store(self, di):
-        """Youngest older store to the same word.  Only called once every
-        older store has executed, so all addresses and data are known."""
-        ts = di.ts
-        for other in reversed(self.stq):
-            if other.ts < ts and other.addr == di.addr:
-                return other
-        return None
 
     # -------------------------------------------------------------- complete
 

@@ -45,9 +45,6 @@ class GhostCache:
         self.lines = {}          # set index -> ``ways`` slots, line or None
         self._fifo = [0] * sets  # replacement pointer for non-timeguarded mode
 
-    def _set(self, line_addr):
-        return self.lines.get((line_addr >> self.line_shift) % self.sets, ())
-
     def _bump(self, key):
         self.counters[key] = self.counters.get(key, 0) + 1
 
@@ -55,7 +52,8 @@ class GhostCache:
         """TimeGuarded read: a hit requires a tag match whose timestamp is
         not after the reader's.  A guarded line is indistinguishable from
         an absent one."""
-        for way in self._set(line_addr):
+        st = self.lines.get((line_addr >> self.line_shift) % self.sets, ())
+        for way in st:
             if way is not None and way.tag == line_addr:
                 if not self.timeguard or self.not_after(way.ts, ts):
                     return way
@@ -107,7 +105,7 @@ class GhostCache:
     def extract(self, line_addr, ts):
         """On commit of a load: free and return the matching way the
         committing instruction is allowed to read, if any."""
-        st = self._set(line_addr)
+        st = self.lines.get((line_addr >> self.line_shift) % self.sets, ())
         for i, way in enumerate(st):
             if way is not None and way.tag == line_addr:
                 if not self.timeguard or self.not_after(way.ts, ts):
@@ -131,7 +129,7 @@ class GhostCache:
         self._bump("flush_count")
 
     def invalidate(self, line_addr):
-        st = self._set(line_addr)
+        st = self.lines.get((line_addr >> self.line_shift) % self.sets, ())
         for i, way in enumerate(st):
             if way is not None and way.tag == line_addr:
                 st[i] = None

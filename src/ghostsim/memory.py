@@ -38,6 +38,18 @@ its latency is set, and each background fill or prefetch.  In a cycle the
 L2, then each core's L1D and L1I deliver, each file's misses in creation
 order, then the actions run in scheduling order.  A delivery whose miss
 was since freed, restarted or handed to the L2 is skipped.
+
+The miss path is a hot path, as the core's stages are: a load refused by
+a full miss-register file is made again on every free, so most accesses
+of a miss-heavy run end in a refusal.  The accesses, the request path,
+delivery and wake-up read cache sets, side-buffer sets, ``owner`` and
+the files' entries inline and call no one-line helper.  What stays a
+call has a reason to: the accesses, ``tick``, ``commit_extract``,
+``squash_flush`` and the ``GhostCache`` operations are the layers the
+benchmark's tracer wraps and times; every stamp comparison goes through
+``not_after``, which the tracer counts; ``mem_ready`` and ``mem_retry``
+are the core's; and ``_wake``, called only when a file has waiters,
+is what a test calls to wake them.
 """
 
 COUNTER_KEYS = (
@@ -57,7 +69,10 @@ class Cache:
 
     A set is allocated the first time it is touched: ``lines`` maps a set
     index to its set, so building a cache and snapshotting it cost only
-    the sets a run used.  A set that was only looked up exists, empty."""
+    the sets a run used.  A set that was only looked up exists, empty.
+    The memory system makes a hit most recently used itself, on its hot
+    path: ``st[line] = st.pop(line)`` moves the tag to the end of its set
+    with its dirty bit."""
 
     def __init__(self, sets, ways, line_shift=6):
         self.sets = sets
@@ -71,11 +86,6 @@ class Cache:
 
     def lookup(self, line_addr):
         return line_addr in self._set(line_addr)
-
-    def touch(self, line_addr):
-        st = self._set(line_addr)
-        if line_addr in st:
-            st[line_addr] = st.pop(line_addr)
 
     def mark_dirty(self, line_addr, dirty=True):
         st = self._set(line_addr)
@@ -131,15 +141,6 @@ class MshrFile:
         self.entries = []
         self.waiters = []     # targets to wake when a slot frees
 
-    def find(self, addr, core=None):
-        for e in self.entries:
-            if e.addr == addr and (core is None or e.core == core):
-                return e
-        return None
-
-    def full(self):
-        return len(self.entries) >= self.cap
-
 
 class MemorySystem:
     def __init__(self, cfg, ncores, not_after):
@@ -181,39 +182,16 @@ class MemorySystem:
 
     # ------------------------------------------------------------------ util
 
-    def _bump(self, key):
-        self.counters[key] += 1
-
-    def _lru_visible(self, spec):
-        """Replacement state is soft state: under protection it may only be
-        updated by non-speculative activity."""
-        return (not spec) or not self.prot.hide_spec_lru
-
-    def _ghost_for(self, core, kind):
-        return self.ighost[core] if kind == "i" else self.dghost[core]
-
-    def _l1_for(self, core, kind):
-        return self.l1i[core] if kind == "i" else self.l1d[core]
-
-    def _deliver_at(self, entry, cycle):
-        entry.deliver_at = cycle
-        heappush(self._events, (cycle, entry.file.rank, entry.seq, entry))
-
     def at(self, cycle, fn):
         heappush(self._events, (cycle, self._action_rank, next(self._seq), fn))
 
     # ------------------------------------------------------------- coherence
 
-    def _remote_owner(self, line, core):
-        """Core id holding this line Exclusive/Modified in a remote L1."""
-        owner = self.owner.get(line)
-        return owner if owner != core else None
-
     def _downgrade(self, line, requester):
         """A remote Exclusive/Modified copy is demoted to Shared; a dirty
         copy is written back to the L2.  Returns True if any state changed."""
-        owner = self._remote_owner(line, requester)
-        if owner is None:
+        owner = self.owner.get(line, requester)
+        if owner == requester:
             return False
         l1 = self.l1d[owner]
         if l1.lines[(line >> l1.line_shift) % l1.sets][line]:
@@ -251,17 +229,22 @@ class MemorySystem:
         side buffer, which never holds a line valid in its L1, and a
         delivered miss was made when the L1 missed; its file holds no
         other entry for the line."""
-        l1 = self._l1_for(core, kind)
-        evicted = l1.install(line, dirty)
-        # a line never lives in both structures
-        self._ghost_for(core, kind).invalidate(line)
-        if kind == "d":
-            if any(other.lookup(line) for c, other in enumerate(self.l1d)
-                   if c != core):
-                # every copy is now Shared
-                self.owner.pop(line, None)
+        if kind == "i":
+            evicted = self.l1i[core].install(line, dirty)
+            # a line never lives in both structures
+            self.ighost[core].invalidate(line)
+        else:
+            evicted = self.l1d[core].install(line, dirty)
+            self.dghost[core].invalidate(line)
+            owner = self.owner
+            for c, other in enumerate(self.l1d):
+                if c != core and line in other.lines[
+                        (line >> other.line_shift) % other.sets]:
+                    # every copy is now Shared
+                    owner.pop(line, None)
+                    break
             else:
-                self.owner[line] = core
+                owner[line] = core
                 if self.prot.noncoherent_forward:
                     # side-buffer copies are not tracked: drop the other
                     # cores' speculative copies of a line now held Exclusive
@@ -278,8 +261,6 @@ class MemorySystem:
     # ------------------------------------------------------------- MSHR logic
 
     def _wake(self, file):
-        if not file.waiters:
-            return
         waiters, file.waiters = file.waiters, []
         for core, instr in waiters:
             self.cores[core].mem_retry(instr)
@@ -288,7 +269,8 @@ class MemorySystem:
         file = entry.file
         file.entries.remove(entry)
         entry.deliver_at = None
-        self._wake(file)
+        if file.waiters:
+            self._wake(file)
 
     def _orphan_child(self, entry):
         """Detach ``entry`` from its lower-level miss.  An L2 entry left
@@ -316,58 +298,67 @@ class MemorySystem:
     def _mshr_request(self, file, line, ts, core, spec, cycle, *,
                       target=None, parent=None, is_write=False):
         """Returns the entry the request waits on, or None if it must wait
-        for a free register and retry."""
+        for a free register and retry.  A target already on the entry it
+        merges into is not attached again."""
         prot = self.prot
-        merge_core = core if (prot.merge_core and file is self.l2_file) \
-            else None
-        existing = file.find(line, merge_core)
-        if existing is not None:
+        # under merge_core an L2 request merges only with its own core's
+        # miss, and leapfrogs only its own core's misses
+        merge_core = prot.merge_core and file is self.l2_file
+        entries = file.entries
+        for entry in entries:
+            if entry.addr == line and (not merge_core or entry.core == core):
+                break
+        else:
+            entry = None
+        if entry is not None:
             if is_write:
                 # a committing store makes the miss non-speculative: the
                 # line must reach the L1 dirty, not the side buffer, and
                 # the L2 must keep it as for any store miss
-                existing.is_write = True
-                e = existing
+                entry.is_write = True
+                e = entry
                 while e is not None:
                     e.spec = False
                     e = e.child
-            restart = prot.timeleap and existing.ts != ts \
-                and self.not_after(ts, existing.ts)
+            restart = prot.timeleap and entry.ts != ts \
+                and self.not_after(ts, entry.ts)
             if restart:
                 # timeleap: the older request restarts the miss so its
                 # timing is unaffected by the younger in-flight one
-                self._bump("timeleaps")
-                existing.ts = ts
-                existing.spec = spec
-                existing.core = core
-                self._orphan_child(existing)
-            entry = existing
+                self.counters["timeleaps"] += 1
+                entry.ts = ts
+                entry.spec = spec
+                entry.core = core
+                self._orphan_child(entry)
+            if target is not None and target not in entry.targets:
+                entry.targets.append(target)
         else:
-            if file.full():
+            if len(entries) >= file.cap:
                 victim = None
                 if prot.leapfrog:
-                    for e in file.entries:
-                        if merge_core is not None and e.core != core:
+                    not_after = self.not_after
+                    for e in entries:
+                        if merge_core and e.core != core:
                             continue
-                        if victim is None or self.not_after(victim.ts, e.ts):
+                        if victim is None or not_after(victim.ts, e.ts):
                             victim = e
-                    if victim is not None and self.not_after(ts, victim.ts) \
+                    if victim is not None and not_after(ts, victim.ts) \
                             and victim.ts != ts:
-                        self._bump("mshr_leapfrogs")
+                        self.counters["mshr_leapfrogs"] += 1
                         self._cancel_entry(victim, file)
                     else:
                         victim = None
                 if victim is None:
-                    self._bump("retries")
+                    self.counters["retries"] += 1
                     if target is not None:
                         file.waiters.append(target)
                     return None
             entry = MshrEntry(file, line, ts, core, spec, next(self._seq),
                               is_write)
-            file.entries.append(entry)
+            entries.append(entry)
             restart = True
-        if target is not None:
-            entry.targets.append(target)
+            if target is not None:
+                entry.targets.append(target)
         if parent is not None:
             entry.parents.append(parent)
             parent.child = entry
@@ -383,20 +374,29 @@ class MemorySystem:
         register for it: the entry, which has no parent or child, is then
         cancelled and its targets wait on the L2."""
         cfg = self.cfg
-        if entry.file is self.l2_file:
-            self._deliver_at(entry, cycle + cfg.l2_lat + cfg.mem_lat)
-            return True
-        if self.l2.lookup(entry.addr):
-            if self._lru_visible(entry.spec):
-                self.l2.touch(entry.addr)
-            self._deliver_at(entry, cycle + cfg.l1_lat + cfg.l2_lat)
-            return True
-        entry.deliver_at = None
-        if self._mshr_request(self.l2_file, entry.addr, entry.ts, entry.core,
-                              entry.spec, cycle, parent=entry):
-            return True
-        self._cancel_entry(entry, self.l2_file)
-        return False
+        file = entry.file
+        if file is self.l2_file:
+            at = cycle + cfg.l2_lat + cfg.mem_lat
+        else:
+            line = entry.addr
+            l2 = self.l2
+            st = l2.lines[(line >> l2.line_shift) % l2.sets]
+            if line not in st:
+                entry.deliver_at = None
+                if self._mshr_request(self.l2_file, line, entry.ts,
+                                      entry.core, entry.spec, cycle,
+                                      parent=entry):
+                    return True
+                self._cancel_entry(entry, self.l2_file)
+                return False
+            # replacement state is soft state: under protection only
+            # non-speculative activity updates it
+            if not entry.spec or not self.prot.hide_spec_lru:
+                st[line] = st.pop(line)   # most recently used
+            at = cycle + cfg.l1_lat + cfg.l2_lat
+        entry.deliver_at = at
+        heappush(self._events, (at, file.rank, entry.seq, entry))
+        return True
 
     # ------------------------------------------------------------- accesses
     #
@@ -407,13 +407,6 @@ class MemorySystem:
     # the core's mem_ready(instr, line, cycle, noncoherent) when the line is
     # delivered, or mem_retry(instr) when a miss-register file had no room
     # or the miss was cancelled, after which the access is made again.
-
-    def _l1_hit(self, l1, line, spec):
-        if not l1.lookup(line):
-            return False
-        if self._lru_visible(spec):
-            l1.touch(line)
-        return True
 
     def data_access(self, core, instr, line, ts, spec, cycle):
         """A load reaching the memory system: (ready, from_below,
@@ -431,9 +424,9 @@ class MemorySystem:
         st = l1.lines[(line >> l1.line_shift) % l1.sets]
         if line in st:
             if not spec or not self.prot.hide_spec_lru:
-                st[line] = st.pop(line)   # Cache.touch
+                st[line] = st.pop(line)   # most recently used
             return (cycle + cfg.l1_lat, False, False)
-        if self._remote_owner(line, core) is not None:
+        if self.owner.get(line, core) != core:   # a remote owner
             if spec and self.prot.noncoherent_forward:
                 # forward a non-coherent copy without touching remote state;
                 # the consumer must be revalidated at commit
@@ -459,8 +452,13 @@ class MemorySystem:
     def ifetch_access(self, core, line, ts, cycle):
         g = self.ighost[core]
         if g.lines.get((line >> g.line_shift) % g.sets) \
-                and g.lookup(line, ts) is not None \
-                or self._l1_hit(self.l1i[core], line, True):
+                and g.lookup(line, ts) is not None:
+            return cycle + self.cfg.l1_lat
+        l1 = self.l1i[core]
+        st = l1.lines[(line >> l1.line_shift) % l1.sets]
+        if line in st:
+            if not self.prot.hide_spec_lru:   # a fetch is speculative
+                st[line] = st.pop(line)       # most recently used
             return cycle + self.cfg.l1_lat
         self._mshr_request(self.l1i_file[core], line, ts, core, True, cycle,
                            target=(core, None))
@@ -476,7 +474,7 @@ class MemorySystem:
     def replay_access(self, core, instr, line, cycle):
         """Commit-time revalidation of a load that consumed a non-coherent
         forwarded copy: reissue non-speculatively."""
-        self._bump("replays")
+        self.counters["replays"] += 1
         self.dghost[core].invalidate(line)
         if self._downgrade(line, core):
             cycle += self.cfg.coh_lat
@@ -484,9 +482,12 @@ class MemorySystem:
 
     def _commit_access(self, core, instr, line, cycle, is_write):
         l1 = self.l1d[core]
-        if self._l1_hit(l1, line, False):
-            if is_write:   # upgrade_for_store has made the line Modified
-                l1.mark_dirty(line)
+        st = l1.lines[(line >> l1.line_shift) % l1.sets]
+        if line in st:
+            # a non-speculative hit is made most recently used; a store
+            # makes it dirty (upgrade_for_store has made it Modified)
+            dirty = st.pop(line)
+            st[line] = is_write or dirty
             return cycle + self.cfg.l1_lat
         self._mshr_request(self.l1d_file[core], line, instr.ts, core, False,
                            cycle, target=(core, instr), is_write=is_write)
@@ -517,7 +518,7 @@ class MemorySystem:
                 return True
         st = l1.lines[(line >> l1.line_shift) % l1.sets]
         if line in st:
-            st[line] = st.pop(line)   # Cache.touch
+            st[line] = st.pop(line)   # most recently used
             return True
         return False
 
@@ -541,7 +542,7 @@ class MemorySystem:
         if e[3] >= cfg.rpt_confidence and e[2] != 0:
             nxt = line + e[2]
             if nxt >= 0 and not self.l2.lookup(nxt):
-                self._bump("prefetches_issued")
+                self.counters["prefetches_issued"] += 1
                 self.at(cycle + cfg.mem_lat, lambda a=nxt: self.l2.install(a))
 
     # -------------------------------------------------------------- squash
@@ -567,12 +568,13 @@ class MemorySystem:
         cycle.  Returns whether anything happened.  ``Machine.run`` calls
         it only when the top of ``_events`` is due."""
         events = self._events
+        action_rank = self._action_rank
         progress = False
         actions = []
         # a delivery this pushes for this cycle (l1_lat = 0) is popped too
         while events and events[0][0] <= cycle:
             at, rank, seq, what = heappop(events)
-            if rank == self._action_rank:
+            if rank == action_rank:
                 actions.append((seq, what))
             elif what.deliver_at == at:
                 progress = True
@@ -589,8 +591,11 @@ class MemorySystem:
             if e.parents:   # else orphaned: every requester was cancelled
                 if (not e.spec) or not self.prot.hide_spec_l2_fill:
                     self.l2.install(e.addr)
+                at = cycle + self.cfg.l1_lat
                 for parent in e.parents:
-                    self._deliver_at(parent, cycle + self.cfg.l1_lat)
+                    parent.deliver_at = at
+                    heappush(self._events,
+                             (at, parent.file.rank, parent.seq, parent))
                     parent.child = None
             e.parents = []
         else:
@@ -610,22 +615,26 @@ class MemorySystem:
 
     def _deliver_l1(self, entry, cycle):
         """An L1 completion: install the line and wake its targets."""
-        core, kind = entry.core, entry.file.kind
+        core, kind, line = entry.core, entry.file.kind, entry.addr
+        prot = self.prot
         # a speculative copy of a line another core has taken Exclusive
         # meanwhile is non-coherent: its loads are replayed at commit
         noncoherent = False
-        if entry.spec and self.prot.side_buffer:
-            noncoherent = (kind == "d" and self.prot.noncoherent_forward
-                           and self._remote_owner(entry.addr, core) is not None)
-            self._ghost_for(core, kind).fill(entry.addr, entry.ts,
-                                             noncoherent=noncoherent)
+        if entry.spec and prot.side_buffer:
+            if kind == "i":
+                g = self.ighost[core]
+            else:
+                g = self.dghost[core]
+                noncoherent = prot.noncoherent_forward \
+                    and self.owner.get(line, core) != core
+            g.fill(line, entry.ts, noncoherent=noncoherent)
         else:
-            self._install_l1(core, kind, entry.addr, dirty=entry.is_write)
+            self._install_l1(core, kind, line, dirty=entry.is_write)
         for tcore, instr in entry.targets:
-            self.cores[tcore].mem_ready(instr, entry.addr, cycle, noncoherent)
+            self.cores[tcore].mem_ready(instr, line, cycle, noncoherent)
         entry.targets = []
         if entry.is_write:   # only L1D entries are writes
-            self.owner[entry.addr] = core
+            self.owner[line] = core
 
     # ------------------------------------------------------------ snapshots
 
@@ -642,13 +651,13 @@ class MemorySystem:
             assert self.l1d[core].lookup(line), \
                 f"owner {core} of line {line:#x} does not hold it"
         for core in range(self.ncores):
-            for kind in ("d", "i"):
-                l1 = self._l1_for(core, kind)
-                for way in self._ghost_for(core, kind).valid_lines():
+            for kind, l1, g in (("d", self.l1d[core], self.dghost[core]),
+                                ("i", self.l1i[core], self.ighost[core])):
+                for way in g.valid_lines():
                     assert not l1.lookup(way.tag), \
                         f"line {way.tag:#x} in both L1{kind} and its side buffer"
             if self.prot.noncoherent_forward:
                 for way in self.dghost[core].valid_lines():
                     if not way.noncoherent:
-                        assert self._remote_owner(way.tag, core) is None, \
+                        assert self.owner.get(way.tag, core) == core, \
                             f"unflagged speculative copy of {way.tag:#x} with remote owner"

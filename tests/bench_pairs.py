@@ -13,10 +13,12 @@ own ``perfbench``, which must be the same code.
 The file holds, per workload and end-to-end metric of ``BENCHMARK.json``,
 every run's value, the median and quartiles of each side, the ratio of
 the medians (change / parent), and the pairs the change won (ties count
-for neither side); whether every run was ``correct`` with no failed
-operation; the seeds; the output of ``tests/fingerprint.py --compare``
-between the base's sources and this checkout's: the records that
-differ, then the summary line; and, under ``mutants``, the lines of this
+for neither side); the same for ``raw_wall_s``, perfbench's wall time
+before normalisation by its pace kernel, read from the full report line
+that precedes the result line; whether every run was ``correct`` with
+no failed operation; the seeds; the output of ``tests/fingerprint.py
+--compare`` between the base's sources and this checkout's: the records
+that differ, then the summary line; and, under ``mutants``, the lines of this
 checkout's ``tests/mutants.py`` output that differ between a run on the
 base's sources (``-``) and one on this checkout's (``+``), then a
 summary line.  The differing mutant lines and then the file are printed.
@@ -46,12 +48,16 @@ def _git(*args, cwd=ROOT):
 
 
 def _perfbench(checkout, workload, seed, seconds):
-    """The result line of one plain benchmark run in ``checkout``."""
+    """The result line of one plain benchmark run in ``checkout``, with
+    the full report's ``raw_wall_s`` added."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    *_, report, result = out.splitlines()
+    result = json.loads(result)
+    result["raw_wall_s"] = json.loads(report)["raw_wall_s"]
+    return result
 
 
 def _fingerprint(base):
@@ -101,6 +107,14 @@ def _summary(values):
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
+def _compare(p, c, lower):
+    """Each side's summary, the ratio of the medians and the pairs won."""
+    wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+    return {"parent": _summary(p), "change": _summary(c),
+            "ratio": statistics.median(c) / statistics.median(p),
+            "wins": wins, "pairs": len(p)}
+
+
 def bench(base, pairs, seconds, seed):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     seeds = [seed + k for k in range(pairs)]
@@ -118,20 +132,22 @@ def bench(base, pairs, seconds, seed):
         parent, change = runs[w]["parent"], runs[w]["change"]
         metrics = {}
         for m in declared:
-            name, lower = m["name"], m["better"] == "lower"
-            p = [r["metrics"][name]["value"] for r in parent]
-            c = [r["metrics"][name]["value"] for r in change]
-            wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+            name = m["name"]
             metrics[name] = {
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                "parent": _summary(p), "change": _summary(c),
-                "ratio": statistics.median(c) / statistics.median(p),
-                "wins": wins, "pairs": len(p),
+                **_compare([r["metrics"][name]["value"] for r in parent],
+                           [r["metrics"][name]["value"] for r in change],
+                           m["better"] == "lower"),
             }
         report[w] = {
             "correct": all(r["correct"] and r["failed"] == 0
                            for r in parent + change),
             "metrics": metrics,
+            "raw_wall_s": {
+                "unit": "s", "better": "lower",
+                **_compare([r["raw_wall_s"] for r in parent],
+                           [r["raw_wall_s"] for r in change], True),
+            },
         }
     return seeds, report
 

@@ -7,10 +7,14 @@ default geometry, and with one miss register per level
 (``MSHR_ONE``), where leapfrogs cancel misses and retry their loads
 while the core is still issuing.  The first 20 ``random.Random(7)``
 two-core pairs (as in ``fingerprint.py``) run in ghostminion and unsafe
-mode, so the two-core commit path is pinned too.  A change that is meant to leave
-simulated behaviour alone (a refactor, a speed-up) keeps this test
-passing unchanged; a change that is meant to move timing re-records the
-file with ``python tests/test_golden.py --record`` and says why.
+mode, so the two-core commit path is pinned too.  ``STRIDED_LOOP`` at
+300 trips runs in every mode at the default geometry and with three L1
+and one L2 miss register (``STRIDE_GEOMETRIES``): long runs in which
+thousands of loads find the L1D miss-register file full and retry.  A
+change that is meant to leave simulated behaviour alone (a refactor, a
+speed-up) keeps this test passing unchanged; a change that is meant to
+move timing re-records the file with ``python tests/test_golden.py
+--record`` and says why.
 """
 
 import json
@@ -18,6 +22,8 @@ import random
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+from programs import STRIDED_LOOP
 
 from ghostsim import RunConfig, harness
 from ghostsim.gadgets import GADGETS
@@ -31,6 +37,15 @@ PAIR_SEED = 7
 PAIR_COUNT = 20
 PAIR_MODES = ("ghostminion", "unsafe")
 PAIR_KEY = "pairs_seed7"
+STRIDE_KEY = "strided_loop_300"
+STRIDE_TRIPS = 300
+STRIDE_GEOMETRIES = {"default": {}, "mshr_3_1": {"l1_mshrs": 3, "l2_mshrs": 1}}
+
+
+def _record(programs, cfg):
+    _, rep = harness.run(programs, cfg)
+    return {"digest": rep.digest, "cycles": rep.cycles,
+            "counters": rep.counters}
 
 
 def observe():
@@ -38,10 +53,7 @@ def observe():
     for name, g in GADGETS.items():
         for mode in MODES:
             cfg = replace(RunConfig(mode=mode), **g.cfg_overrides)
-            _, rep = harness.run(g.programs(0), cfg)
-            gadgets[f"{name}/{mode}"] = {"digest": rep.digest,
-                                         "cycles": rep.cycles,
-                                         "counters": rep.counters}
+            gadgets[f"{name}/{mode}"] = _record(g.programs(0), cfg)
     rng = random.Random(FUZZ_SEED)
     texts = [harness._gen_program(rng) for _ in range(FUZZ_COUNT)]
     cfg = RunConfig(mode="ghostminion")
@@ -54,8 +66,12 @@ def observe():
     two_core = {mode: [harness.run(pair, RunConfig(mode=mode))[1].digest
                        for pair in pairs]
                 for mode in PAIR_MODES}
+    text = STRIDED_LOOP.format(trips=STRIDE_TRIPS)
+    strided = {f"{geo}/{mode}": _record([text], RunConfig(mode=mode, **over))
+               for geo, over in STRIDE_GEOMETRIES.items() for mode in MODES}
     return {"gadgets": gadgets, "fuzz_seed0_ghostminion": fuzz,
-            "fuzz_seed0_ghostminion_mshr1": fuzz_mshr1, PAIR_KEY: two_core}
+            "fuzz_seed0_ghostminion_mshr1": fuzz_mshr1, PAIR_KEY: two_core,
+            STRIDE_KEY: strided}
 
 
 def test_timelines_match_golden():
@@ -73,6 +89,7 @@ def test_timelines_match_golden():
         for i, (a, b) in enumerate(zip(got[PAIR_KEY][mode], digests)):
             assert a == b, f"{mode}: pair seed {PAIR_SEED} pair {i}"
         assert len(digests) == PAIR_COUNT
+    assert got[STRIDE_KEY] == want[STRIDE_KEY]
 
 
 if __name__ == "__main__":

@@ -58,15 +58,6 @@ class TestCache:
         assert c.install(0x100) == (0x000, False)
         assert not c.lookup(0x000) and c.lookup(0x080) and c.lookup(0x100)
 
-    def test_touch_refreshes_recency(self):
-        c = Cache(2, 2)
-        c.install(0x000)
-        c.install(0x080)
-        c.touch(0x000)
-        c.touch(0x0C0)                             # absent: no effect
-        assert c.install(0x100) == (0x080, False)
-        assert c.lookup(0x000)
-
     def test_reinstall_ors_dirty_bit_and_refreshes(self):
         c = Cache(2, 2)
         c.install(0x000, dirty=True)
@@ -98,7 +89,7 @@ class TestCache:
             a.install(line, dirty=line == 0x040)
         for line in (0x080, 0x000, 0x040):
             b.install(line, dirty=line == 0x040)
-        b.touch(0x080)
+        b.install(0x080)                           # refreshes its recency
         assert a.used_sets() == b.used_sets() == {
             0: {0x000: False, 0x080: False}, 1: {0x040: True}}
 

@@ -6,8 +6,10 @@ import operator
 import random
 from dataclasses import replace
 
+import pytest
+
 from ghostsim import harness
-from ghostsim.config import PROTECTION, RunConfig
+from ghostsim.config import MODES, PROTECTION, RunConfig
 from ghostsim.memory import MemorySystem
 
 from programs import (OLDER_MISS, OTHER_CORE_MISS, TIMELEAP_CONFIG,
@@ -106,6 +108,17 @@ class TestMergeAndTimeleap:
         assert len(mem.l1d_file[0].entries) == 1
         assert [t[1] for t in res1.targets] == ["a", "b"]
 
+    def test_a_target_already_on_the_entry_is_not_attached_again(self):
+        # fetch asks again for the line its squashed request left in
+        # flight: the merge keeps the one target, so it is told once
+        mem, core = make()
+        file = mem.l1i_file[0]
+        entry = mem._mshr_request(file, 7 << 6, 40, 0, True, cycle=0,
+                                  target=(0, None))
+        again = mem._mshr_request(file, 7 << 6, 45, 0, True, cycle=3,
+                                  target=(0, None))
+        assert again is entry and entry.targets == [(0, None)]
+
     def test_older_request_timeleaps_inflight_miss(self):
         # a younger miss is in flight for the line; an older request
         # restarts it so the observable latency is the older one's own
@@ -196,6 +209,27 @@ class TestCancelledFetch:
         assert m.mem.counters["mshr_leapfrogs"] > 0
         res = harness.run_ablation([text], cfg)
         assert res.verdict == "PASS" and res.pure
+
+
+class TestTargetsAttachedOnce:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_l1i_entry_delivers_a_target_twice(self, mode, monkeypatch):
+        # without squash_cancels_misses a squash leaves the instruction
+        # miss in flight, and fetch asks for the same line again
+        deliver = MemorySystem._deliver_l1
+        fetch_targets = []
+
+        def spy(self, entry, cycle):
+            if entry.file.kind == "i":
+                fetch_targets.append(entry.targets)
+            return deliver(self, entry, cycle)
+        monkeypatch.setattr(MemorySystem, "_deliver_l1", spy)
+        rng = random.Random(0)
+        cfg = RunConfig(mode=mode)
+        for _ in range(50):
+            harness.run([harness._gen_program(rng)], cfg)
+        assert fetch_targets
+        assert [t for t in fetch_targets if len(set(t)) != len(t)] == []
 
 
 def _switched_off(monkeypatch, name):

@@ -477,6 +477,35 @@ class TestStoreForward:
             # forwarding: the load completes without a memory round trip
             assert ld[3][3] - ld[3][2] <= 2
 
+    def test_forwards_from_the_youngest_older_store(self):
+        # two older stores write the load's word: the younger one's value
+        # is forwarded, with no memory round trip
+        text = ("li r1, 11\n"
+                "li r3, 22\n"
+                "st r1, r0, 0x200\n"
+                "st r3, r0, 0x200\n"
+                "ld r2, r0, 0x200\n"
+                "halt\n")
+        m, _ = run(text, warm_icache=True)
+        ld = m.cores[0].timeline[4]
+        assert ld[4] == 22
+        assert ld[3][3] - ld[3][2] <= 2
+
+    def test_younger_store_is_not_forwarded(self):
+        # the load's address waits for a multiply, so the younger store to
+        # its word issues first; the load still reads the word from memory
+        text = (".word 0x200 5\n"
+                "li r1, 9\n"
+                "mul r4, r1, r0\n"
+                "ld r2, r4, 0x200\n"
+                "st r1, r0, 0x200\n"
+                "halt\n")
+        m, _ = run(text, warm_icache=True)
+        tl = m.cores[0].timeline
+        ld, st = tl[2], tl[3]
+        assert st[3][2] < ld[3][2]
+        assert ld[4] == 5 and m.read_word(0x200) == 9
+
     def test_load_waits_for_older_store_address(self):
         # conservative disambiguation: the load must not issue before the
         # older store's address is known, even to a different word
