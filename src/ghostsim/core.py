@@ -54,8 +54,7 @@ the ``GhostCache`` operations are the layers the benchmark's tracer
 wraps and times (``tests/test_stage_gates.py`` checks that each is still
 called); ``_replays`` is patched by the mutant matrix and a test, and is
 asked only for a load, the one class that can read a non-coherent copy;
-``_done`` is the one wake-up path, which ``mem_ready`` shares; and
-``_older_waiting`` runs only for a divide under ``inorder_divider``.
+and ``_done`` is the one wake-up path, which ``mem_ready`` shares.
 Commit free-slots an instruction line only when no earlier commit of the
 same call left that line in the L1I: nothing a commit does takes a line
 out of the L1I, so the call would only re-touch its most recently used
@@ -328,16 +327,6 @@ class Core:
 
     # ----------------------------------------------------------------- issue
 
-    @staticmethod
-    def _older_waiting(queue, di):
-        """Whether an instruction of ``queue`` older than ``di`` is still
-        waiting to issue.  ``queue`` holds ``di``, in stamp order."""
-        for other in queue:
-            if other is di:
-                return False
-            if other.issued is None:
-                return True
-
     def do_issue(self, cycle):
         """Returns whether anything was issued.  Walks the ready list in
         stamp order and takes what issues out of it."""
@@ -420,10 +409,15 @@ class Core:
                         i = ready.index(di, i)
             else:
                 if cls == DIV:
-                    if self.prot.inorder_divider \
-                            and self._older_waiting(self.divq, di):
-                        i += 1
-                        continue
+                    if self.prot.inorder_divider:
+                        # the divide waits while an older one has not
+                        # issued; divq holds di, in stamp order
+                        for other in self.divq:
+                            if other is di or other.issued is None:
+                                break
+                        if other is not di:
+                            i += 1
+                            continue
                     unit = next((u for u in range(cfg.div_units)
                                  if self.div_busy[u] <= cycle), None)
                     if unit is None:

@@ -1,12 +1,15 @@
 """Leak-gadget generators.
 
-Each gadget is a family of assembly programs parameterized by a 4-bit
-secret (0..15).  The committed instruction stream of every program is
-secret-independent by construction: the secret is touched only by
-transient (squashed) instructions, or - for the covert-channel gadgets -
-loaded transiently from a line that committed code warms via a sibling
-word.  A protection mode leaks iff the committed timelines differ across
-secrets.
+Each gadget is a family of assembly programs parameterized by a secret
+from ``SECRETS``, the ``BITS``-bit domain 0..15.  The domain is stated
+there once: every structure with one entry per value (spectre_v1's
+array, bound and probe sweep, spectre_prime's primed lines, the slot
+decoders) and every sweep over the secrets reads it.  The committed
+instruction stream of every program is secret-independent by
+construction: the secret is touched only by transient (squashed)
+instructions, or - for the covert-channel gadgets - loaded transiently
+from a line that committed code warms via a sibling word.  A protection
+mode leaks iff the committed timelines differ across secrets.
 
 The five families:
 
@@ -22,6 +25,10 @@ The five families:
   committed jump to that line observes the fill.
 * ``spectre_prime``    - two cores: a victim's transient load downgrades
   the attacker's Modified lines; the attacker times re-stores.
+
+``GADGETS`` is keyed by each gadget's name.  A gadget is two-core when
+its ``assemble`` returns two texts (attacker, victim); every other
+returns one.
 """
 
 from dataclasses import dataclass, field
@@ -40,8 +47,8 @@ FLAG2 = 0x14040     # victim -> attacker handshake
 # the staggered bases keep the hot lines (secret, results, probe targets)
 # in distinct L1 sets, so one gadget line cannot evict another's warm line
 
-SECRETS = tuple(range(16))
 BITS = 4
+SECRETS = tuple(range(1 << BITS))
 
 
 @dataclass
@@ -49,13 +56,15 @@ class Gadget:
     name: str
     assemble: object            # secret -> program text, or (attacker, victim)
     decode: object              # Machine -> recovered secret
-    secrets: tuple = SECRETS
-    two_core: bool = False
     cfg_overrides: dict = field(default_factory=dict)
 
     def programs(self, secret):
         out = self.assemble(secret)
         return out if isinstance(out, tuple) else (out,)
+
+    @property
+    def two_core(self):
+        return len(self.programs(0)) == 2
 
 
 def _chase_pair(idx):
@@ -86,11 +95,12 @@ def _read_results(machine, n):
 # --------------------------------------------------------------- spectre_v1
 
 def _asm_spectre_v1(secret):
-    trials = [1, 2, 3, 1, 16]
+    n = len(SECRETS)
+    trials = [1, 2, 3, 1, n]
     lines = []
-    for i in range(16):
-        lines.append(f".word {ARRAY + 8 * i} 16")   # in-bounds values -> probe[16]
-    lines.append(f".word {ARRAY + 128} {secret}")   # arr[16]: the secret
+    for i in range(n):
+        lines.append(f".word {ARRAY + 8 * i} {n}")  # in bounds -> probe[n]
+    lines.append(f".word {ARRAY + 8 * n} {secret}")  # arr[n]: the secret
     for t, idx in enumerate(trials):
         a, words = _chase_pair(t)
         lines += words
@@ -98,7 +108,7 @@ def _asm_spectre_v1(secret):
     # one shared bounds-check branch, trained taken by the in-bounds
     # trials, so the out-of-bounds trial speculates into the access
     body = [
-        "li r10, 16",
+        f"li r10, {n}",
         "li r9, 0",
         f"li r8, {len(trials)}",
         "trial:",
@@ -119,7 +129,7 @@ def _asm_spectre_v1(secret):
         "addi r9, r9, 1",
         "blt r9, r8, trial",
     ]
-    for i in range(16):
+    for i in range(n):
         body += _timed(i, [f"ld r13, r0, {PROBE + 64 * i}"], "r12", "r13")
     body.append("halt")
     return "\n".join(lines + body) + "\n"
@@ -127,8 +137,8 @@ def _asm_spectre_v1(secret):
 
 def _decode_extreme(pick, machine):
     """The slot with the ``pick`` (min or max) delta."""
-    deltas = _read_results(machine, 16)
-    return pick(range(16), key=lambda i: deltas[i])
+    deltas = _read_results(machine, len(SECRETS))
+    return pick(SECRETS, key=lambda i: deltas[i])
 
 
 # ------------------------------------------------- bitwise covert channels
@@ -247,7 +257,7 @@ def _asm_icache(secret):
 
 def _asm_prime_attacker(_secret):
     body = ["li r1, 1"]
-    for i in range(16):
+    for i in SECRETS:
         body.append(f"st r1, r0, {PRIME + 64 * i}")
     body += [
         "fence",
@@ -261,7 +271,7 @@ def _asm_prime_attacker(_secret):
         "jmp spin",
         "go:",
     ]
-    for i in range(16):
+    for i in SECRETS:
         # fast iff still Modified
         body += _timed(i, [f"st r1, r0, {PRIME + 64 * i}"])
     body.append("halt")
@@ -302,21 +312,15 @@ def _asm_spectre_prime(secret):
 # instruction cache: their channels are in the data/divider/coherence
 # domain, and cold instruction-line misses whose position depends on
 # section alignment would only add measurement noise
-GADGETS = {
-    "spectre_v1": Gadget("spectre_v1", _asm_spectre_v1,
-                         partial(_decode_extreme, min),
-                         cfg_overrides={"warm_icache": True}),
-    "spectre_rewind": Gadget("spectre_rewind", _asm_spectre_rewind,
-                             partial(_decode_bits, 1),
-                             cfg_overrides={"warm_icache": True}),
-    "speculative_interference": Gadget("speculative_interference",
-                                       _asm_interference,
-                                       partial(_decode_bits, -1),
-                                       cfg_overrides={"warm_icache": True}),
-    "gadget_icache": Gadget("gadget_icache", _asm_icache,
-                            partial(_decode_bits, -1),
-                            cfg_overrides={"warm_icache": False}),
-    "spectre_prime": Gadget("spectre_prime", _asm_spectre_prime,
-                            partial(_decode_extreme, max), two_core=True,
-                            cfg_overrides={"warm_icache": True}),
-}
+GADGETS = {g.name: g for g in (
+    Gadget("spectre_v1", _asm_spectre_v1, partial(_decode_extreme, min),
+           {"warm_icache": True}),
+    Gadget("spectre_rewind", _asm_spectre_rewind, partial(_decode_bits, 1),
+           {"warm_icache": True}),
+    Gadget("speculative_interference", _asm_interference,
+           partial(_decode_bits, -1), {"warm_icache": True}),
+    Gadget("gadget_icache", _asm_icache, partial(_decode_bits, -1),
+           {"warm_icache": False}),
+    Gadget("spectre_prime", _asm_spectre_prime, partial(_decode_extreme, max),
+           {"warm_icache": True}),
+)}

@@ -15,6 +15,7 @@ import random
 from dataclasses import asdict, dataclass, field, replace
 
 from .config import RunConfig
+from .gadgets import SECRETS
 from .isa import load_program
 from .machine import Machine, SimTimeout
 
@@ -117,18 +118,18 @@ class CheckResult:
 
 
 def run_differential(gadget, cfg: RunConfig):
-    """Run a gadget once per secret value and compare committed timelines.
+    """Run a gadget once per value of ``SECRETS`` and compare committed
+    timelines.
 
     LEAKS if any two timelines differ in any stage cycle or value; SAFE
     if all are bitwise identical.  If the committed *instruction streams*
     differ structurally (sequence of pc/op), the gadget itself is
     secret-dependent and the comparison is meaningless: verdict ERROR.
     """
-    if gadget.cfg_overrides:
-        cfg = replace(cfg, **gadget.cfg_overrides)
+    cfg = replace(cfg, **gadget.cfg_overrides)
     baseline = None
     base_secret = None
-    for s in gadget.secrets:
+    for s in SECRETS:
         m = Machine(_assemble(gadget.programs(s)), cfg)
         m.run()
         if baseline is None:
@@ -257,18 +258,17 @@ def _gen_program(rng):
 
 def fuzz_programs(count, cfg: RunConfig, seed=0):
     """Generate ``count`` seeded random programs and run the ablation
-    check on each.  Returns (passes, fails, first_failure) where
-    first_failure is (index, program_text, CheckResult) or None."""
+    check on each.  Returns (fails, first_failure) where first_failure
+    is (index, program_text, CheckResult) or None; the other
+    ``count - fails`` programs passed."""
     rng = random.Random(seed)
-    passes = fails = 0
+    fails = 0
     first_failure = None
     for i in range(count):
         text = _gen_program(rng)
         res = run_ablation([text], cfg)
-        if res.verdict == "PASS":
-            passes += 1
-        else:
+        if res.verdict != "PASS":
             fails += 1
             if first_failure is None:
                 first_failure = (i, text, res)
-    return passes, fails, first_failure
+    return fails, first_failure

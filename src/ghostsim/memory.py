@@ -43,13 +43,14 @@ The miss path is a hot path, as the core's stages are: a load refused by
 a full miss-register file is made again on every free, so most accesses
 of a miss-heavy run end in a refusal.  The accesses, the request path,
 delivery and wake-up read cache sets, side-buffer sets, ``owner`` and
-the files' entries inline and call no one-line helper.  What stays a
-call has a reason to: the accesses, ``tick``, ``commit_extract``,
-``squash_flush`` and the ``GhostCache`` operations are the layers the
-benchmark's tracer wraps and times; every stamp comparison goes through
-``not_after``, which the tracer counts; ``mem_ready`` and ``mem_retry``
-are the core's; and ``_wake``, called only when a file has waiters,
-is what a test calls to wake them.
+the files' entries inline, push each delivery and background action
+onto the event heap themselves, and call no one-line helper.  What
+stays a call has a reason to: the accesses, ``tick``,
+``commit_extract``, ``squash_flush`` and the ``GhostCache`` operations
+are the layers the benchmark's tracer wraps and times; every stamp
+comparison goes through ``not_after``, which the tracer counts;
+``mem_ready`` and ``mem_retry`` are the core's; and ``_wake``, called
+only when a file has waiters, is what a test calls to wake them.
 """
 
 COUNTER_KEYS = (
@@ -86,11 +87,6 @@ class Cache:
 
     def lookup(self, line_addr):
         return line_addr in self._set(line_addr)
-
-    def mark_dirty(self, line_addr, dirty=True):
-        st = self._set(line_addr)
-        if line_addr in st:
-            st[line_addr] = dirty
 
     def install(self, line_addr, dirty=False):
         """Install a line; returns (evicted_tag, evicted_dirty) or None."""
@@ -145,7 +141,6 @@ class MshrFile:
 class MemorySystem:
     def __init__(self, cfg, ncores, not_after):
         self.cfg = cfg
-        self.ncores = ncores
         self.not_after = not_after     # not_after(ts, ts2)
         self.prot = prot = cfg.protection
         self.counters = {k: 0 for k in COUNTER_KEYS}
@@ -180,11 +175,6 @@ class MemorySystem:
         self._seq = count()            # entry creation and scheduling order
         self._action_rank = 2 * ncores + 1
 
-    # ------------------------------------------------------------------ util
-
-    def at(self, cycle, fn):
-        heappush(self._events, (cycle, self._action_rank, next(self._seq), fn))
-
     # ------------------------------------------------------------- coherence
 
     def _downgrade(self, line, requester):
@@ -194,11 +184,12 @@ class MemorySystem:
         if owner == requester:
             return False
         l1 = self.l1d[owner]
-        if l1.lines[(line >> l1.line_shift) % l1.sets][line]:
+        st = l1.lines[(line >> l1.line_shift) % l1.sets]
+        if st[line]:
             # dirty data is written back to the shared L2; the owner keeps
             # a clean Shared copy
             self.l2.install(line, dirty=True)
-            l1.mark_dirty(line, False)
+            st[line] = False
         del self.owner[line]
         return True
 
@@ -207,10 +198,10 @@ class MemorySystem:
         buffer copies are invalidated in constant time.  Returns the extra
         latency paid (0 when the line was already exclusively held)."""
         cost = 0
-        for c in range(self.ncores):
+        for c, l1 in enumerate(self.l1d):
             if c == core:
                 continue
-            if self.l1d[c].invalidate(line):
+            if l1.invalidate(line):
                 cost = self.cfg.coh_lat
             self.dghost[c].invalidate(line)
             self.ighost[c].invalidate(line)
@@ -266,6 +257,8 @@ class MemorySystem:
             self.cores[core].mem_retry(instr)
 
     def _free_entry(self, entry):
+        """Drop ``entry`` from its file and its queued delivery.  Nothing
+        reads a freed entry again, so its targets and parents stay."""
         file = entry.file
         file.entries.remove(entry)
         entry.deliver_at = None
@@ -287,11 +280,9 @@ class MemorySystem:
         dropped (they were squashed) when it is None."""
         if blocking_file is not None:
             blocking_file.waiters.extend(entry.targets)
-        entry.targets = []
         for parent in entry.parents:
             parent.child = None
             self._cancel_entry(parent, blocking_file)
-        entry.parents = []
         self._orphan_child(entry)
         self._free_entry(entry)
 
@@ -441,7 +432,8 @@ class MemorySystem:
                     if self.prot.side_buffer and not squashed \
                             and not l1.lookup(line):
                         self.dghost[core].fill(line, ts, noncoherent=True)
-                self.at(ready, fill)
+                heappush(self._events, (ready, self._action_rank,
+                                        next(self._seq), fill))
                 return (ready, True, True)
             self._downgrade(line, core)
             cycle += cfg.coh_lat
@@ -543,7 +535,9 @@ class MemorySystem:
             nxt = line + e[2]
             if nxt >= 0 and not self.l2.lookup(nxt):
                 self.counters["prefetches_issued"] += 1
-                self.at(cycle + cfg.mem_lat, lambda a=nxt: self.l2.install(a))
+                heappush(self._events,
+                         (cycle + cfg.mem_lat, self._action_rank,
+                          next(self._seq), lambda a=nxt: self.l2.install(a)))
 
     # -------------------------------------------------------------- squash
 
@@ -597,7 +591,6 @@ class MemorySystem:
                     heappush(self._events,
                              (at, parent.file.rank, parent.seq, parent))
                     parent.child = None
-            e.parents = []
         else:
             self._deliver_l1(e, cycle)
         self._free_entry(e)
@@ -632,7 +625,6 @@ class MemorySystem:
             self._install_l1(core, kind, line, dirty=entry.is_write)
         for tcore, instr in entry.targets:
             self.cores[tcore].mem_ready(instr, line, cycle, noncoherent)
-        entry.targets = []
         if entry.is_write:   # only L1D entries are writes
             self.owner[line] = core
 
@@ -650,14 +642,14 @@ class MemorySystem:
         for line, core in self.owner.items():
             assert self.l1d[core].lookup(line), \
                 f"owner {core} of line {line:#x} does not hold it"
-        for core in range(self.ncores):
-            for kind, l1, g in (("d", self.l1d[core], self.dghost[core]),
+        for core, dghost in enumerate(self.dghost):
+            for kind, l1, g in (("d", self.l1d[core], dghost),
                                 ("i", self.l1i[core], self.ighost[core])):
                 for way in g.valid_lines():
                     assert not l1.lookup(way.tag), \
                         f"line {way.tag:#x} in both L1{kind} and its side buffer"
             if self.prot.noncoherent_forward:
-                for way in self.dghost[core].valid_lines():
+                for way in dghost.valid_lines():
                     if not way.noncoherent:
                         assert self.owner.get(way.tag, core) == core, \
                             f"unflagged speculative copy of {way.tag:#x} with remote owner"

@@ -34,7 +34,7 @@ from dataclasses import replace
 
 from ghostsim import RunConfig, harness
 from ghostsim.config import MODES
-from ghostsim.gadgets import GADGETS
+from ghostsim.gadgets import GADGETS, SECRETS
 from ghostsim.machine import SimTimeout
 
 GEOMETRIES = {
@@ -100,7 +100,7 @@ def corpus():
     for g in GADGETS.values():
         for mode in MODES:
             cfg = replace(base, mode=mode, **g.cfg_overrides)
-            for s in g.secrets:
+            for s in SECRETS:
                 yield (f"gadget/{g.name}/{mode}/{s}", g.programs(s), cfg,
                        s in ABLATED_SECRETS)
     rng = random.Random(FUZZ_SEED)

@@ -130,10 +130,10 @@ def test_c04_noninterference_all_gadgets():
 def test_c05_fuzz_ablation():
     with criterion(5, "transient ablation over 1000 fuzzed programs"):
         t0 = time.monotonic()
-        passes, fails, _ = harness.fuzz_programs(
+        fails, _ = harness.fuzz_programs(
             1000, RunConfig(mode="ghostminion"), seed=0)
-        assert (passes, fails) == (1000, 0)
-        passes, fails, first = harness.fuzz_programs(
+        assert fails == 0
+        fails, first = harness.fuzz_programs(
             100, RunConfig(mode="unsafe"), seed=0)
         assert fails >= 1 and first is not None
         assert time.monotonic() - t0 < 120.0

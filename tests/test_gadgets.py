@@ -24,9 +24,7 @@ def run_gadget(gadget, secret, mode):
 def test_programs_assemble_for_all_secrets(name):
     g = GADGETS[name]
     for s in SECRETS:
-        texts = g.programs(s)
-        assert len(texts) == (2 if g.two_core else 1)
-        for t in texts:
+        for t in g.programs(s):
             load_program(t)
 
 
@@ -55,8 +53,6 @@ def test_committed_stream_is_secret_independent(name):
 def test_secret_domain_is_4_bits():
     assert SECRETS == tuple(range(16))
     assert BITS == 4
-    for g in GADGETS.values():
-        assert len(g.secrets) >= 2
 
 
 def test_secret_never_committed_architecturally():

@@ -1,16 +1,17 @@
 """Timing golden: recorded timeline digests, cycle counts and counters.
 
 Every gadget in every mode at secret 0, plus the first 50 fuzz programs
-of seed 0 in ghostminion mode, must reproduce the values stored in
-``golden_digests.json`` exactly.  The fuzz programs run twice: at the
-default geometry, and with one miss register per level
+of ``FUZZ_SEED`` (0) in ghostminion mode, must reproduce the values
+stored in ``golden_digests.json`` exactly.  The fuzz programs run twice:
+at the default geometry, and with one miss register per level
 (``MSHR_ONE``), where leapfrogs cancel misses and retry their loads
-while the core is still issuing.  The first 20 ``random.Random(7)``
-two-core pairs (as in ``fingerprint.py``) run in ghostminion and unsafe
-mode, so the two-core commit path is pinned too.  ``STRIDED_LOOP`` at
-300 trips runs in every mode at the default geometry and with three L1
-and one L2 miss register (``STRIDE_GEOMETRIES``): long runs in which
-thousands of loads find the L1D miss-register file full and retry.  A
+while the core is still issuing.  The first 20 two-core pairs of
+``PAIR_SEED`` (7) run in ghostminion and unsafe mode, so the two-core
+commit path is pinned too; both seeds are ``fingerprint.py``'s.
+``STRIDED_LOOP`` at 300 trips runs in every mode at the default geometry
+and with three L1 and one L2 miss register (``STRIDE_GEOMETRIES``): long
+runs in which thousands of loads find the L1D miss-register file full
+and retry.  A
 change that is meant to leave simulated behaviour alone (a refactor, a
 speed-up) keeps this test passing unchanged; a change that is meant to
 move timing re-records the file with ``python tests/test_golden.py
@@ -23,17 +24,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from fingerprint import FUZZ_SEED, PAIR_SEED
 from programs import STRIDED_LOOP
 
 from ghostsim import RunConfig, harness
+from ghostsim.config import MODES
 from ghostsim.gadgets import GADGETS
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
-MODES = ("ghostminion", "unsafe", "flush_only")
-FUZZ_SEED = 0
 FUZZ_COUNT = 50
 MSHR_ONE = {"l1_mshrs": 1, "l2_mshrs": 1}
-PAIR_SEED = 7
 PAIR_COUNT = 20
 PAIR_MODES = ("ghostminion", "unsafe")
 PAIR_KEY = "pairs_seed7"

@@ -13,7 +13,7 @@ from ghostsim.core import Core
 from ghostsim.gadgets import GADGETS, Gadget
 from ghostsim import harness
 
-from fingerprint import GEOMETRIES
+from fingerprint import GEOMETRIES, PAIR_SEED
 from programs import (DIVIDER_ORDER, LEAPFROG, LRU_STATE, MP_CORE0,
                       MP_CORE1, OLDER_READER)
 
@@ -49,13 +49,13 @@ class TestRun:
 
 class TestDifferential:
     def test_secret_free_gadget_is_safe_everywhere(self):
-        g = Gadget("noop", lambda s: SIMPLE, lambda m: 0, secrets=(0, 1, 2))
+        g = Gadget("noop", lambda s: SIMPLE, lambda m: 0)
         for mode in ("unsafe", "flush_only", "ghostminion"):
             assert harness.run_differential(g, RunConfig(mode=mode)).verdict == "SAFE"
 
     def test_structurally_divergent_gadget_rejected(self):
         g = Gadget("bad", lambda s: "nop\n" * (s + 1) + "halt\n",
-                   lambda m: 0, secrets=(0, 3))
+                   lambda m: 0)
         res = harness.run_differential(g, RunConfig())
         assert res.verdict == "ERROR"
         assert "structurally" in res.detail
@@ -70,10 +70,10 @@ class TestDifferential:
 
 
 def _pair(index):
-    """Two-core pair ``index`` of seed 7, as ``tests/fingerprint.py``
+    """Two-core pair ``index`` of ``PAIR_SEED``, as ``tests/fingerprint.py``
     builds its pairs."""
     import random
-    rng = random.Random(7)
+    rng = random.Random(PAIR_SEED)
     for _ in range(index + 1):
         pair = [harness._gen_program(rng), harness._gen_program(rng)]
     return pair
@@ -85,7 +85,7 @@ class TestAblation:
         assert res.verdict == "PASS" and res.pure
 
     def test_fuzz_zero_count_vacuous(self):
-        assert harness.fuzz_programs(0, RunConfig()) == (0, 0, None)
+        assert harness.fuzz_programs(0, RunConfig()) == (0, None)
 
     def test_fuzz_deterministic_per_seed(self):
         a = harness.fuzz_programs(5, RunConfig(), seed=42)
@@ -391,7 +391,7 @@ class TestCli:
 
     def test_diff_error_verdict_is_usage_error(self, monkeypatch, capsys):
         bad = Gadget("bad", lambda s: "nop\n" * (s + 1) + "halt\n",
-                     lambda m: 0, secrets=(0, 3))
+                     lambda m: 0)
         monkeypatch.setitem(GADGETS, "bad", bad)
         assert main(["diff", "bad"]) == 2
         assert "verdict: ERROR" in capsys.readouterr().out
@@ -486,10 +486,13 @@ class TestCli:
         assert main(["run", str(p), "--config", str(cfgf)]) == 0
 
     def test_gadgets_list(self, capsys):
+        # one line per gadget: its name, its core count and the secret
+        # domain; spectre_prime is the one two-core gadget
         assert main(["gadgets", "list"]) == 0
-        out = capsys.readouterr().out
-        for name in GADGETS:
-            assert name in out
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert rows == [[name, "2-core" if name == "spectre_prime"
+                         else "1-core", "secrets", "0..15"]
+                        for name in GADGETS]
 
     def test_emitted_two_core_gadget_runs(self, tmp_path):
         assert main(["gadgets", "emit", "spectre_prime",

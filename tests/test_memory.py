@@ -10,7 +10,7 @@ import pytest
 
 from ghostsim import Machine, RunConfig, harness, load_program
 from ghostsim.config import MODES
-from ghostsim.gadgets import GADGETS
+from ghostsim.gadgets import GADGETS, SECRETS
 from ghostsim.ghost_cache import GhostCache
 from ghostsim.memory import Cache, MemorySystem
 
@@ -66,15 +66,6 @@ class TestCache:
         c.install(0x080, dirty=True)
         assert c.used_sets() == {0: {0x000: True, 0x080: True}}
         assert c.install(0x100) == (0x000, True)   # 0x080 was refreshed
-
-    def test_mark_dirty(self):
-        c = Cache(2, 2)
-        c.install(0x000)
-        c.install(0x080)
-        c.mark_dirty(0x000)
-        c.mark_dirty(0x0C0)                        # absent: no effect
-        assert c.used_sets() == {0: {0x000: True, 0x080: False}}
-        assert c.install(0x100) == (0x000, True)   # marking leaves recency
 
     def test_invalidate_says_whether_present(self):
         c = Cache(2, 2)
@@ -269,7 +260,7 @@ class TestPurityComparison:
         assert set(a.l1d[0].lines) < set(b.l1d[0].lines)
         assert set(a.l2.lines) < set(b.l2.lines)
         assert a.nonspec_sets() == b.nonspec_sets()
-        b.l2.mark_dirty(0x1000)
+        b.l2.install(0x1000, dirty=True)
         assert a.nonspec_sets() != b.nonspec_sets()
 
     def test_wrong_path_probe_is_pure(self):
@@ -414,7 +405,7 @@ class TestUnsafeSideBuffers:
         monkeypatch.setattr(GhostCache, "fill", recorded_fill)
         cfg = RunConfig(mode="unsafe")
         for g in GADGETS.values():
-            for s in g.secrets:
+            for s in SECRETS:
                 harness.run(g.programs(s), replace(cfg, **g.cfg_overrides))
         rng = random.Random(0)
         for _ in range(20):
@@ -475,6 +466,23 @@ class TestReplayAccess:
         cfg = mem.cfg
         assert entry.child.deliver_at == 10 + cfg.coh_lat + cfg.l2_lat \
             + cfg.mem_lat
+
+    def test_replay_writes_back_a_modified_owner_in_place(self):
+        # the owner's dirty copy is written back to the L2 and stays in its
+        # L1D as a clean Shared copy, at the same LRU position
+        mem = _mem(2)
+        cfg = mem.cfg
+        instr = type("Instr", (), {"ts": 3})()
+        mem._install_l1(1, "d", 0x2000)
+        assert mem.store_access(1, instr, 0x2000, 10) == 10 + cfg.l1_lat
+        newer = 0x2000 + cfg.l1_sets * 64          # same set, more recent
+        mem._install_l1(1, "d", newer)
+        assert mem.replay_access(0, instr, 0x2000, 20) is None
+        assert mem.owner == {newer: 1}
+        assert list(mem.l1d[1].used_sets()[0].items()) \
+            == [(0x2000, False), (newer, False)]
+        assert mem.l2.used_sets()[0] == {0x2000: True}
+        mem.check_invariants()
 
 
 class TestSharedDirty:

@@ -8,20 +8,22 @@ Also: every method the benchmark's tracer wraps is still called, so a
 later inlining cannot silently empty a per-layer metric."""
 
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from fingerprint import PAIR_SEED
 from programs import MP_CORE0, MP_CORE1
 
-import ghostsim
-from ghostsim import Machine, RunConfig, SimTimeout, harness, isa, load_program
+from ghostsim import Machine, RunConfig, SimTimeout, harness, load_program
 from ghostsim.config import MODES
-from ghostsim.core import Core
 from ghostsim.gadgets import GADGETS
-from ghostsim.ghost_cache import GhostCache
 from ghostsim.harness import _gen_program
-from ghostsim.memory import MemorySystem
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
 
 SECRETS = (0, 11)
 
@@ -98,28 +100,18 @@ def test_fuzz_programs_ablated():
 
 @pytest.mark.parametrize("mode", ("ghostminion", "unsafe"))
 def test_two_core_pairs(mode):
-    rng = random.Random(7)
+    rng = random.Random(PAIR_SEED)
     cfg = RunConfig(mode=mode)
     for _ in range(10):
         _check([_gen_program(rng), _gen_program(rng)], cfg, ablate=True)
 
 
-# (owner, attribute) of every method perfbench/tracing.py wraps.  The
+# (owner, attribute) of every method perfbench/tracing.py wraps, read
+# from its target list, and ``Machine.not_after``, which it counts.  The
 # package, harness and isa each hold a reference to the one
 # load_program, which is counted once, under its isa name.
-TRACED = [
-    (Machine, "__init__"), (Machine, "run"), (Machine, "not_after"),
-    (MemorySystem, "tick"), (MemorySystem, "commit_extract"),
-    (MemorySystem, "squash_flush"), (MemorySystem, "data_access"),
-    (MemorySystem, "ifetch_access"), (MemorySystem, "store_access"),
-    (MemorySystem, "replay_access"),
-    *((Core, f"do_{s}")
-      for s in ("fetch", "rename", "issue", "complete", "commit")),
-    *((GhostCache, o) for o in ("lookup", "fill", "extract", "flush")),
-    (harness, "run"), (harness, "run_ablation"),
-    (isa, "load_program"), (harness, "load_program"),
-    (ghostsim, "load_program"),
-]
+TRACED = [(owner, attr) for owner, attr, _, _ in tracing._targets()]
+TRACED.append((Machine, "not_after"))
 
 
 def _traced_name(owner, attr):
