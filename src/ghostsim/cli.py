@@ -29,15 +29,12 @@ class UsageError(Exception):
     """Bad input that no other error type names."""
 
 
-def _add_common(p, seed=False):
+def _add_common(p):
     p.add_argument("--config", metavar="FILE",
                    help="config file (key = value lines)")
     p.add_argument("--mode", choices=MODES, help="protection mode override")
     p.add_argument("--max-cycles", type=int, metavar="N",
                    help="abort if the run exceeds N cycles")
-    if seed:
-        p.add_argument("--seed", type=int, default=0,
-                       help="program-generator seed")
 
 
 def _read_text(path):
@@ -181,7 +178,9 @@ def build_parser():
 
     p = sub.add_parser("fuzz", help="ablation-check random programs")
     p.add_argument("count", type=int)
-    _add_common(p, seed=True)
+    _add_common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="program-generator seed")
     p.set_defaults(fn=cmd_fuzz)
 
     p = sub.add_parser("gadgets", help="list or emit gadget programs")

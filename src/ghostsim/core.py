@@ -163,13 +163,13 @@ class Core:
         self.rename_count = 0
         # ablation bookkeeping: dynamic instances are identified by
         # (epoch, position-within-epoch), where an epoch is the span
-        # between two squashes.  Within an epoch the renamed instruction
-        # sequence is deterministic, so the key lines up across the normal
-        # and the ablated run even when wrong-path *lengths* differ.  An
-        # epoch's committed positions are a prefix 0..k-1: commit is in
-        # program order and every squash removes a tail, so one count per
-        # epoch records them.
-        self.epoch = 0
+        # between two squashes, numbered by the squashes before it:
+        # ``len(squash_log)``, since a squash logs one entry.  Within an
+        # epoch the renamed instruction sequence is deterministic, so the
+        # key lines up across the normal and the ablated run even when
+        # wrong-path *lengths* differ.  An epoch's committed positions are
+        # a prefix 0..k-1: commit is in program order and every squash
+        # removes a tail, so one count per epoch records them.
         self.epoch_pos = 0
         self.committed = {}    # epoch -> how many of its positions committed
         self.squash_log = {}   # akey of squashing instr -> (cycle, redirect)
@@ -256,7 +256,7 @@ class Core:
         normal = self.normal
         lq_size = cfg.lq
         sq_size = cfg.sq
-        epoch = self.epoch
+        epoch = len(self.squash_log)
         pos = self.epoch_pos
         # no squash happens during rename: the epoch is fixed for the call
         kept = normal.committed.get(epoch, 0) if normal is not None else None
@@ -395,7 +395,7 @@ class Core:
                     inflight.append(di)
                 else:
                     hit = self.mem.data_access(self.core_id, di,
-                                               addr & line_mask, di.ts,
+                                               addr & line_mask,
                                                di is not head, cycle)
                     # a miss keeps done_at None until its callback
                     if hit is not None:
@@ -555,7 +555,6 @@ class Core:
             while queue and queue[-1].squashed:
                 queue.pop()
         self.inflight = [d for d in self.inflight if not d.squashed]
-        self.epoch += 1
         self.epoch_pos = 0
         self.squash_log[di.akey] = (cycle, redirect_pc)
         self.fetchq.clear()

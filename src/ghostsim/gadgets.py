@@ -26,9 +26,9 @@ The five families:
 * ``spectre_prime``    - two cores: a victim's transient load downgrades
   the attacker's Modified lines; the attacker times re-stores.
 
-``GADGETS`` is keyed by each gadget's name.  A gadget is two-core when
-its ``assemble`` returns two texts (attacker, victim); every other
-returns one.
+``GADGETS`` is keyed by each gadget's name.  A gadget's ``programs``
+maps a secret to a tuple of texts: two (attacker, victim) for the
+two-core gadget, one for every other.
 """
 
 from dataclasses import dataclass, field
@@ -54,13 +54,9 @@ SECRETS = tuple(range(1 << BITS))
 @dataclass
 class Gadget:
     name: str
-    assemble: object            # secret -> program text, or (attacker, victim)
+    programs: object            # secret -> tuple of texts, one per core
     decode: object              # Machine -> recovered secret
     cfg_overrides: dict = field(default_factory=dict)
-
-    def programs(self, secret):
-        out = self.assemble(secret)
-        return out if isinstance(out, tuple) else (out,)
 
     @property
     def two_core(self):
@@ -132,7 +128,7 @@ def _asm_spectre_v1(secret):
     for i in range(n):
         body += _timed(i, [f"ld r13, r0, {PROBE + 64 * i}"], "r12", "r13")
     body.append("halt")
-    return "\n".join(lines + body) + "\n"
+    return ("\n".join(lines + body) + "\n",)
 
 
 def _decode_extreme(pick, machine):
@@ -155,9 +151,9 @@ _SELECTS = [[f"ld r7, r0, {SECRET}", flag] for flag in (
 
 
 def _bit_gadget(secret, delay, first, section, tail=()):
-    """The bit-channel program: the secret and warm words, a value-blind
-    warm-up of the secret's line, then one section per select and
-    ``halt``.  Section ``t`` gets the cold delay line ``delay(first + t)``
+    """The bit-channel program, as a 1-tuple: the secret and warm words, a
+    value-blind warm-up of the secret's line, then one section per select
+    and ``halt``.  Section ``t`` gets the cold delay line ``delay(first + t)``
     and is ``section(t, addr, select)``; ``tail`` follows ``halt``."""
     words = [f".word {SECRET} {secret}", f".word {SECRET + 8} 0"]
     body = [
@@ -169,7 +165,7 @@ def _bit_gadget(secret, delay, first, section, tail=()):
         a, delay_words = delay(first + t)
         words += delay_words
         body += section(t, a, select)
-    return "\n".join(words + body + ["halt", *tail]) + "\n"
+    return ("\n".join(words + body + ["halt", *tail]) + "\n",)
 
 
 def _decode_bits(sign, machine):

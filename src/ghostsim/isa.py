@@ -181,18 +181,15 @@ def load_program(text: str) -> Program:
     unknown opcodes/registers, and undefined or duplicate labels.
 
     One pass decodes each statement once; a branch to a label not yet
-    defined is filled in from a fix-up list at the end.  Every label and
-    directive error is raised where it is found, so it wins over any
-    instruction error, which is kept and raised once the whole text has
-    been read.  Instruction errors are ordered as the statements are:
-    opcode, operand count, then operands left to right, a label that is
-    never defined counting as the last operand of its statement.
+    defined is filled in from a fix-up list at the end.  Each error is
+    raised where it is found, so the first bad line is the one named; a
+    label that is never defined is known only after the pass, so it is
+    raised last.
     """
     instrs = []
     labels = {}
     data = {}
     fixups = []      # (instruction, label, lineno): a branch to a later label
-    err = None       # the first instruction error
     for lineno, raw in enumerate(text.splitlines(), 1):
         if "#" in raw:
             raw = raw[:raw.index("#")]
@@ -235,53 +232,44 @@ def load_program(text: str) -> Program:
                 while len(instrs) * INSTR_BYTES % n:
                     instrs.append(StaticInstr(len(instrs) * INSTR_BYTES,
                                               "nop", NOP))
-            elif err is None:
-                err = ParseError(f"line {lineno}: unknown opcode {name!r}")
-            continue
-        if err is not None:
+            else:
+                raise ParseError(f"line {lineno}: unknown opcode {name!r}")
             continue
         op, cls, operands = enc
         args = parts[1].split(",") if len(parts) > 1 else ()
-        try:
-            if len(args) != len(operands):
-                raise ParseError(f"line {lineno}: {name} expects {len(operands)} operands")
-            fields = [0, 0, 0, 0, 0]
-            label = None
-            for (kind, idx), tok in zip(operands, args):
-                # a register or an immediate is read with its spaces:
-                # _REGS holds " rN" and int() ignores them
-                if kind == "r":
-                    val = _REGS.get(tok)
-                    if val is None:   # r01, or an error message
-                        val = _reg(tok.strip(), lineno)
-                elif kind == "i":
-                    try:
-                        val = int(tok, 0)
-                    except ValueError:
-                        val = _imm(tok.strip(), lineno)
+        if len(args) != len(operands):
+            raise ParseError(f"line {lineno}: {name} expects {len(operands)} operands")
+        fields = [0, 0, 0, 0, 0]
+        label = None
+        for (kind, idx), tok in zip(operands, args):
+            # a register or an immediate is read with its spaces:
+            # _REGS holds " rN" and int() ignores them
+            if kind == "r":
+                val = _REGS.get(tok)
+                if val is None:   # r01, or an error message
+                    val = _reg(tok.strip(), lineno)
+            elif kind == "i":
+                try:
+                    val = int(tok, 0)
+                except ValueError:
+                    val = _imm(tok.strip(), lineno)
+            else:
+                tok = tok.strip()
+                if tok in labels:
+                    val = labels[tok]
+                elif tok.isidentifier():
+                    label, val = tok, 0
                 else:
-                    tok = tok.strip()
-                    if tok in labels:
-                        val = labels[tok]
-                    elif tok.isidentifier():
-                        label, val = tok, 0
-                    else:
-                        val = _imm(tok, lineno)
-                        if val % INSTR_BYTES:
-                            raise ParseError(f"line {lineno}: misaligned branch target {val:#x}")
-                fields[idx] = val
-        except ParseError as e:
-            err = e
-            continue
+                    val = _imm(tok, lineno)
+                    if val % INSTR_BYTES:
+                        raise ParseError(f"line {lineno}: misaligned branch target {val:#x}")
+            fields[idx] = val
         si = StaticInstr(len(instrs) * INSTR_BYTES, op, cls, *fields)
         if label is not None:
             fixups.append((si, label, lineno))
         instrs.append(si)
-    # a fix-up comes from a statement before the first instruction error
     for si, label, lineno in fixups:
         if label not in labels:
             raise ParseError(f"line {lineno}: undefined label {label!r}")
         si.target = labels[label]
-    if err is not None:
-        raise err
     return Program(instrs=instrs, data=data, labels=labels)

@@ -399,7 +399,7 @@ class MemorySystem:
     # delivered, or mem_retry(instr) when a miss-register file had no room
     # or the miss was cancelled, after which the access is made again.
 
-    def data_access(self, core, instr, line, ts, spec, cycle):
+    def data_access(self, core, instr, line, spec, cycle):
         """A load reaching the memory system: (ready, from_below,
         noncoherent) on a hit, None on a miss.  A side-buffer line and a
         copy forwarded from another core came from below the L1.  A
@@ -408,7 +408,7 @@ class MemorySystem:
         cfg = self.cfg
         g = self.dghost[core]
         if g.lines.get((line >> g.line_shift) % g.sets):
-            hit = g.lookup(line, ts)
+            hit = g.lookup(line, instr.ts)
             if hit is not None:
                 return (cycle + cfg.l1_lat, True, hit.noncoherent)
         l1 = self.l1d[core]
@@ -431,14 +431,15 @@ class MemorySystem:
                         and self.prot.squash_cancels_misses
                     if self.prot.side_buffer and not squashed \
                             and not l1.lookup(line):
-                        self.dghost[core].fill(line, ts, noncoherent=True)
+                        self.dghost[core].fill(line, instr.ts,
+                                               noncoherent=True)
                 heappush(self._events, (ready, self._action_rank,
                                         next(self._seq), fill))
                 return (ready, True, True)
             self._downgrade(line, core)
             cycle += cfg.coh_lat
-        self._mshr_request(self.l1d_file[core], line, ts, core, spec, cycle,
-                           target=(core, instr))
+        self._mshr_request(self.l1d_file[core], line, instr.ts, core, spec,
+                           cycle, target=(core, instr))
         return None
 
     def ifetch_access(self, core, line, ts, cycle):
@@ -637,8 +638,10 @@ class MemorySystem:
         return [c.used_sets() for c in (*self.l1d, *self.l1i, self.l2)]
 
     def check_invariants(self):
-        """Exclusivity, cleanliness, and coherence safety: an owner holds
-        its line in its L1D."""
+        """An owner holds its line in its L1D; no line is in both an L1 and
+        its side buffer; with non-coherent forwarding, a side-buffer copy
+        of a line another core owns is flagged non-coherent.  That an
+        owner is its line's only holder is not checked."""
         for line, core in self.owner.items():
             assert self.l1d[core].lookup(line), \
                 f"owner {core} of line {line:#x} does not hold it"

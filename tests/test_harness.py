@@ -49,12 +49,12 @@ class TestRun:
 
 class TestDifferential:
     def test_secret_free_gadget_is_safe_everywhere(self):
-        g = Gadget("noop", lambda s: SIMPLE, lambda m: 0)
+        g = Gadget("noop", lambda s: (SIMPLE,), lambda m: 0)
         for mode in ("unsafe", "flush_only", "ghostminion"):
             assert harness.run_differential(g, RunConfig(mode=mode)).verdict == "SAFE"
 
     def test_structurally_divergent_gadget_rejected(self):
-        g = Gadget("bad", lambda s: "nop\n" * (s + 1) + "halt\n",
+        g = Gadget("bad", lambda s: ("nop\n" * (s + 1) + "halt\n",),
                    lambda m: 0)
         res = harness.run_differential(g, RunConfig())
         assert res.verdict == "ERROR"
@@ -390,7 +390,7 @@ class TestCli:
         assert main(["diff", "spectre_v1", "--mode", "unsafe"]) == 1
 
     def test_diff_error_verdict_is_usage_error(self, monkeypatch, capsys):
-        bad = Gadget("bad", lambda s: "nop\n" * (s + 1) + "halt\n",
+        bad = Gadget("bad", lambda s: ("nop\n" * (s + 1) + "halt\n",),
                      lambda m: 0)
         monkeypatch.setitem(GADGETS, "bad", bad)
         assert main(["diff", "bad"]) == 2
@@ -429,6 +429,13 @@ class TestCli:
         p = tmp_path / "p.gasm"
         p.write_text(SIMPLE)
         assert main(["run", str(p), "--config", str(badcfg)]) == 2
+
+    def test_run_names_the_first_bad_line(self, tmp_path, capsys):
+        # an instruction error before a directive error is the one named
+        bad = tmp_path / "bad.gasm"
+        bad.write_text("frob\n.word 0x101 5\nhalt\n")
+        assert main(["run", str(bad)]) == 2
+        assert "line 1: unknown opcode" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["run", "{dir}"],

@@ -1,6 +1,7 @@
 """Assembler: encoding, labels, directives, and diagnostics."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ghostsim import RunConfig, harness
 from ghostsim.isa import (
@@ -188,22 +189,22 @@ PARSE_ERRORS = {
     # .align: a bad width on a later line; padding keeps line numbers
     "nop\n.align 6\n": "line 2: bad alignment '6'",
     "nop\n.align 16\nfrob\n": "line 3: unknown opcode 'frob'",
-    # check order: every label and directive error before any
-    # instruction error, operand count before operands, operands left
-    # to right
-    "frob\n.word 0x101 5\n": "line 2: .word address must be 8-byte aligned",
+    # check order: the first bad line is named, whatever the kind of
+    # its error; within a line, operand count before operands, operands
+    # left to right
+    "frob\n.word 0x101 5\n": "line 1: unknown opcode 'frob'",
     "add r99, r2\n": "line 1: add expects 3 operands",
     "add r99, x3, r1\n": "line 1: register 'r99' out of range",
     # branch targets through the fix-up list: an undefined label is
-    # reported in its statement's place among the instruction errors,
-    # after every label and directive error
+    # known only once the whole text is read, so it is reported after
+    # every other error, whatever its line
     "nop\nbeq r1, r2, later\njmp nowhere\nlater: halt\n":
         "line 3: undefined label 'nowhere'",
-    "jmp nowhere\njmp 0x41\n": "line 1: undefined label 'nowhere'",
+    "jmp nowhere\njmp 0x41\n": "line 2: misaligned branch target 0x41",
     "jmp 0x42\njmp nowhere\n": "line 1: misaligned branch target 0x42",
     "add r1, r2, rx\njmp nowhere\nfrob\n": "line 1: bad register 'rx'",
     "bne r1, r0, nowhere\nld r1, r2, zz\n":
-        "line 1: undefined label 'nowhere'",
+        "line 2: bad immediate 'zz'",
     "jmp nowhere\n.align 3\n": "line 2: bad alignment '3'",
     "jmp a\na:\nnop\na: halt\n": "line 4: duplicate label 'a'",
 }
@@ -219,3 +220,35 @@ def test_parse_errors(bad):
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError, match="line 3"):
         load_program("nop\nnop\nfrob r1, r2, r3\n")
+
+
+# statements that assemble, between a "top:" first line and an "end:" last
+# one, so both branch directions resolve
+VALID_LINES = ["nop", "add r1, r2, r3", "ld r4, r5, 16", "st r7, r2, 8",
+               "li r3, 42", "div r1, r2, r3", "beq r1, r2, top", "jmp end",
+               ".word 0x100 7", ".align 8", "mv r4, r3"]
+# one bad statement of each kind -> its message, less the line number
+BAD_LINES = {
+    "frob r1, r2, r3": "unknown opcode 'frob'",
+    "add r1, r2": "add expects 3 operands",
+    "add r1, rx, r3": "bad register 'rx'",
+    "ld r1, r2, zz": "bad immediate 'zz'",
+    ".word 0x101 5": ".word address must be 8-byte aligned",
+    ".align 3": "bad alignment '3'",
+    "top: nop": "duplicate label 'top'",
+}
+
+
+@given(st.lists(st.sampled_from(VALID_LINES), max_size=12),
+       st.lists(st.tuples(st.sampled_from(sorted(BAD_LINES)),
+                          st.integers(0, 12)),
+                min_size=2, max_size=4, unique_by=lambda bad: bad[0]))
+def test_first_bad_line_is_named(body, bads):
+    lines = ["top:", *body, "end: halt"]
+    load_program("\n".join(lines) + "\n")
+    for line, at in bads:
+        lines.insert(1 + min(at, len(lines) - 2), line)
+    first = next(i for i, line in enumerate(lines, 1) if line in BAD_LINES)
+    with pytest.raises(ParseError) as err:
+        load_program("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {first}: {BAD_LINES[lines[first - 1]]}"

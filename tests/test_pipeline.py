@@ -423,7 +423,7 @@ class TestRunMemory:
     def test_finished_core_keeps_commits_only_in_its_timeline(self, trips):
         m, _ = run(COUNTED_LOOP.format(trips=trips))
         core = m.cores[0]
-        bound = core.epoch + core.cfg.rob
+        bound = len(core.squash_log) + core.cfg.rob
         assert len(core.timeline) > bound
         for name, value in vars(core).items():
             # words is the machine's memory, shared by the cores
@@ -616,7 +616,7 @@ class TestMemoryCallbacks:
         m = self._machine(["li r1, 1", "bne r1, r0, out", "nop", "out:"],
                           warm_icache=True)
         core = m.cores[0]
-        self._step_until(m, lambda: core.epoch == 1)
+        self._step_until(m, lambda: len(core.squash_log) == 1)
         state = self._fetch_state(core)
         assert state[0] is None and m.cycle < state[1] < WAITING
         file = m.mem.l1i_file[0]
