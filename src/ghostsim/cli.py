@@ -43,7 +43,7 @@ def _read_text(path):
     try:
         return Path(path).read_text()
     except OSError as e:
-        raise UsageError(f"cannot read {path}: {e.strerror or e}") from None
+        raise UsageError(f"cannot read {path}: {e.strerror if e.strerror else e}") from None
     except UnicodeDecodeError as e:
         raise UsageError(f"cannot read {path}: {e}") from None
 
@@ -55,7 +55,7 @@ def _writing(path):
     try:
         yield
     except OSError as e:
-        raise UsageError(f"cannot write {path}: {e.strerror or e}") from None
+        raise UsageError(f"cannot write {path}: {e.strerror if e.strerror else e}") from None
 
 
 def _build_config(args):

@@ -40,6 +40,11 @@ every list, as it does the ROB's.  An instruction line is a fetch stall
 until it is ready: a hit until its ready cycle, a missed line until its
 ``mem_ready`` (``fetch_stall_until`` is ``WAITING`` meanwhile), as
 gem5's O3 fetch records an outstanding I-cache miss as its status.
+Memory calls a load back only while its miss is outstanding: its target
+sits on exactly one miss register or waiter list from its issue until
+the delivery (``mem_ready``) or retry (``mem_retry``) that takes it off.
+So a callback outside a commit-time access finds the load issued and not
+completed, and asks only whether a squash took it meanwhile.
 
 A dynamic instruction points at its shared, read-only ``StaticInstr``
 (``di.si``), as gem5's ``DynInst`` does, and keeps only what execution
@@ -516,8 +521,7 @@ class Core:
                 self.fetch_stall_until = cycle
         elif di.commit_mem == WAITING:   # committing store or replay
             di.commit_mem = cycle
-        elif di.issued is not None and di.completed is None \
-                and not di.squashed:     # else squashed while in flight
+        elif not di.squashed:            # else squashed while in flight
             # issue aligned the address
             di.result = self.words.get(di.addr, 0)
             di.from_below = True
@@ -533,8 +537,7 @@ class Core:
                 self.fetch_stall_until = 0
         elif di.commit_mem == WAITING:
             di.commit_mem = None
-        elif di.issued is not None and di.completed is None \
-                and not di.squashed:
+        elif not di.squashed:
             di.issued = di.done_at = None
             insort(self.ready, di, key=_TS)
 

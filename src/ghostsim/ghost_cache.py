@@ -33,7 +33,7 @@ class GhostLine:
 
 
 class GhostCache:
-    def __init__(self, sets, ways, *, timeguard, not_after, counters=None,
+    def __init__(self, sets, ways, *, timeguard, not_after, counters,
                  line_shift=6):
         self.sets = sets
         self.ways = ways
@@ -41,12 +41,10 @@ class GhostCache:
         self.timeguard = timeguard
         # not_after(a, b): stamp a precedes or equals b in program order
         self.not_after = not_after
-        self.counters = counters if counters is not None else {}
+        # the memory system's counters, bumped in place
+        self.counters = counters
         self.lines = {}          # set index -> ``ways`` slots, line or None
         self._fifo = [0] * sets  # replacement pointer for non-timeguarded mode
-
-    def _bump(self, key):
-        self.counters[key] = self.counters.get(key, 0) + 1
 
     def lookup(self, line_addr, ts):
         """TimeGuarded read: a hit requires a tag match whose timestamp is
@@ -57,7 +55,7 @@ class GhostCache:
             if way is not None and way.tag == line_addr:
                 if not self.timeguard or self.not_after(way.ts, ts):
                     return way
-                self._bump("timeguard_blocks")
+                self.counters["timeguard_blocks"] += 1
                 return None
         return None
 
@@ -97,7 +95,7 @@ class GhostCache:
                 victim = self._fifo[si]
                 self._fifo[si] = (victim + 1) % self.ways
         if victim is None:
-            self._bump("fills_rejected")
+            self.counters["fills_rejected"] += 1
             return False
         st[victim] = GhostLine(line_addr, ts, noncoherent)
         return True
@@ -110,7 +108,7 @@ class GhostCache:
             if way is not None and way.tag == line_addr:
                 if not self.timeguard or self.not_after(way.ts, ts):
                     st[i] = None
-                    self._bump("lines_extracted")
+                    self.counters["lines_extracted"] += 1
                     return way
                 return None
         return None
@@ -126,7 +124,7 @@ class GhostCache:
                 if way is not None and (not self.timeguard
                                         or not self.not_after(way.ts, ts)):
                     st[i] = None
-        self._bump("flush_count")
+        self.counters["flush_count"] += 1
 
     def invalidate(self, line_addr):
         st = self.lines.get((line_addr >> self.line_shift) % self.sets, ())

@@ -83,7 +83,13 @@ def run(programs, cfg: RunConfig):
 
 def _first_divergence(cores_a, cores_b):
     """Locate the first committed instruction that differs between two
-    runs, as (core, commit index, entry_a, entry_b)."""
+    runs, as (core, commit index, entry_a, entry_b).
+
+    Only the second run's timeline can be a proper prefix of the
+    first's, and then ``entry_b`` is None: the differential's structural
+    check leaves only timelines of equal length, and ablation's first
+    run ends each timeline at a HALT, after which a core commits
+    nothing."""
     for cid, (a, b) in enumerate(zip(cores_a, cores_b)):
         ta, tb = a.timeline, b.timeline
         if ta == tb:
@@ -91,10 +97,7 @@ def _first_divergence(cores_a, cores_b):
         for i, (ea, eb) in enumerate(zip(ta, tb)):
             if ea != eb:
                 return (cid, i, ea, eb)
-        # one timeline is a proper prefix of the other
-        i = min(len(ta), len(tb))
-        return (cid, i, ta[i] if i < len(ta) else None,
-                tb[i] if i < len(tb) else None)
+        return (cid, len(tb), ta[len(tb)], None)
     return None
 
 

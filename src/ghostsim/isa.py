@@ -222,7 +222,9 @@ def load_program(text: str) -> Program:
                     addr, val = int(toks[0], 0), int(toks[1], 0)
                 except ValueError:
                     addr, val = _imm(toks[0], lineno), _imm(toks[1], lineno)
-                if addr < 0 or addr % WORD_BYTES:
+                if addr < 0:
+                    raise ParseError(f"line {lineno}: .word address must not be negative")
+                if addr % WORD_BYTES:
                     raise ParseError(f"line {lineno}: .word address must be {WORD_BYTES}-byte aligned")
                 data[addr] = s64(val)
             elif name == ".align":

@@ -532,7 +532,7 @@ class MemorySystem:
             e[2] = stride
             e[3] = 1 if stride != 0 else 0
         e[1] = line
-        if e[3] >= cfg.rpt_confidence and e[2] != 0:
+        if e[3] >= cfg.rpt_confidence:
             nxt = line + e[2]
             if nxt >= 0 and not self.l2.lookup(nxt):
                 self.counters["prefetches_issued"] += 1

@@ -8,6 +8,7 @@ import operator
 import random
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -21,6 +22,11 @@ from ghostsim.memory import MemorySystem
 
 # Machine.not_after: stamps are plain counters
 _na = operator.le
+
+
+def _buffer():
+    """A one-set, two-way timeguarded side buffer."""
+    return GhostCache(1, 2, timeguard=True, not_after=_na, counters=Counter())
 
 
 @contextmanager
@@ -42,30 +48,30 @@ def _run_gadget(gadget, secret, mode, **extra):
 
 def test_c01_timeguarded_lookup():
     with criterion(1, "timestamp-guarded side-buffer lookup"):
-        g = GhostCache(1, 2, timeguard=True, not_after=_na)
+        g = _buffer()
         g.fill(0x40, 22)
         assert g.lookup(0x40, 21) is None              # line 22, reader 21
-        g = GhostCache(1, 2, timeguard=True, not_after=_na)
+        g = _buffer()
         g.fill(0x40, 27)
         assert g.lookup(0x40, 28) is not None          # line 27, reader 28
-        g = GhostCache(1, 2, timeguard=True, not_after=_na)
+        g = _buffer()
         g.fill(0x40, 25)
         assert g.lookup(0x40, 25) is not None          # equality hits
 
 
 def test_c02_timeguarded_fill():
     with criterion(2, "timestamp-guarded side-buffer fill/eviction"):
-        g = GhostCache(1, 2, timeguard=True, not_after=_na)
+        g = _buffer()
         g.fill(0x40, 26)
         g.fill(0x80, 28)
         assert g.fill(0xC0, 25)                        # evicts the 28 line
         assert {w.ts for w in g.valid_lines()} == {25, 26}
-        g = GhostCache(1, 2, timeguard=True, not_after=_na)
+        g = _buffer()
         g.fill(0x40, 3)
         g.fill(0x80, 4)
         assert not g.fill(0xC0, 9)                     # rejected outright
         assert {w.ts for w in g.valid_lines()} == {3, 4}
-        g = GhostCache(1, 2, timeguard=True, not_after=_na)
+        g = _buffer()
         g.fill(0x40, 26)
         assert g.fill(0x80, 25)                        # free slot preferred
         assert {w.ts for w in g.valid_lines()} == {25, 26}

@@ -3,6 +3,7 @@ squash flush.
 """
 
 import operator
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,8 @@ _na = operator.le
 
 
 def make(sets=1, ways=2, timeguard=True):
-    return GhostCache(sets, ways, timeguard=timeguard, not_after=_na)
+    return GhostCache(sets, ways, timeguard=timeguard, not_after=_na,
+                      counters=Counter())
 
 
 def line(n):

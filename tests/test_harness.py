@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,10 @@ class TestRun:
         _, a = harness.run([SIMPLE], RunConfig())
         _, b = harness.run([SIMPLE], RunConfig(warm_icache=True))
         assert a.digest != b.digest
+
+    def test_no_programs_report_no_cycles(self):
+        _, rep = harness.run([], RunConfig())
+        assert (rep.cycles, rep.commits, rep.ipc) == (0, 0, 0.0)
 
     def test_timeout_raises(self):
         with pytest.raises(SimTimeout):
@@ -165,6 +170,39 @@ halt
         res = harness.run_ablation(_pair(56), RunConfig(l2_mshrs=1,
                                                         check_invariants=True))
         assert res.verdict == "PASS" and res.pure
+
+    @pytest.mark.parametrize("switch, verdict", [
+        ("squash_cancels_misses", "FAIL"), ("side_buffer", "PASS")])
+    def test_forwarded_copy_with_a_switch_off(self, monkeypatch, switch,
+                                              verdict):
+        # pair 56 again, with one of the two switches the forwarded fill
+        # reads turned off: a copy filled after the squash lets the
+        # correct-path load hit early, and with no side buffer the copy
+        # is not kept at all
+        monkeypatch.setitem(PROTECTION, "ghostminion",
+                            replace(PROTECTION["ghostminion"],
+                                    **{switch: False}))
+        cfg = RunConfig(l2_mshrs=1, check_invariants=True)
+        m, _ = harness.run(_pair(56), cfg)
+        res = harness.run_ablation(_pair(56), cfg)
+        assert res.verdict == verdict and res.pure
+        if switch == "side_buffer":
+            assert not any(list(g.valid_lines()) for g in m.mem.dghost)
+
+    def test_ablated_store_that_commits_writes_nothing(self):
+        # a normal run whose committed count is cut to the first
+        # instruction makes the ablated run ablate the correct-path store:
+        # its no-op still commits, but writes no word and makes no access
+        prog = load_program("li r1, 7\nst r1, r0, 0x2000\nhalt\n")
+        m1 = Machine([prog], RunConfig())
+        m1.run()
+        assert m1.cores[0].committed == {0: 3}
+        m1.cores[0].committed[0] = 1
+        m2 = Machine([prog], RunConfig(), normal=m1)
+        m2.run(m1.cycle)
+        assert [e[2] for e in m2.cores[0].timeline] == ["addi", "st", "halt"]
+        assert (m1.read_word(0x2000), m2.read_word(0x2000)) == (7, 0)
+        assert m1.mem.owner == {0x2000: 0} and m2.mem.owner == {}
 
     def test_older_reader_cannot_see_younger_side_buffer_fill(self,
                                                               monkeypatch):
@@ -500,6 +538,42 @@ class TestCli:
         assert rows == [[name, "2-core" if name == "spectre_prime"
                          else "1-core", "secrets", "0..15"]
                         for name in GADGETS]
+
+    def test_emit_all_writes_one_file_per_core(self, tmp_path, capsys):
+        assert main(["gadgets", "emit", "all", "--dir", str(tmp_path)]) == 0
+        texts = {}
+        for g in GADGETS.values():
+            programs = g.programs(0)
+            for i, text in enumerate(programs):
+                suffix = f".core{i}" if len(programs) > 1 else ""
+                texts[f"{g.name}{suffix}.gasm"] = text
+        assert "spectre_prime.core1.gasm" in texts
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
+        assert len(capsys.readouterr().out.splitlines()) == len(texts)
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ghostsim")
+
+    @pytest.mark.parametrize("argv, method", [
+        (["run", "{prog}"], "read_text"),
+        (["gadgets", "emit", "spectre_v1", "--dir", "{dir}"], "write_text"),
+    ], ids=["read", "write"])
+    def test_os_error_without_strerror_names_the_path(
+            self, tmp_path, monkeypatch, capsys, argv, method):
+        # an OSError raised with a message only has no strerror: the
+        # message stands in for it
+        prog = tmp_path / "p.gasm"
+        prog.write_text(SIMPLE)
+        argv = [a.format(prog=prog, dir=tmp_path / "out") for a in argv]
+
+        def refuse(*args, **kwargs):
+            raise OSError("refused")
+        monkeypatch.setattr(Path, method, refuse)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot ") and err.endswith(": refused\n")
+        assert str(tmp_path) in err
 
     def test_emitted_two_core_gadget_runs(self, tmp_path):
         assert main(["gadgets", "emit", "spectre_prime",

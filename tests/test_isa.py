@@ -164,8 +164,12 @@ PARSE_ERRORS = {
     "add r1, r2, rx\n": "line 1: bad register 'rx'",
     "ld r1, r2, zzz\n": "line 1: bad immediate 'zzz'",
     ".word 0x101 5\n": "line 1: .word address must be 8-byte aligned",
+    ".word -8 5\n": "line 1: .word address must not be negative",
     ".word 0x100\n": "line 1: .word needs address and value",
+    ".word\n": "line 1: .word needs address and value",
     ".align 3\n": "line 1: bad alignment '3'",
+    ".align 0\n": "line 1: bad alignment '0'",
+    ".align\n": "line 1: bad alignment ''",
     "beq r1, r2, nowhere\n": "line 1: undefined label 'nowhere'",
     "jmp 0x41\n": "line 1: misaligned branch target 0x41",
     "1bad: nop\n": "line 1: bad label '1bad'",

@@ -148,6 +148,19 @@ class TestPrefetcher:
         mem.tick(20 + mem.cfg.mem_lat)
         assert mem.l2.lookup(0x2000 + 64 * 3)
 
+    def test_descending_stride_stops_at_line_zero(self):
+        # a stride of -64 reaches the threshold at 0x40 and prefetches
+        # line 0; at line 0 the next line would be below address 0
+        mem = _mem()
+        pc = 0x40
+        for i, cyc in enumerate((0, 10, 20)):
+            mem.prefetch_notify(pc, 0xC0 - 64 * i, cyc)
+        assert mem.counters["prefetches_issued"] == 1
+        mem.prefetch_notify(pc, 0, 30)
+        assert mem.counters["prefetches_issued"] == 1
+        mem.tick(20 + mem.cfg.mem_lat)
+        assert mem.l2.lookup(0)
+
     def test_stride_stream_trains_and_prefetches(self):
         # end to end: a strided load loop trains the prefetcher and
         # prefetched lines sit in the L2 (demand misses do not install

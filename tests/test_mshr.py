@@ -77,6 +77,20 @@ class TestLeapfrog:
         assert mem.counters["retries"] == 1
         assert (0, 29) in mem.l1d_file[0].waiters
 
+    def test_request_stamped_as_the_youngest_entry_must_retry(self):
+        # {22, 23, 25} and a request for another line stamped 25 too, as
+        # an instruction fetch and the first instruction it fetches may
+        # meet in the L2 file: not older than the youngest entry, it
+        # retries instead of cancelling a miss of its own stamp
+        mem, core = make()
+        for ts in (22, 23, 25):
+            req(mem, ts, ts)
+        assert req(mem, 30, 25, tag="again") is None
+        assert entry_stamps(mem) == [22, 23, 25]
+        assert (mem.counters["mshr_leapfrogs"], mem.counters["retries"]) \
+            == (0, 1)
+        assert (0, "again") in mem.l1d_file[0].waiters
+
     def test_victim_cancellation_frees_lower_level(self):
         mem, core = make()
         for ts in (22, 23, 28):

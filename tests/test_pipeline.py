@@ -12,7 +12,7 @@ from ghostsim import Machine, RunConfig, load_program
 from ghostsim import harness
 from ghostsim.config import PROTECTION
 from ghostsim.core import WAITING, Core
-from ghostsim.isa import DIV, LOAD, STORE
+from ghostsim.isa import DIV, LOAD, STORE, Program
 from ghostsim.gadgets import GADGETS
 from ghostsim.harness import _gen_program
 from ghostsim.machine import SimTimeout
@@ -127,6 +127,30 @@ class TestSquash:
         assert m.cores[0].regs[2] == 0
         ref_stream, ref_regs, ref_words = ref_execute(load_program(text))
         assert commits(m) == ref_stream
+
+    @pytest.mark.parametrize("mode", ["unsafe", "flush_only", "ghostminion"])
+    def test_wrong_path_past_the_image_end(self, mode, monkeypatch):
+        # the last instruction is a branch predicted not taken whose input
+        # misses, so fetch runs on past the image: every address there
+        # decodes as a no-op, and the branch's squash still reaches halt
+        prog = load_program(".word 0x2000 0\n"
+                            "jmp start\n"
+                            "end: halt\n"
+                            "start: ld r1, r0, 0x2000\n"
+                            "beq r1, r0, end\n")
+        ref_stream = ref_execute(prog)[0]
+        decoded = []
+        get = Program.get
+
+        def spy(self, pc):
+            si = get(self, pc)
+            decoded.append((pc >= prog.end_pc, si.op))
+            return si
+        monkeypatch.setattr(Program, "get", spy)
+        m = Machine([prog], RunConfig(mode=mode))
+        m.run()
+        assert commits(m) == ref_stream
+        assert decoded and set(decoded) == {(True, "nop")}
 
     def test_taken_branch_trains_predictor(self):
         # a loop branch mispredicts on early iterations, then predicts
