@@ -65,9 +65,10 @@ same call left that line in the L1I: nothing a commit does takes a line
 out of the L1I, so the call would only re-touch its most recently used
 line.
 
-The committed timeline - (sequence, pc, opcode, per-stage cycles,
-architectural result) for every committed instruction - is the
-observable over which noninterference is checked.
+The committed timeline - one flat record ``(pc, opcode, fetched,
+renamed, issued, completed, committed, result)`` per committed
+instruction, whose commit number is its index in ``Core.timeline`` - is
+the observable over which noninterference is checked.
 """
 
 from bisect import insort
@@ -654,9 +655,8 @@ class Core:
                 self.stq.popleft()
             elif cls == DIV:
                 self.divq.popleft()
-            timeline.append((len(timeline), si.pc, si.op,
-                             (di.fetched, di.renamed, di.issued,
-                              di.completed, cycle),
+            timeline.append((si.pc, si.op, di.fetched, di.renamed,
+                             di.issued, di.completed, cycle,
                              di.result if (dst or cls == STORE) else None))
             rob.popleft()
             commits += 1

@@ -13,6 +13,7 @@ import hashlib
 import json
 import random
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 
 from .config import RunConfig
 from .gadgets import SECRETS
@@ -39,28 +40,30 @@ class Report:
                           indent=2)
 
 
-# timeline entries formatted and hashed at a time, so the digest never
+# timeline records formatted and hashed at a time, so the digest never
 # holds a whole timeline's text
 _DIGEST_SLICE = 1024
 
 
 def timeline_digest(machine):
-    """sha256 over each core's ``repr(core.timeline)`` followed by a NUL
-    byte.  Each entry is written by one format that reprs its fields, not
-    by repr's walk of the nested tuples, and the text is hashed a slice of
-    entries at a time; the bytes hashed are the same."""
+    """sha256 over each core's timeline text followed by a NUL byte.  The
+    text is ``[``, the records joined by ``", "``, then ``]``; a record
+    ``(pc, op, f, r, i, c, m, result)`` at index ``seq`` is written
+    ``(seq, pc, 'op', (f, r, i, c, m), result)``, each field by its repr,
+    so the text is the repr of a list of such tuples.  It is hashed a
+    slice of records at a time."""
     h = hashlib.sha256()
     for core in machine.cores:
-        timeline = core.timeline
+        rows = enumerate(core.timeline)
         h.update(b"[")
-        for start in range(0, len(timeline), _DIGEST_SLICE):
-            if start:
-                h.update(b", ")
-            h.update(", ".join([
+        sep = ""
+        while text := ", ".join([
                 f"({seq!r}, {pc!r}, {op!r}, ({fet!r}, {ren!r}, {iss!r}, "
                 f"{cpl!r}, {cmt!r}), {result!r})"
-                for seq, pc, op, (fet, ren, iss, cpl, cmt), result
-                in timeline[start:start + _DIGEST_SLICE]]).encode())
+                for seq, (pc, op, fet, ren, iss, cpl, cmt, result)
+                in islice(rows, _DIGEST_SLICE)]):
+            h.update((sep + text).encode())
+            sep = ", "
         h.update(b"]\x00")
     return h.hexdigest()
 
@@ -83,10 +86,12 @@ def run(programs, cfg: RunConfig):
 
 def _first_divergence(cores_a, cores_b):
     """Locate the first committed instruction that differs between two
-    runs, as (core, commit index, entry_a, entry_b).
+    runs, as (core, commit index, record_a, record_b): the index is the
+    commit number, and each record the flat ``(pc, op, fetched, renamed,
+    issued, completed, committed, result)`` tuple of its timeline.
 
     Only the second run's timeline can be a proper prefix of the
-    first's, and then ``entry_b`` is None: the differential's structural
+    first's, and then ``record_b`` is None: the differential's structural
     check leaves only timelines of equal length, and ablation's first
     run ends each timeline at a HALT, after which a core commits
     nothing."""
@@ -107,10 +112,12 @@ class CheckResult:
 
     ``verdict`` is "SAFE", "LEAKS" or "ERROR" (differential) or "PASS" or
     "FAIL" (ablation).  ``divergence``, unless None, is the first differing
-    commit with both runs' timeline entries: ``(secret, core, index,
-    entry_a, entry_b)`` for the differential, ``entry_a`` from the first
-    secret's run; ``(core, index, entry_normal, entry_ablated)`` for
-    ablation, an entry None where its run committed nothing.  ``pure`` is
+    commit with both runs' timeline records, each the flat ``(pc, op,
+    fetched, renamed, issued, completed, committed, result)`` tuple and
+    ``index`` its commit number: ``(secret, core, index, record_a,
+    record_b)`` for the differential, ``record_a`` from the first
+    secret's run; ``(core, index, record_normal, record_ablated)`` for
+    ablation, a record None where its run committed nothing.  ``pure`` is
     whether ablation's caches, owners and prefetcher matched at HALT.
     """
 
@@ -138,11 +145,11 @@ def run_differential(gadget, cfg: RunConfig):
         if baseline is None:
             baseline, base_secret = m, s
             # each core's committed (pc, op) stream, built once
-            streams = [[(e[1], e[2]) for e in c.timeline] for c in m.cores]
+            streams = [[e[:2] for e in c.timeline] for c in m.cores]
             continue
         # structural check: the committed (pc, op) stream must match
         for sa, b in zip(streams, m.cores):
-            if sa != [(e[1], e[2]) for e in b.timeline]:
+            if sa != [e[:2] for e in b.timeline]:
                 return CheckResult(
                     "ERROR",
                     detail=f"committed instruction streams differ "

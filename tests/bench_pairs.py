@@ -124,8 +124,10 @@ def bench(base, pairs, seconds, seed):
             order = (("parent", base), ("change", ROOT))
             for side, checkout in (order if k % 2 == 0 else order[::-1]):
                 runs[w][side].append(_perfbench(checkout, w, s, seconds))
+                got = runs[w][side][-1]["metrics"]
                 print(f"pair {k} seed {s} {w} {side}: "
-                      f"{runs[w][side][-1]['metrics']['wall_s']['value']:.4g} s",
+                      f"{got['wall_s']['value']:.4g} s, "
+                      f"{got['peak_rss_mb']['value']:.4g} MB",
                       file=sys.stderr, flush=True)
     report = {}
     for w in WORKLOADS:

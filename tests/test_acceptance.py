@@ -222,10 +222,10 @@ def test_c07_flush_timing_invariance():
                 occupancy = max(occupancy,
                                 len(list(m.mem.dghost[0].valid_lines())))
             tl = m.cores[0].timeline
-            branch = next(e for e in tl if e[2] == "bne")
+            branch = next(e for e in tl if e[1] == "bne")
             refetched = tl[tl.index(branch) + 1]
-            results.append((occupancy, branch[3][3],
-                            refetched[3][4] - branch[3][3], tl))
+            results.append((occupancy, branch[5],
+                            refetched[6] - branch[5], tl))
         (occ0, res0, delta0, tl0), (occ1, res1, delta1, tl1) = results
         assert occ0 == 0 and occ1 == 8          # empty vs full at squash
         assert res0 == res1                     # same squash cycle
@@ -254,8 +254,8 @@ def test_c09_divider_scheduling():
             out = []
             for s in (0, 6, 9, 15):
                 m = _run_gadget(g, s, mode)
-                divs = tuple(e[3] for e in m.cores[0].timeline
-                             if e[2] == "div")
+                divs = tuple(e[2:7] for e in m.cores[0].timeline
+                             if e[1] == "div")
                 deltas = tuple(m.read_word(RESULT + 8 * i) for i in range(6))
                 out.append((divs, deltas))
             return out

@@ -1,9 +1,13 @@
-"""The timeline digest's definition: sha256 over each core's
-``repr(core.timeline)`` encoded, followed by a NUL byte.
+"""The timeline digest's definition: sha256 over, for each core, the
+``repr`` of its timeline rebuilt as a list of ``(commit number, pc, op,
+(fetched, renamed, issued, completed, committed), result)`` tuples,
+encoded and followed by a NUL byte.
 
-Oracle: the digest recomputed here from that definition.
-``harness.timeline_digest`` formats the entries itself, so it must give
-the same bytes on every kind of run: single-core gadgets in every mode,
+Oracle: the digest recomputed here from that definition.  A timeline
+holds flat ``(pc, op, fetched, renamed, issued, completed, committed,
+result)`` records whose commit number is their index, and
+``harness.timeline_digest`` formats them itself, so it must give the
+same bytes on every kind of run: single-core gadgets in every mode,
 fuzz programs at a tight geometry, the two-core message-passing pair,
 timelines longer than the slice it hashes at a time, an empty timeline,
 and results at the edges of the 64-bit range.
@@ -20,6 +24,7 @@ from programs import MP_CORE0, MP_CORE1
 from ghostsim import Machine, RunConfig, harness, load_program
 from ghostsim.config import MODES
 from ghostsim.gadgets import GADGETS
+from ghostsim.isa import INSTR_BYTES
 
 SINGLE_CORE = sorted(name for name, g in GADGETS.items() if not g.two_core)
 
@@ -37,11 +42,22 @@ nop
 halt
 """
 
+STRAIGHT = """\
+.word 0x2000 7
+addi r1, r0, 3
+ld r2, r0, 0x2000
+st r1, r0, 0x2008
+halt
+"""
+
 
 def repr_digest(machine):
     h = hashlib.sha256()
     for core in machine.cores:
-        h.update(repr(core.timeline).encode())
+        nested = [(i, pc, op, (f, r, iss, c, m), result)
+                  for i, (pc, op, f, r, iss, c, m, result)
+                  in enumerate(core.timeline)]
+        h.update(repr(nested).encode())
         h.update(b"\x00")
     return h.hexdigest()
 
@@ -90,3 +106,18 @@ def test_none_negative_and_extreme_results():
     ints = [r for r in results if r is not None]
     assert max(ints) == 2**63 - 1 and min(ints) == -2**63
     assert -7 in ints and -(2**63 - 1) in ints
+
+
+def test_record_is_flat_and_its_index_is_its_commit_number():
+    # straight-line code commits in program order, so the record of
+    # commit i is the instruction at pc i * INSTR_BYTES
+    m = _check([STRAIGHT], RunConfig())
+    tl = m.cores[0].timeline
+    assert [len(rec) for rec in tl] == [8] * 4
+    assert [rec[:2] for rec in tl] == [
+        (i * INSTR_BYTES, op)
+        for i, op in enumerate(["addi", "ld", "st", "halt"])]
+    for f, r, iss, c, cmt in (rec[2:7] for rec in tl):
+        assert f <= r <= iss <= c <= cmt
+    assert [rec[6] for rec in tl] == sorted(rec[6] for rec in tl)
+    assert [rec[7] for rec in tl] == [3, 7, 3, None]

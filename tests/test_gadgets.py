@@ -45,7 +45,7 @@ def test_committed_stream_is_secret_independent(name):
         streams = []
         for s in (0, 15):
             m = run_gadget(g, s, mode)
-            streams.append([[(e[1], e[2]) for e in c.timeline]
+            streams.append([[e[:2] for e in c.timeline]
                             for c in m.cores])
         assert streams[0] == streams[1]
 
@@ -64,4 +64,4 @@ def test_secret_never_committed_architecturally():
     m = run_gadget(g, secret, "unsafe")
     from ghostsim.gadgets import PROBE
     for e in m.cores[0].timeline:
-        assert e[4] != PROBE + (secret << 6), e
+        assert e[7] != PROBE + (secret << 6), e

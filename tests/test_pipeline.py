@@ -3,6 +3,8 @@ semantics, store forwarding, and equivalence against the sequential
 reference interpreter.
 """
 
+import gc
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 
@@ -33,7 +35,7 @@ def run(text, **cfg_kw):
 
 
 def commits(m):
-    return [(e[1], e[2]) for e in m.cores[0].timeline]
+    return [e[:2] for e in m.cores[0].timeline]
 
 
 class TestDeterminism:
@@ -68,7 +70,7 @@ class TestAnalyticTiming:
         m, _ = run(text, warm_icache=True)
         for i in range(n):
             entry = m.cores[0].timeline[i]
-            assert entry[3][4] == 5 + i // 4 + 2 * (i // 16), f"instr {i}"
+            assert entry[6] == 5 + i // 4 + 2 * (i // 16), f"instr {i}"
 
     def test_dependent_chain(self):
         n = 16
@@ -77,7 +79,7 @@ class TestAnalyticTiming:
                 + "\nhalt\n")
         m, _ = run(text, warm_icache=True)
         for i in range(n + 1):
-            assert m.cores[0].timeline[i][3][4] == 5 + i
+            assert m.cores[0].timeline[i][6] == 5 + i
         assert m.cores[0].regs[1] == 1 << n
 
     def test_mul_and_div_latency(self):
@@ -86,9 +88,9 @@ class TestAnalyticTiming:
         m, _ = run(text, warm_icache=True)
         tl = m.cores[0].timeline
         mul, div = tl[2], tl[3]
-        assert mul[3][3] - mul[3][2] == cfg.mul_lat
-        assert div[3][3] - div[3][2] == cfg.div_lat
-        assert (mul[4], div[4]) == (768, 12)
+        assert mul[5] - mul[4] == cfg.mul_lat
+        assert div[5] - div[4] == cfg.div_lat
+        assert (mul[7], div[7]) == (768, 12)
 
 
 class TestNarrowUnits:
@@ -101,13 +103,13 @@ class TestNarrowUnits:
         tight, _ = run(UNIT_SLOTS, warm_icache=True, **GEOMETRIES["tight"])
         wide, tight = wide.cores[0].timeline, tight.cores[0].timeline
         for a, b in ((0, 1), (2, 3), (4, 5)):   # the li, mul and st pairs
-            assert wide[b][3][2] == wide[a][3][2]
-            assert tight[b][3][2] == tight[a][3][2] + 1
+            assert wide[b][4] == wide[a][4]
+            assert tight[b][4] == tight[a][4] + 1
         # the third store renames with the others, or when the first
         # store commits
-        assert wide[6][3][1] == wide[4][3][1]
-        assert tight[6][3][1] == tight[4][3][4] > tight[4][3][1]
-        assert [e[4] for e in tight] == [e[4] for e in wide]
+        assert wide[6][3] == wide[4][3]
+        assert tight[6][3] == tight[4][6] > tight[4][3]
+        assert [e[7] for e in tight] == [e[7] for e in wide]
 
 
 class TestSquash:
@@ -163,7 +165,7 @@ class TestSquash:
         m, _ = run(text, warm_icache=True)
         ref_stream, ref_regs, _ = ref_execute(load_program(text))
         assert commits(m) == ref_stream
-        branch_commits = [e[3][4] for e in m.cores[0].timeline if e[2] == "bne"]
+        branch_commits = [e[6] for e in m.cores[0].timeline if e[1] == "bne"]
         gaps = [b - a for a, b in zip(branch_commits, branch_commits[1:])]
         # late iterations are squash-free and tighter than early ones
         assert gaps[-1] < gaps[0]
@@ -175,7 +177,7 @@ class TestSquash:
         tl = m.cores[0].timeline
         br, halt = tl[1], tl[2]
         # redirected fetch restarts after the fixed squash penalty
-        assert halt[3][0] >= br[3][3] + cfg.squash_penalty
+        assert halt[2] >= br[5] + cfg.squash_penalty
 
     def test_window_survives_long_programs(self):
         # many more instructions than the ROB holds
@@ -382,7 +384,7 @@ class TestWakeupBookkeeping:
             "ld r5, r2, 0x4008",      # W
             "halt"]))], RunConfig(warm_icache=True, l1_mshrs=1))
         m.run()
-        issue = {e[0]: e[3][2] for e in m.cores[0].timeline}
+        issue = [e[4] for e in m.cores[0].timeline]
         assert m.mem.counters["mshr_leapfrogs"] == 1
         assert issue[5] == issue[3] + 1
 
@@ -426,7 +428,7 @@ class TestWakeupBookkeeping:
         def spy(core, di, cycle, redirect_pc):
             if di.si.cls == LOAD:
                 tl = core.timeline
-                squashes.append(bool(tl) and tl[-1][3][4] == cycle)
+                squashes.append(bool(tl) and tl[-1][6] == cycle)
             return squash(core, di, cycle, redirect_pc)
 
         monkeypatch.setattr(Core, "_squash_after", spy)
@@ -454,6 +456,25 @@ class TestRunMemory:
             if name not in ("timeline", "words") \
                     and isinstance(value, (list, dict, set, deque)):
                 assert len(value) <= bound, name
+
+    def test_timeline_holds_one_flat_record_per_commit(self):
+        # a commit's record is one 8-field tuple, its list slot and the
+        # ints only it holds: about 132 B a commit on this loop, against
+        # about 210 B when a record also held its own index and a nested
+        # tuple of its stage cycles
+        tracemalloc.start()
+        try:
+            m, _ = run(COUNTED_LOOP.format(trips=200))
+            timeline = m.cores[0].timeline
+            commits = len(timeline)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            timeline.clear()
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / commits < 170
 
     def test_finished_instruction_holds_no_links(self):
         # every instruction a core can reach through producer and
@@ -497,9 +518,9 @@ class TestStoreForward:
                     "halt\n")
             m, _ = run(text, warm_icache=True)
             ld = m.cores[0].timeline[2]
-            assert ld[4] == value
+            assert ld[7] == value
             # forwarding: the load completes without a memory round trip
-            assert ld[3][3] - ld[3][2] <= 2
+            assert ld[5] - ld[4] <= 2
 
     def test_forwards_from_the_youngest_older_store(self):
         # two older stores write the load's word: the younger one's value
@@ -512,8 +533,8 @@ class TestStoreForward:
                 "halt\n")
         m, _ = run(text, warm_icache=True)
         ld = m.cores[0].timeline[4]
-        assert ld[4] == 22
-        assert ld[3][3] - ld[3][2] <= 2
+        assert ld[7] == 22
+        assert ld[5] - ld[4] <= 2
 
     def test_younger_store_is_not_forwarded(self):
         # the load's address waits for a multiply, so the younger store to
@@ -527,8 +548,8 @@ class TestStoreForward:
         m, _ = run(text, warm_icache=True)
         tl = m.cores[0].timeline
         ld, st = tl[2], tl[3]
-        assert st[3][2] < ld[3][2]
-        assert ld[4] == 5 and m.read_word(0x200) == 9
+        assert st[4] < ld[4]
+        assert ld[7] == 5 and m.read_word(0x200) == 9
 
     def test_load_waits_for_older_store_address(self):
         # conservative disambiguation: the load must not issue before the
@@ -540,7 +561,7 @@ class TestStoreForward:
         m, _ = run(text, warm_icache=True)
         tl = m.cores[0].timeline
         st, ld2 = tl[1], tl[2]
-        assert ld2[3][2] >= st[3][2]
+        assert ld2[4] >= st[4]
 
 
 class TestReferenceEquivalence:
