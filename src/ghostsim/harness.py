@@ -86,9 +86,8 @@ def run(programs, cfg: RunConfig):
 
 def _first_divergence(cores_a, cores_b):
     """Locate the first committed instruction that differs between two
-    runs, as (core, commit index, record_a, record_b): the index is the
-    commit number, and each record the flat ``(pc, op, fetched, renamed,
-    issued, completed, committed, result)`` tuple of its timeline.
+    runs, as (core, commit number, record_a, record_b), each record a
+    ``Core.timeline`` tuple.
 
     Only the second run's timeline can be a proper prefix of the
     first's, and then ``record_b`` is None: the differential's structural
@@ -112,13 +111,12 @@ class CheckResult:
 
     ``verdict`` is "SAFE", "LEAKS" or "ERROR" (differential) or "PASS" or
     "FAIL" (ablation).  ``divergence``, unless None, is the first differing
-    commit with both runs' timeline records, each the flat ``(pc, op,
-    fetched, renamed, issued, completed, committed, result)`` tuple and
-    ``index`` its commit number: ``(secret, core, index, record_a,
-    record_b)`` for the differential, ``record_a`` from the first
-    secret's run; ``(core, index, record_normal, record_ablated)`` for
-    ablation, a record None where its run committed nothing.  ``pure`` is
-    whether ablation's caches, owners and prefetcher matched at HALT.
+    commit with both runs' ``Core.timeline`` records, ``index`` its commit
+    number: ``(secret, core, index, record_a, record_b)`` for the
+    differential, ``record_a`` from the first secret's run; ``(core,
+    index, record_normal, record_ablated)`` for ablation, a record None
+    where its run committed nothing.  ``pure`` is whether ablation's
+    caches, owners and prefetcher matched at HALT.
     """
 
     verdict: str
