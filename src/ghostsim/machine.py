@@ -81,15 +81,20 @@ class Machine:
 
         A cycle in which neither the memory system nor any stage changes
         state is followed by a jump to the next cycle at which something
-        can happen (the earliest ``next_event`` of the memory system and
-        the cores), capped at the budget.  The cycles skipped would change
-        nothing, so ``check_invariants`` still sees every cycle that does;
-        ``run(max_cycles=cycle + 1)`` steps exactly one cycle, and a run
-        with nothing left to wait for times out at once.
+        can happen (the top of the memory system's event heap and the
+        earliest ``next_event`` of the cores), capped at the budget.  The
+        cycles skipped would change nothing, so ``check_invariants`` still
+        sees every cycle that does; ``run(max_cycles=cycle + 1)`` steps
+        exactly one cycle, and a run with nothing left to wait for times
+        out at once.
 
         The memory system is ticked only in a cycle in which the top of
-        its event heap is due.  The clock is kept in a local and written
-        back to ``self.cycle`` when the run halts or times out."""
+        its event heap is due; the order in which a tick runs what it pops
+        is stated once, in the ``memory`` module docstring.  The top may be
+        a delivery whose miss was since freed or restarted: the run then
+        visits its cycle, where the tick skips it and nothing else moves.
+        The clock is kept in a local and written back to ``self.cycle``
+        when the run halts or times out."""
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
         check = self.cfg.check_invariants
         fetchq_size = self.cfg.fetchq
@@ -131,7 +136,7 @@ class Machine:
             if progress:
                 c += 1
             else:
-                wake = mem.next_event(c)
+                wake = events[0][0] if events else float("inf")
                 for core in cores:
                     t = core.next_event(c)
                     if t < wake:

@@ -33,11 +33,20 @@ speculative fill lands and whether a squash wipes the buffer.  Without
 it, speculative fills pollute the L1/L2 directly and the side buffers
 stay empty.
 
-One event heap holds every timed action: each miss delivery, queued when
-its latency is set, and each background fill or prefetch.  In a cycle the
-L2, then each core's L1D and L1I deliver, each file's misses in creation
-order, then the actions run in scheduling order.  A delivery whose miss
-was since freed, restarted or handed to the L2 is skipped.
+One event heap holds all timed work: each miss delivery, queued when its
+latency is set, and each background action, a forwarded fill or a
+prefetch.  Its key ``(cycle, rank, creation order)`` is the only order in
+which that work runs: ``tick`` pops the due events in key order and runs
+each as it pops it.  In a cycle the L2 delivers first, then each core's
+L1D and L1I (the file's ``rank``), each file's misses in creation order,
+then the actions, ranked after every file, in the order they were queued.
+Nothing lands in a cycle whose tick has run: the accesses and commit
+services run after their cycle's tick, a miss they start takes at least
+one cycle (``RunConfig`` requires it), and an action they queue is dated
+``cycle + 1`` at the earliest.  A delivery that a tick queues for its own
+cycle (an L2 completion with ``l1_lat`` 0) is popped by the same tick.  A
+delivery whose miss was since freed, restarted or handed to the L2 stays
+on the heap until its cycle, and ``tick`` skips it there.
 
 The miss path is a hot path, as the core's stages are: a load refused by
 a full miss-register file is made again on every free, so most accesses
@@ -433,8 +442,11 @@ class MemorySystem:
                             and not l1.lookup(line):
                         self.dghost[core].fill(line, instr.ts,
                                                noncoherent=True)
-                heappush(self._events, (ready, self._action_rank,
-                                        next(self._seq), fill))
+                # this cycle's tick has run: the fill lands in a later
+                # one, while the load itself is ready at ``ready``
+                heappush(self._events, (max(ready, cycle + 1),
+                                        self._action_rank, next(self._seq),
+                                        fill))
                 return (ready, True, True)
             self._downgrade(line, core)
             cycle += cfg.coh_lat
@@ -536,8 +548,9 @@ class MemorySystem:
             nxt = line + e[2]
             if nxt >= 0 and not self.l2.lookup(nxt):
                 self.counters["prefetches_issued"] += 1
+                # commit runs after this cycle's tick: install in a later one
                 heappush(self._events,
-                         (cycle + cfg.mem_lat, self._action_rank,
+                         (cycle + max(cfg.mem_lat, 1), self._action_rank,
                           next(self._seq), lambda a=nxt: self.l2.install(a)))
 
     # -------------------------------------------------------------- squash
@@ -559,26 +572,24 @@ class MemorySystem:
     # ---------------------------------------------------------------- tick
 
     def tick(self, cycle):
-        """Deliver the misses and run the background actions due this
-        cycle.  Returns whether anything happened.  ``Machine.run`` calls
-        it only when the top of ``_events`` is due."""
+        """Pop every event due by ``cycle`` in heap order and run it: a
+        delivery whose entry still waits for that cycle is delivered, a
+        stale one is skipped, and an action is called.  Returns whether
+        anything was delivered or run.  ``Machine.run`` calls it only when
+        the top of ``_events`` is due."""
         events = self._events
         action_rank = self._action_rank
         progress = False
-        actions = []
         # a delivery this pushes for this cycle (l1_lat = 0) is popped too
         while events and events[0][0] <= cycle:
-            at, rank, seq, what = heappop(events)
+            at, rank, _, what = heappop(events)
             if rank == action_rank:
-                actions.append((seq, what))
+                progress = True
+                what()
             elif what.deliver_at == at:
                 progress = True
                 self._deliver(what, at)
-        # an action scheduled for a cycle whose tick had already run is
-        # due now, after this cycle's deliveries
-        for _, fn in sorted(actions):
-            fn()
-        return progress or bool(actions)
+        return progress
 
     def _deliver(self, e, cycle):
         if e.file is self.l2_file:
@@ -595,17 +606,6 @@ class MemorySystem:
         else:
             self._deliver_l1(e, cycle)
         self._free_entry(e)
-
-    def next_event(self, cycle):
-        """The cycle of the first queued delivery or background action,
-        dropping stale deliveries from the heap; inf if none."""
-        events = self._events
-        while events:
-            at, rank, _, what = events[0]
-            if rank == self._action_rank or what.deliver_at == at:
-                return at
-            heappop(events)
-        return float("inf")
 
     def _deliver_l1(self, entry, cycle):
         """An L1 completion: install the line and wake its targets."""

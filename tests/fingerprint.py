@@ -9,8 +9,12 @@ a hash of the program texts, timeline digest, cycles, counters, hashes
 of every non-speculative cache's lines (``_cache_lines``), of the line
 owners (``MemorySystem.owner``, its sorted items) and of the
 prefetcher's table, final registers and memory words and, where the
-corpus ablates, the ablation verdict, purity and detail.  The second lists the
-records that differ between two such files and exits 1 if there are any.
+corpus ablates, the ablation verdict, purity and divergence
+(``CheckResult.divergence``: the core, the commit number and both runs'
+timeline records, None where a run committed nothing), not the text that
+reports it.  The second prints each record that differs between two such
+files as ``name: field, field``, the fields whose values differ, then a
+``N of M records differ`` line, and exits 1 if any differ.
 
 Corpus:
 
@@ -43,13 +47,18 @@ GEOMETRIES = {
     "tiny": {"rob": 2, "l1_mshrs": 1, "ghost_sets": 1, "ghost_ways": 1},
     "mshr31": {"l1_mshrs": 3, "l2_mshrs": 1},
     # an L2 completion hands its L1 parent a same-cycle delivery; in the
-    # pairs, a forwarded fill is also scheduled for the current cycle
+    # pairs, a forwarded fill with no latency is dated the next cycle
     "zerolat": {"l1_lat": 0, "coh_lat": 0, "mem_lat": 0},
     # fewer units than the width, and queues and miss registers that fill
     "tight": {"alu_units": 1, "mul_units": 1, "mem_ports": 1, "lq": 2,
               "sq": 2, "l1_mshrs": 2, "l2_mshrs": 1},
+    # zerolat over one- and two-line sets: in pair 104 a forwarded fill
+    # is rejected only because the next cycle's deliveries run first
+    "zerotiny": {"l1_lat": 0, "coh_lat": 0, "mem_lat": 0, "l1_sets": 2,
+                 "l1_ways": 1, "l2_sets": 2, "l2_ways": 2, "ghost_sets": 1,
+                 "ghost_ways": 1},
 }
-PAIR_GEOMETRIES = ("default", "zerolat", "tight")
+PAIR_GEOMETRIES = ("default", "zerolat", "tight", "zerotiny")
 ABLATED_SECRETS = (0, 11)
 FUZZ_SEED = 0
 PAIR_SEED = 7
@@ -90,7 +99,7 @@ def record(programs, cfg, ablate):
     }
     if ablate:
         res = harness.run_ablation(programs, cfg)
-        rec["ablation"] = [res.verdict, res.pure, res.detail]
+        rec["ablation"] = [res.verdict, res.pure, res.divergence]
     return rec
 
 
@@ -128,7 +137,10 @@ def compare(path_a, path_b):
         a, b = json.load(fa), json.load(fb)
     differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
     for k in differ:
-        print(k)
+        ra, rb = a.get(k, {}), b.get(k, {})
+        fields = sorted(f for f in ra.keys() | rb.keys()
+                        if ra.get(f) != rb.get(f))
+        print(f"{k}: {', '.join(fields)}")
     print(f"{len(differ)} of {len(a.keys() | b.keys())} records differ")
     return 1 if differ else 0
 

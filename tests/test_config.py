@@ -158,6 +158,8 @@ def test_smallest_legal_values_accepted():
 
 
 # a value off the default for each field that nothing else varies
+# on its own (the fingerprint's zerotiny sets l2_sets and l2_ways among
+# seven others)
 VARIED = {"width": 2, "fetchq": 3, "line_bytes": 32, "squash_penalty": 0,
           "alu_lat": 2, "mul_lat": 1, "div_lat": 5, "l2_sets": 8,
           "l2_ways": 2, "rpt_entries": 1, "rpt_confidence": 1}

@@ -139,6 +139,23 @@ class TestAblation:
         res = harness.run_ablation(pair, RunConfig())
         assert res.verdict == "PASS" and res.pure
 
+    def test_zero_latency_forwarded_fill_runs_after_next_deliveries(self):
+        # seed 7, pair 104 at zerotiny: a copy forwarded with no latency
+        # is queued for the next cycle and fills after that cycle's
+        # deliveries, so the one-way side buffer already holds an older
+        # load's line and rejects it; run before them, it would be filled
+        # and then evicted by the older line
+        pair = _pair(104)
+        cfg = replace(RunConfig(check_invariants=True),
+                      **GEOMETRIES["zerotiny"])
+        _, rep = harness.run(pair, cfg)
+        assert rep.counters == {
+            "timeguard_blocks": 0, "fills_rejected": 1, "flush_count": 6,
+            "lines_extracted": 7, "mshr_leapfrogs": 0, "timeleaps": 0,
+            "retries": 0, "prefetches_issued": 0, "replays": 2}
+        res = harness.run_ablation(pair, cfg)
+        assert res.verdict == "PASS" and res.pure
+
     @pytest.mark.parametrize("mode, pure", [("flush_only", False),
                                             ("ghostminion", True)])
     def test_wrong_path_demotion_of_a_remote_line_is_impure(self, mode,

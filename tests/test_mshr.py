@@ -191,7 +191,28 @@ class TestDelivery:
         assert core.ready == [("a", 5 + miss), ("old", 5 + miss),
                               ("c", 6 + miss)]
         assert core.wakes == ["victim"]
-        assert mem.next_event(300) == float("inf")
+        events = mem._events
+        assert (events[0][0] if events else float("inf")) == float("inf")
+
+    def test_squash_cancelled_miss_is_skipped_at_its_cycle(self):
+        # a squash frees the L1 and L2 entries of a miss; its L2 delivery
+        # stays on the heap until its cycle, where tick pops it and does
+        # nothing else
+        mem, core = make()
+        at = req(mem, 7, 40).child.deliver_at
+        mem.squash_flush(0, 30)
+        files = (mem.l2_file, *mem.l1d_file, *mem.l1i_file)
+
+        def state():
+            return ([list(f.entries) for f in files],
+                    [list(f.waiters) for f in files], dict(mem.counters))
+
+        before = state()
+        assert [ev[0] for ev in mem._events] == [at]
+        assert mem.tick(at - 1) is False and len(mem._events) == 1
+        assert mem.tick(at) is False and not mem._events
+        assert state() == before
+        assert core.ready == [] and core.wakes == []
 
 
 class TestUnsafeMode:

@@ -51,7 +51,8 @@ def reference_run(m, max_cycles=None):
         if progress:
             m.cycle = c + 1
         else:
-            wake = min(mem.next_event(c),
+            events = mem._events
+            wake = min(events[0][0] if events else float("inf"),
                        *(core.next_event(c) for core in cores))
             m.cycle = max(c + 1, min(wake, limit))
 
