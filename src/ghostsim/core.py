@@ -44,13 +44,21 @@ Memory calls a load back only while its miss is outstanding: its target
 sits on exactly one miss register or waiter list from its issue until
 the delivery (``mem_ready``) or retry (``mem_retry``) that takes it off.
 So a callback outside a commit-time access finds the load issued and not
-completed, and asks only whether a squash took it meanwhile.
+completed, and asks only whether a squash took it meanwhile.  A callback
+only records: a delivered load takes its value (read at delivery, since
+another core's commit may write the word before this core's stages run)
+and joins the in-flight list, due that cycle, and ``do_complete``
+finishes it in program order with everything else due, as gem5's O3
+writeback does for a cache response.  Every executed instruction
+completes there.
 
 A dynamic instruction points at its shared, read-only ``StaticInstr``
 (``di.si``), as gem5's ``DynInst`` does, and keeps only what execution
 adds; a data line is derived where it is used (``addr & line_mask``),
 and its state is its stage cycles and a ``squashed`` flag.
 
+``step`` runs one cycle of the stages, in the order complete, commit,
+issue, rename, fetch, and its docstring states when each is called.
 The stages are the per-instruction hot path.  Each reads the fields it
 uses into locals once per call, writes its counters back once, and calls
 no one-line helper.  What stays a call has a reason to: the stages, the
@@ -58,8 +66,8 @@ no one-line helper.  What stays a call has a reason to: the stages, the
 the ``GhostCache`` operations are the layers the benchmark's tracer
 wraps and times (``tests/test_stage_gates.py`` checks that each is still
 called); ``_replays`` is patched by the mutant matrix and a test, and is
-asked only for a load, the one class that can read a non-coherent copy;
-and ``_done`` is the one wake-up path, which ``mem_ready`` shares.
+asked only for a load, the one class that can read a non-coherent
+copy.
 Commit free-slots an instruction line only when no earlier commit of the
 same call left that line in the L1I: nothing a commit does takes a line
 out of the L1I, so the call would only re-touch its most recently used
@@ -109,7 +117,8 @@ class DynInstr:
         # adds, and only those read before a stage writes them are set
         # here.  Rename sets akey, renamed, dep1 and dep2; issue sets
         # issued, addr, taken, from_below (mem_ready, for a miss) and a
-        # forwarded load's result; completion sets completed.  Rename
+        # forwarded load's result (mem_ready, a delivered one's);
+        # completion sets completed.  Rename
         # itself sets issued for an ablated instruction, and completed
         # too for one done at rename.  A committed instruction keeps its
         # stage cycles; a squashed one keeps those it reached.
@@ -147,7 +156,7 @@ class Core:
         self.rat = {}
         self.rob = deque()
         self.fetchq = deque()
-        # wake-up bookkeeping, each list in stamp (program) order:
+        # wake-up bookkeeping, each list but inflight in stamp order:
         self.ready = []           # not issued, every source completed
         self.inflight = []        # issued, not completed, done_at known
         self.stq = deque()        # live stores
@@ -186,6 +195,41 @@ class Core:
         # instruction lines live in a per-core region of the physical
         # address space, so two cores' images never alias in the shared L2
         self.code_base = core_id << 32
+
+    # ------------------------------------------------------------------ step
+
+    def step(self, cycle):
+        """Run this core's stages for ``cycle`` and return whether any
+        moved.  A stage is called only when its occupancy says it can act:
+        complete with something in flight, commit with a done instruction
+        at the ROB head whose commit-time access, if it has made one, is
+        ready, issue with a ready instruction, rename with a fetched
+        instruction and no fence waiting for the ROB to drain, and fetch
+        once its stall is over (a missed line stalls it until delivered),
+        with room in the fetch queue and fewer than ``rob`` instructions
+        live (in the ROB and the fetch queue).  Each test is one the stage
+        makes first itself, so a stage not called would have returned
+        False and changed nothing."""
+        progress = False
+        if self.inflight:
+            progress = self.do_complete(cycle)
+        rob = self.rob
+        # commit_mem: None until a store's or replay's commit-time access
+        # is made, then the cycle it is ready (WAITING until called back)
+        if rob and rob[0].completed is not None \
+                and (rob[0].commit_mem or 0) <= cycle:
+            progress |= self.do_commit(cycle)
+        if self.ready:
+            progress |= self.do_issue(cycle)
+        fetchq = self.fetchq
+        if fetchq and not (rob and fetchq[0].si.cls == FENCE):
+            progress |= self.do_rename(cycle)
+        cfg = self.cfg
+        if (cycle >= self.fetch_stall_until and not self.fetch_done
+                and len(fetchq) < cfg.fetchq
+                and len(rob) + len(fetchq) < cfg.rob):
+            progress |= self.do_fetch(cycle)
+        return progress
 
     # ----------------------------------------------------------------- fetch
 
@@ -462,23 +506,11 @@ class Core:
 
     # -------------------------------------------------------------- complete
 
-    def _done(self, di, cycle):
-        """``di`` has its result: wake the consumers it was holding back."""
-        di.completed = cycle
-        for other in di.consumers:
-            other.waits -= 1
-            # a consumer issues only once its last wait is gone, so it
-            # has not issued yet; a squashed one never will
-            if not other.waits and not other.squashed:
-                insort(self.ready, other, key=_TS)
-        # only issue reads the links, so a finished instruction holds none
-        # and is freed when it leaves the ROB
-        di.consumers = di.dep1 = di.dep2 = None
-
     def do_complete(self, cycle):
         """Returns whether anything completed.  Finishes the in-flight
         instructions due by ``cycle`` in program order, so a branch
-        squashes the younger ones before they complete."""
+        squashes the younger ones before they complete, and wakes the
+        consumers each was the last wait of."""
         due = []
         rest = []
         for di in self.inflight:
@@ -492,10 +524,20 @@ class Core:
         if len(due) > 1:
             due.sort(key=_TS)
         words = self.words
+        ready = self.ready
         for di in due:
             if di.squashed:   # a just-resolved older branch wiped us
                 continue
-            self._done(di, cycle)
+            di.completed = cycle
+            for other in di.consumers:
+                other.waits -= 1
+                # a consumer issues only once its last wait is gone, so it
+                # has not issued yet; a squashed one never will
+                if not other.waits and not other.squashed:
+                    insort(ready, other, key=_TS)
+            # only issue reads the links, so a finished instruction holds
+            # none and is freed when it leaves the ROB
+            di.consumers = di.dep1 = di.dep2 = None
             if di.ablated:
                 # replayed squash from the recorded run (ablated branch)
                 self._squash_after(di, cycle,
@@ -504,8 +546,8 @@ class Core:
             si = di.si
             cls = si.cls
             if cls == LOAD:
-                # only a forward sets a load's result before it completes;
-                # issue aligned the address
+                # a forward or a delivery sets a load's result before it
+                # completes; issue aligned the address
                 if di.result is None:
                     di.result = words.get(di.addr, 0)
             elif cls == BRANCH and di.taken != di.pred_taken:
@@ -515,7 +557,8 @@ class Core:
 
     def mem_ready(self, di, line, cycle, noncoherent):
         """A miss was delivered to ``di``, or to the instruction fetch of
-        ``line`` when ``di`` is None."""
+        ``line`` when ``di`` is None.  A load records what arrived and
+        joins the in-flight list, due now: ``do_complete`` finishes it."""
         if di is None:
             # else a squash dropped the request, or fetch has the line
             if self.fetch_stall_until == WAITING and self.line_buf == line:
@@ -523,11 +566,13 @@ class Core:
         elif di.commit_mem == WAITING:   # committing store or replay
             di.commit_mem = cycle
         elif not di.squashed:            # else squashed while in flight
-            # issue aligned the address
+            # read at delivery: another core's commit may write the word
+            # before this core completes the load; issue aligned the address
             di.result = self.words.get(di.addr, 0)
             di.from_below = True
             di.noncoherent = noncoherent
-            self._done(di, cycle)
+            di.done_at = cycle
+            self.inflight.append(di)
 
     def mem_retry(self, di):
         """The access found no free miss register, or its miss was

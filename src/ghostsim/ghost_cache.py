@@ -19,7 +19,9 @@ no ordering guarantees.
 
 A set is ``ways`` slots, each a line or None for a free way, allocated
 on the set's first fill.  ``lines`` maps a set index to its set, so a
-buffer costs only the sets a run filled, and a lookup allocates nothing.
+buffer costs only the sets a run filled, and a lookup allocates nothing;
+``_fifo``, the unguarded replacement pointer, is kept only for a set that
+has evicted.
 """
 
 
@@ -44,7 +46,9 @@ class GhostCache:
         # the memory system's counters, bumped in place
         self.counters = counters
         self.lines = {}          # set index -> ``ways`` slots, line or None
-        self._fifo = [0] * sets  # replacement pointer for non-timeguarded mode
+        # set index -> replacement pointer, non-timeguarded mode; 0 until
+        # the set's first eviction
+        self._fifo = {}
 
     def lookup(self, line_addr, ts):
         """TimeGuarded read: a hit requires a tag match whose timestamp is
@@ -92,7 +96,7 @@ class GhostCache:
                                 or self.not_after(st[victim].ts, way.ts):
                             victim = i
             elif victim is None:
-                victim = self._fifo[si]
+                victim = self._fifo.get(si, 0)
                 self._fifo[si] = (victim + 1) % self.ways
         if victim is None:
             self.counters["fills_rejected"] += 1

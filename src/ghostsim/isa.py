@@ -10,7 +10,8 @@ Text format, one instruction per line::
     op dst, src1, src2|imm     # comment
     name:                      # label
     .word addr value           # data directive
-    .align n                   # pad code with nops to an n-byte boundary
+    .align n                   # pad code with nops to an n-byte boundary,
+                               # n a multiple of 4 up to MAX_ALIGN
 
 A ``Program`` is assembled once and shared read-only by every machine
 that runs it: a ``Machine`` copies ``data`` into its own memory.
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 NUM_REGS = 16
 INSTR_BYTES = 4
 WORD_BYTES = 8
+MAX_ALIGN = 4096   # widest .align: padding costs one nop per 4 bytes
 
 # instruction classes
 ALU = "ALU"
@@ -229,7 +231,7 @@ def load_program(text: str) -> Program:
                 data[addr] = s64(val)
             elif name == ".align":
                 n = _imm(parts[1], lineno) if len(parts) > 1 else 0
-                if n <= 0 or n % INSTR_BYTES:
+                if n <= 0 or n % INSTR_BYTES or n > MAX_ALIGN:
                     raise ParseError(f"line {lineno}: bad alignment {parts[1] if len(parts) > 1 else ''!r}")
                 while len(instrs) * INSTR_BYTES % n:
                     instrs.append(StaticInstr(len(instrs) * INSTR_BYTES,

@@ -5,7 +5,7 @@ bit-deterministic.
 
 from .config import RunConfig
 from .core import Core
-from .isa import FENCE, WORD_BYTES
+from .isa import WORD_BYTES
 from .memory import MemorySystem
 
 
@@ -67,19 +67,12 @@ class Machine:
         """Advance until every core has halted.  Raises SimTimeout if the
         cycle budget runs out first.
 
-        A stage is called only when its occupancy says it can act: complete
-        with something in flight, commit with a DONE instruction at the
-        ROB head whose commit-time access, if it has made one, is ready,
-        issue with a ready instruction, rename with a fetched
-        instruction and no fence waiting for the ROB to drain, and fetch
-        once its stall is over (a missed line stalls it until delivered),
-        with room in the fetch queue and fewer than ``rob`` instructions
-        live (in the ROB and the fetch queue).  Each test is one the stage
-        makes first itself, so a stage not called would have returned
-        False and changed nothing.  Only commit halts a core, so whether
-        every core has halted is asked again only then.
+        Each visited cycle ticks the memory system if the top of its event
+        heap is due, then steps each core in order (``Core.step`` states
+        which stages a core runs).  Only commit halts a core, so whether
+        every core has halted is asked again only after a step that moved.
 
-        A cycle in which neither the memory system nor any stage changes
+        A cycle in which neither the memory system nor any core changes
         state is followed by a jump to the next cycle at which something
         can happen (the top of the memory system's event heap and the
         earliest ``next_event`` of the cores), capped at the budget.  The
@@ -88,17 +81,14 @@ class Machine:
         exactly one cycle, and a run with nothing left to wait for times
         out at once.
 
-        The memory system is ticked only in a cycle in which the top of
-        its event heap is due; the order in which a tick runs what it pops
-        is stated once, in the ``memory`` module docstring.  The top may be
-        a delivery whose miss was since freed or restarted: the run then
-        visits its cycle, where the tick skips it and nothing else moves.
-        The clock is kept in a local and written back to ``self.cycle``
-        when the run halts or times out."""
+        The order in which a tick runs what it pops is stated once, in the
+        ``memory`` module docstring.  The top of the heap may be a delivery
+        whose miss was since freed or restarted: the run then visits its
+        cycle, where the tick skips it and nothing else moves.  The clock
+        is kept in a local and written back to ``self.cycle`` when the run
+        halts or times out."""
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
         check = self.cfg.check_invariants
-        fetchq_size = self.cfg.fetchq
-        rob_size = self.cfg.rob
         mem = self.mem
         events = mem._events
         cores = self.cores
@@ -112,25 +102,10 @@ class Machine:
             if events and events[0][0] <= c:
                 progress = mem.tick(c)
             for core in cores:
-                if core.inflight:
-                    progress |= core.do_complete(c)
-                rob = core.rob
-                # commit_mem: None until a store's or replay's commit-time
-                # access is made, then the cycle it is ready (inf waiting)
-                if rob and rob[0].completed is not None \
-                        and (rob[0].commit_mem or 0) <= c:
-                    progress |= core.do_commit(c)
+                if core.step(c):
+                    progress = True
                     if core.halted:
                         halted = all(other.halted for other in cores)
-                if core.ready:
-                    progress |= core.do_issue(c)
-                fetchq = core.fetchq
-                if fetchq and not (rob and fetchq[0].si.cls == FENCE):
-                    progress |= core.do_rename(c)
-                if (c >= core.fetch_stall_until and not core.fetch_done
-                        and len(fetchq) < fetchq_size
-                        and len(rob) + len(fetchq) < rob_size):
-                    progress |= core.do_fetch(c)
             if check:
                 mem.check_invariants()
             if progress:

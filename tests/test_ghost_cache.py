@@ -157,6 +157,7 @@ class TestWayPositions:
             g.fill(line(n), 50 - n)
         # lines 3, 4 and 5 replaced ways 0, 1 and 0
         assert slots(g) == [line(5), line(4)]
+        assert g._fifo == {0: 1}
 
     def test_unguarded_refill_of_a_present_line_keeps_its_way(self):
         # a refill matches the present line whatever the stamps, so the
@@ -168,7 +169,7 @@ class TestWayPositions:
         way = g.lines[0][0]
         assert (way.tag, way.ts) == (line(1), 9)
         assert slots(g) == [line(1), line(2)]
-        assert g._fifo == [0]
+        assert g._fifo.get(0, 0) == 0
         g.fill(line(3), 10)
         assert slots(g) == [line(3), line(2)]
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from ghostsim import RunConfig, harness
 from ghostsim.isa import (
     ALU, BRANCH, DIV, HALT, JMP, LOAD, NOP, RDCYCLE, STORE,
-    INSTR_BYTES, ParseError, load_program,
+    INSTR_BYTES, MAX_ALIGN, ParseError, load_program,
 )
 
 
@@ -91,6 +91,11 @@ def test_align_pads_with_nops():
     assert p.instrs[4].pc == 16
 
 
+def test_align_accepts_its_bound():
+    p = load_program(f"nop\n.align {MAX_ALIGN}\nhalt\n")
+    assert p.instrs[-1].pc == MAX_ALIGN
+
+
 def test_off_image_fetch_decodes_as_nop():
     p = load_program("halt\n")
     assert p.get(0).cls == HALT
@@ -170,6 +175,9 @@ PARSE_ERRORS = {
     ".align 3\n": "line 1: bad alignment '3'",
     ".align 0\n": "line 1: bad alignment '0'",
     ".align\n": "line 1: bad alignment ''",
+    # padding is one nop per 4 bytes, so the width is bounded
+    ".align 8192\n": "line 1: bad alignment '8192'",
+    ".align 0x40000000\n": "line 1: bad alignment '0x40000000'",
     "beq r1, r2, nowhere\n": "line 1: undefined label 'nowhere'",
     "jmp 0x41\n": "line 1: misaligned branch target 0x41",
     "1bad: nop\n": "line 1: bad label '1bad'",

@@ -681,16 +681,25 @@ class TestMemoryCallbacks:
         return core, find()
 
     def test_inflight_load(self):
-        m = self._machine([".word 0x2000 42", "ld r1, r0, 0x2000"],
-                          warm_icache=True)
+        # a delivery only records what arrived: the load joins the
+        # in-flight list due that cycle, and do_complete finishes it and
+        # wakes its consumer
+        m = self._machine([".word 0x2000 42", "ld r1, r0, 0x2000",
+                           "addi r2, r1, 1"], warm_icache=True)
         core, di = self._inflight_load(m, 0x2000)
         core.mem_retry(di)
         assert _waiting(di) and di.completed is None and di.done_at is None
         core, di = self._inflight_load(m, 0x2000)
-        core.mem_ready(di, di.addr & core.line_mask, m.cycle, True)
-        assert _done(di)
+        consumer = next(d for d in core.rob if d.si.op == "addi")
+        assert consumer.dep1 is di and _waiting(consumer)
+        c = m.cycle
+        core.mem_ready(di, di.addr & core.line_mask, c, True)
         assert (di.result, di.from_below, di.noncoherent) == (42, True, True)
-        assert di.completed == m.cycle
+        assert di in core.inflight and di.done_at == c
+        assert di.completed is None and consumer not in core.ready
+        assert core.do_complete(c)
+        assert _done(di) and di.completed == c
+        assert di not in core.inflight and core.ready == [consumer]
 
     def test_store_waiting_on_commit_access(self):
         m = self._machine(["li r1, 7", "st r1, r0, 0x2000"], warm_icache=True)
@@ -722,3 +731,23 @@ class TestMemoryCallbacks:
         core.mem_retry(di)
         assert (di.squashed, di.issued, di.result, di.done_at, di.completed) \
             == (True, issued, None, None, None)
+
+    def test_load_squashed_after_delivery_never_completes(self):
+        # the wrong-path load of test_squashed_load_is_ignored is
+        # delivered in the cycle its mispredicted branch completes: the
+        # branch, older, squashes it before do_complete reaches it
+        m = self._machine([".word 0x2000 0", ".word 0x7000 9", "li r9, 3",
+                           "ld r1, r0, 0x2000", "bge r1, r0, out",
+                           "div r3, r9, r9", "div r3, r3, r9",
+                           "ld r2, r3, 0x7000", "out:"],
+                          warm_icache=True)
+        core, di = self._inflight_load(m, 0x7000)
+        br = next(d for d in core.rob if d.si.op == "bge")
+        self._step_until(m, lambda: br.done_at == m.cycle)
+        assert _executing(di) and di.done_at is None
+        core.mem_ready(di, di.addr & core.line_mask, m.cycle, False)
+        assert di.completed is None and di in core.inflight
+        with pytest.raises(SimTimeout):
+            m.run(max_cycles=m.cycle + 1)
+        assert _done(br) and di.squashed and di.completed is None
+        assert di not in core.inflight

@@ -1,8 +1,8 @@
-"""Oracle: ``Machine.run`` calls a stage only when its occupancy says it
-can act.  A reference loop that calls every stage on every visited cycle
-must give the same run: timelines, cycles, counters, non-speculative
-cache state, line owners and the prefetcher's table, for normal and
-ablated runs alike.
+"""Oracle: ``Core.step`` calls a stage only when its occupancy says it
+can act.  A reference loop that calls every stage on every visited
+cycle, ungated, must give the same run as ``Machine.run``: timelines,
+cycles, counters, non-speculative cache state, line owners and the
+prefetcher's table, for normal and ablated runs alike.
 
 Also: every method the benchmark's tracer wraps is still called, so a
 later inlining cannot silently empty a per-layer metric."""
@@ -29,7 +29,8 @@ SECRETS = (0, 11)
 
 
 def reference_run(m, max_cycles=None):
-    """``Machine.run`` with every stage called on every visited cycle."""
+    """``Machine.run`` with each ``Core.step`` replaced by a call of every
+    stage on every visited cycle."""
     limit = max_cycles if max_cycles is not None else m.cfg.max_cycles
     mem = m.mem
     cores = m.cores
