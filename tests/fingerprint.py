@@ -18,11 +18,13 @@ files as ``name: field, field``, the fields whose values differ, then a
 
 Corpus:
 
-* every gadget x mode x secret; secrets 0 and 11 are also ablated;
-* the programs of fuzz seed 0, ablated: 1000 in ghostminion mode at the
-  default geometry, 300 for every other mode x geometry in ``GEOMETRIES``;
-* the 150 ``random.Random(7)`` two-core pairs in ghostminion and unsafe
-  mode, ablated, at each geometry of ``PAIR_GEOMETRIES``, with
+* every gadget x mode x secret; ``ABLATED_SECRETS`` (0 and 11) are
+  also ablated;
+* the programs of ``FUZZ_SEED`` (0), ablated: 1000 in ghostminion mode at
+  the default geometry, 300 for every other mode x geometry in
+  ``GEOMETRIES``;
+* the ``PAIRS`` (150) two-core pairs of ``PAIR_SEED`` (7) in ghostminion
+  and unsafe mode, ablated, at each geometry of ``PAIR_GEOMETRIES``, with
   ``check_invariants`` on: a coherence invariant broken in any cycle
   stops the script with its assertion.
 
@@ -32,68 +34,48 @@ a minute and a half.
 
 import hashlib
 import json
-import random
 import sys
 from dataclasses import replace
+
+from programs import (ABLATED_SECRETS, FUZZ_SEED, GEOMETRIES, PAIR_GEOMETRIES,
+                      PAIR_SEED, PAIRS, fuzz_text, observe, pair_texts)
 
 from ghostsim import RunConfig, harness
 from ghostsim.config import MODES
 from ghostsim.gadgets import GADGETS, SECRETS
 from ghostsim.machine import SimTimeout
 
-GEOMETRIES = {
-    "default": {},
-    "rob4": {"rob": 4},
-    "tiny": {"rob": 2, "l1_mshrs": 1, "ghost_sets": 1, "ghost_ways": 1},
-    "mshr31": {"l1_mshrs": 3, "l2_mshrs": 1},
-    # an L2 completion hands its L1 parent a same-cycle delivery; in the
-    # pairs, a forwarded fill with no latency is dated the next cycle
-    "zerolat": {"l1_lat": 0, "coh_lat": 0, "mem_lat": 0},
-    # fewer units than the width, and queues and miss registers that fill
-    "tight": {"alu_units": 1, "mul_units": 1, "mem_ports": 1, "lq": 2,
-              "sq": 2, "l1_mshrs": 2, "l2_mshrs": 1},
-    # zerolat over one- and two-line sets: in pair 104 a forwarded fill
-    # is rejected only because the next cycle's deliveries run first
-    "zerotiny": {"l1_lat": 0, "coh_lat": 0, "mem_lat": 0, "l1_sets": 2,
-                 "l1_ways": 1, "l2_sets": 2, "l2_ways": 2, "ghost_sets": 1,
-                 "ghost_ways": 1},
-}
-PAIR_GEOMETRIES = ("default", "zerolat", "tight", "zerotiny")
-ABLATED_SECRETS = (0, 11)
-FUZZ_SEED = 0
-PAIR_SEED = 7
-PAIRS = 150
-
 
 def _hash(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
-def _cache_lines(mem):
-    """Each cache's lines as sorted ``(set, tag, dirty)`` triples, grouped
-    as (L1Ds, L1Is, L2): equal states hash equally whatever their LRU
-    order."""
+def _cache_lines(nonspec):
+    """Each cache's lines, from ``MemorySystem.nonspec_sets()``, as sorted
+    ``(set, tag, dirty)`` triples, grouped as (L1Ds, L1Is, L2): equal
+    states hash equally whatever their LRU order."""
     caches = [sorted((i, tag, dirty) for i, st in sets.items()
                      for tag, dirty in st.items())
-              for sets in mem.nonspec_sets()]
-    n = len(mem.l1d)
+              for sets in nonspec]
+    n = len(caches) // 2
     return tuple(caches[:n]), tuple(caches[n:2 * n]), caches[-1]
 
 
 def record(programs, cfg, ablate):
     text = _hash(programs)
     try:
-        m, rep = harness.run(programs, cfg)
+        m, _ = harness.run(programs, cfg)
     except SimTimeout as e:
         return {"text": text, "timeout": e.cycles}
+    end = observe(m)
     rec = {
         "text": text,
-        "digest": rep.digest,
-        "cycles": rep.cycles,
-        "counters": rep.counters,
-        "nonspec": _hash(_cache_lines(m.mem)),
-        "owner": _hash(sorted(m.mem.owner.items())),
-        "rpt": _hash(tuple(tuple(e) if e else None for e in m.mem.rpt)),
+        "digest": end["digest"],
+        "cycles": end["cycles"],
+        "counters": end["counters"],
+        "nonspec": _hash(_cache_lines(end["nonspec"])),
+        "owner": _hash(sorted(end["owner"].items())),
+        "rpt": _hash(tuple(tuple(e) if e else None for e in end["rpt"])),
         "regs": [c.regs for c in m.cores],
         "words": _hash(sorted(m.words.items())),
     }
@@ -112,24 +94,21 @@ def corpus():
             for s in SECRETS:
                 yield (f"gadget/{g.name}/{mode}/{s}", g.programs(s), cfg,
                        s in ABLATED_SECRETS)
-    rng = random.Random(FUZZ_SEED)
-    texts = [harness._gen_program(rng) for _ in range(1000)]
     for geo, overrides in GEOMETRIES.items():
         for mode in MODES:
             n = 1000 if (geo, mode) == ("default", "ghostminion") else 300
             cfg = replace(base, mode=mode, **overrides)
             for i in range(n):
-                yield f"fuzz/{geo}/{mode}/{i}", [texts[i]], cfg, True
-    rng = random.Random(PAIR_SEED)
-    pairs = [[harness._gen_program(rng), harness._gen_program(rng)]
-             for _ in range(PAIRS)]
+                yield (f"fuzz/{geo}/{mode}/{i}", list(fuzz_text(FUZZ_SEED, i)),
+                       cfg, True)
     for geo in PAIR_GEOMETRIES:
         prefix = "pair" if geo == "default" else f"pair/{geo}"
         for mode in ("ghostminion", "unsafe"):
             cfg = replace(base, mode=mode, check_invariants=True,
                           **GEOMETRIES[geo])
-            for i, pair in enumerate(pairs):
-                yield f"{prefix}/{mode}/{i}", pair, cfg, True
+            for i in range(PAIRS):
+                yield (f"{prefix}/{mode}/{i}", list(pair_texts(PAIR_SEED, i)),
+                       cfg, True)
 
 
 def compare(path_a, path_b):

@@ -7,7 +7,7 @@ Every run is ghostminion mode.  The first is unmutated; each later one
 changes one thing:
 
 * one switch of ``config.PROTECTION["ghostminion"]`` turned off with
-  ``dataclasses.replace``, for every field of ``config.Protection``;
+  ``programs.switched_off``, for every field of ``config.Protection``;
 * ``GhostCache.lookup`` replaced by a lookup that ignores timestamps,
   while fills, extraction and the squash wipe stay guarded;
 * ``Core._replays`` replaced by one that never replays, so a load that
@@ -16,9 +16,9 @@ changes one thing:
 The oracles, each run at the default config unless said otherwise:
 
 * the differential of every gadget over all its secrets;
-* 300 seed-0 fuzz programs, ablated, at each geometry of
-  ``fingerprint.GEOMETRIES``;
-* the 150 ``random.Random(7)`` two-core pairs, ablated, with
+* 300 ``FUZZ_SEED`` (0) fuzz programs, ablated, at each geometry of
+  ``programs.GEOMETRIES``;
+* the ``PAIRS`` (150) two-core pairs of ``PAIR_SEED`` (7), ablated, with
   ``check_invariants=True``;
 * the targeted programs of ``programs.py``, run as tier-1 runs them:
   an ablation FAIL of ``OLDER_READER``, ``DIVIDER_ORDER``, ``LRU_STATE``
@@ -34,17 +34,16 @@ The file is not collected by pytest; the whole matrix takes about two
 minutes.
 """
 
-import random
 import sys
 from contextlib import nullcontext
-from dataclasses import fields, replace
+from dataclasses import fields
 from unittest import mock
 
-from fingerprint import FUZZ_SEED, GEOMETRIES, PAIR_SEED, PAIRS
-from programs import (DIVIDER_ORDER, LEAPFROG, LRU_STATE, MP_CORE0,
-                      MP_CORE1, OLDER_READER)
+from programs import (DIVIDER_ORDER, FUZZ_SEED, GEOMETRIES, LEAPFROG,
+                      LRU_STATE, MP_CORE0, MP_CORE1, OLDER_READER, PAIR_SEED,
+                      PAIRS, fuzz_text, pair_texts, switched_off)
 
-from ghostsim import RunConfig, config, harness
+from ghostsim import RunConfig, harness
 from ghostsim.config import Protection
 from ghostsim.core import Core
 from ghostsim.gadgets import GADGETS
@@ -75,11 +74,6 @@ METHODS = {
     "GhostCache.lookup unguarded": (GhostCache, "lookup", _unguarded_lookup),
     "Core._replays never": (Core, "_replays", lambda self, di: False),
 }
-
-
-def switched_off(name):
-    row = replace(config.PROTECTION["ghostminion"], **{name: False})
-    return mock.patch.dict(config.PROTECTION, {"ghostminion": row})
 
 
 def mutants():
@@ -116,7 +110,7 @@ def targeted():
     return out
 
 
-def oracles(texts, pairs):
+def oracles():
     """Run every oracle: (gadgets that did not give SAFE, fuzz FAILs per
     geometry, pair FAILs, targeted programs that notice)."""
     leaks = []
@@ -132,25 +126,22 @@ def oracles(texts, pairs):
     fuzz = {}
     for geo, overrides in GEOMETRIES.items():
         cfg = RunConfig(**overrides)
-        fuzz[geo] = sum(_ablation_fails([t], cfg) for t in texts)
+        fuzz[geo] = sum(_ablation_fails(fuzz_text(FUZZ_SEED, i), cfg)
+                        for i in range(FUZZ_PROGRAMS))
     cfg = RunConfig(check_invariants=True)
-    pair_fails = sum(_ablation_fails(p, cfg) for p in pairs)
+    pair_fails = sum(_ablation_fails(pair_texts(PAIR_SEED, i), cfg)
+                     for i in range(PAIRS))
     return leaks, fuzz, pair_fails, targeted()
 
 
 def main():
-    rng = random.Random(FUZZ_SEED)
-    texts = [harness._gen_program(rng) for _ in range(FUZZ_PROGRAMS)]
-    rng = random.Random(PAIR_SEED)
-    pairs = [[harness._gen_program(rng), harness._gen_program(rng)]
-             for _ in range(PAIRS)]
     print(f"{'mutant':28s} {'killed':6s} {'pairs FAIL':10s} "
           f"{'fuzz FAIL (' + '+'.join(GEOMETRIES) + ')':36s} "
           f"{'gadgets LEAKS':24s} targeted")
     status = 0
     for i, (name, patch) in enumerate(mutants()):
         with patch:
-            leaks, fuzz, pair_fails, hits = oracles(texts, pairs)
+            leaks, fuzz, pair_fails, hits = oracles()
         failed = bool(leaks) or sum(fuzz.values()) > 0 or pair_fails > 0 \
             or bool(hits)
         if i == 0:

@@ -1,5 +1,20 @@
-"""Hand-written programs that expose one protection mechanism each, shared
-by the tier-1 tests and ``tests/mutants.py``.
+"""The tests' shared corpus and helpers, one home for each job.
+
+The seeded corpus: ``FUZZ_SEED``, ``PAIR_SEED`` and ``PAIRS`` name the
+fuzz programs and two-core pairs that ``tests/fingerprint.py``,
+``tests/mutants.py`` and the tier-1 oracles run; ``GEOMETRIES`` are the
+fingerprint's configs and ``PAIR_GEOMETRIES`` those its pairs run at;
+``ABLATED_SECRETS`` are the gadget secrets that are also ablated.
+``fuzz_text(seed, i)`` is program ``i`` of a seed and ``pair_texts(seed,
+i)`` pair ``i``, so a witness is named by its seed and index.
+
+The helpers: ``observe`` reads a finished machine's end state,
+``switched_off`` turns ghostminion switches off for a ``with`` block,
+and ``stub_memory`` builds a one-core memory system wired to a
+``StubCore`` that records what it is told.  ``not_after`` is
+``Machine.not_after`` on the plain counters that stamps are.
+
+Hand-written programs that expose one protection mechanism each follow.
 
 Each program runs at the default config.  The first four PASS ablation in
 ghostminion mode and FAIL it with their mechanism switched off:
@@ -20,6 +35,104 @@ queue, ``L1I_EVICTION`` an instruction-line eviction,
 and the pair ``OTHER_CORE_MISS``/``OLDER_MISS`` a full L2 miss-register
 file holding only the other core's miss.
 """
+
+import operator
+import random
+from dataclasses import replace
+from unittest import mock
+
+from ghostsim import RunConfig, config, harness
+from ghostsim.memory import MemorySystem
+
+FUZZ_SEED = 0
+PAIR_SEED = 7
+PAIRS = 150
+ABLATED_SECRETS = (0, 11)
+
+GEOMETRIES = {
+    "default": {},
+    "rob4": {"rob": 4},
+    "tiny": {"rob": 2, "l1_mshrs": 1, "ghost_sets": 1, "ghost_ways": 1},
+    "mshr31": {"l1_mshrs": 3, "l2_mshrs": 1},
+    # an L2 completion hands its L1 parent a same-cycle delivery; in the
+    # pairs, a forwarded fill with no latency is dated the next cycle
+    "zerolat": {"l1_lat": 0, "coh_lat": 0, "mem_lat": 0},
+    # fewer units than the width, and queues and miss registers that fill
+    "tight": {"alu_units": 1, "mul_units": 1, "mem_ports": 1, "lq": 2,
+              "sq": 2, "l1_mshrs": 2, "l2_mshrs": 1},
+    # zerolat over one- and two-line sets: in pair 104 a forwarded fill
+    # is rejected only because the next cycle's deliveries run first
+    "zerotiny": {"l1_lat": 0, "coh_lat": 0, "mem_lat": 0, "l1_sets": 2,
+                 "l1_ways": 1, "l2_sets": 2, "l2_ways": 2, "ghost_sets": 1,
+                 "ghost_ways": 1},
+}
+PAIR_GEOMETRIES = ("default", "zerolat", "tight", "zerotiny")
+
+# seed -> (its generator, the programs drawn from it so far)
+_DRAWN = {}
+
+
+def fuzz_text(seed, i):
+    """The one-core run ``(text,)`` of fuzz program ``i`` of ``seed``: the
+    ``i``-th ``harness._gen_program`` draw from that seed's generator,
+    as ``harness.fuzz_programs`` draws them."""
+    if seed not in _DRAWN:
+        _DRAWN[seed] = (random.Random(seed), [])
+    rng, texts = _DRAWN[seed]
+    while len(texts) <= i:
+        texts.append((harness._gen_program(rng),))
+    return texts[i]
+
+
+def pair_texts(seed, i):
+    """Two-core pair ``i`` of ``seed``: programs ``2i`` and ``2i + 1``."""
+    return fuzz_text(seed, 2 * i) + fuzz_text(seed, 2 * i + 1)
+
+
+def observe(m):
+    """A finished machine's end state: its timeline digest, cycle,
+    counters, non-speculative cache lines, line owners and prefetcher
+    table."""
+    mem = m.mem
+    return {"digest": harness.timeline_digest(m), "cycles": m.cycle,
+            "counters": mem.counters, "nonspec": mem.nonspec_sets(),
+            "owner": mem.owner, "rpt": mem.rpt}
+
+
+def switched_off(*names):
+    """A context manager under which the ghostminion row has ``names``
+    switched off."""
+    row = replace(config.PROTECTION["ghostminion"],
+                  **dict.fromkeys(names, False))
+    return mock.patch.dict(config.PROTECTION, {"ghostminion": row})
+
+
+# Machine.not_after: stamps are plain counters
+not_after = operator.le
+
+
+class StubCore:
+    """Records the memory system's callbacks: the instructions told to
+    retry, and each delivered instruction with its cycle."""
+
+    def __init__(self):
+        self.wakes = []
+        self.ready = []
+
+    def mem_retry(self, instr):
+        self.wakes.append(instr)
+
+    def mem_ready(self, instr, line, cycle, noncoherent):
+        self.ready.append((instr, cycle))
+
+
+def stub_memory(**overrides):
+    """A one-core ``MemorySystem`` at ``RunConfig(**overrides)`` wired to
+    a ``StubCore``: (memory system, stub)."""
+    mem = MemorySystem(RunConfig(**overrides), 1, not_after)
+    core = StubCore()
+    mem.cores = [core]
+    return mem, core
 
 OLDER_READER = """\
 .word 0x2000 0x3000
@@ -146,7 +259,7 @@ ld r10, r1, 0x4000
 halt
 """
 
-# at ``fingerprint.GEOMETRIES["tight"]``: the second ``li`` finds no ALU
+# at ``GEOMETRIES["tight"]``: the second ``li`` finds no ALU
 # slot, the second ``mul`` no MUL slot and the first store no ALU slot,
 # each for one cycle; the third store finds the two-entry store queue
 # full until the first commits

@@ -4,8 +4,6 @@ Each test prints an explicit PASS/FAIL line for its criterion (visible
 with ``pytest -s`` or in captured output on failure).
 """
 
-import operator
-import random
 import sys
 import time
 from collections import Counter
@@ -18,15 +16,14 @@ from ghostsim import Machine, RunConfig, SimTimeout, load_program
 from ghostsim import harness
 from ghostsim.gadgets import GADGETS, RESULT
 from ghostsim.ghost_cache import GhostCache
-from ghostsim.memory import MemorySystem
 
-# Machine.not_after: stamps are plain counters
-_na = operator.le
+from programs import fuzz_text, not_after, stub_memory
 
 
 def _buffer():
     """A one-set, two-way timeguarded side buffer."""
-    return GhostCache(1, 2, timeguard=True, not_after=_na, counters=Counter())
+    return GhostCache(1, 2, timeguard=True, not_after=not_after,
+                      counters=Counter())
 
 
 @contextmanager
@@ -79,19 +76,7 @@ def test_c02_timeguarded_fill():
 
 def test_c03_mshr_ordering():
     with criterion(3, "timestamp-ordered miss registers"):
-        def fresh():
-            mem = MemorySystem(RunConfig(l1_mshrs=3), 1, _na)
-
-            class _C:
-                wakes = []
-
-                def mem_retry(self, o):
-                    _C.wakes.append(o)
-            _C.wakes = []
-            mem.cores = [_C()]
-            return mem, _C
-
-        mem, C = fresh()
+        mem, C = stub_memory(l1_mshrs=3)
         for ts in (22, 23, 28):
             mem._mshr_request(mem.l1d_file[0], ts << 6, ts, 0, True, 0,
                               target=(0, ts))
@@ -102,7 +87,7 @@ def test_c03_mshr_ordering():
         assert mem.counters["mshr_leapfrogs"] == 1
         assert C.wakes == [28]                         # its user retries
 
-        mem, C = fresh()
+        mem, C = stub_memory(l1_mshrs=3)
         for ts in (22, 23, 25):
             mem._mshr_request(mem.l1d_file[0], ts << 6, ts, 0, True, 0,
                               target=(0, ts))
@@ -175,9 +160,8 @@ def test_c06_window_correctness(monkeypatch):
         fuzz = {}
         for rob in (64, 4):
             # rob=4 allows stamps at most 3 apart
-            rng = random.Random(0)
-            fuzz[rob] = compared(([harness._gen_program(rng)],
-                                  RunConfig(rob=rob)) for _ in range(50))
+            fuzz[rob] = compared((fuzz_text(0, i), RunConfig(rob=rob))
+                                 for i in range(50))
         # the check cannot pass vacuously
         assert gadgets.get("ghostminion", 0) > 0
         assert fuzz[4].get("ghostminion", 0) > 0
@@ -235,10 +219,9 @@ def test_c07_flush_timing_invariance():
 
 def test_c08_purity():
     with criterion(8, "cache and prefetcher purity under ablation"):
-        rng = random.Random(0)
         cfg = RunConfig(mode="ghostminion")
-        for _ in range(200):
-            res = harness.run_ablation([harness._gen_program(rng)], cfg)
+        for i in range(200):
+            res = harness.run_ablation(fuzz_text(0, i), cfg)
             assert res.verdict == "PASS" and res.pure
         for g in GADGETS.values():
             gcfg = replace(cfg, **g.cfg_overrides)

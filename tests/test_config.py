@@ -1,7 +1,6 @@
 """Config parsing, validation, and round-tripping; runs at the config
 fields no other test, gadget or fingerprint geometry varies."""
 
-import random
 from dataclasses import fields
 
 import pytest
@@ -9,8 +8,7 @@ import pytest
 from ghostsim import harness
 from ghostsim.config import MODES, PROTECTION, ConfigError, Protection, RunConfig
 
-from fingerprint import PAIR_SEED
-from programs import STRIDED_LOOP
+from programs import PAIR_SEED, STRIDED_LOOP, fuzz_text, pair_texts
 
 
 def test_defaults():
@@ -170,18 +168,17 @@ def field_corpus():
     """The strided loop, which wraps through the L2 and trains the
     prefetcher as the fuzz programs' 16 data lines never do, then 30
     seed-0 fuzz programs; each with its digest at the default config."""
-    rng = random.Random(0)
-    texts = [STRIDED_LOOP.format(trips=300)]
-    texts += [harness._gen_program(rng) for _ in range(30)]
-    return [(t, harness.run([t], RunConfig())[1].digest) for t in texts]
+    runs = [(STRIDED_LOOP.format(trips=300),)]
+    runs += [fuzz_text(0, i) for i in range(30)]
+    return [(t, harness.run(t, RunConfig())[1].digest) for t in runs]
 
 
 @pytest.mark.parametrize("name", VARIED)
 def test_varied_field_moves_a_digest(field_corpus, name):
     cfg = RunConfig(**{name: VARIED[name]})
     assert cfg != RunConfig()
-    assert any(harness.run([text], cfg)[1].digest != digest
-               for text, digest in field_corpus)
+    assert any(harness.run(texts, cfg)[1].digest != digest
+               for texts, digest in field_corpus)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -191,11 +188,8 @@ def test_varied_field_moves_a_digest(field_corpus, name):
     pytest.param(VARIED, id="varied")])
 def test_ablation_at_unvaried_fields(overrides):
     cfg = RunConfig(mode="ghostminion", check_invariants=True, **overrides)
-    rng = random.Random(0)
-    runs = [[harness._gen_program(rng)] for _ in range(100)]
-    rng = random.Random(PAIR_SEED)
-    runs += [[harness._gen_program(rng), harness._gen_program(rng)]
-             for _ in range(20)]
+    runs = [fuzz_text(0, i) for i in range(100)]
+    runs += [pair_texts(PAIR_SEED, i) for i in range(20)]
     for i, programs in enumerate(runs):
         res = harness.run_ablation(programs, cfg)
         assert res.verdict == "PASS" and res.pure, i

@@ -14,12 +14,10 @@ and results at the edges of the 64-bit range.
 """
 
 import hashlib
-import random
 from dataclasses import replace
 
 import pytest
-from fingerprint import GEOMETRIES
-from programs import MP_CORE0, MP_CORE1
+from programs import GEOMETRIES, MP_CORE0, MP_CORE1, fuzz_text
 
 from ghostsim import Machine, RunConfig, harness, load_program
 from ghostsim.config import MODES
@@ -76,10 +74,9 @@ def test_single_core_gadgets(name, mode):
 
 
 def test_fuzz_programs_at_tight_geometry():
-    rng = random.Random(0)
     cfg = replace(RunConfig(), **GEOMETRIES["tight"])
-    for _ in range(20):
-        _check([harness._gen_program(rng)], cfg)
+    for i in range(20):
+        _check(fuzz_text(0, i), cfg)
 
 
 def test_message_passing_pair():

@@ -2,7 +2,6 @@
 squash flush.
 """
 
-import operator
 from collections import Counter
 
 import pytest
@@ -10,12 +9,11 @@ from hypothesis import given, strategies as st
 
 from ghostsim.ghost_cache import GhostCache
 
-# Machine.not_after: stamps are plain counters
-_na = operator.le
+from programs import not_after
 
 
 def make(sets=1, ways=2, timeguard=True):
-    return GhostCache(sets, ways, timeguard=timeguard, not_after=_na,
+    return GhostCache(sets, ways, timeguard=timeguard, not_after=not_after,
                       counters=Counter())
 
 

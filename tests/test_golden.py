@@ -7,7 +7,7 @@ at the default geometry, and with one miss register per level
 (``MSHR_ONE``), where leapfrogs cancel misses and retry their loads
 while the core is still issuing.  The first 20 two-core pairs of
 ``PAIR_SEED`` (7) run in ghostminion and unsafe mode, so the two-core
-commit path is pinned too; both seeds are ``fingerprint.py``'s.
+commit path is pinned too; both seeds are ``programs.py``'s.
 ``STRIDED_LOOP`` at 300 trips runs in every mode at the default geometry
 and with three L1 and one L2 miss register (``STRIDE_GEOMETRIES``): long
 runs in which thousands of loads find the L1D miss-register file full
@@ -19,13 +19,12 @@ move timing re-records the file with ``python tests/test_golden.py
 """
 
 import json
-import random
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from fingerprint import FUZZ_SEED, PAIR_SEED
-from programs import STRIDED_LOOP
+from programs import (FUZZ_SEED, PAIR_SEED, STRIDED_LOOP, fuzz_text, observe,
+                      pair_texts)
 
 from ghostsim import RunConfig, harness
 from ghostsim.config import MODES
@@ -43,28 +42,24 @@ STRIDE_GEOMETRIES = {"default": {}, "mshr_3_1": {"l1_mshrs": 3, "l2_mshrs": 1}}
 
 
 def _record(programs, cfg):
-    _, rep = harness.run(programs, cfg)
-    return {"digest": rep.digest, "cycles": rep.cycles,
-            "counters": rep.counters}
+    end = observe(harness.run(programs, cfg)[0])
+    return {k: end[k] for k in ("digest", "cycles", "counters")}
 
 
-def observe():
+def golden():
     gadgets = {}
     for name, g in GADGETS.items():
         for mode in MODES:
             cfg = replace(RunConfig(mode=mode), **g.cfg_overrides)
             gadgets[f"{name}/{mode}"] = _record(g.programs(0), cfg)
-    rng = random.Random(FUZZ_SEED)
-    texts = [harness._gen_program(rng) for _ in range(FUZZ_COUNT)]
+    texts = [fuzz_text(FUZZ_SEED, i) for i in range(FUZZ_COUNT)]
     cfg = RunConfig(mode="ghostminion")
-    fuzz = [harness.run([t], cfg)[1].digest for t in texts]
+    fuzz = [harness.run(t, cfg)[1].digest for t in texts]
     cfg = RunConfig(mode="ghostminion", **MSHR_ONE)
-    fuzz_mshr1 = [harness.run([t], cfg)[1].digest for t in texts]
-    rng = random.Random(PAIR_SEED)
-    pairs = [[harness._gen_program(rng), harness._gen_program(rng)]
-             for _ in range(PAIR_COUNT)]
-    two_core = {mode: [harness.run(pair, RunConfig(mode=mode))[1].digest
-                       for pair in pairs]
+    fuzz_mshr1 = [harness.run(t, cfg)[1].digest for t in texts]
+    two_core = {mode: [harness.run(pair_texts(PAIR_SEED, i),
+                                   RunConfig(mode=mode))[1].digest
+                       for i in range(PAIR_COUNT)]
                 for mode in PAIR_MODES}
     text = STRIDED_LOOP.format(trips=STRIDE_TRIPS)
     strided = {f"{geo}/{mode}": _record([text], RunConfig(mode=mode, **over))
@@ -76,7 +71,7 @@ def observe():
 
 def test_timelines_match_golden():
     want = json.loads(GOLDEN.read_text())
-    got = observe()
+    got = golden()
     for key, rec in want["gadgets"].items():
         assert got["gadgets"][key] == rec, key
     assert got["gadgets"].keys() == want["gadgets"].keys()
@@ -95,4 +90,4 @@ def test_timelines_match_golden():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden.py --record")
-    GOLDEN.write_text(json.dumps(observe(), indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps(golden(), indent=1, sort_keys=True) + "\n")

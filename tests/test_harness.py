@@ -1,6 +1,5 @@
 """Harness drivers and CLI: reports, verdicts, fuzzing, exit codes."""
 
-import random
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -9,14 +8,13 @@ import pytest
 
 from ghostsim import Machine, RunConfig, SimTimeout, load_program
 from ghostsim.cli import main
-from ghostsim.config import PROTECTION
 from ghostsim.core import Core
 from ghostsim.gadgets import GADGETS, Gadget
 from ghostsim import harness
 
-from fingerprint import GEOMETRIES, PAIR_SEED
-from programs import (DIVIDER_ORDER, LEAPFROG, LRU_STATE, MP_CORE0,
-                      MP_CORE1, OLDER_READER)
+from programs import (DIVIDER_ORDER, GEOMETRIES, LEAPFROG, LRU_STATE,
+                      MP_CORE0, MP_CORE1, OLDER_READER, PAIR_SEED, fuzz_text,
+                      pair_texts, switched_off)
 
 SIMPLE = "li r1, 5\nadd r2, r1, r1\nst r2, r0, 0x100\nhalt\n"
 
@@ -74,16 +72,6 @@ class TestDifferential:
         assert ea[:2] == eb[:2]      # same instruction, different timing
 
 
-def _pair(index):
-    """Two-core pair ``index`` of ``PAIR_SEED``, as ``tests/fingerprint.py``
-    builds its pairs."""
-    import random
-    rng = random.Random(PAIR_SEED)
-    for _ in range(index + 1):
-        pair = [harness._gen_program(rng), harness._gen_program(rng)]
-    return pair
-
-
 class TestAblation:
     def test_no_misprediction_program_passes_trivially(self):
         res = harness.run_ablation([SIMPLE], RunConfig())
@@ -101,29 +89,22 @@ class TestAblation:
         # seed 12, program 533: a committing store merges into the miss of
         # a load that is later squashed; the line must be dirty in both
         # the normal and the ablated run
-        import random
-        rng = random.Random(12)
-        for _ in range(534):
-            text = harness._gen_program(rng)
-        res = harness.run_ablation([text], RunConfig(mode="ghostminion"))
+        res = harness.run_ablation(fuzz_text(12, 533),
+                                   RunConfig(mode="ghostminion"))
         assert res.verdict == "PASS" and res.pure
 
     def test_diverged_ablated_run_fails_instead_of_timing_out(self):
         # seed 0, program 887 halts in 408 cycles in unsafe mode, but its
         # ablated run diverges and then loops on ablated no-ops
-        import random
-        rng = random.Random(0)
-        for _ in range(888):
-            text = harness._gen_program(rng)
-        res = harness.run_ablation([text], RunConfig(mode="unsafe",
-                                                     max_cycles=20_000))
+        res = harness.run_ablation(fuzz_text(0, 887),
+                                   RunConfig(mode="unsafe", max_cycles=20_000))
         assert res.verdict == "FAIL"
 
     def test_two_core_forwarded_fill_keeps_l1_exclusive(self):
         # seed 7, pair 13: a non-coherent copy forwarded to core 0 used to
         # land in its side buffer after a committing store had put the
         # line in its L1D, breaking exclusivity and the ablation check
-        pair = _pair(13)
+        pair = pair_texts(PAIR_SEED, 13)
         harness.run(pair, RunConfig(check_invariants=True))
         res = harness.run_ablation(pair, RunConfig())
         assert res.verdict == "PASS" and res.pure
@@ -134,7 +115,7 @@ class TestAblation:
         # side buffer as a coherent copy after the other core had taken
         # the line Exclusive; in pairs 38 and 118 a core took the line
         # Exclusive while the other held a coherent speculative copy
-        pair = _pair(index)
+        pair = pair_texts(PAIR_SEED, index)
         harness.run(pair, RunConfig(check_invariants=True))
         res = harness.run_ablation(pair, RunConfig())
         assert res.verdict == "PASS" and res.pure
@@ -145,7 +126,7 @@ class TestAblation:
         # deliveries, so the one-way side buffer already holds an older
         # load's line and rejects it; run before them, it would be filled
         # and then evicted by the older line
-        pair = _pair(104)
+        pair = pair_texts(PAIR_SEED, 104)
         cfg = replace(RunConfig(check_invariants=True),
                       **GEOMETRIES["zerotiny"])
         _, rep = harness.run(pair, cfg)
@@ -184,24 +165,22 @@ halt
         # non-coherent copy whose side-buffer fill was due after its
         # squash; filled then, with a stamp the squash had rewound, it
         # let a correct-path load hit 20 cycles early
-        res = harness.run_ablation(_pair(56), RunConfig(l2_mshrs=1,
-                                                        check_invariants=True))
+        cfg = RunConfig(l2_mshrs=1, check_invariants=True)
+        res = harness.run_ablation(pair_texts(PAIR_SEED, 56), cfg)
         assert res.verdict == "PASS" and res.pure
 
     @pytest.mark.parametrize("switch, verdict", [
         ("squash_cancels_misses", "FAIL"), ("side_buffer", "PASS")])
-    def test_forwarded_copy_with_a_switch_off(self, monkeypatch, switch,
-                                              verdict):
+    def test_forwarded_copy_with_a_switch_off(self, switch, verdict):
         # pair 56 again, with one of the two switches the forwarded fill
         # reads turned off: a copy filled after the squash lets the
         # correct-path load hit early, and with no side buffer the copy
         # is not kept at all
-        monkeypatch.setitem(PROTECTION, "ghostminion",
-                            replace(PROTECTION["ghostminion"],
-                                    **{switch: False}))
         cfg = RunConfig(l2_mshrs=1, check_invariants=True)
-        m, _ = harness.run(_pair(56), cfg)
-        res = harness.run_ablation(_pair(56), cfg)
+        pair = pair_texts(PAIR_SEED, 56)
+        with switched_off(switch):
+            m, _ = harness.run(pair, cfg)
+            res = harness.run_ablation(pair, cfg)
         assert res.verdict == verdict and res.pure
         if switch == "side_buffer":
             assert not any(list(g.valid_lines()) for g in m.mem.dghost)
@@ -221,8 +200,7 @@ halt
         assert (m1.read_word(0x2000), m2.read_word(0x2000)) == (7, 0)
         assert m1.mem.owner == {0x2000: 0} and m2.mem.owner == {}
 
-    def test_older_reader_cannot_see_younger_side_buffer_fill(self,
-                                                              monkeypatch):
+    def test_older_reader_cannot_see_younger_side_buffer_fill(self):
         # an older load issues after a younger wrong-path load has filled
         # the same line into the side buffer: only the timeguard hides it
         _, rep = harness.run([OLDER_READER], RunConfig())
@@ -232,23 +210,22 @@ halt
         for mode in ("unsafe", "flush_only"):
             res = harness.run_ablation([OLDER_READER], RunConfig(mode=mode))
             assert res.verdict == "FAIL" and res.divergence[1] == 6
-        monkeypatch.setitem(PROTECTION, "ghostminion",
-                            replace(PROTECTION["ghostminion"], timeguard=False))
-        assert harness.run_ablation([OLDER_READER], RunConfig()).verdict == "FAIL"
+        with switched_off("timeguard"):
+            res = harness.run_ablation([OLDER_READER], RunConfig())
+        assert res.verdict == "FAIL"
 
-    def test_younger_div_cannot_delay_older_div(self, monkeypatch):
+    def test_younger_div_cannot_delay_older_div(self):
         # a younger wrong-path div takes the divider before an older one
         res = harness.run_ablation([DIVIDER_ORDER], RunConfig())
         assert res.verdict == "PASS"
         for mode in ("unsafe", "flush_only"):
             res = harness.run_ablation([DIVIDER_ORDER], RunConfig(mode=mode))
             assert res.verdict == "FAIL" and res.divergence[1] == 5
-        monkeypatch.setitem(PROTECTION, "ghostminion",
-                            replace(PROTECTION["ghostminion"],
-                                    inorder_divider=False))
-        assert harness.run_ablation([DIVIDER_ORDER], RunConfig()).verdict == "FAIL"
+        with switched_off("inorder_divider"):
+            res = harness.run_ablation([DIVIDER_ORDER], RunConfig())
+        assert res.verdict == "FAIL"
 
-    def test_wrong_path_hit_cannot_change_lru_victim(self, monkeypatch):
+    def test_wrong_path_hit_cannot_change_lru_victim(self):
         # the wrong-path hit would make A most recent, so C would evict B
         # instead of A and the last load of A would miss
         for mode in ("ghostminion", "flush_only"):
@@ -257,22 +234,19 @@ halt
         res = harness.run_ablation([LRU_STATE], RunConfig(mode="unsafe"))
         assert res.verdict == "FAIL" and res.divergence[1] == 9
         assert res.detail.endswith("nothing committed by cycle 506")
-        monkeypatch.setitem(PROTECTION, "ghostminion",
-                            replace(PROTECTION["ghostminion"],
-                                    hide_spec_lru=False))
-        res = harness.run_ablation([LRU_STATE], RunConfig())
+        with switched_off("hide_spec_lru"):
+            res = harness.run_ablation([LRU_STATE], RunConfig())
         assert res.verdict == "FAIL" and res.divergence[1] == 9
 
-    def test_wrong_path_misses_cannot_delay_older_load(self, monkeypatch):
+    def test_wrong_path_misses_cannot_delay_older_load(self):
         # only leapfrogging frees a miss register for the older load
         res = harness.run_ablation([LEAPFROG], RunConfig())
         assert res.verdict == "PASS" and res.pure
         for mode in ("unsafe", "flush_only"):
             res = harness.run_ablation([LEAPFROG], RunConfig(mode=mode))
             assert res.verdict == "FAIL" and res.divergence[1] == 6
-        monkeypatch.setitem(PROTECTION, "ghostminion",
-                            replace(PROTECTION["ghostminion"], leapfrog=False))
-        res = harness.run_ablation([LEAPFROG], RunConfig())
+        with switched_off("leapfrog"):
+            res = harness.run_ablation([LEAPFROG], RunConfig())
         assert res.verdict == "FAIL" and res.divergence[1] == 6
 
     def test_stale_forwarded_load_reexecutes_at_commit(self, monkeypatch):
@@ -292,8 +266,7 @@ halt
         assert m.cores[0].regs[2] == 0
 
     def test_generator_output_is_seed_dependent(self):
-        import random
-        texts = {harness._gen_program(random.Random(s)) for s in range(8)}
+        texts = {fuzz_text(s, 0) for s in range(8)}
         assert len(texts) == 8
 
 
@@ -335,10 +308,9 @@ class TestCommittedPrefix:
     @pytest.mark.parametrize("geometry", ["default", "tight"])
     @pytest.mark.parametrize("mode", ["ghostminion", "unsafe"])
     def test_fuzz_programs(self, seen, mode, geometry):
-        rng = random.Random(0)
         cfg = replace(RunConfig(mode=mode), **GEOMETRIES[geometry])
-        assert all([self._check(seen, [harness._gen_program(rng)], cfg)
-                    for _ in range(200)])
+        assert all([self._check(seen, fuzz_text(0, i), cfg)
+                    for i in range(200)])
 
     @pytest.mark.parametrize("mode", ["ghostminion", "unsafe", "flush_only"])
     def test_gadgets(self, seen, mode):
@@ -380,11 +352,10 @@ class TestTwoDividers:
         monkeypatch.setattr(Core, "do_issue", issue_spy)
         monkeypatch.setattr(Core, "_squash_after", squash_spy)
         for geometry in ("default", "tight"):
-            rng = random.Random(0)
             cfg = replace(RunConfig(div_units=2, check_invariants=True),
                           **GEOMETRIES[geometry])
             for i in range(100):
-                res = harness.run_ablation([harness._gen_program(rng)], cfg)
+                res = harness.run_ablation(fuzz_text(0, i), cfg)
                 assert res.verdict == "PASS" and res.pure, (geometry, i)
         assert on_unit1 and freed_unit1
 
@@ -395,7 +366,8 @@ SHARED_CASES = [
     pytest.param([OLDER_READER], "ghostminion", "PASS", id="older_reader"),
     pytest.param([OLDER_READER], "unsafe", "FAIL", id="older_reader-unsafe"),
     pytest.param([SIMPLE, DIVIDER_ORDER], "ghostminion", "PASS", id="stores"),
-    pytest.param(_pair(13), "ghostminion", "PASS", id="pair13"),
+    pytest.param(pair_texts(PAIR_SEED, 13), "ghostminion", "PASS",
+                 id="pair13"),
 ]
 
 

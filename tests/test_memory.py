@@ -2,8 +2,6 @@
 LRU eviction, the stride prefetcher, and speculative-fill containment.
 """
 
-import operator
-import random
 from dataclasses import replace
 
 import pytest
@@ -14,7 +12,7 @@ from ghostsim.gadgets import GADGETS, SECRETS
 from ghostsim.ghost_cache import GhostCache
 from ghostsim.memory import Cache, MemorySystem
 
-from programs import L1I_EVICTION, MP_CORE0, MP_CORE1
+from programs import L1I_EVICTION, MP_CORE0, MP_CORE1, fuzz_text, not_after
 
 RESULT = 0xC080
 
@@ -39,7 +37,7 @@ def deltas(m, n):
 
 
 def _mem(ncores=1, mode="ghostminion"):
-    return MemorySystem(RunConfig(mode=mode), ncores, operator.le)
+    return MemorySystem(RunConfig(mode=mode), ncores, not_after)
 
 
 def _buffered(g):
@@ -420,9 +418,8 @@ class TestUnsafeSideBuffers:
         for g in GADGETS.values():
             for s in SECRETS:
                 harness.run(g.programs(s), replace(cfg, **g.cfg_overrides))
-        rng = random.Random(0)
-        for _ in range(20):
-            harness.run_ablation([harness._gen_program(rng)], cfg)
+        for i in range(20):
+            harness.run_ablation(fuzz_text(0, i), cfg)
         harness.run([MP_CORE0, MP_CORE1], cfg)
         assert fills == []
         assert built

@@ -2,41 +2,21 @@
 and retry behavior, driven directly against the memory system.
 """
 
-import operator
-import random
 from dataclasses import replace
 
 import pytest
 
 from ghostsim import harness
-from ghostsim.config import MODES, PROTECTION, RunConfig
+from ghostsim.config import MODES, RunConfig
 from ghostsim.memory import MemorySystem
 
 from programs import (OLDER_MISS, OTHER_CORE_MISS, TIMELEAP_CONFIG,
-                      TIMELEAP_RESTART, TIMELEAP_YOUNG)
-
-# Machine.not_after: stamps are plain counters
-_na = operator.le
-
-
-class _StubCore:
-    def __init__(self):
-        self.wakes = []
-        self.ready = []
-
-    def mem_retry(self, instr):
-        self.wakes.append(instr)
-
-    def mem_ready(self, instr, line, cycle, noncoherent):
-        self.ready.append((instr, cycle))
+                      TIMELEAP_RESTART, TIMELEAP_YOUNG, fuzz_text, stub_memory,
+                      switched_off)
 
 
 def make(mode="ghostminion", mshrs=3):
-    cfg = RunConfig(mode=mode, l1_mshrs=mshrs)
-    mem = MemorySystem(cfg, 1, _na)
-    core = _StubCore()
-    mem.cores = [core]
-    return mem, core
+    return stub_memory(mode=mode, l1_mshrs=mshrs)
 
 
 def req(mem, line, ts, tag=None):
@@ -238,11 +218,11 @@ class TestCancelledFetch:
         # with a single L2 register, an older miss leapfrogs the
         # instruction fetch's L2 miss; the fetch must make its access
         # again instead of waiting for a line that never arrives
-        text = harness._gen_program(random.Random(0))
+        texts = fuzz_text(0, 0)
         cfg = RunConfig(l1_mshrs=3, l2_mshrs=1, max_cycles=20_000)
-        m, _ = harness.run([text], cfg)
+        m, _ = harness.run(texts, cfg)
         assert m.mem.counters["mshr_leapfrogs"] > 0
-        res = harness.run_ablation([text], cfg)
+        res = harness.run_ablation(texts, cfg)
         assert res.verdict == "PASS" and res.pure
 
 
@@ -259,17 +239,11 @@ class TestTargetsAttachedOnce:
                 fetch_targets.append(entry.targets)
             return deliver(self, entry, cycle)
         monkeypatch.setattr(MemorySystem, "_deliver_l1", spy)
-        rng = random.Random(0)
         cfg = RunConfig(mode=mode)
-        for _ in range(50):
-            harness.run([harness._gen_program(rng)], cfg)
+        for i in range(50):
+            harness.run(fuzz_text(0, i), cfg)
         assert fetch_targets
         assert [t for t in fetch_targets if len(set(t)) != len(t)] == []
-
-
-def _switched_off(monkeypatch, name):
-    monkeypatch.setitem(PROTECTION, "ghostminion",
-                        replace(PROTECTION["ghostminion"], **{name: False}))
 
 
 class TestRestartWithoutL2Register:
@@ -283,7 +257,7 @@ class TestRestartWithoutL2Register:
         m, rep = harness.run([text], cfg)
         return m.cores[0].timeline[:-2], rep.counters   # all but nop, halt
 
-    def test_cutting_the_younger_load_moves_nothing(self, monkeypatch):
+    def test_cutting_the_younger_load_moves_nothing(self):
         cut = TIMELEAP_RESTART.replace(TIMELEAP_YOUNG, "nop")
         cfg = RunConfig(**TIMELEAP_CONFIG)
         full, counters = self._older(TIMELEAP_RESTART, cfg)
@@ -293,12 +267,12 @@ class TestRestartWithoutL2Register:
         unsafe = replace(cfg, mode="unsafe")
         assert self._older(TIMELEAP_RESTART, unsafe)[0][-1] \
             != self._older(cut, unsafe)[0][-1]
-        _switched_off(monkeypatch, "timeleap")
-        assert self._older(TIMELEAP_RESTART, cfg)[0][-1] != full[-1]
+        with switched_off("timeleap"):
+            assert self._older(TIMELEAP_RESTART, cfg)[0][-1] != full[-1]
 
 
 class TestOtherCoreL2Miss:
-    def test_other_cores_miss_is_never_leapfrogged(self, monkeypatch):
+    def test_other_cores_miss_is_never_leapfrogged(self):
         # core 1's load is older by stamp, but stamps of two cores are
         # not ordered: it waits for core 0's L2 register instead of
         # cancelling it, and core 0 runs as with core 1 idle
@@ -308,7 +282,7 @@ class TestOtherCoreL2Miss:
         assert (rep.counters["mshr_leapfrogs"], rep.counters["retries"]) \
             == (0, 1)
         assert m.cores[0].timeline == alone.cores[0].timeline
-        _switched_off(monkeypatch, "merge_core")
-        m, rep = harness.run([OTHER_CORE_MISS, OLDER_MISS], cfg)
+        with switched_off("merge_core"):
+            m, rep = harness.run([OTHER_CORE_MISS, OLDER_MISS], cfg)
         assert rep.counters["mshr_leapfrogs"] == 1
         assert m.cores[0].timeline != alone.cores[0].timeline

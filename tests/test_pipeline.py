@@ -12,20 +12,17 @@ import pytest
 
 from ghostsim import Machine, RunConfig, load_program
 from ghostsim import harness
-from ghostsim.config import PROTECTION
 from ghostsim.core import WAITING, Core
 from ghostsim.isa import DIV, LOAD, STORE, Program
 from ghostsim.gadgets import GADGETS
-from ghostsim.harness import _gen_program
 from ghostsim.machine import SimTimeout
 from ghostsim.memory import MemorySystem
 
-from fingerprint import GEOMETRIES
-from programs import COUNTED_LOOP, MP_CORE0, MP_CORE1, OLDER_RETRY, UNIT_SLOTS
+from programs import (COUNTED_LOOP, GEOMETRIES, MP_CORE0, MP_CORE1,
+                      OLDER_RETRY, UNIT_SLOTS, fuzz_text, observe, pair_texts,
+                      switched_off)
 from ref_model import ref_execute
 from test_order import ts_not_after
-
-import random
 
 
 def run(text, **cfg_kw):
@@ -40,7 +37,7 @@ def commits(m):
 
 class TestDeterminism:
     def test_identical_runs(self):
-        text = _gen_program(random.Random(7))
+        text, = fuzz_text(7, 0)
         for mode in ("unsafe", "flush_only", "ghostminion"):
             a, ca = run(text, mode=mode)
             b, cb = run(text, mode=mode)
@@ -218,9 +215,8 @@ class TestUnboundedTimestamps:
     @pytest.mark.parametrize("rob", [64, 4])
     def test_fuzz_programs(self, rob, monkeypatch):
         # rob=4 gives a window of 8 that wraps many times per program
-        rng = random.Random(0)
         for i in range(50):
-            a, b = self._digests([_gen_program(rng)], RunConfig(rob=rob),
+            a, b = self._digests(fuzz_text(0, i), RunConfig(rob=rob),
                                  monkeypatch)
             assert a == b, f"fuzz seed 0 program {i}"
 
@@ -230,12 +226,6 @@ class TestSteppedEquivalence:
     so stepping a machine one cycle at a time must end in the same state
     as one ``run()`` call: timeline, cycle count, counters, cache, owner
     and prefetcher state."""
-
-    @staticmethod
-    def _observe(m):
-        mem = m.mem
-        return (harness.timeline_digest(m), m.cycle, mem.counters,
-                mem.nonspec_sets(), mem.owner, mem.rpt)
 
     def _both(self, programs, cfg):
         whole = Machine([load_program(p) for p in programs], cfg)
@@ -247,7 +237,7 @@ class TestSteppedEquivalence:
                 stepped.run(max_cycles=stepped.cycle + 1)
             except SimTimeout:
                 pass
-        return self._observe(whole), self._observe(stepped)
+        return observe(whole), observe(stepped)
 
     @pytest.mark.parametrize("mode", ["ghostminion", "unsafe", "flush_only"])
     def test_gadgets(self, mode):
@@ -259,10 +249,9 @@ class TestSteppedEquivalence:
 
     @pytest.mark.parametrize("rob", [64, 4])
     def test_fuzz_programs(self, rob):
-        rng = random.Random(0)
         cfg = RunConfig(rob=rob, check_invariants=True)
         for i in range(50):
-            a, b = self._both([_gen_program(rng)], cfg)
+            a, b = self._both(fuzz_text(0, i), cfg)
             assert a == b, f"fuzz seed 0 program {i}"
 
     def test_idle_cycles_are_skipped(self, monkeypatch):
@@ -293,8 +282,7 @@ class TestSteppedEquivalence:
     def test_cycle_is_written_back(self, limit):
         # run() keeps the clock in a local: self.cycle is the budget after
         # a timeout, and the returned cycle after a halt
-        m = Machine([load_program(_gen_program(random.Random(3)))],
-                    RunConfig())
+        m = Machine([load_program(*fuzz_text(3, 0))], RunConfig())
         with pytest.raises(SimTimeout):
             m.run(max_cycles=limit)
         assert m.cycle == limit
@@ -388,30 +376,28 @@ class TestWakeupBookkeeping:
         assert m.mem.counters["mshr_leapfrogs"] == 1
         assert issue[5] == issue[3] + 1
 
-    def test_leapfrog_retry_of_an_older_load_is_found_again(self,
-                                                             monkeypatch):
+    def test_leapfrog_retry_of_an_older_load_is_found_again(self):
         # without timeleap, ``ld r8``'s leapfrog retries the older ``ld r7``
         # at cycle 15; it re-enters the ready list before ``ld r8``, which
         # the walk must find again to take it out of the list
         cfg = RunConfig(warm_icache=True)
         _, rep = harness.run([OLDER_RETRY], cfg)
         assert rep.counters["mshr_leapfrogs"] == 0
-        monkeypatch.setitem(PROTECTION, "ghostminion",
-                            replace(PROTECTION["ghostminion"], timeleap=False))
-        m = self._step([OLDER_RETRY], cfg)
+        with switched_off("timeleap"):
+            m = self._step([OLDER_RETRY], cfg)
+            res = harness.run_ablation([OLDER_RETRY], cfg)
         regs = m.cores[0].regs
         assert m.mem.counters["mshr_leapfrogs"] == 2
         assert (m.cycle, regs[7], regs[8], regs[10]) == (138, 7, 9, 7)
-        assert harness.run_ablation([OLDER_RETRY], cfg).verdict == "PASS"
+        assert res.verdict == "PASS"
 
     @pytest.mark.parametrize("overrides", [{}, {"l1_mshrs": 1}],
                              ids=["default", "l1_mshrs1"])
     def test_fuzz_programs(self, overrides):
         # one L1 miss register makes leapfrogs retry loads mid-issue
-        rng = random.Random(0)
         cfg = RunConfig(**overrides)
-        for _ in range(50):
-            self._step([_gen_program(rng)], cfg)
+        for i in range(50):
+            self._step(fuzz_text(0, i), cfg)
 
     def test_replay_squash_with_and_without_commits_before_it(self,
                                                               monkeypatch):
@@ -434,10 +420,8 @@ class TestWakeupBookkeeping:
         monkeypatch.setattr(Core, "_squash_after", spy)
         self._step([MP_CORE0, MP_CORE1], RunConfig())
         assert squashes == [False]
-        rng = random.Random(102)
-        for _ in range(29):
-            pair = [_gen_program(rng), _gen_program(rng)]
-        self._step(pair, replace(RunConfig(), **GEOMETRIES["zerolat"]))
+        self._step(pair_texts(102, 28),
+                   replace(RunConfig(), **GEOMETRIES["zerolat"]))
         assert squashes == [False, True]
 
 
@@ -572,10 +556,8 @@ class TestReferenceEquivalence:
 
     @pytest.mark.parametrize("mode", ["unsafe", "flush_only", "ghostminion"])
     def test_fuzz_corpus_matches_reference(self, mode):
-        rng = random.Random(1234)
-        for _ in range(25):
-            text = _gen_program(rng)
-            prog = load_program(text)
+        for i in range(25):
+            prog = load_program(*fuzz_text(1234, i))
             ref_stream, ref_regs, ref_words = ref_execute(prog)
             m = Machine([prog], RunConfig(mode=mode))
             m.run()

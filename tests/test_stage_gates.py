@@ -1,31 +1,27 @@
 """Oracle: ``Core.step`` calls a stage only when its occupancy says it
 can act.  A reference loop that calls every stage on every visited
-cycle, ungated, must give the same run as ``Machine.run``: timelines,
-cycles, counters, non-speculative cache state, line owners and the
+cycle, ungated, must give the same run as ``Machine.run``: timeline
+digests, cycles, counters, non-speculative cache state, line owners and the
 prefetcher's table, for normal and ablated runs alike.
 
 Also: every method the benchmark's tracer wraps is still called, so a
 later inlining cannot silently empty a per-layer metric."""
 
-import random
 import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from fingerprint import PAIR_SEED
-from programs import MP_CORE0, MP_CORE1
+from programs import (ABLATED_SECRETS, MP_CORE0, MP_CORE1, PAIR_SEED,
+                      fuzz_text, observe, pair_texts)
 
 from ghostsim import Machine, RunConfig, SimTimeout, harness, load_program
 from ghostsim.config import MODES
 from ghostsim.gadgets import GADGETS
-from ghostsim.harness import _gen_program
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
-
-SECRETS = (0, 11)
 
 
 def reference_run(m, max_cycles=None):
@@ -64,9 +60,7 @@ def _outcome(m, run, max_cycles=None):
         timeout = None
     except SimTimeout as e:
         timeout = e.cycles
-    return (timeout, m.cycle, [core.timeline for core in m.cores],
-            dict(m.mem.counters), m.mem.nonspec_sets(), m.mem.owner,
-            m.mem.rpt)
+    return timeout, observe(m)
 
 
 def _runs(programs, cfg, run, ablate):
@@ -89,23 +83,21 @@ def _check(texts, cfg, ablate=False):
 def test_gadgets(name, mode):
     g = GADGETS[name]
     cfg = replace(RunConfig(mode=mode), **g.cfg_overrides)
-    for s in SECRETS:
+    for s in ABLATED_SECRETS:
         _check(g.programs(s), cfg)
 
 
 def test_fuzz_programs_ablated():
-    rng = random.Random(0)
     cfg = RunConfig(mode="ghostminion")
-    for _ in range(30):
-        _check([_gen_program(rng)], cfg, ablate=True)
+    for i in range(30):
+        _check(fuzz_text(0, i), cfg, ablate=True)
 
 
 @pytest.mark.parametrize("mode", ("ghostminion", "unsafe"))
 def test_two_core_pairs(mode):
-    rng = random.Random(PAIR_SEED)
     cfg = RunConfig(mode=mode)
-    for _ in range(10):
-        _check([_gen_program(rng), _gen_program(rng)], cfg, ablate=True)
+    for i in range(10):
+        _check(pair_texts(PAIR_SEED, i), cfg, ablate=True)
 
 
 # (owner, attribute) of every method perfbench/tracing.py wraps, read
@@ -133,6 +125,6 @@ def test_traced_methods_are_called(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, attr, counted)
     harness.run_differential(GADGETS["spectre_v1"], RunConfig())
-    harness.run_ablation([_gen_program(random.Random(0))], RunConfig())
+    harness.run_ablation(fuzz_text(0, 0), RunConfig())
     harness.run([MP_CORE0, MP_CORE1], RunConfig())
     assert sorted({_traced_name(o, a) for o, a in TRACED} - set(calls)) == []
