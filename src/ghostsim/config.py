@@ -18,7 +18,7 @@ class Protection:
     hide_spec_l2_fill: bool = False      # speculative misses do not fill the L2
     timeleap: bool = False               # an older request restarts a younger miss
     leapfrog: bool = False               # an older miss evicts a younger MSHR entry
-    merge_core: bool = False             # two-core L2 MSHRs merge per core only
+    merge_core: bool = False             # each core has its own L2 MSHRs
     squash_cancels_misses: bool = False  # a squash cancels younger in-flight misses
     noncoherent_forward: bool = False    # two-core: forward a flagged copy, replay it
     inorder_divider: bool = False        # speculative divs start in timestamp order

@@ -20,6 +20,11 @@ older ones:
 * when an older request hits an in-flight MSHR for the same line, the
   miss restarts its latency with the older timestamp (``timeleap``),
   which may cascade into further leapfrogs below;
+* each core has ``l2_mshrs`` L2 MSHRs of its own (``merge_core``): an L2
+  request merges with, leapfrogs and is refused by its own core's
+  entries only, and a freed L2 entry wakes only its core's waiters, so
+  no core's wrong path can refuse another core's miss.  Without it the
+  cores share ``l2_mshrs`` registers;
 * speculative fills go to the side buffer only (``side_buffer``,
   ``hide_spec_l2_fill``), and speculative hits leave replacement state
   alone (``hide_spec_lru``): the non-speculative L1/L2 change only
@@ -260,10 +265,17 @@ class MemorySystem:
 
     # ------------------------------------------------------------- MSHR logic
 
-    def _wake(self, file):
-        waiters, file.waiters = file.waiters, []
-        for core, instr in waiters:
-            self.cores[core].mem_retry(instr)
+    def _wake(self, file, core):
+        """Tell ``file``'s waiters to retry; under ``merge_core`` the L2
+        file wakes only ``core``'s, the core whose entry freed."""
+        waiters = file.waiters
+        if file is self.l2_file and self.prot.merge_core:
+            file.waiters = [t for t in waiters if t[0] != core]
+            waiters = [t for t in waiters if t[0] == core]
+        else:
+            file.waiters = []
+        for tcore, instr in waiters:
+            self.cores[tcore].mem_retry(instr)
 
     def _free_entry(self, entry):
         """Drop ``entry`` from its file and its queued delivery.  Nothing
@@ -272,7 +284,7 @@ class MemorySystem:
         file.entries.remove(entry)
         entry.deliver_at = None
         if file.waiters:
-            self._wake(file)
+            self._wake(file, entry.core)
 
     def _orphan_child(self, entry):
         """Detach ``entry`` from its lower-level miss.  An L2 entry left
@@ -301,12 +313,14 @@ class MemorySystem:
         for a free register and retry.  A target already on the entry it
         merges into is not attached again."""
         prot = self.prot
-        # under merge_core an L2 request merges only with its own core's
-        # miss, and leapfrogs only its own core's misses
-        merge_core = prot.merge_core and file is self.l2_file
         entries = file.entries
+        if prot.merge_core and file is self.l2_file:
+            # an L2 request sees only its own core's misses: it merges
+            # with them, leapfrogs one of them, and is refused only when
+            # they fill the file, so each core has l2_mshrs registers
+            entries = [e for e in entries if e.core == core]
         for entry in entries:
-            if entry.addr == line and (not merge_core or entry.core == core):
+            if entry.addr == line:
                 break
         else:
             entry = None
@@ -338,12 +352,9 @@ class MemorySystem:
                 if prot.leapfrog:
                     not_after = self.not_after
                     for e in entries:
-                        if merge_core and e.core != core:
-                            continue
                         if victim is None or not_after(victim.ts, e.ts):
                             victim = e
-                    if victim is not None and not_after(ts, victim.ts) \
-                            and victim.ts != ts:
+                    if not_after(ts, victim.ts) and victim.ts != ts:
                         self.counters["mshr_leapfrogs"] += 1
                         self._cancel_entry(victim, file)
                     else:
@@ -355,7 +366,7 @@ class MemorySystem:
                     return None
             entry = MshrEntry(file, line, ts, core, spec, next(self._seq),
                               is_write)
-            entries.append(entry)
+            file.entries.append(entry)
             restart = True
             if target is not None:
                 entry.targets.append(target)

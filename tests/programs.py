@@ -32,8 +32,13 @@ The rest each reach a path that the default config does not, at the
 config named with them: ``UNIT_SLOTS`` the issue slots and the store
 queue, ``L1I_EVICTION`` an instruction-line eviction,
 ``TIMELEAP_RESTART`` a timeleap restart that finds no L2 miss register,
-and the pair ``OTHER_CORE_MISS``/``OLDER_MISS`` a full L2 miss-register
-file holding only the other core's miss.
+and the pair ``OTHER_CORE_MISS``/``OLDER_MISS`` two cores missing in the
+L2 in one cycle with one L2 miss register each.
+
+``l2_partition(secret)`` is a two-core probe of the L2 miss registers
+that the cores share: at ``l2_mshrs`` 2 or 3, core 0's timeline tells
+the secret that only core 1's wrong path reads unless each core has L2
+registers of its own (``merge_core``).
 """
 
 import operator
@@ -301,8 +306,8 @@ halt
 TIMELEAP_CONFIG = {"l1_lat": 20, "l2_mshrs": 1, "warm_icache": True}
 
 # at ``l2_mshrs=1, warm_icache``: both cores miss in the same cycle, core
-# 0 first; core 1's load is the older by stamp, but the only L2 miss
-# register holds core 0's miss, which it may not leapfrog (merge_core)
+# 0 first; core 1's load is the older by stamp, and without merge_core
+# it leapfrogs core 0's miss from the only L2 miss register
 OTHER_CORE_MISS = """\
 li r1, 1
 li r2, 2
@@ -313,6 +318,35 @@ OLDER_MISS = """\
 ld r3, r0, 0x3000
 halt
 """
+
+# core 1 warms the secret, then mispredicts the ``bne`` on a cold flag
+# that holds 1.  On the wrong path the ``beq`` on the secret skips three
+# cold loads or reaches them; their addresses wait on a ``mul``, so they
+# issue only when the secret is not 0.  Core 0 runs eight fenced cold
+# loads, and core 1 commits the same instructions for every secret
+L2_PARTITION_CORE0 = "".join(f"ld r1, r0, {0x10000 + 64 * i:#x}\nfence\n"
+                             for i in range(8)) + "halt\n"
+L2_PARTITION_CORE1 = """\
+.word 0x2000 {secret}
+.word 0x3000 1
+ld r1, r0, 0x2000
+fence
+ld r2, r0, 0x3000
+bne r2, r0, done
+beq r1, r0, done
+mul r3, r1, r0
+ld r4, r3, 0x4000
+ld r5, r3, 0x5000
+ld r6, r3, 0x6000
+done:
+halt
+"""
+
+
+def l2_partition(secret):
+    """The probe's two programs for ``secret``."""
+    return L2_PARTITION_CORE0, L2_PARTITION_CORE1.format(secret=secret)
+
 
 # a load, a store and two dependence chains, through the loop counter
 # and the running sum; the exit branch mispredicts once trained

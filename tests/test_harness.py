@@ -161,23 +161,25 @@ halt
         assert res.verdict == "PASS" and res.pure is pure
 
     def test_squashed_load_leaves_no_forwarded_copy(self):
-        # seed 7, pair 56 at l2_mshrs=1: core 1's wrong-path load got a
+        # seed 7, pair 45 at l2_mshrs=1: core 1's wrong-path load got a
         # non-coherent copy whose side-buffer fill was due after its
         # squash; filled then, with a stamp the squash had rewound, it
-        # let a correct-path load hit 20 cycles early
+        # would let a correct-path load hit 29 cycles early
         cfg = RunConfig(l2_mshrs=1, check_invariants=True)
-        res = harness.run_ablation(pair_texts(PAIR_SEED, 56), cfg)
+        res = harness.run_ablation(pair_texts(PAIR_SEED, 45), cfg)
         assert res.verdict == "PASS" and res.pure
 
-    @pytest.mark.parametrize("switch, verdict", [
-        ("squash_cancels_misses", "FAIL"), ("side_buffer", "PASS")])
-    def test_forwarded_copy_with_a_switch_off(self, switch, verdict):
-        # pair 56 again, with one of the two switches the forwarded fill
-        # reads turned off: a copy filled after the squash lets the
-        # correct-path load hit early, and with no side buffer the copy
-        # is not kept at all
+    @pytest.mark.parametrize("switch, index, verdict", [
+        pytest.param("squash_cancels_misses", 45, "FAIL",
+                     id="squash_cancels_misses-FAIL"),
+        pytest.param("side_buffer", 56, "PASS", id="side_buffer-PASS")])
+    def test_forwarded_copy_with_a_switch_off(self, switch, index, verdict):
+        # one of the two switches the forwarded fill reads turned off: in
+        # pair 45, a copy filled after the squash lets the correct-path
+        # load hit early; in pair 56, whose core 1 is forwarded a copy
+        # before and after a squash, with no side buffer no copy is kept
         cfg = RunConfig(l2_mshrs=1, check_invariants=True)
-        pair = pair_texts(PAIR_SEED, 56)
+        pair = pair_texts(PAIR_SEED, index)
         with switched_off(switch):
             m, _ = harness.run(pair, cfg)
             res = harness.run_ablation(pair, cfg)

@@ -10,9 +10,9 @@ from ghostsim import harness
 from ghostsim.config import MODES, RunConfig
 from ghostsim.memory import MemorySystem
 
-from programs import (OLDER_MISS, OTHER_CORE_MISS, TIMELEAP_CONFIG,
-                      TIMELEAP_RESTART, TIMELEAP_YOUNG, fuzz_text, stub_memory,
-                      switched_off)
+from programs import (OLDER_MISS, OTHER_CORE_MISS, PAIR_SEED, TIMELEAP_CONFIG,
+                      TIMELEAP_RESTART, TIMELEAP_YOUNG, fuzz_text,
+                      l2_partition, pair_texts, stub_memory, switched_off)
 
 
 def make(mode="ghostminion", mshrs=3):
@@ -274,15 +274,39 @@ class TestRestartWithoutL2Register:
 class TestOtherCoreL2Miss:
     def test_other_cores_miss_is_never_leapfrogged(self):
         # core 1's load is older by stamp, but stamps of two cores are
-        # not ordered: it waits for core 0's L2 register instead of
-        # cancelling it, and core 0 runs as with core 1 idle
+        # not ordered: it takes an L2 register of its own instead of
+        # cancelling core 0's, and core 0 runs as with core 1 idle
         cfg = RunConfig(l2_mshrs=1, warm_icache=True, check_invariants=True)
         alone, _ = harness.run([OTHER_CORE_MISS, "halt\n"], cfg)
         m, rep = harness.run([OTHER_CORE_MISS, OLDER_MISS], cfg)
         assert (rep.counters["mshr_leapfrogs"], rep.counters["retries"]) \
-            == (0, 1)
+            == (0, 0)
         assert m.cores[0].timeline == alone.cores[0].timeline
         with switched_off("merge_core"):
             m, rep = harness.run([OTHER_CORE_MISS, OLDER_MISS], cfg)
         assert rep.counters["mshr_leapfrogs"] == 1
         assert m.cores[0].timeline != alone.cores[0].timeline
+
+
+class TestL2Partition:
+    """Under ``merge_core`` each core has ``l2_mshrs`` L2 miss registers
+    of its own, so another core's wrong-path misses cannot refuse a
+    core's loads; in ``unsafe`` and ``flush_only`` the cores share them."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("l2_mshrs", [2, 3])
+    def test_other_cores_wrong_path_leaves_no_trace(self, l2_mshrs, mode):
+        # sharing two or three registers, core 1's flag miss and its
+        # wrong-path misses refuse core 0's fenced loads only when the
+        # secret is not 0
+        cfg = RunConfig(mode=mode, l2_mshrs=l2_mshrs)
+        m0, m1 = (harness.run(l2_partition(s), cfg)[0] for s in (0, 1))
+        same = m0.cores[0].timeline == m1.cores[0].timeline
+        assert same is (mode == "ghostminion")
+
+    def test_random_pair_ablates_at_three_l2_registers(self):
+        # seed 7, pair 116: with three shared L2 registers, core 1's
+        # wrong-path misses delayed core 0's commits
+        cfg = RunConfig(l2_mshrs=3, check_invariants=True)
+        res = harness.run_ablation(pair_texts(PAIR_SEED, 116), cfg)
+        assert res.verdict == "PASS" and res.pure

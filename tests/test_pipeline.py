@@ -648,7 +648,7 @@ class TestMemoryCallbacks:
         assert state[0] is None and m.cycle < state[1] < WAITING
         file = m.mem.l1i_file[0]
         file.waiters.append((0, None))
-        m.mem._wake(file)
+        m.mem._wake(file, 0)
         assert self._fetch_state(core) == state
 
     def _inflight_load(self, m, addr):
