@@ -64,7 +64,6 @@ class StaticInstr:
 class Program:
     instrs: list = field(default_factory=list)
     data: dict = field(default_factory=dict)   # word address -> value
-    labels: dict = field(default_factory=dict)
 
     def get(self, pc: int):
         """Decoded instruction at ``pc``; wrong-path fetches of addresses
@@ -276,4 +275,4 @@ def load_program(text: str) -> Program:
         if label not in labels:
             raise ParseError(f"line {lineno}: undefined label {label!r}")
         si.target = labels[label]
-    return Program(instrs=instrs, data=data, labels=labels)
+    return Program(instrs=instrs, data=data)

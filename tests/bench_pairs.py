@@ -22,8 +22,10 @@ that differ, then the summary line; and, under ``mutants``, the lines of this
 checkout's ``tests/mutants.py`` output that differ between a run on the
 base's sources (``-``) and one on this checkout's (``+``), then a
 summary line.  The differing mutant lines and then the file are printed.
-The script is not collected by pytest; at the default 10 pairs of 8 s
-it takes about twenty-five minutes.
+The base must be the top of a git checkout of its own, as ``git worktree
+add`` makes it: a ``--base-dir`` that is not one exits 2 before anything
+runs.  The script is not collected by pytest; at the default 10 pairs of
+8 s it takes about twenty-five minutes.
 """
 
 import argparse
@@ -164,7 +166,15 @@ def main(argv=None):
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
 
-    base = os.path.abspath(args.base_dir)
+    base = os.path.realpath(args.base_dir)
+    try:
+        top = _git("rev-parse", "--show-toplevel", cwd=base)
+    except (OSError, subprocess.CalledProcessError):
+        top = None
+    if top is None or os.path.realpath(top) != base:
+        print(f"error: --base-dir {args.base_dir} is not a git checkout; "
+              "make the base one with `git worktree add`", file=sys.stderr)
+        return 2
     base_rev = _git("rev-parse", "HEAD", cwd=base)
     dirty = _git("status", "--porcelain", "--untracked-files=no")
     head_rev = _git("rev-parse", "HEAD") + ("+dirty" if dirty else "")

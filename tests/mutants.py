@@ -22,7 +22,9 @@ The oracles, each run at the default config unless said otherwise:
   ``check_invariants=True``;
 * the targeted programs of ``programs.py``, run as tier-1 runs them:
   an ablation FAIL of ``OLDER_READER``, ``DIVIDER_ORDER``, ``LRU_STATE``
-  or ``LEAPFROG``, or a 0 in core 0's r2 after the message-passing pair.
+  or ``LEAPFROG``, a 0 in core 0's r2 after the message-passing pair, or
+  (``l2_partition``) a core 0 timeline of the ``l2_partition`` probe at
+  ``l2_mshrs=2`` that differs between secrets 0 and 1.
 
 A gadget that LEAKS (or gives ERROR), an ablation FAIL, a ``SimTimeout``,
 an invariant ``AssertionError`` and a targeted program that notices each
@@ -41,7 +43,7 @@ from unittest import mock
 
 from programs import (DIVIDER_ORDER, FUZZ_SEED, GEOMETRIES, LEAPFROG,
                       LRU_STATE, MP_CORE0, MP_CORE1, OLDER_READER, PAIR_SEED,
-                      PAIRS, fuzz_text, pair_texts, switched_off)
+                      PAIRS, fuzz_text, l2_partition, pair_texts, switched_off)
 
 from ghostsim import RunConfig, harness
 from ghostsim.config import Protection
@@ -100,6 +102,16 @@ def _stale_message(cfg):
     return m.cores[0].regs[2] == 0
 
 
+def _partition_leaks():
+    cfg = RunConfig(l2_mshrs=2)
+    try:
+        a, b = (harness.run(l2_partition(s), cfg)[0].cores[0].timeline
+                for s in (0, 1))
+    except (SimTimeout, AssertionError):
+        return True
+    return a != b
+
+
 def targeted():
     """Names of the targeted programs that notice the running mutant."""
     cfg = RunConfig()
@@ -107,6 +119,8 @@ def targeted():
            if _ablation_fails([text], cfg)]
     if _stale_message(cfg):
         out.append("message_passing")
+    if _partition_leaks():
+        out.append("l2_partition")
     return out
 
 

@@ -11,7 +11,7 @@ i)`` pair ``i``, so a witness is named by its seed and index.
 The helpers: ``observe`` reads a finished machine's end state,
 ``switched_off`` turns ghostminion switches off for a ``with`` block,
 and ``stub_memory`` builds a one-core memory system wired to a
-``StubCore`` that records what it is told.  ``not_after`` is
+``_StubCore`` that records what it is told.  ``not_after`` is
 ``Machine.not_after`` on the plain counters that stamps are.
 
 Hand-written programs that expose one protection mechanism each follow.
@@ -116,7 +116,7 @@ def switched_off(*names):
 not_after = operator.le
 
 
-class StubCore:
+class _StubCore:
     """Records the memory system's callbacks: the instructions told to
     retry, and each delivered instruction with its cycle."""
 
@@ -133,11 +133,12 @@ class StubCore:
 
 def stub_memory(**overrides):
     """A one-core ``MemorySystem`` at ``RunConfig(**overrides)`` wired to
-    a ``StubCore``: (memory system, stub)."""
+    a ``_StubCore``: (memory system, stub)."""
     mem = MemorySystem(RunConfig(**overrides), 1, not_after)
-    core = StubCore()
+    core = _StubCore()
     mem.cores = [core]
     return mem, core
+
 
 OLDER_READER = """\
 .word 0x2000 0x3000
@@ -264,10 +265,10 @@ ld r10, r1, 0x4000
 halt
 """
 
-# at ``GEOMETRIES["tight"]``: the second ``li`` finds no ALU
-# slot, the second ``mul`` no MUL slot and the first store no ALU slot,
-# each for one cycle; the third store finds the two-entry store queue
-# full until the first commits
+# at ``GEOMETRIES["tight"]``: the second ``li`` finds no ALU slot, the
+# second ``mul`` no MUL slot and the first store no ALU slot, each for
+# one cycle; the third store finds the two-entry store queue full until
+# the first commits
 UNIT_SLOTS = """\
 li r1, 3
 li r2, 5

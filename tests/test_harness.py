@@ -378,7 +378,7 @@ INSTR_FIELDS = ("pc", "op", "cls", "dst", "s1", "s2", "imm", "target")
 
 def _image(prog):
     return ([tuple(getattr(si, f) for f in INSTR_FIELDS) for si in prog.instrs],
-            prog.data, prog.labels)
+            prog.data)
 
 
 class TestSharedProgram:

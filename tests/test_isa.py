@@ -35,16 +35,16 @@ def test_pseudo_ops():
 
 def test_labels_and_branches():
     p = load_program("top:\naddi r1, r1, 1\nbne r1, r2, top\njmp top\n")
-    assert p.labels["top"] == 0
     br, j = p.instrs[1], p.instrs[2]
     assert (br.cls, br.s1, br.s2, br.target) == (BRANCH, 1, 2, 0)
     assert (j.cls, j.target) == (JMP, 0)
 
 
 def test_label_on_same_line():
-    p = load_program("loop: addi r1, r1, 1\n")
-    assert p.labels["loop"] == 0
-    assert len(p.instrs) == 1
+    # the label names the instruction on its line, the second one
+    p = load_program("nop\nloop: addi r1, r1, 1\njmp loop\n")
+    assert [si.op for si in p.instrs] == ["nop", "addi", "jmp"]
+    assert p.instrs[2].target == 4
 
 
 def test_numeric_branch_target():
@@ -53,11 +53,11 @@ def test_numeric_branch_target():
 
 
 def test_forward_and_backward_targets():
-    # a label defined later is filled in from the fix-up list at the end
+    # a label defined later is filled in from the fix-up list at the end;
+    # top, mid and end resolve to 0, 4 and 20
     p = load_program("top:\nbeq r1, r2, end\nmid: jmp top\nbne r1, r0, mid\n"
                      "jmp end\nblt r1, r2, 8\nend: halt\n")
     assert [si.target for si in p.instrs] == [20, 0, 4, 20, 8, 0]
-    assert p.labels == {"top": 0, "mid": 4, "end": 20}
 
 
 def test_word_directive_and_comments():
@@ -149,7 +149,6 @@ def test_spellings():
     assert [(si.pc, si.op, si.cls, si.dst, si.s1, si.s2, si.imm, si.target)
             for si in p.instrs] == SPELLED
     assert p.data == {0x100: 0xFF, 0x108: 1000, 0x110: -5}
-    assert p.labels == {"top": 0}
 
 
 def test_misc_classes():
