@@ -84,9 +84,8 @@ class RunConfig:
     rpt_confidence: int = 2
     # protection
     mode: str = "ghostminion"
-    # debug / harness
+    # harness
     warm_icache: bool = False
-    check_invariants: bool = False
     max_cycles: int = 1_000_000
 
     def __post_init__(self):

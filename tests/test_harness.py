@@ -104,9 +104,7 @@ class TestAblation:
         # seed 7, pair 13: a non-coherent copy forwarded to core 0 used to
         # land in its side buffer after a committing store had put the
         # line in its L1D, breaking exclusivity and the ablation check
-        pair = pair_texts(PAIR_SEED, 13)
-        harness.run(pair, RunConfig(check_invariants=True))
-        res = harness.run_ablation(pair, RunConfig())
+        res = harness.run_ablation(pair_texts(PAIR_SEED, 13), RunConfig())
         assert res.verdict == "PASS" and res.pure
 
     @pytest.mark.parametrize("index", [26, 38, 94, 118])
@@ -115,9 +113,7 @@ class TestAblation:
         # side buffer as a coherent copy after the other core had taken
         # the line Exclusive; in pairs 38 and 118 a core took the line
         # Exclusive while the other held a coherent speculative copy
-        pair = pair_texts(PAIR_SEED, index)
-        harness.run(pair, RunConfig(check_invariants=True))
-        res = harness.run_ablation(pair, RunConfig())
+        res = harness.run_ablation(pair_texts(PAIR_SEED, index), RunConfig())
         assert res.verdict == "PASS" and res.pure
 
     def test_zero_latency_forwarded_fill_runs_after_next_deliveries(self):
@@ -127,8 +123,7 @@ class TestAblation:
         # load's line and rejects it; run before them, it would be filled
         # and then evicted by the older line
         pair = pair_texts(PAIR_SEED, 104)
-        cfg = replace(RunConfig(check_invariants=True),
-                      **GEOMETRIES["zerotiny"])
+        cfg = RunConfig(**GEOMETRIES["zerotiny"])
         _, rep = harness.run(pair, cfg)
         assert rep.counters == {
             "timeguard_blocks": 0, "fills_rejected": 1, "flush_count": 6,
@@ -165,7 +160,7 @@ halt
         # non-coherent copy whose side-buffer fill was due after its
         # squash; filled then, with a stamp the squash had rewound, it
         # would let a correct-path load hit 29 cycles early
-        cfg = RunConfig(l2_mshrs=1, check_invariants=True)
+        cfg = RunConfig(l2_mshrs=1)
         res = harness.run_ablation(pair_texts(PAIR_SEED, 45), cfg)
         assert res.verdict == "PASS" and res.pure
 
@@ -178,7 +173,7 @@ halt
         # pair 45, a copy filled after the squash lets the correct-path
         # load hit early; in pair 56, whose core 1 is forwarded a copy
         # before and after a squash, with no side buffer no copy is kept
-        cfg = RunConfig(l2_mshrs=1, check_invariants=True)
+        cfg = RunConfig(l2_mshrs=1)
         pair = pair_texts(PAIR_SEED, index)
         with switched_off(switch):
             m, _ = harness.run(pair, cfg)
@@ -252,8 +247,7 @@ halt
         assert res.verdict == "FAIL" and res.divergence[1] == 6
 
     def test_stale_forwarded_load_reexecutes_at_commit(self, monkeypatch):
-        m, rep = harness.run([MP_CORE0, MP_CORE1],
-                             RunConfig(check_invariants=True))
+        m, rep = harness.run([MP_CORE0, MP_CORE1], RunConfig())
         assert (m.cores[0].regs[1], m.cores[0].regs[2]) == (0, 1)
         assert rep.counters["replays"] == 1
         for mode in ("ghostminion", "unsafe", "flush_only"):
@@ -354,8 +348,7 @@ class TestTwoDividers:
         monkeypatch.setattr(Core, "do_issue", issue_spy)
         monkeypatch.setattr(Core, "_squash_after", squash_spy)
         for geometry in ("default", "tight"):
-            cfg = replace(RunConfig(div_units=2, check_invariants=True),
-                          **GEOMETRIES[geometry])
+            cfg = RunConfig(div_units=2, **GEOMETRIES[geometry])
             for i in range(100):
                 res = harness.run_ablation(fuzz_text(0, i), cfg)
                 assert res.verdict == "PASS" and res.pure, (geometry, i)

@@ -438,7 +438,7 @@ class TestSingleCoreDirectory:
     @pytest.mark.parametrize("mode", MODES)
     def test_directory_holds_the_l1d_lines(self, mode):
         m = run([".word 0x2000 5", "li r1, 7", "st r1, r0, 0x1000"]
-                + timed_load(0x2000, 0), mode=mode, check_invariants=True)
+                + timed_load(0x2000, 0), mode=mode)
         dirty = {t: d for st in m.mem.l1d[0].lines.values()
                  for t, d in st.items()}
         assert dirty and m.mem.owner == dict.fromkeys(dirty, 0)
@@ -451,8 +451,7 @@ class TestInstructionLines:
         # a one-line L1I: the HALT's line evicts the first; the owner map
         # covers the L1D only, so it stays empty
         m = Machine([load_program(L1I_EVICTION)],
-                    RunConfig(mode=mode, l1_sets=1, l1_ways=1,
-                              check_invariants=True))
+                    RunConfig(mode=mode, l1_sets=1, l1_ways=1))
         m.run()
         assert m.mem.l1i[0].used_sets() == {0: {64: False}}
         assert m.mem.owner == {}
@@ -544,3 +543,23 @@ class TestInvariantChecks:
         mem.dghost[0].fill(0x2000, 3)
         with pytest.raises(AssertionError, match="unflagged speculative"):
             mem.check_invariants()
+
+    def test_a_run_that_breaks_one_fails(self, monkeypatch):
+        # tests/conftest.py checks every visited cycle of every run: a
+        # delivery that records an owner for a line its core lacks fails
+        # the run in the cycle it is made
+        deliver = MemorySystem._deliver_l1
+        delivered = []
+
+        def bogus(mem, entry, cycle):
+            deliver(mem, entry, cycle)
+            mem.owner[0x7000] = entry.core
+            delivered.append(cycle)
+
+        monkeypatch.setattr(MemorySystem, "_deliver_l1", bogus)
+        m = Machine([load_program(".word 0x2000 5\nld r1, r0, 0x2000\n"
+                                  "halt\n")], RunConfig())
+        with pytest.raises(AssertionError,
+                           match="owner 0 of line 0x7000 does not hold it"):
+            m.run()
+        assert len(delivered) == 1 and not m.cores[0].halted

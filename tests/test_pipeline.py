@@ -242,27 +242,32 @@ class TestSteppedEquivalence:
     @pytest.mark.parametrize("mode", ["ghostminion", "unsafe", "flush_only"])
     def test_gadgets(self, mode):
         for name, g in GADGETS.items():
-            cfg = replace(RunConfig(mode=mode, check_invariants=True),
-                          **g.cfg_overrides)
+            cfg = replace(RunConfig(mode=mode), **g.cfg_overrides)
             a, b = self._both(g.programs(0), cfg)
             assert a == b, name
 
     @pytest.mark.parametrize("rob", [64, 4])
     def test_fuzz_programs(self, rob):
-        cfg = RunConfig(rob=rob, check_invariants=True)
+        cfg = RunConfig(rob=rob)
         for i in range(50):
             a, b = self._both(fuzz_text(0, i), cfg)
             assert a == b, f"fuzz seed 0 program {i}"
 
     def test_idle_cycles_are_skipped(self, monkeypatch):
         # most of a gadget's cycles wait on a miss; run() jumps over them.
-        # check_invariants runs once in every visited cycle, and tick only
-        # in a visited cycle in which the top of the event heap is due
-        visited, ticks = [], []
-        check, tick = MemorySystem.check_invariants, MemorySystem.tick
+        # The check tests/conftest.py installs runs once in every visited
+        # cycle, and tick only in a visited cycle in which the top of the
+        # event heap is due
+        visited, checked, ticks = [], [], []
+        step, check = Core.step, MemorySystem.check_invariants
+        tick = MemorySystem.tick
+
+        def counted_step(core, cycle):
+            visited.append(cycle)
+            return step(core, cycle)
 
         def counted_check(mem):
-            visited.append(1)
+            checked.append(visited[-1])
             check(mem)
 
         def counted_tick(mem, cycle):
@@ -270,12 +275,13 @@ class TestSteppedEquivalence:
             ticks.append(cycle)
             return tick(mem, cycle)
 
+        monkeypatch.setattr(Core, "step", counted_step)
         monkeypatch.setattr(MemorySystem, "check_invariants", counted_check)
         monkeypatch.setattr(MemorySystem, "tick", counted_tick)
         g = GADGETS["spectre_v1"]
-        cfg = replace(RunConfig(mode="ghostminion", check_invariants=True),
-                      **g.cfg_overrides)
+        cfg = replace(RunConfig(mode="ghostminion"), **g.cfg_overrides)
         _, rep = harness.run(g.programs(0), cfg)
+        assert len(g.programs(0)) == 1 and checked == visited
         assert 0 < len(ticks) < len(visited) < rep.cycles / 4
 
     @pytest.mark.parametrize("limit", [1, 37, 150])

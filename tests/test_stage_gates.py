@@ -43,8 +43,6 @@ def reference_run(m, max_cycles=None):
             progress |= core.do_issue(c)
             progress |= core.do_rename(c)
             progress |= core.do_fetch(c)
-        if m.cfg.check_invariants:
-            mem.check_invariants()
         if progress:
             m.cycle = c + 1
         else:
